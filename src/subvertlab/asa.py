@@ -29,8 +29,7 @@ from .errors import (
     WrongDocumentCountError,
 )
 from .schemes import RandomizedAlgorithm, SymmetricEncryptionScheme
-from .stego import StegoSystem, encode_step
-from .prf import prf_split_block
+from .stego import StegoSystem, mark_agreement
 
 __all__ = [
     "SubstitutionAttack",
@@ -283,15 +282,10 @@ def generic_asa_against_alg(
     """
     params = steg.params
 
-    def force_embed(ak: Bits, am: Bits, rng: random.Random) -> Bits:
-        from .stego import _pad_message, _slot_value  # demo path only
-
-        am_padded = _pad_message(params, am)
-        prf = _steg_prf(steg)
+    def force_embed(agrees: Callable[[Bits], bool], rng: random.Random) -> Bits:
         for _ in range(65536):
             doc = Bits.random(alg.output_bits, rng)
-            value, j = prf_split_block(prf, ak, doc, params.block_bits, params.n_slots)
-            if j is not None and _slot_value(params, am_padded, j) == value:
+            if agrees(doc):
                 return doc
         raise ParameterError("could not fabricate a marking document")
 
@@ -300,12 +294,9 @@ def generic_asa_against_alg(
             ak, am, (), sigma, draw=lambda: alg.run_sample(s, x, rng), rng=rng
         )
         if demo_force_embed:
-            prf = _steg_prf(steg)
-            from .stego import _pad_message, _slot_value
-
-            value, j = prf_split_block(prf, ak, doc, params.block_bits, params.n_slots)
-            if j is None or _slot_value(params, _pad_message(params, am), j) != value:
-                doc = force_embed(ak, am, rng)
+            agrees = mark_agreement(_steg_prf(steg), params, ak, am)
+            if not agrees(doc):
+                doc = force_embed(agrees, rng)
         return doc, sigma
 
     return AlgSubstitutionAttack(

@@ -3,8 +3,13 @@
 A channel assigns to every valid history a distribution over next documents.
 Histories here are recognized by pure length/count automata: a key, then a
 fixed count of messages, then ciphertexts cycling through those messages.
-Every prefix of a valid history is valid, and sampling never needs more than
-the published per-role bit lengths.
+Each channel states its grammar as a per-position rule, and a history is
+valid when every position passes it. So every prefix of a valid history is
+valid, and a valid history stays valid when a document that passes at its
+own position is appended: callers that extend a history validate the start
+once (check_history) and then each new document (extend_history), never the
+whole history per draw. Sampling never needs more than the published
+per-role bit lengths.
 
 Channels derived from encryption schemes sample full-history documents by
 calling the scheme's own explicit-coin encryptor, so a seed-coupled run of
@@ -26,6 +31,10 @@ from .schemes import RandomizedAlgorithm, SymmetricEncryptionScheme
 __all__ = [
     "Channel",
     "channel_sample",
+    "channel_walk",
+    "check_history",
+    "draw_next",
+    "extend_history",
     "channel_pmf",
     "channel_support",
     "uniform_channel",
@@ -43,35 +52,71 @@ _ENUM_LIMIT = 20
 class Channel:
     descriptor: dict
     max_doc_len: int
-    grammar: Callable[[tuple], bool]
+    accepts_at: Callable[[int, Bits], bool]  # may this document sit at this position?
     sampler: Callable[[tuple, random.Random], Bits]
     pmf_fn: Callable[[tuple, Bits], Fraction] | None = None
     support_fn: Callable[[tuple], Iterable[Bits]] | None = None
 
+    def grammar(self, history: tuple) -> bool:
+        """A history is valid when every position accepts its document."""
+        accepts_at = self.accepts_at
+        return all(accepts_at(pos, doc) for pos, doc in enumerate(history))
 
-def channel_sample(channel: Channel, history: tuple, rng: random.Random) -> Bits:
-    """Draw the next document for a history, validating the history first."""
+
+def check_history(channel: Channel, history: tuple) -> None:
     if not channel.grammar(history):
         raise InvalidHistoryError(f"history of length {len(history)} rejected by grammar")
+
+
+def draw_next(channel: Channel, history: tuple, rng: random.Random) -> Bits:
+    """Draw the next document for a history the caller has already validated."""
     doc = channel.sampler(history, rng)
     if len(doc) > channel.max_doc_len:
         raise InvalidHistoryError("sampler produced an oversized document")
     return doc
 
 
+def extend_history(channel: Channel, history: tuple, doc: Bits) -> tuple:
+    """Append a document to a valid history, checking it at its own position."""
+    if not channel.accepts_at(len(history), doc):
+        raise InvalidHistoryError(
+            f"{len(doc)}-bit document rejected by grammar at position {len(history)}"
+        )
+    return history + (doc,)
+
+
+def channel_sample(channel: Channel, history: tuple, rng: random.Random) -> Bits:
+    """Draw the next document for a history, validating the history first."""
+    check_history(channel, history)
+    return draw_next(channel, history, rng)
+
+
+def channel_walk(
+    channel: Channel, depth: int, rng: random.Random, history: tuple = ()
+) -> tuple:
+    """Extend a history by `depth` documents sampled one after another.
+
+    Draws the same documents as `depth` chained channel_sample calls, but
+    validates the start history only once.
+    """
+    h = tuple(history)
+    check_history(channel, h)
+    for _ in range(depth):
+        h = extend_history(channel, h, draw_next(channel, h, rng))
+    return h
+
+
 def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
     if channel.pmf_fn is None:
         raise NoExactPmfError(f"channel {channel.descriptor.get('type')} has no exact pmf")
-    if not channel.grammar(history):
-        raise InvalidHistoryError("history rejected by grammar")
+    check_history(channel, history)
     return channel.pmf_fn(history, doc)
 
 
 def channel_support(channel: Channel, history: tuple) -> Iterable[Bits]:
     if channel.support_fn is None:
         raise NoExactPmfError("channel does not enumerate its support")
-    if not channel.grammar(history):
-        raise InvalidHistoryError("history rejected by grammar")
+    check_history(channel, history)
     return channel.support_fn(history)
 
 
@@ -95,7 +140,7 @@ def uniform_channel(nbits: int) -> Channel:
             "max_doc_len": nbits,
         },
         max_doc_len=nbits,
-        grammar=lambda h: all(len(d) == nbits for d in h),
+        accepts_at=lambda pos, d: len(d) == nbits,
         sampler=lambda h, rng: Bits.random(nbits, rng),
         pmf_fn=lambda h, d: Fraction(1, 2**nbits) if len(d) == nbits else Fraction(0),
         support_fn=lambda h: _all_bits(nbits),
@@ -108,18 +153,9 @@ class _CycleShape:
     def __init__(self, key_bits: int, in_bits: int, out_bits: int, ell: int):
         self.key_bits, self.in_bits, self.out_bits, self.ell = key_bits, in_bits, out_bits, ell
 
-    def accepts(self, h: tuple) -> bool:
-        for pos, doc in enumerate(h):
-            want = (
-                self.key_bits
-                if pos == 0
-                else self.in_bits
-                if pos <= self.ell
-                else self.out_bits
-            )
-            if len(doc) != want:
-                return False
-        return True
+    def accepts_at(self, pos: int, doc: Bits) -> bool:
+        want = self.key_bits if pos == 0 else self.in_bits if pos <= self.ell else self.out_bits
+        return len(doc) == want
 
     def role(self, h: tuple) -> tuple[str, int]:
         """Role of the next document: (name, cycle position for outputs)."""
@@ -198,7 +234,7 @@ def _cycle_channel(
             "max_doc_len": max(key_bits, in_bits, out_bits),
         },
         max_doc_len=max(key_bits, in_bits, out_bits),
-        grammar=shape.accepts,
+        accepts_at=shape.accepts_at,
         sampler=sampler,
         pmf_fn=pmf,
         support_fn=support,
@@ -305,9 +341,10 @@ def min_entropy_estimate(
     """
     if samples < 2:
         raise ParameterError("need at least two samples")
+    check_history(channel, history)
     counts: dict[Bits, int] = {}
     for _ in range(samples):
-        d = channel_sample(channel, history, rng)
+        d = draw_next(channel, history, rng)
         counts[d] = counts.get(d, 0) + 1
     pairs = sum(n * (n - 1) // 2 for n in counts.values())
     total = samples * (samples - 1) // 2

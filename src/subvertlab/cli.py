@@ -34,7 +34,7 @@ from .adversaries import (
 from .asa import UniversalHost, asa_from_stego, query_count, universal_asa
 from .bits import Bits
 from .channels import (
-    channel_sample,
+    channel_walk,
     min_entropy_estimate,
     min_entropy_exact,
     rand_alg_channel,
@@ -206,8 +206,34 @@ def _emit(lines, args):
 
 
 def _read_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """(line number, object) for every non-blank line of a JSON-lines file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
+    records = []
+    for n, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{path}:{n}: not a JSON line ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise ParameterError(f"{path}:{n}: expected a JSON object")
+        records.append((n, obj))
+    return records
+
+
+def _hex_bits(text, nbits, where):
+    """Bits from a hex string, or a ParameterError naming where it came from."""
+    if not isinstance(text, str):
+        raise ParameterError(f"{where}: expected a hex string")
+    try:
+        return Bits.from_hex(text, nbits)
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
 
 
 # --- channel commands ----------------------------------------------------------
@@ -217,36 +243,25 @@ def cmd_channel_sample(args):
     seed = _seed(args)
     channel = _channel(args, seed)
     rng = substream(seed, "channel-sample")
-    history = ()
-    for _ in range(args.depth):
-        history = history + (channel_sample(channel, history, rng),)
+    start = channel_walk(channel, args.depth, rng)
     lines = [{"kind": "channel-sample", "channel": channel.descriptor, "seed": seed}]
-    for i in range(args.count):
-        doc = channel_sample(channel, history, rng)
+    for i, doc in enumerate(channel_walk(channel, args.count, rng, start)[len(start) :]):
         lines.append({"i": i, "doc_hex": doc.hex(), "bits": len(doc)})
-        history = history + (doc,)
     return lines
 
 
 def cmd_channel_entropy(args):
     seed = _seed(args)
     channel = _channel(args, seed)
-    rng = substream(seed, "channel-entropy")
+
+    def walk(depth):
+        return channel_walk(channel, depth, substream(seed, "entropy-history", depth))
+
     if args.mode == "exact":
-        histories = []
-        for depth in args.depths:
-            h = ()
-            walk = substream(seed, "entropy-history", depth)
-            for _ in range(depth):
-                h = h + (channel_sample(channel, h, walk),)
-            histories.append(h)
-        report = min_entropy_exact(channel, histories)
+        report = min_entropy_exact(channel, [walk(depth) for depth in args.depths])
     else:
-        h = ()
-        walk = substream(seed, "entropy-history", args.depth)
-        for _ in range(args.depth):
-            h = h + (channel_sample(channel, h, walk),)
-        report = min_entropy_estimate(channel, h, args.samples, rng)
+        rng = substream(seed, "channel-entropy")
+        report = min_entropy_estimate(channel, walk(args.depth), args.samples, rng)
     d = report.to_json_dict()
     d["kind"] = "min-entropy"
     d["seed"] = seed
@@ -258,7 +273,7 @@ def cmd_channel_entropy(args):
 
 def _session_key(args, steg, seed):
     if args.key:
-        return Bits.from_hex(args.key, steg.params.kappa)
+        return _hex_bits(args.key, steg.params.kappa, "--key")
     return steg.gen(substream(seed, "stego-key"))
 
 
@@ -267,7 +282,7 @@ def cmd_stego_embed(args):
     steg = _stego(args)
     channel = _channel(args, seed)
     ak = _session_key(args, steg, seed)
-    am = Bits.from_hex(args.message, steg.params.ml)
+    am = _hex_bits(args.message, steg.params.ml, "--message")
     rng = substream(seed, "stego-embed")
     if args.schedule:
         schedule = [int(x) for x in args.schedule.split(",")]
@@ -298,42 +313,54 @@ def cmd_stego_embed(args):
     return lines
 
 
-def _load_session(path):
-    lines = _read_jsonl(path)
-    if not lines or "params" not in lines[0]:
+_SESSION_INTS = ("ml", "s", "outl", "kappa", "block_bits")
+
+
+def _load_session(path, key_hex=None):
+    """Stego parameters, key, expected message and documents of a saved
+    session; key_hex overrides the header's key."""
+    records = _read_jsonl(path)
+    if not records or "params" not in records[0][1]:
         raise ParameterError(f"{path} does not look like a saved session")
-    header = lines[0]
-    docs = [
-        Bits.from_hex(line["doc_hex"], line["bits"])
-        for line in lines[1:]
-        if "doc_hex" in line
-    ]
-    return header, docs
-
-
-def cmd_stego_extract(args):
-    header, docs = _load_session(args.file)
+    n, header = records[0]
     p = header["params"]
-    params = StegoParams(
-        ml=p["ml"],
-        s=p["s"],
-        outl=p["outl"],
-        kappa=p["kappa"],
-        beta=p["beta"],
-        block_bits=p["block_bits"],
-    )
-    steg = rejsam_system(params)
-    key_hex = args.key or header["key_hex"]
-    ak = Bits.from_hex(key_hex, params.kappa)
-    got = steg.dec(ak, docs)
-    expected = header.get("message_hex")
+    if not isinstance(p, dict):
+        raise ParameterError(f"{path}:{n}: params must be a JSON object")
+    for name in _SESSION_INTS + ("beta",):
+        if name not in p:
+            raise ParameterError(f"{path}:{n}: session params lack {name!r}")
+    if not all(type(p[name]) is int for name in _SESSION_INTS):
+        raise ParameterError(f"{path}:{n}: {', '.join(_SESSION_INTS)} must be integers")
+    params = StegoParams(beta=p["beta"], **{name: p[name] for name in _SESSION_INTS})
+    if key_hex is not None:
+        ak = _hex_bits(key_hex, params.kappa, "--key")
+    elif "key_hex" in header:
+        ak = _hex_bits(header["key_hex"], params.kappa, f"{path}:{n}: key_hex")
+    else:
+        raise ParameterError(f"{path}:{n}: session header lacks 'key_hex' (pass --key)")
+    docs = []
+    for n, line in records[1:]:
+        if "doc_hex" in line:
+            if type(line.get("bits")) is not int:
+                raise ParameterError(f"{path}:{n}: bits must be an integer")
+            docs.append(_hex_bits(line["doc_hex"], line["bits"], f"{path}:{n}: doc_hex"))
+    return params, ak, header.get("message_hex"), docs
+
+
+def _extract(args, kind):
+    params, ak, expected, docs = _load_session(args.file, args.key or None)
+    got = rejsam_system(params).dec(ak, docs)
     return [
         {
-            "kind": "stego-extract",
+            "kind": kind,
             "extracted_hex": got.hex() if got is not None else None,
             "ok": got is not None and got.hex() == expected if expected else got is not None,
         }
     ]
+
+
+def cmd_stego_extract(args):
+    return _extract(args, "stego-extract")
 
 
 def cmd_stego_roundtrip(args):
@@ -374,7 +401,7 @@ def cmd_asa_run(args):
     rng = substream(seed, "asa-run")
     ak = asa.gen(rng)
     am = (
-        Bits.from_hex(args.message, asa.ml)
+        _hex_bits(args.message, asa.ml, "--message")
         if args.message
         else Bits.random(asa.ml, rng)
     )
@@ -410,28 +437,7 @@ def cmd_asa_run(args):
 
 
 def cmd_asa_extract(args):
-    header, docs = _load_session(args.file)
-    p = header["params"]
-    params = StegoParams(
-        ml=p["ml"],
-        s=p["s"],
-        outl=p["outl"],
-        kappa=p["kappa"],
-        beta=p["beta"],
-        block_bits=p["block_bits"],
-    )
-    steg = rejsam_system(params)
-    key_hex = args.key or header["key_hex"]
-    ak = Bits.from_hex(key_hex, params.kappa)
-    got = steg.dec(ak, docs)
-    expected = header.get("message_hex")
-    return [
-        {
-            "kind": "asa-extract",
-            "extracted_hex": got.hex() if got is not None else None,
-            "ok": got is not None and got.hex() == expected if expected else got is not None,
-        }
-    ]
+    return _extract(args, "asa-extract")
 
 
 def cmd_asa_queries(args):
@@ -600,7 +606,7 @@ def cmd_lb_rate(args):
 def cmd_report_merge(args):
     reports = []
     for path in args.files:
-        for obj in _read_jsonl(path):
+        for _, obj in _read_jsonl(path):
             if "game" in obj and obj.get("schema"):
                 reports.append(GameReport.from_json_dict(obj))
     merged = merge_reports(reports)

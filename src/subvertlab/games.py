@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .asa import AlgSubstitutionAttack, SubstitutionAttack, asa_enc_all, alg_enc_all
 from .bits import Bits
-from .channels import Channel, channel_sample
+from .channels import Channel, channel_sample, channel_walk, check_history, draw_next
 from .errors import LengthMismatchError, ParameterError, SchemaMismatchError
 from .rng import TrialStreams
 from .schemes import RandomizedAlgorithm, SignatureScheme, SymmetricEncryptionScheme
@@ -307,16 +307,14 @@ class _SsChaView:
         steg = self._steg
         transparent = steg.transparent_at is not None and steg.transparent_at(history)
         rng = self.sim_rng("oracle-prefix") if transparent else self._rng
+        check_history(self.channel, history)
+
+        def draw():
+            return draw_next(self.channel, history, rng)
+
         if self._b == 0:
-            return steg.enc(
-                self._ak,
-                am,
-                history,
-                sigma,
-                draw=lambda: channel_sample(self.channel, history, rng),
-                rng=rng,
-            )
-        return channel_sample(self.channel, history, rng), sigma
+            return steg.enc(self._ak, am, history, sigma, draw=draw, rng=rng)
+        return draw(), sigma
 
     def channel_sample(self, history):
         return channel_sample(self.channel, history, self.sim_rng("channel"))
@@ -504,13 +502,6 @@ def estimate_unrel_alg(
     return _report("rasa-unrel", trials, seed, config, _collect(trials, jobs, run_one), False)
 
 
-def _sampled_history(channel: Channel, depth: int, rng) -> tuple:
-    h: tuple = ()
-    for _ in range(depth):
-        h = h + (channel_sample(channel, h, rng),)
-    return h
-
-
 def estimate_unrel_stego(
     steg: StegoSystem,
     channel: Channel,
@@ -533,7 +524,7 @@ def estimate_unrel_stego(
     def run_one(t):
         rng = TrialStreams(seed, t).get("run")
         if history_mode == "sampled":
-            h = _sampled_history(channel, rng.randrange(0, depth_cap + 1), rng)
+            h = channel_walk(channel, rng.randrange(0, depth_cap + 1), rng)
         else:
             h = ()
         ak = steg.gen(rng)

@@ -52,13 +52,13 @@ def prf_split_eval(prf: Prf, key: Bits, doc: Bits, ml: int) -> tuple[int, int]:
     """Split an evaluation into (bit, slot index) for ml single-bit slots.
 
     bit = first output bit; slot = next log2(ml) output bits, big-endian.
-    ml must be a power of two so the slot index is exactly uniform.
+    ml must be a power of two so the slot index is exactly uniform; this is
+    prf_split_block with one-bit blocks over ml slots.
     """
     if not is_power_of_two(ml):
         raise ParameterError("ml must be a power of two")
-    idx_bits = ml.bit_length() - 1
-    out = prf.eval(key, doc)
-    return out[0], out[1 : 1 + idx_bits].uint if idx_bits else 0
+    value, j = prf_split_block(prf, key, doc, 1, ml)
+    return value.uint, j
 
 
 def prf_split_block(
@@ -70,15 +70,20 @@ def prf_split_block(
     the next ceil(log2(n_slots)) bits. Index values >= n_slots come back as
     None: the encoder never accepts them and the decoder skips them, which
     keeps the accepted index exactly uniform for non-dyadic slot counts.
-    With block_bits=1 and a power-of-two slot count this coincides bit for
-    bit with prf_split_eval.
+    Both fields are read from one HMAC digest as an integer: the same bits
+    as Prf.eval followed by two slices, without the intermediate bit strings.
     """
     if block_bits <= 0 or n_slots <= 0:
         raise ParameterError("block_bits and n_slots must be positive")
     idx_bits = (n_slots - 1).bit_length()
     if block_bits + idx_bits > prf.out_bits:
         raise ParameterError("PRF output too short for requested split")
-    out = prf.eval(key, doc)
-    value = out[0:block_bits]
-    j = out[block_bits : block_bits + idx_bits].uint if idx_bits else 0
-    return value, (j if j < n_slots else None)
+    if len(key) != prf.key_bits:
+        raise ParameterError(f"key must have {prf.key_bits} bits")
+    # hmac.new, not the one-shot hmac.digest: the one-shot call releases the
+    # GIL, and under --jobs threads each release waits out the switch interval
+    digest = hmac.new(key.to_bytes(), doc.to_bytes(), hashlib.sha256).digest()
+    out = int.from_bytes(digest, "big")
+    rest = _OUT_BITS - block_bits
+    j = (out >> (rest - idx_bits)) & ((1 << idx_bits) - 1)
+    return Bits(out >> rest, block_bits), (j if j < n_slots else None)

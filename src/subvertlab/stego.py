@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bits import Bits
-from .channels import Channel, channel_sample
+from .channels import Channel, check_history, draw_next, extend_history
 from .errors import ParameterError, ScheduleError, WrongDocumentCountError
 from .prf import Prf, is_power_of_two, prf_split_block
 
@@ -32,6 +32,7 @@ __all__ = [
     "rejsam_system",
     "rejsam_decode",
     "encode_step",
+    "mark_agreement",
     "encode_all",
     "encode_schedule",
 ]
@@ -129,27 +130,46 @@ class StegoSystem:
         return {"system": self.system_id, **self.params.to_json_dict()}
 
 
-def _pad_message(params: StegoParams, am: Bits) -> Bits:
+def mark_agreement(
+    prf: Prf, params: StegoParams, ak: Bits, am: Bits
+) -> Callable[[Bits], bool]:
+    """Predicate: does a document's mark (value, slot) agree with am?
+
+    The message is zero-padded to n_slots blocks and held as one int, so
+    slot j's block is the j-th block_bits-wide field from the top.
+    """
     if len(am) != params.ml:
         raise ParameterError(f"hidden message must have {params.ml} bits")
-    return am + Bits.zeros(params.padded_ml - params.ml)
+    block_bits, n_slots = params.block_bits, params.n_slots
+    am_int = am.uint << (params.padded_ml - params.ml)
+    mask = (1 << block_bits) - 1
 
+    def agrees(doc: Bits) -> bool:
+        value, j = prf_split_block(prf, ak, doc, block_bits, n_slots)
+        return j is not None and value.uint == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask
 
-def _slot_value(params: StegoParams, am_padded: Bits, j: int) -> Bits:
-    return am_padded[j * params.block_bits : (j + 1) * params.block_bits]
+    return agrees
 
 
 def encode_step(
     prf: Prf, params: StegoParams, ak: Bits, am: Bits, draw: Callable[[], Bits]
 ) -> Bits:
     """One emission: first draw whose mark agrees with the message, else the
-    (s+1)-th draw unconditionally."""
-    am_padded = _pad_message(params, am)
+    (s+1)-th draw unconditionally.
+
+    The mark is a deterministic function of the document, so a document
+    rejected once is rejected again without re-marking it; every draw is
+    still taken, since draws consume the channel's randomness.
+    """
+    agrees = mark_agreement(prf, params, ak, am)
+    rejected: set[Bits] = set()
     for _ in range(params.s):
         doc = draw()
-        value, j = prf_split_block(prf, ak, doc, params.block_bits, params.n_slots)
-        if j is not None and _slot_value(params, am_padded, j) == value:
+        if doc in rejected:
+            continue
+        if agrees(doc):
             return doc
+        rejected.add(doc)
     return draw()
 
 
@@ -158,14 +178,18 @@ def rejsam_decode(
 ) -> Bits | None:
     if len(docs) != params.outl:
         raise WrongDocumentCountError(f"expected {params.outl} documents, got {len(docs)}")
-    slots: list[Bits | None] = [None] * params.n_slots
+    block_bits, n_slots = params.block_bits, params.n_slots
+    slots: list[int | None] = [None] * n_slots
     for doc in docs:
-        value, j = prf_split_block(prf, ak, doc, params.block_bits, params.n_slots)
+        value, j = prf_split_block(prf, ak, doc, block_bits, n_slots)
         if j is not None:
-            slots[j] = value  # last write wins
-    if any(v is None for v in slots):
+            slots[j] = value.uint  # last write wins
+    if None in slots:
         return None
-    return Bits.join(slots)[: params.ml]  # type: ignore[arg-type]
+    am_int = 0
+    for v in slots:
+        am_int = (am_int << block_bits) | v  # type: ignore[operator]
+    return Bits(am_int >> (params.padded_ml - params.ml), params.ml)
 
 
 def rejsam_system(params: StegoParams, prf: Prf | None = None) -> StegoSystem:
@@ -200,20 +224,25 @@ def encode_all(
     sigma: object = None,
 ) -> list[Bits]:
     """Run `count` (default outl) encode steps, threading sigma and extending
-    the history with each emitted document."""
+    the history with each emitted document.
+
+    The start history is validated once and each emitted document at its
+    own position (see channels), so draws never re-check the history.
+    """
     docs: list[Bits] = []
     h = tuple(history)
+    check_history(channel, h)
     for _ in range(params_count(steg, count)):
         doc, sigma = steg.enc(
             ak,
             am,
             h,
             sigma,
-            draw=lambda: channel_sample(channel, h, rng),
+            draw=lambda: draw_next(channel, h, rng),
             rng=rng,
         )
+        h = extend_history(channel, h, doc)
         docs.append(doc)
-        h = h + (doc,)
     return docs
 
 

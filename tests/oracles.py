@@ -186,3 +186,40 @@ def rejsam_emit_pmf(accept: set, n_docs: int, s: int) -> dict:
     base = q**s * Fraction(1, n_docs)
     boost = (1 - q**s) / alpha / n_docs if accept else Fraction(0)
     return {d: base + boost if d in accept else base for d in range(n_docs)}
+
+
+# --- rejection sampler on bit strings -------------------------------------------
+#
+# `mark` maps a document to the PRF output as a '0'/'1' string (most
+# significant bit first); everything below is string slicing, so it shares no
+# integer arithmetic with the package's encoder and decoder.
+
+
+def rejsam_mark_bits(out: str, block_bits: int, n_slots: int) -> tuple:
+    """(value bit string, slot index or None) read from a PRF output."""
+    idx_bits = (n_slots - 1).bit_length()
+    j = int(out[block_bits : block_bits + idx_bits] or "0", 2)
+    return out[:block_bits], (j if j < n_slots else None)
+
+
+def rejsam_emit_index(mark, message: str, block_bits: int, n_slots: int, s: int, draws) -> int:
+    """Index of the draw one emission outputs: the first of the first s
+    draws whose mark agrees with the zero-padded message, else draw s."""
+    padded = message.ljust(block_bits * n_slots, "0")
+    for i, doc in enumerate(draws[:s]):
+        value, j = rejsam_mark_bits(mark(doc), block_bits, n_slots)
+        if j is not None and padded[j * block_bits : (j + 1) * block_bits] == value:
+            return i
+    return s
+
+
+def rejsam_decode_bits(mark, ml: int, block_bits: int, n_slots: int, docs):
+    """Decoded message as a bit string (last write wins), or None."""
+    slots = [None] * n_slots
+    for doc in docs:
+        value, j = rejsam_mark_bits(mark(doc), block_bits, n_slots)
+        if j is not None:
+            slots[j] = value
+    if None in slots:
+        return None
+    return "".join(slots)[:ml]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from subvertlab import (
     channel_pmf,
     channel_sample,
     channel_support,
+    channel_walk,
     det_scheme,
     min_entropy_estimate,
     min_entropy_exact,
@@ -55,6 +57,26 @@ def test_ses_channel_grammar_checks_lengths():
     assert not ch.grammar((key, msg, msg, msg))  # third input is an output slot
     with pytest.raises(InvalidHistoryError):
         channel_sample(ch, (msg,), random.Random(0))
+
+
+def test_channel_walk_matches_chained_samples():
+    # validating once and then each new document at its own position draws
+    # exactly what per-draw validation draws
+    ch = ses_channel(randpad_scheme(4, 16, ml=4), 2)
+    assert channel_walk(ch, 9, random.Random(10)) == walk(ch, 9, random.Random(10))
+    start = walk(ch, 4, random.Random(11))
+    rest = channel_walk(ch, 5, random.Random(12), start)
+    assert rest[:4] == start and ch.grammar(rest) and len(rest) == 9
+    with pytest.raises(InvalidHistoryError):
+        channel_walk(ch, 1, random.Random(0), (Bits.zeros(16), Bits.zeros(8)))
+    # a sampler that emits an off-grammar document is caught at that draw
+    short = dataclasses.replace(ch, sampler=lambda h, rng: Bits.zeros(3))
+    with pytest.raises(InvalidHistoryError, match="position 0"):
+        channel_walk(short, 1, random.Random(0))
+    # the per-position rule is the grammar, one position at a time
+    key, msg, out = Bits.zeros(16), Bits.zeros(4), Bits.zeros(8)
+    assert [ch.accepts_at(i, d) for i, d in enumerate((key, msg, msg, out))] == [True] * 4
+    assert not ch.accepts_at(3, msg) and not ch.accepts_at(0, out)
 
 
 def test_ses_channel_output_positions_cycle_through_messages():

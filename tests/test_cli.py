@@ -136,3 +136,65 @@ def test_merge_pools_files_and_writes_csv(capsys, tmp_path):
     rows = (tmp_path / "summary.csv").read_text().splitlines()
     assert rows[0].startswith("game,trials,success_count,p_hat")
     assert len(rows) == 2 and rows[1].startswith("cpa-dist,100,")
+
+
+def test_bad_session_files_exit_2_naming_path_and_line(capsys, tmp_path):
+    session = tmp_path / "session.jsonl"
+    rc, _, _ = run_cli(
+        capsys,
+        ["stego", "embed", "--channel", "uniform", "--doc-bits", "16", *STEGO_OPTS,
+         "--message", "a", "--seed", "3", "--out", str(session)],
+    )
+    assert rc == 0
+    header, *rest = session.read_text().splitlines()
+
+    def extract(lines, *extra):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["stego", "extract", "--file", str(bad), *extra])
+        captured = capsys.readouterr()
+        return rc, captured.err or captured.out
+
+    # a line that is not JSON
+    rc, err = extract([header, "{not json", *rest])
+    assert rc == 2 and f"{tmp_path / 'bad.jsonl'}:2" in err and "Traceback" not in err
+    # non-hex key in the header, then non-hex document
+    obj = json.loads(header)
+    rc, err = extract([json.dumps({**obj, "key_hex": "zz"}), *rest])
+    assert rc == 2 and "bad.jsonl:1" in err and "key_hex" in err
+    doc = json.loads(rest[3])
+    rc, err = extract([header, *rest[:3], json.dumps({**doc, "doc_hex": "xyz1"}), *rest[4:]])
+    assert rc == 2 and "bad.jsonl:5" in err and "doc_hex" in err
+    # non-hex key on the command line
+    rc, err = extract([header, *rest], "--key", "g0")
+    assert rc == 2 and "--key" in err
+    # header keys missing: a parameter, and the key with no --key given
+    params = {k: v for k, v in obj["params"].items() if k != "outl"}
+    rc, err = extract([json.dumps({**obj, "params": params}), *rest])
+    assert rc == 2 and "bad.jsonl:1" in err and "'outl'" in err
+    no_key = {k: v for k, v in obj.items() if k != "key_hex"}
+    rc, err = extract([json.dumps(no_key), *rest])
+    assert rc == 2 and "bad.jsonl:1" in err and "key_hex" in err
+    # ... which --key supplies
+    rc, out = extract([json.dumps(no_key), *rest], "--key", obj["key_hex"])
+    assert rc == 0 and json.loads(out)["ok"] is True
+    # a file that is not UTF-8 text
+    (tmp_path / "bad.jsonl").write_bytes(b"\xff\xfe{}\n")
+    assert cli.main(["stego", "extract", "--file", str(tmp_path / "bad.jsonl")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    # hex given on the command line is checked the same way
+    assert cli.main(["stego", "embed", *STEGO_OPTS, "--message", "zz"]) == 2
+    assert "--message" in capsys.readouterr().err
+    # the same reader serves asa extract
+    (tmp_path / "bad.jsonl").write_text(header + "\n[1, 2]\n")
+    assert cli.main(["asa", "extract", "--file", str(tmp_path / "bad.jsonl")]) == 2
+    assert "bad.jsonl:2: expected a JSON object" in capsys.readouterr().err
+
+
+def test_channel_commands_walk_like_chained_samples(capsys):
+    # channel sample walks --depth documents, then prints --count more;
+    # the printed documents continue the same stream
+    base = ["channel", "sample", "--channel", "uniform", "--doc-bits", "12", "--seed", "6"]
+    _, deep, _ = run_cli(capsys, base + ["--depth", "3", "--count", "2"])
+    _, flat, _ = run_cli(capsys, base + ["--count", "5"])
+    assert [l["doc_hex"] for l in deep[1:]] == [l["doc_hex"] for l in flat[1:][3:]]

@@ -1,3 +1,6 @@
+import dataclasses
+import hmac
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from subvertlab import (
     Bits,
+    InvalidHistoryError,
     ParameterError,
     Prf,
     ScheduleError,
@@ -23,8 +27,10 @@ from subvertlab import (
     estimate_unrel_stego,
     outl_for,
     prf_split_block,
+    randpad_scheme,
     rejsam_decode,
     rejsam_system,
+    ses_channel,
     substream,
     uniform_channel,
 )
@@ -93,6 +99,101 @@ def test_encode_step_draw_budget_is_exact():
     calls.clear()
     got = encode_step(prf, params, key, Bits(0, 1), draw)
     assert got == doc0 and len(calls) == 1
+
+
+def test_encode_step_marks_each_distinct_document_once(monkeypatch):
+    # ml=1: one slot, the mark is one PRF bit. The mark is a function of the
+    # document, so a stream stuck on rejected documents costs one HMAC per
+    # distinct document, while every one of the s+1 draws is still taken
+    params = StegoParams(ml=1, s=7, outl=4, kappa=64)
+    prf = Prf(64)
+    key = Bits.random(64, random.Random(0))
+    candidates = (Bits(v, 16) for v in range(64))
+    zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
+    macs = []
+    real_new = hmac.new
+    monkeypatch.setattr(hmac, "new", lambda *a: macs.append(1) or real_new(*a))
+
+    def run(am, stream):
+        macs.clear()
+        it = itertools.cycle(stream)
+        draws = []
+        doc = encode_step(prf, params, key, Bits(am, 1), lambda: draws.append(1) or next(it))
+        return doc, len(draws), len(macs)
+
+    assert run(1, [zero0]) == (zero0, params.s + 1, 1)  # rejected: s+1 draws
+    assert run(0, [zero0]) == (zero0, 1, 1)  # accepted: one draw
+    assert run(1, [zero0, zero1]) == (zero1, params.s + 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.data(),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 63), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_encode_and_decode_match_bit_string_reference(log_ml, data, s, pool, salt):
+    ml = 2**log_ml
+    block_bits = data.draw(st.integers(1, ml))
+    params = StegoParams(ml=ml, s=s, outl=len(pool), kappa=64, block_bits=block_bits)
+    prf = Prf(64)
+    rng = random.Random(salt)
+    key = Bits.random(64, rng)
+    am = Bits.random(ml, rng)
+    docs = [Bits(v, 6) for v in pool]
+
+    def mark(doc):
+        return prf.eval(key, doc).bin()
+
+    draws = [docs[i % len(docs)] for i in range(s + 1)]
+    it = iter(draws)
+    taken = []
+    got = encode_step(prf, params, key, am, lambda: taken.append(1) or next(it))
+    want = oracles.rejsam_emit_index(mark, am.bin(), block_bits, params.n_slots, s, draws)
+    assert got == draws[want] and len(taken) == want + 1
+
+    decoded = rejsam_decode(prf, params, key, docs)
+    ref = oracles.rejsam_decode_bits(mark, ml, block_bits, params.n_slots, docs)
+    assert (decoded.bin() if decoded is not None else None) == ref
+
+
+def test_decode_reference_covers_non_dyadic_slots():
+    # 8 bits in 3-bit blocks: three slots, index field of two bits, value 3
+    # out of range; a full table over 6-bit documents covers every slot
+    params = StegoParams(ml=8, s=4, outl=64, kappa=64, block_bits=3)
+    prf = Prf(64)
+    key = Bits.random(64, random.Random(5))
+    docs = [Bits(v, 6) for v in range(64)]
+    decoded = rejsam_decode(prf, params, key, docs)
+    ref = oracles.rejsam_decode_bits(
+        lambda d: prf.eval(key, d).bin(), 8, 3, params.n_slots, docs
+    )
+    assert ref is not None and decoded.bin() == ref
+
+
+def test_encode_all_validates_history_and_emitted_documents():
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=64))
+    ch = uniform_channel(8)
+    ak = steg.gen(substream(51, "k"))
+    am = Bits.from_str("0110")
+    with pytest.raises(InvalidHistoryError):
+        encode_all(steg, ak, am, (Bits.zeros(8), Bits.zeros(7)), ch, substream(51))
+    # an encoder that emits an off-grammar document is caught at the emission
+    # that produced it, the last one included
+    def short_last(ak, am, history, sigma, *, draw, rng=None):
+        doc = draw()
+        return (doc[:7] if len(history) == 5 else doc), sigma
+
+    bad = dataclasses.replace(steg, enc=short_last)
+    with pytest.raises(InvalidHistoryError, match="position 5"):
+        encode_all(bad, ak, am, (), ch, substream(51))
+    # on a session channel the start history is checked against each role
+    ses = randpad_scheme(4, 16, ml=4)
+    sch = ses_channel(ses, 2)
+    with pytest.raises(InvalidHistoryError):
+        encode_all(steg, ak, am, (Bits.zeros(16), Bits.zeros(8)), sch, substream(51))
 
 
 def test_encode_step_rejects_wrong_message_length():
