@@ -35,6 +35,9 @@ class Bits:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Bits is immutable")
 
+    def __reduce__(self):
+        return (Bits, (self._v, self._n))
+
     # --- constructors -----------------------------------------------------
 
     @classmethod

@@ -41,7 +41,7 @@ from .channels import (
     ses_channel,
     uniform_channel,
 )
-from .errors import InvariantViolation, ParameterError, SubvertLabError
+from .errors import InvariantViolation, ParameterError, SchemaMismatchError, SubvertLabError
 from .games import (
     GameReport,
     estimate_unrel,
@@ -189,7 +189,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(lines, args):
+def _emit(lines, args, argv):
     text = "\n".join(_dump(obj) for obj in lines) + "\n"
     sys.stdout.write(text)
     out = getattr(args, "out", None)
@@ -198,7 +198,7 @@ def _emit(lines, args):
             fh.write(text)
         meta = {
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "argv": sys.argv[1:],
+            "argv": argv,
             "schema": "subvertlab/1",
         }
         with open(out + ".meta.json", "w", encoding="utf-8") as fh:
@@ -606,9 +606,12 @@ def cmd_lb_rate(args):
 def cmd_report_merge(args):
     reports = []
     for path in args.files:
-        for _, obj in _read_jsonl(path):
+        for n, obj in _read_jsonl(path):
             if "game" in obj and obj.get("schema"):
-                reports.append(GameReport.from_json_dict(obj))
+                try:
+                    reports.append(GameReport.from_json_dict(obj))
+                except (ParameterError, SchemaMismatchError) as exc:
+                    raise type(exc)(f"{path}:{n}: {exc}") from None
     merged = merge_reports(reports)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -651,10 +654,25 @@ def cmd_report_merge(args):
 # --- parser --------------------------------------------------------------------
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _add_common(p, trials_default=200):
     p.add_argument("--seed", type=int, default=None, help="base seed (env SUBVERTLAB_SEED, then 0)")
-    p.add_argument("--trials", type=int, default=trials_default)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads; results are identical at any value")
+    p.add_argument("--trials", type=_positive_int, default=trials_default)
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes; results are identical at any value",
+    )
     p.add_argument("--out", help="also write the JSON lines to this file (plus .meta.json sidecar)")
 
 
@@ -915,11 +933,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         lines = args.func(args)
-        _emit(lines, args)
+        _emit(lines, args, argv)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

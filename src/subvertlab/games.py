@@ -7,9 +7,10 @@ coins each get a stream, and a public "sim" namespace carries service
 randomness that is identical in both worlds. Because the streams are
 addressed by name and not by draw order across components, a reduction
 adapter replaying an adversary inside a different game reproduces its view
-bit for bit, and the jobs knob cannot change any result (threads only help
-when trials block on something; the work here is CPU-bound, so expect
-determinism from the knob, not speed).
+bit for bit, and the jobs knob cannot change any result. With jobs > 1 the
+trial range is cut into contiguous chunks: the calling process runs the
+first and forked worker processes run the rest, so the CPU-bound trials
+really do run side by side, and the results are joined in trial order.
 
 Success counts come back as a GameReport: trials, successes, the success
 frequency, the normalized advantage |2p - 1| where the game is a
@@ -20,14 +21,16 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .asa import AlgSubstitutionAttack, SubstitutionAttack, asa_enc_all, alg_enc_all
 from .bits import Bits
 from .channels import Channel, channel_sample, channel_walk, check_history, draw_next
-from .errors import LengthMismatchError, ParameterError, SchemaMismatchError
+from .errors import LengthMismatchError, ParameterError, SchemaMismatchError, SubvertLabError
 from .rng import TrialStreams
 from .schemes import RandomizedAlgorithm, SignatureScheme, SymmetricEncryptionScheme
 from .stego import StegoSystem, encode_all, encode_schedule
@@ -134,6 +137,14 @@ class GameReport:
     def from_json_dict(d: dict) -> "GameReport":
         if d.get("schema") != SCHEMA:
             raise SchemaMismatchError(f"expected schema {SCHEMA!r}, got {d.get('schema')!r}")
+        for key in ("game", "trials", "success_count", "p_hat", "ci95"):
+            if key not in d:
+                raise ParameterError(f"report has no {key!r} key")
+        trials, successes = d["trials"], d["success_count"]
+        if not all(type(v) is int for v in (trials, successes)) or not 0 <= successes <= trials:
+            raise ParameterError("'trials' and 'success_count' must be counts, successes <= trials")
+        if not isinstance(d["ci95"], list) or len(d["ci95"]) != 2:
+            raise ParameterError("'ci95' must be a two-element list")
         return GameReport(
             game=d["game"],
             trials=d["trials"],
@@ -177,13 +188,112 @@ def merge_reports(reports: Sequence[GameReport]) -> list[GameReport]:
     return merged
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _collect(trials: int, jobs: int, run_one: Callable[[int], tuple]) -> list[tuple]:
+    """run_one(t) for every trial t, in trial order.
+
+    With more than one worker, range(trials) is cut into contiguous chunks;
+    this process runs the first and a forked child runs each of the others.
+    Every child is reaped, and the failure of the earliest failing chunk is
+    raised, as the serial loop would raise its first failing trial's.
+    """
     if trials <= 0:
         raise ParameterError("trials must be positive")
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, range(trials)))
-    return [run_one(t) for t in range(trials)]
+    workers = 1
+    if jobs and jobs > 1 and hasattr(os, "fork"):
+        workers = min(jobs, trials, _usable_cpus())
+    if workers <= 1:
+        return [run_one(t) for t in range(trials)]
+    cuts = [trials * i // workers for i in range(workers + 1)]
+    pending = []
+    try:
+        for i in range(1, workers):
+            pending.append(_fork_chunk(range(cuts[i], cuts[i + 1]), run_one))
+        results = [run_one(t) for t in range(cuts[1])]
+        failure = None
+        while pending:
+            ok, value = _receive(*pending.pop(0))
+            if ok:
+                results.extend(value)
+            elif failure is None:
+                failure = value
+    finally:
+        # left only when this process failed first: its children's work is moot
+        for pid, fd, _ in pending:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failure is not None:
+        raise failure
+    return results
+
+
+def _fork_chunk(chunk: range, run_one) -> tuple[int, int, range]:
+    """Fork a child that runs chunk and pickles the outcome into a pipe."""
+    fd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(fd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, fd, chunk
+    try:
+        os.close(fd)
+        try:
+            results = [run_one(t) for t in chunk]
+        except BaseException as exc:
+            data = _pickled_failure(exc)
+        else:
+            try:
+                data = pickle.dumps((True, results), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = _pickled_failure(
+                    SubvertLabError(f"results of trials {chunk.start}..{chunk.stop - 1} "
+                                    f"cannot leave the worker process: {exc!r}")
+                )
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        # no atexit handlers, no second flush of buffers inherited from the parent
+        os._exit(0)
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """(False, exc) pickled, or a SubvertLabError carrying exc's repr when
+    exc does not survive a pickle round trip."""
+    try:
+        data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((False, SubvertLabError(f"worker process raised {exc!r}")))
+
+
+def _receive(pid: int, fd: int, chunk: range) -> tuple[bool, object]:
+    """Read a child's pipe to EOF, then reap it; (ok, results or exception)."""
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if data:
+        try:
+            return pickle.loads(data)
+        except Exception as exc:
+            reason = f"sent an unreadable result ({exc!r})"
+    else:
+        reason = f"died without a result (exit code {os.waitstatus_to_exitcode(status)})"
+    return False, SubvertLabError(
+        f"worker process for trials {chunk.start}..{chunk.stop - 1} {reason}"
+    )
 
 
 def _report(game, trials, seed, config, results, distinguishing, record=False):

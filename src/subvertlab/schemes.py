@@ -130,6 +130,11 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
     )
 
 
+# det_scheme keeps the codebooks of its latest keys; when full, a new key
+# evicts the oldest. A trial uses one key throughout, so a few suffice.
+_CODEBOOK_MEMO = 8
+
+
 def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     """Deterministic codebook toy: Enc(k, .) is a keyed permutation of messages.
 
@@ -142,7 +147,8 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     books: dict[Bits, tuple[list[int], list[int]]] = {}
 
     def tables(k: Bits) -> tuple[list[int], list[int]]:
-        if k not in books:
+        book = books.get(k)
+        if book is None:
             seed = hmac.new(k.to_bytes(), b"codebook", hashlib.sha256).digest()
             shuffle_rng = random.Random(int.from_bytes(seed[:16], "big"))
             perm = list(range(size))
@@ -150,8 +156,10 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
             inv = [0] * size
             for i, p in enumerate(perm):
                 inv[p] = i
-            books[k] = (perm, inv)
-        return books[k]
+            if len(books) >= _CODEBOOK_MEMO:
+                del books[next(iter(books))]
+            book = books[k] = (perm, inv)
+        return book
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != 0:

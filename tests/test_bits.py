@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -97,3 +98,11 @@ def test_join_matches_concat_property(parts):
     joined = Bits.join(bits)
     assert len(joined) == sum(len(p) for p in bits)
     assert joined.bin() == "".join(parts)
+
+
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))))
+def test_pickle_roundtrip(value_nbits):
+    b = Bits(*value_nbits)
+    again = pickle.loads(pickle.dumps(b))
+    assert again == b and type(again) is Bits
+    assert (again.uint, len(again)) == value_nbits

@@ -1,11 +1,12 @@
 """Command line driver: json-lines output, determinism, files, exit codes."""
 
 import json
+import os
 
 import pytest
 
-from subvertlab import UniversalityViolation
-from subvertlab import cli
+from subvertlab import Adversary, ParameterError, UniversalityViolation
+from subvertlab import cli, games
 
 
 def run_cli(capsys, argv):
@@ -198,3 +199,93 @@ def test_channel_commands_walk_like_chained_samples(capsys):
     _, deep, _ = run_cli(capsys, base + ["--depth", "3", "--count", "2"])
     _, flat, _ = run_cli(capsys, base + ["--count", "5"])
     assert [l["doc_hex"] for l in deep[1:]] == [l["doc_hex"] for l in flat[1:][3:]]
+
+
+def test_jobs_and_trials_must_be_positive_at_parse_time(capsys):
+    for argv in (
+        ["game", "cpa", "--jobs", "0"],
+        ["game", "cpa", "--jobs", "-4"],
+        ["game", "cpa", "--jobs", "two"],
+        ["game", "cpa", "--trials", "0"],
+        ["asa", "queries", "--trials", "0"],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2, argv
+        assert "positive integer" in capsys.readouterr().err
+
+
+def test_huge_jobs_forks_at_most_usable_cpus_less_one(capsys, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    base = ["game", "cpa", "--r", "2", "--trials", "40", "--seed", "4"]
+    _, _, serial = run_cli(capsys, base)
+    rc, _, huge = run_cli(capsys, base + ["--jobs", str(10**6)])
+    assert rc == 0 and huge == serial
+    assert len(forks) <= games._usable_cpus() - 1
+
+
+PARALLEL_INVOCATIONS = [
+    ["game", "enc-asa", *STEGO_OPTS, "--adversary", "chi2", "--queries", "8", "--trials", "20"],
+    ["game", "cpa", "--r", "2", "--trials", "60"],
+    ["game", "ss-cha", *STEGO_OPTS, "--trials", "20"],
+    ["lowerbound", "rate", "--attack", "fabricating", "--sig", "coin-extractable",
+     "--sig-ml", "16", "--tag-bits", "8", "--fab-ml", "8", "--budget", "1024", "--trials", "8"],
+    ["game", "unrel", "--target", "enc-asa", *STEGO_OPTS, "--trials", "12"],
+]
+
+
+@pytest.mark.parametrize("argv", PARALLEL_INVOCATIONS, ids=lambda a: " ".join(a[:2]))
+def test_stdout_is_identical_at_jobs_1_2_3(capsys, monkeypatch, argv):
+    monkeypatch.setattr(games, "_usable_cpus", lambda: 3)
+    for seed in ("4", "5"):
+        outs = [run_cli(capsys, argv + ["--seed", seed, "--jobs", j])[2] for j in "123"]
+        assert outs[0] and outs[0] == outs[1] == outs[2], (argv, seed)
+
+
+def test_a_trial_failing_in_a_worker_process_exits_2(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def strategy(view, rng):
+        if os.getpid() != parent:
+            raise ParameterError("rejected in a worker")
+        return 0
+
+    boom = Adversary("attacker", "boom", "fails off the calling process", strategy)
+    monkeypatch.setitem(cli._DIST_ADVERSARIES, "constant", lambda args, kind: boom)
+    monkeypatch.setattr(games, "_usable_cpus", lambda: 2)
+    argv = ["game", "cpa", "--adversary", "constant", "--trials", "10"]
+    assert cli.main(argv) == 0  # serial: every trial runs in this process
+    capsys.readouterr()
+    assert cli.main(argv + ["--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rejected in a worker\n" and captured.out == ""
+
+
+def test_merge_names_the_line_missing_a_report_key(capsys, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"game": "cpa-dist", "schema": "subvertlab/1"}\n')
+    assert cli.main(["report", "merge", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:1" in err and "'trials'" in err and "Traceback" not in err
+    bad.write_text(
+        '{"game": "cpa-dist", "schema": "subvertlab/1", "trials": "9", "success_count": 1,'
+        ' "p_hat": 0.1, "ci95": [0, 1]}\n'
+    )
+    assert cli.main(["report", "merge", str(bad)]) == 2
+    assert f"{bad}:1" in capsys.readouterr().err
+
+
+def test_sidecar_records_the_argv_main_was_given(capsys, tmp_path):
+    out = str(tmp_path / "cpa.jsonl")
+    argv = ["game", "cpa", "--r", "2", "--trials", "10", "--seed", "1", "--out", out]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "cpa.jsonl.meta.json").read_text())
+    assert meta["argv"] == argv

@@ -1,29 +1,44 @@
 """Game reports, interval arithmetic, and the Monte Carlo runners."""
 
+import os
+import pickle
 import random
 
 import pytest
 
 from subvertlab import (
+    Bits,
     GameReport,
     ParameterError,
     SchemaMismatchError,
     StegoParams,
+    SubvertLabError,
     advantage_and_ci,
+    alg_from_encryption,
     asa_from_stego,
     constant_guess,
     estimate_unrel,
     estimate_unrel_alg,
+    estimate_unrel_reboot,
     estimate_unrel_stego,
+    fabricating_asa,
+    forger_from_fabricating_asa,
+    generic_asa_against_alg,
+    make_signed_family,
     merge_reports,
     randpad_scheme,
     random_composition,
     random_forger,
     random_guess,
+    rate_report,
     rejsam_system,
     repeat_attacker,
+    repeat_warden,
+    repeat_watchdog,
     replay_forger,
     run_cpa_dist,
+    run_enc_asa_dist,
+    run_rasa_dist,
     run_sig_forge,
     run_ss_cha_dist,
     search_forger,
@@ -31,6 +46,7 @@ from subvertlab import (
     uniform_channel,
     wilson_ci,
 )
+from subvertlab import games
 
 import oracles
 
@@ -150,3 +166,161 @@ def test_random_compositions_partition_the_total():
         parts = random_composition(total, rng)
         assert sum(parts) == total
         assert all(p >= 1 for p in parts)
+
+
+# --- trials in forked chunks -------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pretend to have eight usable CPUs and count the forks requested."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(games, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _runners():
+    ses = randpad_scheme(r=2, kappa=16, ml=8)
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=16, kappa=16))
+    asa = asa_from_stego(steg, ses)
+    alg = alg_from_encryption(ses)
+    attack = generic_asa_against_alg(steg, alg)
+    channel = uniform_channel(8)
+    sig = sig_fixture("coin-extractable", kappa=16, ml=8, coin_bits=8, tag_bits=8)
+    fam_ses = randpad_scheme(r=8, kappa=16, ml=8)
+    fam_sig = sig_fixture("coin-extractable", kappa=16, ml=fam_ses.cl, coin_bits=8, tag_bits=8)
+    family = make_signed_family(fam_ses, fam_sig, random.Random(0))
+    fab = fabricating_asa(family, ml=8, decoys=4, budget=1024)
+    fab_forger = forger_from_fabricating_asa(fam_ses, fam_sig, ml=8, decoys=4, budget=1024)
+    return {
+        "cpa": lambda t, j: run_cpa_dist(ses, repeat_attacker(), t, 3, jobs=j, record=True),
+        "enc-asa": lambda t, j: run_enc_asa_dist(asa, ses, repeat_watchdog(), t, 3, jobs=j, record=True),
+        "ss-cha": lambda t, j: run_ss_cha_dist(steg, channel, repeat_warden(), t, 3, jobs=j, record=True),
+        "rasa": lambda t, j: run_rasa_dist(attack, alg, repeat_watchdog(), t, 3, jobs=j, record=True),
+        "forge": lambda t, j: run_sig_forge(sig, search_forger(budget=256), t, 3, jobs=j),
+        "unrel": lambda t, j: estimate_unrel(asa, ses, t, 3, jobs=j),
+        "unrel-alg": lambda t, j: estimate_unrel_alg(attack, alg, t, 3, jobs=j),
+        "unrel-stego": lambda t, j: estimate_unrel_stego(
+            steg, channel, t, 3, history_mode="sampled", jobs=j
+        ),
+        "unrel-reboot": lambda t, j: estimate_unrel_reboot(steg, channel, t, 3, jobs=j),
+        "rate": lambda t, j: rate_report(family, fab, 5.0, fab_forger, t, 3, jobs=j),
+    }
+
+
+@pytest.mark.parametrize("name", list(_runners()))
+def test_every_runner_is_job_count_free(name, forks):
+    run = _runners()[name]
+    serial = run(7, 1)
+    assert not forks
+    for jobs in (2, 3):
+        forks.clear()
+        again = run(7, jobs)
+        assert again == serial, (name, jobs)
+        if isinstance(serial, GameReport):
+            assert again.decisions == serial.decisions  # same trial order
+            assert len(forks) == jobs - 1
+        else:  # rate_report plays five legs of jobs - 1 forks each
+            assert len(forks) == 5 * (jobs - 1)
+    assert_no_children_left()
+
+
+def test_chunks_run_in_children_and_come_back_in_trial_order(forks):
+    parent = os.getpid()
+    results = games._collect(7, 3, lambda t: (t, os.getpid(), Bits(t, 3)))
+    assert [t for t, _, _ in results] == list(range(7))
+    assert [b for _, _, b in results] == [Bits(t, 3) for t in range(7)]
+    pids = [pid for _, pid, _ in results]
+    # contiguous chunks 0-1, 2-3, 4-6; the caller runs the first
+    assert pids[:2] == [parent, parent] and parent not in pids[2:]
+    assert pids[2] == pids[3] != pids[4] == pids[5] == pids[6]
+    assert len(forks) == 2
+    assert_no_children_left()
+
+
+def test_workers_are_bounded_by_jobs_trials_and_cpus(forks, monkeypatch):
+    games._collect(2, 3, lambda t: (True, None))
+    assert len(forks) == 1  # trials - 1
+    forks.clear()
+    games._collect(9, 1, lambda t: (True, None))
+    assert not forks
+    monkeypatch.setattr(games, "_usable_cpus", lambda: 2)
+    games._collect(9, 10**6, lambda t: (True, None))
+    assert len(forks) == 1  # usable CPUs - 1
+    assert_no_children_left()
+
+
+def test_a_childs_failure_surfaces_in_the_caller(forks):
+    def run_one(t):
+        if t == 5:
+            raise ParameterError(f"trial {t} rejected")
+        return True, None
+
+    with pytest.raises(ParameterError, match="^trial 5 rejected$"):
+        games._collect(6, 3, run_one)
+    assert len(forks) == 2
+    assert_no_children_left()
+
+
+def test_earliest_failing_chunk_wins_and_the_caller_first(forks):
+    def run_one(t):
+        if t >= 2:
+            raise ParameterError(f"trial {t} rejected")
+        return True, None
+
+    with pytest.raises(ParameterError, match="trial 2 rejected"):
+        games._collect(6, 3, run_one)
+    assert_no_children_left()
+
+    def caller_fails(t):
+        if t == 0:
+            raise ParameterError("trial 0 rejected")
+        return True, None
+
+    with pytest.raises(ParameterError, match="trial 0 rejected"):
+        games._collect(6, 3, caller_fails)
+    assert_no_children_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self, what, code):
+        super().__init__(f"{what} ({code})")
+
+
+def test_children_that_cannot_report_become_subvertlab_errors(forks):
+    def raises_unpicklable(t):
+        if t == 3:
+            raise _Unpicklable("odd failure", 7)
+        return True, None
+
+    with pytest.raises(SubvertLabError, match=r"_Unpicklable\('odd failure \(7\)'\)"):
+        games._collect(4, 2, raises_unpicklable)
+    with pytest.raises(TypeError):  # the pickle round trip the child checks
+        pickle.loads(pickle.dumps(_Unpicklable("odd failure", 7)))
+
+    def returns_unpicklable(t):
+        return True, (lambda: t)
+
+    with pytest.raises(SubvertLabError, match="trials 2..3 cannot leave the worker process"):
+        games._collect(4, 2, returns_unpicklable)
+
+    def dies(t):
+        if t == 3:
+            os._exit(3)
+        return True, None
+
+    with pytest.raises(SubvertLabError, match=r"trials 2..3 died without a result \(exit code 3\)"):
+        games._collect(4, 2, dies)
+    assert_no_children_left()

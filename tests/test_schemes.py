@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from subvertlab import (
     randpad_scheme,
     sig_fixture,
 )
+from subvertlab import schemes
 
 
 def test_randpad_shape_and_decrypt():
@@ -89,6 +91,33 @@ def test_det_scheme_differs_across_keys():
         for m in range(256)
     )
     assert diffs > 200
+
+
+def test_det_codebook_memo_stays_bounded(monkeypatch):
+    builds = []
+
+    class CountingRandom(random.Random):
+        def shuffle(self, x):
+            builds.append(1)
+            super().shuffle(x)
+
+    monkeypatch.setattr(schemes, "random", types.SimpleNamespace(Random=CountingRandom))
+    ses = det_scheme(32, ml=8)
+    first = Bits(0, 32)
+    images = [ses.enc(first, Bits(m, 8), Bits.zeros(0)) for m in range(256)]
+    assert len(builds) == 1  # one codebook per key, built on first use
+    cap = schemes._CODEBOOK_MEMO
+    for i in range(1, 5 * cap):
+        ses.enc(Bits(i, 32), Bits(0, 8), Bits.zeros(0))
+    assert len(builds) == 5 * cap
+    # the latest cap keys are still held; the first was evicted and is rebuilt
+    for i in range(4 * cap, 5 * cap):
+        ses.dec(Bits(i, 32), Bits(0, 8))
+    assert len(builds) == 5 * cap
+    again = [ses.enc(first, Bits(m, 8), Bits.zeros(0)) for m in range(256)]
+    assert len(builds) == 5 * cap + 1
+    assert again == images
+    assert all(ses.dec(first, c) == Bits(m, 8) for m, c in enumerate(again))
 
 
 def test_sig_fixture_sign_verify():
