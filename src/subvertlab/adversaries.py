@@ -77,37 +77,6 @@ def _collision_guess(outputs) -> int:
     return 0 if len(set(outputs)) < len(outputs) else 1
 
 
-def repeat_attacker(queries: int = 2) -> Adversary:
-    """Asks for the same message twice; equal ciphertexts scream "real"."""
-
-    def strategy(view, rng: random.Random) -> int:
-        m = Bits.random(view.scheme.ml, rng)
-        return _collision_guess([view.enc(m) for _ in range(queries)])
-
-    return Adversary(
-        kind="attacker",
-        name=f"repeat-{queries}",
-        description="re-encrypts one message and looks for colliding ciphertexts",
-        strategy=strategy,
-    )
-
-
-def chi2_attacker(queries: int = 16, bins: int = 4) -> Adversary:
-    """Chi-square test on the leading ciphertext bits against uniform."""
-    threshold = chi2_quantile(bins - 1)
-
-    def strategy(view, rng: random.Random) -> int:
-        cs = [view.enc(Bits.random(view.scheme.ml, rng)) for _ in range(queries)]
-        return _chi2_guess(cs, bins, threshold)
-
-    return Adversary(
-        kind="attacker",
-        name=f"chi2-{queries}x{bins}",
-        description="frequency test on leading ciphertext bits",
-        strategy=strategy,
-    )
-
-
 def _chi2_guess(outputs, bins: int, threshold: float) -> int:
     if not is_power_of_two(bins):
         raise ParameterError("bins must be a power of two")
@@ -122,61 +91,31 @@ def _chi2_guess(outputs, bins: int, threshold: float) -> int:
     return 0 if stat > threshold else 1
 
 
-def repeat_watchdog(queries: int = 2) -> Adversary:
-    """Repeats one challenge input; works against encryption and algorithm hosts."""
-
-    def strategy(view, rng: random.Random) -> int:
-        am = Bits.random(view.asa_ml, rng)
-        sigma = None
-        outputs = []
-        if hasattr(view, "scheme"):
-            k = view.scheme.gen(rng)
+def _encryptions(view, rng: random.Random, queries: int, fresh: bool) -> list:
+    """Ciphertexts of one message asked `queries` times, or of a fresh
+    message per query."""
+    m = Bits.random(view.scheme.ml, rng)
+    outputs = []
+    for i in range(queries):
+        if fresh and i:
             m = Bits.random(view.scheme.ml, rng)
-            for _ in range(queries):
-                c, sigma = view.ch(am, k, m, sigma)
-                outputs.append(c)
-        else:
-            s = view.alg.secret_gen(rng)
+        outputs.append(view.enc(m))
+    return outputs
+
+
+def _challenge_outputs(view, rng: random.Random, queries: int, fresh: bool) -> list:
+    """Challenge outputs under one hidden message and one secret: one input
+    asked `queries` times, or a fresh input per query."""
+    am = Bits.random(view.asa_ml, rng)
+    s = view.alg.secret_gen(rng)
+    x = view.alg.input_gen(rng)
+    outputs, sigma = [], None
+    for i in range(queries):
+        if fresh and i:
             x = view.alg.input_gen(rng)
-            for _ in range(queries):
-                y, sigma = view.ch(am, s, x, sigma)
-                outputs.append(y)
-        return _collision_guess(outputs)
-
-    return Adversary(
-        kind="watchdog",
-        name=f"repeat-{queries}",
-        description="repeats one (key, message) challenge and compares outputs",
-        strategy=strategy,
-    )
-
-
-def chi2_watchdog(queries: int = 16, bins: int = 4) -> Adversary:
-    """Bins the leading output bits over fresh challenge messages."""
-    threshold = chi2_quantile(bins - 1)
-
-    def strategy(view, rng: random.Random) -> int:
-        am = Bits.random(view.asa_ml, rng)
-        sigma = None
-        outputs = []
-        if hasattr(view, "scheme"):
-            k = view.scheme.gen(rng)
-            for _ in range(queries):
-                c, sigma = view.ch(am, k, Bits.random(view.scheme.ml, rng), sigma)
-                outputs.append(c)
-        else:
-            s = view.alg.secret_gen(rng)
-            for _ in range(queries):
-                y, sigma = view.ch(am, s, view.alg.input_gen(rng), sigma)
-                outputs.append(y)
-        return _chi2_guess(outputs, bins, threshold)
-
-    return Adversary(
-        kind="watchdog",
-        name=f"chi2-{queries}x{bins}",
-        description="frequency test on leading bits of challenge outputs",
-        strategy=strategy,
-    )
+        y, sigma = view.ch(am, s, x, sigma)
+        outputs.append(y)
+    return outputs
 
 
 def _crafted_full_history(view, rng: random.Random) -> tuple:
@@ -189,46 +128,82 @@ def _crafted_full_history(view, rng: random.Random) -> tuple:
     return (key,) + (msg,) * ell
 
 
+def _documents(view, rng: random.Random, queries: int) -> list:
+    """Documents of one hidden message challenged `queries` times at one
+    full history."""
+    am = Bits.random(view.stego_ml, rng)
+    h = _crafted_full_history(view, rng)
+    docs, sigma = [], None
+    for _ in range(queries):
+        d, sigma = view.ch(am, h, sigma)
+        docs.append(d)
+    return docs
+
+
+def repeat_attacker(queries: int = 2) -> Adversary:
+    """Asks for the same message twice; equal ciphertexts scream "real"."""
+    return Adversary(
+        kind="attacker",
+        name=f"repeat-{queries}",
+        description="re-encrypts one message and looks for colliding ciphertexts",
+        strategy=lambda view, rng: _collision_guess(_encryptions(view, rng, queries, False)),
+    )
+
+
+def chi2_attacker(queries: int = 16, bins: int = 4) -> Adversary:
+    """Chi-square test on the leading ciphertext bits against uniform."""
+    threshold = chi2_quantile(bins - 1)
+    return Adversary(
+        kind="attacker",
+        name=f"chi2-{queries}x{bins}",
+        description="frequency test on leading ciphertext bits",
+        strategy=lambda view, rng: _chi2_guess(
+            _encryptions(view, rng, queries, True), bins, threshold
+        ),
+    )
+
+
+def repeat_watchdog(queries: int = 2) -> Adversary:
+    """Repeats one challenge input and compares the outputs."""
+    return Adversary(
+        kind="watchdog",
+        name=f"repeat-{queries}",
+        description="repeats one (key, message) challenge and compares outputs",
+        strategy=lambda view, rng: _collision_guess(_challenge_outputs(view, rng, queries, False)),
+    )
+
+
+def chi2_watchdog(queries: int = 16, bins: int = 4) -> Adversary:
+    """Bins the leading output bits over fresh challenge messages."""
+    threshold = chi2_quantile(bins - 1)
+    return Adversary(
+        kind="watchdog",
+        name=f"chi2-{queries}x{bins}",
+        description="frequency test on leading bits of challenge outputs",
+        strategy=lambda view, rng: _chi2_guess(
+            _challenge_outputs(view, rng, queries, True), bins, threshold
+        ),
+    )
+
+
 def repeat_warden(queries: int = 2) -> Adversary:
     """Challenges one full history repeatedly and compares the documents."""
-
-    def strategy(view, rng: random.Random) -> int:
-        am = Bits.random(view.stego_ml, rng)
-        h = _crafted_full_history(view, rng)
-        sigma = None
-        docs = []
-        for _ in range(queries):
-            d, sigma = view.ch(am, h, sigma)
-            docs.append(d)
-        return _collision_guess(docs)
-
     return Adversary(
         kind="warden",
         name=f"repeat-{queries}",
         description="repeats one history challenge and compares documents",
-        strategy=strategy,
+        strategy=lambda view, rng: _collision_guess(_documents(view, rng, queries)),
     )
 
 
 def chi2_warden(queries: int = 16, bins: int = 4) -> Adversary:
     """Bins leading document bits at one full history."""
     threshold = chi2_quantile(bins - 1)
-
-    def strategy(view, rng: random.Random) -> int:
-        am = Bits.random(view.stego_ml, rng)
-        h = _crafted_full_history(view, rng)
-        sigma = None
-        docs = []
-        for _ in range(queries):
-            d, sigma = view.ch(am, h, sigma)
-            docs.append(d)
-        return _chi2_guess(docs, bins, threshold)
-
     return Adversary(
         kind="warden",
         name=f"chi2-{queries}x{bins}",
         description="frequency test on leading document bits at one history",
-        strategy=strategy,
+        strategy=lambda view, rng: _chi2_guess(_documents(view, rng, queries), bins, threshold),
     )
 
 

@@ -28,7 +28,7 @@ from .errors import (
     UniversalityViolation,
     WrongDocumentCountError,
 )
-from .schemes import RandomizedAlgorithm, SymmetricEncryptionScheme
+from .schemes import RandomizedAlgorithm, SymmetricEncryptionScheme, alg_from_encryption
 from .stego import StegoSystem, mark_agreement
 
 __all__ = [
@@ -330,11 +330,15 @@ def query_count(
     """Measured expected oracle calls per subverted ciphertext.
 
     Counts every oracle invocation, including the final over-cutoff draw.
-    Only transcript-supporting attacks can be measured. host_key_bits sets
+    Only transcript-supporting attacks can be measured, over at least two
+    trials (the interval uses the sample deviation). host_key_bits sets
     the experiment's key length when the host never published one.
     """
     if not asa.supports_transcript:
         raise ParameterError("attack does not expose oracle transcripts")
+    if trials < 2:
+        raise ParameterError("query_count needs at least 2 trials")
+    from .games import _Z95
     from .rng import substream
 
     key_bits = host_key_bits or asa.host_params.get("kappa")
@@ -351,10 +355,7 @@ def query_count(
         asa.enc(ak, am, k, m, None, rng, transcript=transcript)
         counts.append(transcript.count)
     mean = statistics.fmean(counts)
-    if trials > 1:
-        half = 1.959963984540054 * statistics.stdev(counts) / trials**0.5
-    else:
-        half = float("inf")
+    half = _Z95 * statistics.stdev(counts) / trials**0.5
     return QueryCountEstimate(mean=mean, ci95=(mean - half, mean + half), trials=trials, seed=seed)
 
 
@@ -364,16 +365,18 @@ def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
     The warden forwards each watchdog challenge (am, k, m, sigma) as the
     channel challenge (am, k || m^ell, sigma); with coupled seeds the
     watchdog sees the identical transcript in both games, so decisions
-    match trial for trial.
+    match trial for trial. The watchdog sees the scheme as the randomized
+    algorithm it is, exactly as in the encryption watchdog game.
     """
     from .games import Adversary
+
+    alg = alg_from_encryption(ses)
 
     class _View:
         def __init__(self, parent):
             self._parent = parent
-            self.scheme = ses
+            self.alg = alg
             self.asa_ml = parent.stego_ml
-            self.asa_outl = parent.stego_outl
             self.sim_rng = parent.sim_rng
 
         def ch(self, am, k, m, sigma):

@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 from .bits import Bits
 from .errors import InvalidHistoryError, NoExactPmfError, ParameterError
-from .schemes import RandomizedAlgorithm, SymmetricEncryptionScheme
+from .schemes import _ENUM_LIMIT, RandomizedAlgorithm, SymmetricEncryptionScheme
 
 __all__ = [
     "Channel",
@@ -44,8 +44,6 @@ __all__ = [
     "min_entropy_exact",
     "min_entropy_estimate",
 ]
-
-_ENUM_LIMIT = 20
 
 
 @dataclass(frozen=True)

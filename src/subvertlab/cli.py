@@ -31,7 +31,14 @@ from .adversaries import (
     replay_forger,
     search_forger,
 )
-from .asa import UniversalHost, asa_from_stego, query_count, universal_asa
+from .asa import (
+    UniversalHost,
+    asa_enc_all,
+    asa_from_stego,
+    generic_asa_against_alg,
+    query_count,
+    universal_asa,
+)
 from .bits import Bits
 from .channels import (
     channel_walk,
@@ -43,6 +50,7 @@ from .channels import (
 )
 from .errors import InvariantViolation, ParameterError, SchemaMismatchError, SubvertLabError
 from .games import (
+    SCHEMA,
     GameReport,
     estimate_unrel,
     estimate_unrel_alg,
@@ -66,7 +74,6 @@ from .lowerbound import (
 from .rng import substream
 from .schemes import alg_from_encryption, det_scheme, randpad_scheme, sig_fixture
 from .stego import StegoParams, default_beta, encode_all, encode_schedule, outl_for, rejsam_system
-from .asa import generic_asa_against_alg
 
 ENV_SEED = "SUBVERTLAB_SEED"
 
@@ -163,8 +170,7 @@ def _adversary(args, kind):
     return entry[kind](args)
 
 
-def _forger(args, seed):
-    name = args.adversary
+def _forger(args, name):
     if name == "replay":
         return replay_forger()
     if name == "random":
@@ -199,7 +205,7 @@ def _emit(lines, args, argv):
         meta = {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "argv": argv,
-            "schema": "subvertlab/1",
+            "schema": SCHEMA,
         }
         with open(out + ".meta.json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -407,11 +413,7 @@ def cmd_asa_run(args):
     )
     k = ses.gen(rng)
     messages = [Bits.random(ses.ml, rng) for _ in range(asa.outl)]
-    sigma = None
-    cts = []
-    for m in messages:
-        c, sigma = asa.enc(ak, am, k, m, sigma, rng)
-        cts.append(c)
+    cts = asa_enc_all(asa, ak, am, k, messages, rng)
     lines = [
         {
             "kind": "asa-session",
@@ -515,11 +517,16 @@ def cmd_game_rasa(args):
     return [report.to_json_dict()]
 
 
-def cmd_game_forge(args):
-    seed = _seed(args)
-    sig = _sig_for_family(args) if args.adversary in ("universal", "fabricating") else _sig(args)
-    report = run_sig_forge(sig, _forger(args, seed), args.trials, seed, jobs=args.jobs)
+def _forge(args, name):
+    """Forgery game against the forger `name`; attack-driven forgers face
+    the fixture resized to sign ciphertexts."""
+    sig = _sig_for_family(args) if name in ("universal", "fabricating") else _sig(args)
+    report = run_sig_forge(sig, _forger(args, name), args.trials, _seed(args), jobs=args.jobs)
     return [report.to_json_dict()]
+
+
+def cmd_game_forge(args):
+    return _forge(args, args.adversary)
 
 
 def cmd_game_unrel(args):
@@ -561,17 +568,7 @@ def cmd_lb_phi(args):
 
 
 def cmd_lb_forger(args):
-    seed = _seed(args)
-    ses = _scheme(args)
-    sig = _sig_for_family(args)
-    if args.attack == "universal":
-        forger = forger_from_universal_asa(_stego(args), ses, sig)
-    else:
-        forger = forger_from_fabricating_asa(
-            ses, sig, ml=args.fab_ml, decoys=args.decoys, budget=args.budget
-        )
-    report = run_sig_forge(sig, forger, args.trials, seed, jobs=args.jobs)
-    return [report.to_json_dict()]
+    return _forge(args, args.attack)
 
 
 def cmd_lb_rate(args):
@@ -579,16 +576,13 @@ def cmd_lb_rate(args):
     ses = _scheme(args)
     sig = _sig_for_family(args)
     family = make_signed_family(ses, sig, substream(seed, "family"))
+    forger = _forger(args, args.attack)
     if args.attack == "fabricating":
         attack = fabricating_asa(family, ml=args.fab_ml, decoys=args.decoys, budget=args.budget)
-        forger = forger_from_fabricating_asa(
-            ses, sig, ml=args.fab_ml, decoys=args.decoys, budget=args.budget
-        )
         query = float(args.query) if args.query is not None else float(args.decoys)
     else:
         steg = _stego(args)
         attack = generic_asa_against_alg(steg, family.alg)
-        forger = forger_from_universal_asa(steg, ses, sig)
         if args.query is not None:
             query = float(args.query)
         else:
@@ -664,15 +658,17 @@ def _positive_int(text):
     return value
 
 
-def _add_common(p, trials_default=200):
+def _add_common(p, trials=True):
+    """--seed and --out; --trials and --jobs too for commands that run trials."""
     p.add_argument("--seed", type=int, default=None, help="base seed (env SUBVERTLAB_SEED, then 0)")
-    p.add_argument("--trials", type=_positive_int, default=trials_default)
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes; results are identical at any value",
-    )
+    if trials:
+        p.add_argument("--trials", type=_positive_int, default=200)
+        p.add_argument(
+            "--jobs",
+            type=_positive_int,
+            default=1,
+            help="worker processes; results are identical at any value",
+        )
     p.add_argument("--out", help="also write the JSON lines to this file (plus .meta.json sidecar)")
 
 
@@ -733,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p = channel.add_parser("sample", help="walk a channel and emit documents")
-    _add_common(p)
+    _add_common(p, trials=False)
     _add_host(p)
     _add_sig(p)
     _add_channel(p)
@@ -742,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_channel_sample)
 
     p = channel.add_parser("entropy", help="min-entropy, exact or estimated")
-    _add_common(p)
+    _add_common(p, trials=False)
     _add_host(p)
     _add_sig(p)
     _add_channel(p)
@@ -794,13 +790,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     p = asa.add_parser("build", help="show the attack derived from the current options")
-    _add_common(p)
+    _add_common(p, trials=False)
     _add_host(p)
     _add_stego(p)
     p.set_defaults(func=cmd_asa_build)
 
     p = asa.add_parser("run", help="run one subverted session end to end")
-    _add_common(p)
+    _add_common(p, trials=False)
     _add_host(p)
     _add_stego(p)
     p.add_argument("--message", help="hidden message, hex (default: random)")

@@ -89,7 +89,6 @@ def wrapped_warden_to_watchdog(warden, ses: SymmetricEncryptionScheme, ell: int)
             self._parent = parent
             self.channel = channel
             self.stego_ml = parent.asa_ml
-            self.stego_outl = 2 * ell + 1
             self.sim_rng = parent.sim_rng
 
         def ch(self, am, history, sigma):

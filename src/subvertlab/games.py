@@ -12,6 +12,13 @@ trial range is cut into contiguous chunks: the calling process runs the
 first and forked worker processes run the rest, so the CPU-bound trials
 really do run side by side, and the results are joined in trial order.
 
+Every runner is a thin wrapper over one trial driver, _play: the
+distinguishing games share one hidden-bit trial body and differ only in
+the oracles they build. An encryption scheme is a randomized algorithm
+(alg_from_encryption draws exactly as the scheme does), so the encryption
+watchdog game and reliability estimate are the algorithm ones, played on
+the scheme, and every watchdog sees one kind of view.
+
 Success counts come back as a GameReport: trials, successes, the success
 frequency, the normalized advantage |2p - 1| where the game is a
 distinguishing game, and Wilson 95% intervals for both.
@@ -27,12 +34,17 @@ import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .asa import AlgSubstitutionAttack, SubstitutionAttack, asa_enc_all, alg_enc_all
+from .asa import AlgSubstitutionAttack, SubstitutionAttack, alg_enc_all
 from .bits import Bits
 from .channels import Channel, channel_sample, channel_walk, check_history, draw_next
 from .errors import LengthMismatchError, ParameterError, SchemaMismatchError, SubvertLabError
 from .rng import TrialStreams
-from .schemes import RandomizedAlgorithm, SignatureScheme, SymmetricEncryptionScheme
+from .schemes import (
+    RandomizedAlgorithm,
+    SignatureScheme,
+    SymmetricEncryptionScheme,
+    alg_from_encryption,
+)
 from .stego import StegoSystem, encode_all, encode_schedule
 
 __all__ = [
@@ -296,15 +308,19 @@ def _receive(pid: int, fd: int, chunk: range) -> tuple[bool, object]:
     )
 
 
-def _report(game, trials, seed, config, results, distinguishing, record=False):
+def _play(game, config, trials, seed, jobs, run_one, distinguishing, record=False):
+    """Run every trial through _collect and report the successes.
+
+    run_one(t) returns (success, decision); decisions are kept when record.
+    """
+    results = _collect(trials, jobs, run_one)
     successes = sum(1 for ok, _ in results if ok)
-    p = successes / trials
     adv, adv_ci = advantage_and_ci(successes, trials) if distinguishing else (None, None)
     return GameReport(
         game=game,
         trials=trials,
         success_count=successes,
-        p_hat=p,
+        p_hat=successes / trials,
         normalized_advantage=adv,
         ci95=wilson_ci(successes, trials),
         advantage_ci95=adv_ci,
@@ -317,6 +333,19 @@ def _report(game, trials, seed, config, results, distinguishing, record=False):
 # --- distinguishing games ---------------------------------------------------
 
 
+def _distinguish(game, config, adversary, trials, seed, jobs, record, view):
+    """The hidden-bit game: view(streams, b) builds the challenger's oracles
+    for world b, and a trial succeeds when the adversary names b."""
+
+    def run_one(t):
+        streams = TrialStreams(seed, t)
+        b = streams.get("b").randrange(2)
+        guess = adversary.strategy(view(streams, b), streams.get("adv"))
+        return guess == b, (b, guess)
+
+    return _play(game, config, trials, seed, jobs, run_one, True, record)
+
+
 class _CpaView:
     """Real-or-ideal encryption oracle under a hidden key."""
 
@@ -324,8 +353,7 @@ class _CpaView:
         self.scheme = ses
         self.sim_rng = sim_rng
         self._ses, self._b, self._rng = ses, b, oracle_rng
-        k = ses.gen(oracle_rng)
-        self._k = k
+        self._k = ses.gen(oracle_rng)
 
     def enc(self, m: Bits) -> Bits:
         if len(m) != self._ses.ml:
@@ -345,35 +373,38 @@ def run_cpa_dist(
 ) -> GameReport:
     """Distinguish the scheme's encryptions from uniform strings."""
 
-    def run_one(t):
-        streams = TrialStreams(seed, t)
-        b = streams.get("b").randrange(2)
-        view = _CpaView(ses, b, streams.get("oracle"), streams.sim)
-        guess = adversary.strategy(view, streams.get("adv"))
-        return guess == b, (b, guess)
+    def view(streams, b):
+        return _CpaView(ses, b, streams.get("oracle"), streams.sim)
 
     config = {"scheme": ses.params_dict(), "adversary": adversary.name}
-    return _report(
-        "cpa-dist", trials, seed, config, _collect(trials, jobs, run_one), True, record
-    )
+    return _distinguish("cpa-dist", config, adversary, trials, seed, jobs, record, view)
 
 
-class _EncAsaView:
-    """Watchdog's oracles: subverted or honest encryption, watchdog's choice of inputs."""
+class _WatchdogView:
+    """Watchdog's oracles: the subverted or the genuine algorithm, on the
+    secrets and inputs the watchdog picks."""
 
-    def __init__(self, asa, ses, ak, b, oracle_rng, sim_rng):
-        self.scheme = ses
-        self.asa_ml = asa.ml
-        self.asa_outl = asa.outl
+    def __init__(self, attack, alg, ak, b, oracle_rng, sim_rng):
+        self.alg = alg
+        self.asa_ml = attack.ml
         self.sim_rng = sim_rng
-        self._asa, self._ses, self._ak, self._b, self._rng = asa, ses, ak, b, oracle_rng
+        self._attack, self._ak, self._b, self._rng = attack, ak, b, oracle_rng
 
-    def ch(self, am, k, m, sigma):
+    def ch(self, am, s, x, sigma):
         if len(am) != self.asa_ml:
             raise LengthMismatchError(f"hidden message must be {self.asa_ml} bits")
         if self._b == 0:
-            return self._asa.enc(self._ak, am, k, m, sigma, self._rng)
-        return self._ses.enc_sample(k, m, self._rng), sigma
+            return self._attack.enc(self._ak, am, s, x, sigma, self._rng)
+        return self.alg.run_sample(s, x, self._rng), sigma
+
+
+def _watchdog_game(game, attack, alg, adversary, trials, seed, jobs, record):
+    def view(streams, b):
+        ak = attack.gen(streams.get("ak"))
+        return _WatchdogView(attack, alg, ak, b, streams.get("oracle"), streams.sim)
+
+    config = {"attack": attack.describe(), "adversary": adversary.name}
+    return _distinguish(game, config, adversary, trials, seed, jobs, record, view)
 
 
 def run_enc_asa_dist(
@@ -385,20 +416,24 @@ def run_enc_asa_dist(
     jobs: int = 1,
     record: bool = False,
 ) -> GameReport:
-    """Distinguish subverted encryption from the honest scheme."""
-
-    def run_one(t):
-        streams = TrialStreams(seed, t)
-        b = streams.get("b").randrange(2)
-        ak = asa.gen(streams.get("ak"))
-        view = _EncAsaView(asa, ses, ak, b, streams.get("oracle"), streams.sim)
-        guess = adversary.strategy(view, streams.get("adv"))
-        return guess == b, (b, guess)
-
-    config = {"attack": asa.describe(), "adversary": adversary.name}
-    return _report(
-        "enc-asa-dist", trials, seed, config, _collect(trials, jobs, run_one), True, record
+    """Distinguish subverted encryption from the honest scheme: the
+    algorithm game, played on the scheme as a randomized algorithm."""
+    return _watchdog_game(
+        "enc-asa-dist", asa, alg_from_encryption(ses), adversary, trials, seed, jobs, record
     )
+
+
+def run_rasa_dist(
+    attack: AlgSubstitutionAttack,
+    alg: RandomizedAlgorithm,
+    adversary: Adversary,
+    trials: int,
+    seed: int,
+    jobs: int = 1,
+    record: bool = False,
+) -> GameReport:
+    """Distinguish a subverted randomized algorithm from the genuine one."""
+    return _watchdog_game("rasa-dist", attack, alg, adversary, trials, seed, jobs, record)
 
 
 class _SsChaView:
@@ -407,7 +442,6 @@ class _SsChaView:
     def __init__(self, steg, channel, ak, b, oracle_rng, sim_rng):
         self.channel = channel
         self.stego_ml = steg.params.ml
-        self.stego_outl = steg.params.outl
         self.sim_rng = sim_rng
         self._steg, self._ak, self._b, self._rng = steg, ak, b, oracle_rng
 
@@ -441,65 +475,16 @@ def run_ss_cha_dist(
 ) -> GameReport:
     """Distinguish embedded documents from the channel's own."""
 
-    def run_one(t):
-        streams = TrialStreams(seed, t)
-        b = streams.get("b").randrange(2)
+    def view(streams, b):
         ak = steg.gen(streams.get("ak"))
-        view = _SsChaView(steg, channel, ak, b, streams.get("oracle"), streams.sim)
-        guess = adversary.strategy(view, streams.get("adv"))
-        return guess == b, (b, guess)
+        return _SsChaView(steg, channel, ak, b, streams.get("oracle"), streams.sim)
 
     config = {
         "system": steg.describe(),
         "channel": channel.descriptor,
         "adversary": adversary.name,
     }
-    return _report(
-        "ss-cha-dist", trials, seed, config, _collect(trials, jobs, run_one), True, record
-    )
-
-
-class _RasaView:
-    """Watchdog's oracles against a subverted randomized algorithm."""
-
-    def __init__(self, attack, alg, ak, b, oracle_rng, sim_rng):
-        self.alg = alg
-        self.asa_ml = attack.ml
-        self.asa_outl = attack.outl
-        self.sim_rng = sim_rng
-        self._attack, self._ak, self._b, self._rng = attack, ak, b, oracle_rng
-
-    def ch(self, am, s, x, sigma):
-        if len(am) != self.asa_ml:
-            raise LengthMismatchError(f"hidden message must be {self.asa_ml} bits")
-        if self._b == 0:
-            return self._attack.enc(self._ak, am, s, x, sigma, self._rng)
-        return self.alg.run_sample(s, x, self._rng), sigma
-
-
-def run_rasa_dist(
-    attack: AlgSubstitutionAttack,
-    alg: RandomizedAlgorithm,
-    adversary: Adversary,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-    record: bool = False,
-) -> GameReport:
-    """Distinguish a subverted randomized algorithm from the genuine one."""
-
-    def run_one(t):
-        streams = TrialStreams(seed, t)
-        b = streams.get("b").randrange(2)
-        ak = attack.gen(streams.get("ak"))
-        view = _RasaView(attack, alg, ak, b, streams.get("oracle"), streams.sim)
-        guess = adversary.strategy(view, streams.get("adv"))
-        return guess == b, (b, guess)
-
-    config = {"attack": attack.describe(), "adversary": adversary.name}
-    return _report(
-        "rasa-dist", trials, seed, config, _collect(trials, jobs, run_one), True, record
-    )
+    return _distinguish("ss-cha-dist", config, adversary, trials, seed, jobs, record, view)
 
 
 # --- forging ----------------------------------------------------------------
@@ -543,10 +528,35 @@ def run_sig_forge(
         return m not in view.queried and sig.vrfy(pk, m, tag), None
 
     config = {"scheme": sig.params_dict(), "adversary": forger.name}
-    return _report("sig-forge", trials, seed, config, _collect(trials, jobs, run_one), False)
+    return _play("sig-forge", config, trials, seed, jobs, run_one, False)
 
 
 # --- reliability estimators -------------------------------------------------
+
+
+def _unrel_sessions(game, attack, alg, trials, seed, mode_key, mode, jobs):
+    """Recovery rate of the hidden message over full subverted sessions of alg.
+
+    mode "random" draws a fresh input per position; "equal" repeats one
+    input, the hardest honest case for rejection sampling.
+    """
+    if mode not in ("random", "equal"):
+        raise ParameterError(f"unknown {mode_key}: {mode}")
+
+    def run_one(t):
+        rng = TrialStreams(seed, t).get("run")
+        ak = attack.gen(rng)
+        am = Bits.random(attack.ml, rng)
+        s = alg.secret_gen(rng)
+        if mode == "equal":
+            inputs = [alg.input_gen(rng)] * attack.outl
+        else:
+            inputs = [alg.input_gen(rng) for _ in range(attack.outl)]
+        ys = alg_enc_all(attack, ak, am, s, inputs, rng)
+        return attack.ext(ak, ys) == am, None
+
+    config = {"attack": attack.describe(), mode_key: mode}
+    return _play(game, config, trials, seed, jobs, run_one, False)
 
 
 def estimate_unrel(
@@ -560,27 +570,13 @@ def estimate_unrel(
     """Recovery rate of the hidden message across full subverted sessions.
 
     message_mode "random" draws a fresh host message per position; "equal"
-    repeats one message, the hardest honest case for rejection sampling.
-    failure_rate on the report is the unreliability estimate.
+    repeats one message. failure_rate on the report is the unreliability
+    estimate.
     """
-    if message_mode not in ("random", "equal"):
-        raise ParameterError(f"unknown message_mode: {message_mode}")
-
-    def run_one(t):
-        rng = TrialStreams(seed, t).get("run")
-        ak = asa.gen(rng)
-        am = Bits.random(asa.ml, rng)
-        k = ses.gen(rng)
-        if message_mode == "equal":
-            m = Bits.random(ses.ml, rng)
-            messages = [m] * asa.outl
-        else:
-            messages = [Bits.random(ses.ml, rng) for _ in range(asa.outl)]
-        cs = asa_enc_all(asa, ak, am, k, messages, rng)
-        return asa.ext(ak, cs) == am, None
-
-    config = {"attack": asa.describe(), "message_mode": message_mode}
-    return _report("enc-asa-unrel", trials, seed, config, _collect(trials, jobs, run_one), False)
+    alg = alg_from_encryption(ses)
+    return _unrel_sessions(
+        "enc-asa-unrel", asa, alg, trials, seed, "message_mode", message_mode, jobs
+    )
 
 
 def estimate_unrel_alg(
@@ -592,24 +588,27 @@ def estimate_unrel_alg(
     jobs: int = 1,
 ) -> GameReport:
     """Recovery rate for attacks on general randomized algorithms."""
-    if input_mode not in ("random", "equal"):
-        raise ParameterError(f"unknown input_mode: {input_mode}")
+    return _unrel_sessions("rasa-unrel", attack, alg, trials, seed, "input_mode", input_mode, jobs)
+
+
+def _unrel_embed(game, steg, channel, trials, seed, config, jobs, start):
+    """Embed-then-decode recovery rate over the channel.
+
+    start(t, rng) draws trial t's start before the key and returns
+    (encoder, arg): encode_all with a start history, or encode_schedule
+    with a reboot schedule.
+    """
 
     def run_one(t):
         rng = TrialStreams(seed, t).get("run")
-        ak = attack.gen(rng)
-        am = Bits.random(attack.ml, rng)
-        s = alg.secret_gen(rng)
-        if input_mode == "equal":
-            x = alg.input_gen(rng)
-            inputs = [x] * attack.outl
-        else:
-            inputs = [alg.input_gen(rng) for _ in range(attack.outl)]
-        ys = alg_enc_all(attack, ak, am, s, inputs, rng)
-        return attack.ext(ak, ys) == am, None
+        encoder, arg = start(t, rng)
+        ak = steg.gen(rng)
+        am = Bits.random(steg.params.ml, rng)
+        docs = encoder(steg, ak, am, arg, channel, rng)
+        return steg.dec(ak, docs) == am, None
 
-    config = {"attack": attack.describe(), "input_mode": input_mode}
-    return _report("rasa-unrel", trials, seed, config, _collect(trials, jobs, run_one), False)
+    config = {"system": steg.describe(), "channel": channel.descriptor, **config}
+    return _play(game, config, trials, seed, jobs, run_one, False)
 
 
 def estimate_unrel_stego(
@@ -618,36 +617,25 @@ def estimate_unrel_stego(
     trials: int,
     seed: int,
     history_mode: str = "empty",
-    max_depth: int | None = None,
     jobs: int = 1,
 ) -> GameReport:
     """Embed-then-extract recovery rate over the channel.
 
     history_mode "empty" starts every session at the empty history;
-    "sampled" walks the channel to a random depth first, exercising
-    embeddings that start mid-history.
+    "sampled" first walks the channel to a random depth of at most outl + 2,
+    exercising embeddings that start mid-history.
     """
     if history_mode not in ("empty", "sampled"):
         raise ParameterError(f"unknown history_mode: {history_mode}")
-    depth_cap = max_depth if max_depth is not None else steg.params.outl + 2
+    depth_cap = steg.params.outl + 2
 
-    def run_one(t):
-        rng = TrialStreams(seed, t).get("run")
+    def start(t, rng):
         if history_mode == "sampled":
-            h = channel_walk(channel, rng.randrange(0, depth_cap + 1), rng)
-        else:
-            h = ()
-        ak = steg.gen(rng)
-        am = Bits.random(steg.params.ml, rng)
-        docs = encode_all(steg, ak, am, h, channel, rng)
-        return steg.dec(ak, docs) == am, None
+            return encode_all, channel_walk(channel, rng.randrange(0, depth_cap + 1), rng)
+        return encode_all, ()
 
-    config = {
-        "system": steg.describe(),
-        "channel": channel.descriptor,
-        "history_mode": history_mode,
-    }
-    return _report("stego-unrel", trials, seed, config, _collect(trials, jobs, run_one), False)
+    config = {"history_mode": history_mode}
+    return _unrel_embed("stego-unrel", steg, channel, trials, seed, config, jobs, start)
 
 
 def random_composition(total: int, rng) -> list[int]:
@@ -676,22 +664,10 @@ def estimate_unrel_reboot(
     schedules given, a fresh random composition is drawn per trial.
     """
 
-    def run_one(t):
-        rng = TrialStreams(seed, t).get("run")
+    def start(t, rng):
         if schedules:
-            schedule = list(schedules[t % len(schedules)])
-        else:
-            schedule = random_composition(steg.params.outl, rng)
-        ak = steg.gen(rng)
-        am = Bits.random(steg.params.ml, rng)
-        docs = encode_schedule(steg, ak, am, schedule, channel, rng)
-        return steg.dec(ak, docs) == am, None
+            return encode_schedule, list(schedules[t % len(schedules)])
+        return encode_schedule, random_composition(steg.params.outl, rng)
 
-    config = {
-        "system": steg.describe(),
-        "channel": channel.descriptor,
-        "schedules": [list(s) for s in schedules] if schedules else "random-compositions",
-    }
-    return _report(
-        "stego-unrel-reboot", trials, seed, config, _collect(trials, jobs, run_one), False
-    )
+    config = {"schedules": [list(s) for s in schedules] if schedules else "random-compositions"}
+    return _unrel_embed("stego-unrel-reboot", steg, channel, trials, seed, config, jobs, start)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .asa import AlgSubstitutionAttack, universal_asa
 from .bits import Bits
 from .errors import LengthMismatchError, ParameterError, WrongDocumentCountError
-from .games import Adversary, estimate_unrel_alg, run_rasa_dist, run_sig_forge
+from .games import SCHEMA, _Z95, Adversary, estimate_unrel_alg, run_rasa_dist, run_sig_forge
 from .schemes import (
     RandomizedAlgorithm,
     SignatureScheme,
@@ -128,6 +128,30 @@ def phi(ml: int, outl: int, query: float) -> PhiReport:
     )
 
 
+def _fab_prefix(ses: SymmetricEncryptionScheme, ml: int) -> int:
+    """Length of the random prefix rho in front of a fabricated ml-bit payload."""
+    if ses.cl < ml:
+        raise ParameterError("hidden message longer than a ciphertext")
+    return ses.cl - ml
+
+
+def _fab_pad(ak: Bits, rho: Bits, ml: int) -> Bits:
+    return _keystream(ak, b"fabricate", rho, ml)
+
+
+def _fabricate_and_search(ak, am, prefix, sigl, vrfy, pk, budget, rng):
+    """The fabricated ciphertext rho || (am xor pad(ak, rho)) and a signature
+    on it found by random search against vrfy(pk, ., .); None when the
+    budget runs out."""
+    rho = Bits.random(prefix, rng)
+    c_star = rho + (am ^ _fab_pad(ak, rho, len(am)))
+    for _ in range(budget):
+        cand = Bits.random(sigl, rng)
+        if vrfy(pk, c_star, cand):
+            return c_star, cand
+    return None
+
+
 def fabricating_asa(
     family: SignedFamily, ml: int = 64, decoys: int = 4, budget: int = 4096
 ) -> AlgSubstitutionAttack:
@@ -140,9 +164,7 @@ def fabricating_asa(
     message instead of emitting an invalid document.
     """
     ses, sig = family.ses, family.sig
-    prefix = ses.cl - ml
-    if prefix < 0:
-        raise ParameterError("hidden message longer than a ciphertext")
+    prefix = _fab_prefix(ses, ml)
     total_len = ses.cl + sig.sigl
 
     def gen(rng: random.Random) -> Bits:
@@ -154,13 +176,8 @@ def fabricating_asa(
         last = None
         for _ in range(decoys):
             last = family.alg.run_sample(s, x, rng)
-        rho = Bits.random(prefix, rng)
-        c_star = rho + (am ^ _keystream(ak, b"fabricate", rho, ml))
-        for _ in range(budget):
-            cand = Bits.random(sig.sigl, rng)
-            if sig.vrfy(family.pk, c_star, cand):
-                return c_star + cand, sigma
-        return last, sigma
+        found = _fabricate_and_search(ak, am, prefix, sig.sigl, sig.vrfy, family.pk, budget, rng)
+        return (last if found is None else found[0] + found[1]), sigma
 
     def ext(ak, docs):
         if len(docs) != 1:
@@ -168,8 +185,7 @@ def fabricating_asa(
         d = docs[0]
         if len(d) != total_len:
             return None
-        rho = d[:prefix]
-        return d[prefix : prefix + ml] ^ _keystream(ak, b"fabricate", rho, ml)
+        return d[prefix : prefix + ml] ^ _fab_pad(ak, d[:prefix], ml)
 
     return AlgSubstitutionAttack(
         attack_id=f"fabricating:{family.alg.alg_id}",
@@ -238,9 +254,7 @@ def forger_from_fabricating_asa(
     """The fabricating attack replayed inside the forgery game."""
     if sig.ml != ses.cl:
         raise LengthMismatchError("signature scheme must sign ciphertext-length messages")
-    prefix = ses.cl - ml
-    if prefix < 0:
-        raise ParameterError("hidden message longer than a ciphertext")
+    prefix = _fab_prefix(ses, ml)
 
     def strategy(view, rng: random.Random):
         ak = Bits.random(128, rng)
@@ -251,13 +265,8 @@ def forger_from_fabricating_asa(
         for _ in range(decoys):
             c = ses.enc_sample(k, x, rng)
             last = (c, view.sign(c))
-        rho = Bits.random(prefix, rng)
-        c_star = rho + (am ^ _keystream(ak, b"fabricate", rho, ml))
-        for _ in range(budget):
-            cand = Bits.random(sig.sigl, rng)
-            if view.vrfy(view.pk, c_star, cand):
-                return c_star, cand
-        return last
+        found = _fabricate_and_search(ak, am, prefix, sig.sigl, view.vrfy, view.pk, budget, rng)
+        return last if found is None else found
 
     return Adversary(
         kind="forger",
@@ -296,12 +305,12 @@ def rate_report(
         if rep.normalized_advantage >= insec_hat:
             insec_hat = rep.normalized_advantage
             lo, hi = rep.advantage_ci95
-            se_insec = (hi - lo) / (2 * 1.959963984540054)
+            se_insec = (hi - lo) / (2 * _Z95)
 
     unrel_rep = estimate_unrel_alg(attack, family.alg, trials, seed, jobs=jobs)
     unrel_hat = unrel_rep.failure_rate
     lo, hi = unrel_rep.ci95
-    se_unrel = (hi - lo) / (2 * 1.959963984540054)
+    se_unrel = (hi - lo) / (2 * _Z95)
 
     phi_rep = phi(attack.ml, attack.outl, query)
     slack = 3.0 * math.sqrt(se_insec**2 + se_unrel**2)
@@ -310,7 +319,7 @@ def rate_report(
     forge_rep = run_sig_forge(family.sig, forger, trials, seed, jobs=jobs)
 
     return {
-        "schema": "subvertlab/1",
+        "schema": SCHEMA,
         "game": "rate-lower-bound",
         "ml": attack.ml,
         "outl": attack.outl,

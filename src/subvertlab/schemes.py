@@ -14,6 +14,7 @@ forgers find them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import random
@@ -289,8 +290,8 @@ class RandomizedAlgorithm:
 
     def __post_init__(self):
         if self.input_gen is None:
-            bits = self.input_bits
-            object.__setattr__(self, "input_gen", lambda rng: Bits.random(bits, rng))
+            # a partial, not a lambda: no interpreted frame per drawn input
+            object.__setattr__(self, "input_gen", functools.partial(Bits.random, self.input_bits))
 
     def run_sample(self, s: Bits, x: Bits, rng: random.Random) -> Bits:
         return self.run(s, x, Bits.random(self.coin_bits, rng))

@@ -7,12 +7,14 @@ import pytest
 from subvertlab import (
     Bits,
     ParameterError,
+    alg_from_encryption,
     chi2_quantile,
     constant_guess,
     default_attackers,
     default_wardens,
     default_watchdogs,
     random_guess,
+    randpad_scheme,
     repeat_attacker,
     repeat_warden,
     repeat_watchdog,
@@ -57,20 +59,6 @@ class _StubScheme:
         return Bits.random(16, rng)
 
 
-class _SchemeView:
-    """Encryption-host watchdog view returning scripted outputs."""
-
-    def __init__(self, outputs):
-        self.scheme = _StubScheme()
-        self.asa_ml = 4
-        self._outputs = iter(outputs)
-        self.challenges = []
-
-    def ch(self, am, k, m, sigma):
-        self.challenges.append((k, m))
-        return next(self._outputs), sigma
-
-
 class _StubAlg:
     def secret_gen(self, rng):
         return Bits.random(16, rng)
@@ -82,8 +70,8 @@ class _StubAlg:
 class _AlgView:
     """Algorithm-host watchdog view returning scripted outputs."""
 
-    def __init__(self, outputs):
-        self.alg = _StubAlg()
+    def __init__(self, outputs, alg):
+        self.alg = alg
         self.asa_ml = 4
         self._outputs = iter(outputs)
         self.challenges = []
@@ -96,12 +84,13 @@ class _AlgView:
 def test_repeat_watchdog_serves_both_host_kinds():
     wd = repeat_watchdog()
     same = Bits(7, 8)
-    for view_cls in (_SchemeView, _AlgView):
-        colliding = view_cls([same, same])
+    # an encryption host reaches watchdogs as the randomized algorithm it is
+    for alg in (_StubAlg(), alg_from_encryption(randpad_scheme(r=2, kappa=16))):
+        colliding = _AlgView([same, same], alg)
         assert wd.strategy(colliding, random.Random(0)) == 0
         # the challenge input is repeated verbatim
         assert colliding.challenges[0] == colliding.challenges[1]
-        fresh = view_cls([Bits(1, 8), Bits(2, 8)])
+        fresh = _AlgView([Bits(1, 8), Bits(2, 8)], alg)
         assert wd.strategy(fresh, random.Random(0)) == 1
 
 

@@ -106,6 +106,16 @@ def test_query_count_command(capsys):
     assert abs(lines[0]["mean"] - 2.0) < 0.6
 
 
+def test_query_count_needs_two_trials(capsys):
+    # one trial has no sample deviation; an infinite interval is not JSON
+    rc = cli.main(["asa", "queries", *STEGO_OPTS, "--trials", "1", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "at least 2 trials" in captured.err
+    rc, lines, _ = run_cli(capsys, ["asa", "queries", *STEGO_OPTS, "--trials", "2", "--seed", "0"])
+    assert rc == 0 and all(abs(x) < float("inf") for x in lines[0]["ci95"])
+
+
 def test_exact_entropy_command(capsys):
     rc, lines, _ = run_cli(
         capsys,
@@ -213,6 +223,17 @@ def test_jobs_and_trials_must_be_positive_at_parse_time(capsys):
             cli.main(argv)
         assert exited.value.code == 2, argv
         assert "positive integer" in capsys.readouterr().err
+    # commands that run no trials take neither flag
+    for argv in (
+        ["channel", "sample", "--jobs", "2"],
+        ["channel", "entropy", "--trials", "5"],
+        ["asa", "build", "--jobs", "2"],
+        ["asa", "run", "--trials", "3"],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_huge_jobs_forks_at_most_usable_cpus_less_one(capsys, monkeypatch):

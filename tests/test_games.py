@@ -16,7 +16,9 @@ from subvertlab import (
     advantage_and_ci,
     alg_from_encryption,
     asa_from_stego,
+    chi2_watchdog,
     constant_guess,
+    det_scheme,
     estimate_unrel,
     estimate_unrel_alg,
     estimate_unrel_reboot,
@@ -157,6 +159,27 @@ def test_reliability_estimator_modes():
     assert walked.config["history_mode"] == "sampled"
     with pytest.raises(ParameterError):
         estimate_unrel_stego(steg, channel, trials=5, seed=0, history_mode="hop")
+
+
+@pytest.mark.parametrize("host", ["randpad", "det"])
+def test_encryption_games_are_the_algorithm_games_on_the_scheme(host):
+    # an encryption scheme is one randomized algorithm: the encryption
+    # watchdog game and reliability estimate are the algorithm ones, trial
+    # for trial, on alg_from_encryption(ses)
+    ses = randpad_scheme(r=2, kappa=16, ml=8) if host == "randpad" else det_scheme(16, 8)
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=16, kappa=16))
+    asa = asa_from_stego(steg, ses)
+    alg = alg_from_encryption(ses)
+    for wd in (repeat_watchdog(), chi2_watchdog(queries=8)):
+        enc = run_enc_asa_dist(asa, ses, wd, trials=40, seed=6, record=True)
+        gen = run_rasa_dist(asa, alg, wd, trials=40, seed=6, record=True)
+        assert enc.decisions == gen.decisions, wd.name
+        assert (enc.game, gen.game) == ("enc-asa-dist", "rasa-dist")
+    for mode in ("random", "equal"):
+        enc = estimate_unrel(asa, ses, trials=12, seed=6, message_mode=mode)
+        gen = estimate_unrel_alg(asa, alg, trials=12, seed=6, input_mode=mode)
+        assert enc.success_count == gen.success_count, mode
+        assert enc.config["message_mode"] == gen.config["input_mode"] == mode
 
 
 def test_random_compositions_partition_the_total():
