@@ -61,8 +61,17 @@ class Bits:
 
     @classmethod
     def from_hex(cls, s: str, nbits: int | None = None) -> "Bits":
+        """Bits from hex digits, MSB first; nbits keeps a prefix of them.
+
+        Odd-length hex is padded with a zero nibble, which only nbits <=
+        4 * len(s) may cut off again: a pad nibble is never read as data.
+        """
         s = s.strip()
         if len(s) % 2:
+            if nbits is None or nbits > 4 * len(s):
+                raise ParameterError(
+                    f"odd-length hex {s!r} holds {4 * len(s)} bits; {nbits or 'whole bytes'} requested"
+                )
             s = s + "0"
         return cls.from_bytes(bytes.fromhex(s), nbits)
 

@@ -648,14 +648,21 @@ def cmd_report_merge(args):
 # --- parser --------------------------------------------------------------------
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(least, what):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonneg_int = _int_at_least(0, "non-negative")  # --budget 0: no search at all
 
 
 def _add_common(p, trials=True):
@@ -707,9 +714,9 @@ def _add_channel(p):
 
 def _add_adversary(p, choices, default):
     p.add_argument("--adversary", choices=choices, default=default)
-    p.add_argument("--queries", type=int, default=2)
+    p.add_argument("--queries", type=_positive_int, default=2)
     p.add_argument("--bins", type=int, default=4)
-    p.add_argument("--budget", type=int, default=512)
+    p.add_argument("--budget", type=_nonneg_int, default=512)
 
 
 def _add_fab(p):
@@ -733,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_host(p)
     _add_sig(p)
     _add_channel(p)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_positive_int, default=5)
     p.add_argument("--depth", type=int, default=0, help="history length to walk before sampling")
     p.set_defaults(func=cmd_channel_sample)
 
@@ -877,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rasa-host", choices=["enc", "signed"], default="enc")
     p.add_argument("--attack", choices=["rejsam", "fabricating"], default="rejsam")
     p.add_argument("--force-embed", action="store_true")
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=_nonneg_int, default=4096)
     _add_fab(p)
     p.set_defaults(func=cmd_game_unrel)
 
@@ -899,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sig(p)
     _add_stego(p)
     p.add_argument("--attack", choices=["universal", "fabricating"], default="fabricating")
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=_nonneg_int, default=4096)
     _add_fab(p)
     p.set_defaults(func=cmd_lb_forger)
 
@@ -909,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sig(p)
     _add_stego(p)
     p.add_argument("--attack", choices=["universal", "fabricating"], default="fabricating")
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=_nonneg_int, default=4096)
     p.add_argument("--query", type=float, default=None, help="override measured queries per output")
     _add_fab(p)
     p.set_defaults(func=cmd_lb_rate)

@@ -5,6 +5,11 @@ their randomness as an argument, so callers (channels, games, attacks) control
 every coin. Key and coin lengths are small enough to enumerate, which is what
 the exact-pmf and exhaustive tests rely on.
 
+Every keyed digest here (keystreams, signature tags, the det codebook seed)
+comes from prf.hmac_sha256, the package's one HMAC primitive; the hot
+fixtures (randpad, signatures) work on integers and build one bit string
+per output.
+
 Security properties of the fixtures are measured by the games, not proven.
 In particular the signature fixtures verify by recomputing a keyed tag, so
 the "public" key carries secret-derived material; they are stand-ins for an
@@ -15,8 +20,6 @@ forgers find them.
 from __future__ import annotations
 
 import functools
-import hashlib
-import hmac
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +27,7 @@ from typing import Callable, Iterable
 
 from .bits import Bits
 from .errors import ParameterError
+from .prf import hmac_sha256
 
 __all__ = [
     "SymmetricEncryptionScheme",
@@ -39,15 +43,26 @@ __all__ = [
 _ENUM_LIMIT = 20  # refuse to enumerate spaces beyond 2^20
 
 
-def _keystream(key: Bits, label: bytes, data: Bits, nbits: int) -> Bits:
-    """nbits of HMAC-SHA256(key, label || data), counter-expanded if needed."""
-    out = b""
-    counter = 0
+def _keystream_int(key_bytes: bytes, label: bytes, payload_bytes: bytes, nbits: int) -> int:
+    """The first nbits of HMAC-SHA256(key, label || counter || payload) over
+    counters 0, 1, ... (two bytes, big-endian), as an int."""
+    out = hmac_sha256(key_bytes, label + b"\x00\x00" + payload_bytes)
+    counter = 1
     while 8 * len(out) < nbits:
-        msg = label + counter.to_bytes(2, "big") + data.to_bytes()
-        out += hmac.new(key.to_bytes(), msg, hashlib.sha256).digest()
+        out += hmac_sha256(key_bytes, label + counter.to_bytes(2, "big") + payload_bytes)
         counter += 1
-    return Bits.from_bytes(out, nbits)
+    return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
+
+
+def _keystream(key: Bits, label: bytes, data: Bits, nbits: int) -> Bits:
+    return Bits(_keystream_int(key.to_bytes(), label, data.to_bytes(), nbits), nbits)
+
+
+def _payload_packer(nbits: int) -> Callable[[int], bytes]:
+    """int -> the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
+    nbytes = (nbits + 7) // 8
+    shift = 8 * nbytes - nbits
+    return lambda value: (value << shift).to_bytes(nbytes, "big")
 
 
 @dataclass(frozen=True)
@@ -95,17 +110,22 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
     if r < 0 or kappa <= 0 or ml <= 0:
         raise ParameterError("randpad needs r >= 0, kappa > 0, ml > 0")
     cl = r + ml
+    body_mask = (1 << ml) - 1
+    pack_rho = _payload_packer(r)
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != r:
             raise ParameterError("randpad enc: wrong message or coin length")
-        return coins + (m ^ _keystream(k, b"pad", coins, ml))
+        rho = coins.uint
+        pad = _keystream_int(k.to_bytes(), b"pad", pack_rho(rho), ml)
+        return Bits((rho << ml) | (m.uint ^ pad), cl)
 
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != cl:
             return None
-        rho, body = c[:r], c[r:]
-        return body ^ _keystream(k, b"pad", rho, ml)
+        v = c.uint
+        pad = _keystream_int(k.to_bytes(), b"pad", pack_rho(v >> ml), ml)
+        return Bits((v & body_mask) ^ pad, ml)
 
     def exact_pmf(k: Bits, m: Bits, c: Bits) -> Fraction:
         if len(c) == cl and enc(k, m, c[:r]) == c:
@@ -150,7 +170,7 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     def tables(k: Bits) -> tuple[list[int], list[int]]:
         book = books.get(k)
         if book is None:
-            seed = hmac.new(k.to_bytes(), b"codebook", hashlib.sha256).digest()
+            seed = hmac_sha256(k.to_bytes(), b"codebook")
             shuffle_rng = random.Random(int.from_bytes(seed[:16], "big"))
             perm = list(range(size))
             shuffle_rng.shuffle(perm)
@@ -240,8 +260,13 @@ def sig_fixture(
     if kappa <= 0 or ml <= 0 or coin_bits < 0 or tag_bits <= 0:
         raise ParameterError("bad signature fixture parameters")
 
-    def tag(sk: Bits, m: Bits, coins: Bits) -> Bits:
-        return _keystream(sk, b"sig", m + coins, tag_bits)
+    sigl = coin_bits + tag_bits
+    tag_mask = (1 << tag_bits) - 1
+    pack_mc = _payload_packer(ml + coin_bits)
+
+    def tag(sk: Bits, m: int, coins: int) -> int:
+        """The keyed tag on the bit string m || coins."""
+        return _keystream_int(sk.to_bytes(), b"sig", pack_mc((m << coin_bits) | coins), tag_bits)
 
     def gen(rng: random.Random) -> tuple[Bits, Bits]:
         sk = Bits.random(kappa, rng)
@@ -250,12 +275,13 @@ def sig_fixture(
     def sign(sk: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != coin_bits:
             raise ParameterError("sign: wrong message or coin length")
-        return coins + tag(sk, m, coins)
+        return Bits((coins.uint << tag_bits) | tag(sk, m.uint, coins.uint), sigl)
 
     def vrfy(pk: Bits, m: Bits, sig: Bits) -> bool:
-        if len(m) != ml or len(sig) != coin_bits + tag_bits:
+        if len(m) != ml or len(sig) != sigl:
             return False
-        return sig[coin_bits:] == tag(pk, m, sig[:coin_bits])
+        s = sig.uint
+        return s & tag_mask == tag(pk, m.uint, s >> tag_bits)
 
     return SignatureScheme(
         scheme_id=f"sig-{kind}-c{coin_bits}-t{tag_bits}",

@@ -27,6 +27,55 @@ def manual_hmac_sha256(key: bytes, msg: bytes) -> bytes:
     return hashlib.sha256(opad + inner).digest()
 
 
+def _bits_to_bytes(bits: str) -> bytes:
+    """'0'/'1' string -> bytes, zero-padded on the right to a byte boundary."""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _bytes_to_bits(data: bytes) -> str:
+    return "".join(format(byte, "08b") for byte in data)
+
+
+def _xor_bits(a: str, b: str) -> str:
+    return "".join("0" if x == y else "1" for x, y in zip(a, b, strict=True))
+
+
+def keystream_bits(key: str, label: bytes, data: str, nbits: int) -> str:
+    """First nbits of HMAC(key, label || counter || data) over two-byte
+    big-endian counters 0, 1, ..., with every operand a bit string."""
+    out = ""
+    counter = 0
+    while len(out) < nbits:
+        msg = label + bytes([counter >> 8, counter & 0xFF]) + _bits_to_bytes(data)
+        out += _bytes_to_bits(manual_hmac_sha256(_bits_to_bytes(key), msg))
+        counter += 1
+    return out[:nbits]
+
+
+def sig_sign_bits(sk: str, m: str, coins: str, tag_bits: int) -> str:
+    """The signature fixture: coins || tag(sk, m || coins)."""
+    return coins + keystream_bits(sk, b"sig", m + coins, tag_bits)
+
+
+def sig_vrfy_bits(pk: str, m: str, sig: str, ml: int, coin_bits: int, tag_bits: int) -> bool:
+    if len(m) != ml or len(sig) != coin_bits + tag_bits:
+        return False
+    coins = sig[:coin_bits]
+    return sig == sig_sign_bits(pk, m, coins, tag_bits)
+
+
+def randpad_enc_bits(k: str, m: str, coins: str) -> str:
+    """The randpad fixture: rho || (m xor pad(k, rho)), rho = coins."""
+    return coins + _xor_bits(m, keystream_bits(k, b"pad", coins, len(m)))
+
+
+def randpad_dec_bits(k: str, c: str, r: int, ml: int):
+    if len(c) != r + ml:
+        return None
+    return _xor_bits(c[r:], keystream_bits(k, b"pad", c[:r], ml))
+
+
 # RFC 4231 test cases 1 and 2 (truncated to the full 256-bit output).
 RFC4231_CASE1 = (
     bytes.fromhex("0b" * 20),

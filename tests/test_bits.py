@@ -106,3 +106,18 @@ def test_pickle_roundtrip(value_nbits):
     again = pickle.loads(pickle.dumps(b))
     assert again == b and type(again) is Bits
     assert (again.uint, len(again)) == value_nbits
+
+
+def test_from_hex_never_reads_the_pad_nibble():
+    # odd-length hex is fine while nbits stops at or before its last digit
+    assert Bits.from_hex("a", 4).bin() == "1010"
+    assert Bits.from_hex("5", 3).bin() == "010"
+    assert Bits.from_hex("abc", 12).hex() == "abc0" and len(Bits.from_hex("abc", 12)) == 12
+    assert Bits.from_hex("abc", 0) == Bits.zeros(0)
+    # ...and an error once the zero pad nibble would become data
+    for text, nbits in (("abc", None), ("abc", 13), ("abc", 16), ("5", 8), ("5", None)):
+        with pytest.raises(ParameterError, match="odd-length hex"):
+            Bits.from_hex(text, nbits)
+    # even-length hex is unchanged
+    assert Bits.from_hex("ab").bin() == "10101011"
+    assert Bits.from_hex(" 0a50 ", 12).bin() == "000010100101"

@@ -310,3 +310,31 @@ def test_sidecar_records_the_argv_main_was_given(capsys, tmp_path):
     capsys.readouterr()
     meta = json.loads((tmp_path / "cpa.jsonl.meta.json").read_text())
     assert meta["argv"] == argv
+
+
+def test_count_options_are_checked_at_parse_time(capsys):
+    for argv in (
+        ["game", "cpa", "--adversary", "chi2", "--queries", "0"],
+        ["game", "cpa", "--adversary", "repeat", "--queries", "-1"],
+        ["channel", "sample", "--count", "-2"],
+        ["lowerbound", "rate", "--budget", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "integer" in err and "Traceback" not in err, argv
+    # --budget 0 means no search; the forger then never wins
+    rc, lines, _ = run_cli(
+        capsys, ["lowerbound", "forger", "--tag-bits", "8", "--fab-ml", "8", "--budget", "0",
+                 "--trials", "4", "--seed", "1"],
+    )
+    assert rc == 0 and lines[0]["success_count"] == 0
+
+
+def test_odd_hex_message_longer_than_its_digits_exits_2(capsys):
+    rc = cli.main(["stego", "embed", "--message", "5", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--message" in captured.err and "odd-length hex" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from subvertlab import Bits, ParameterError, Prf, is_power_of_two, prf_split_block, prf_split_eval
+from subvertlab import prf as prf_module
+from subvertlab.prf import hmac_sha256
 
 
 def test_matches_rfc4231_vectors():
@@ -132,3 +134,30 @@ def test_is_power_of_two():
 @given(st.integers(1, 2**20))
 def test_power_of_two_matches_bit_count(n):
     assert is_power_of_two(n) == (bin(n).count("1") == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=130), st.binary(max_size=300))
+@example(bytes(range(64)), b"")  # a key of exactly one block is used as is
+@example(bytes(range(65)), b"m")  # one byte longer and it is hashed first
+def test_hmac_sha256_matches_its_definition(key, msg):
+    assert hmac_sha256(key, msg) == oracles.manual_hmac_sha256(key, msg)
+    assert hmac_sha256(key, msg) == oracles.manual_hmac_sha256(key, msg)  # from the memo
+
+
+def test_hmac_sha256_every_key_length_to_130_bytes():
+    for n in range(131):
+        key = bytes((7 * i + n) & 0xFF for i in range(n))
+        assert hmac_sha256(key, b"doc") == oracles.manual_hmac_sha256(key, b"doc"), n
+
+
+def test_hmac_pad_memo_stays_bounded():
+    cap = prf_module._PAD_MEMO
+    keys = [i.to_bytes(4, "big") for i in range(3 * cap)]
+    for key in keys:
+        hmac_sha256(key, b"x")
+        assert len(prf_module._pads) <= cap
+    assert keys[-1] in prf_module._pads and keys[0] not in prf_module._pads
+    # an evicted key is rebuilt and still gives the right digest
+    assert hmac_sha256(keys[0], b"x") == oracles.manual_hmac_sha256(keys[0], b"x")
+    assert len(prf_module._pads) == cap

@@ -1,5 +1,4 @@
 import dataclasses
-import hmac
 import itertools
 import math
 import random
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import subvertlab.prf
 from subvertlab import (
     Bits,
     InvalidHistoryError,
@@ -111,8 +111,8 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     candidates = (Bits(v, 16) for v in range(64))
     zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
     macs = []
-    real_new = hmac.new
-    monkeypatch.setattr(hmac, "new", lambda *a: macs.append(1) or real_new(*a))
+    real_mac = subvertlab.prf.hmac_sha256
+    monkeypatch.setattr(subvertlab.prf, "hmac_sha256", lambda *a: macs.append(1) or real_mac(*a))
 
     def run(am, stream):
         macs.clear()
