@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .bits import Bits
@@ -118,7 +119,7 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
 
     def enc(ak, am, k, m, sigma, rng):
         history = (k,) + (m,) * ell
-        return steg.enc(ak, am, history, sigma, draw=lambda: ses.enc_sample(k, m, rng), rng=rng)
+        return steg.enc(ak, am, history, sigma, draw=partial(ses.enc_sample, k, m, rng), rng=rng)
 
     return SubstitutionAttack(
         attack_id=f"rejsam-asa:{ses.scheme_id}",

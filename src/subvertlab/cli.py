@@ -665,6 +665,10 @@ _positive_int = _int_at_least(1, "positive")
 _nonneg_int = _int_at_least(0, "non-negative")  # --budget 0: no search at all
 
 
+def _nonneg_int_list(text):
+    return [_nonneg_int(x) for x in text.split(",")]
+
+
 def _add_common(p, trials=True):
     """--seed and --out; --trials and --jobs too for commands that run trials."""
     p.add_argument("--seed", type=int, default=None, help="base seed (env SUBVERTLAB_SEED, then 0)")
@@ -721,7 +725,7 @@ def _add_adversary(p, choices, default):
 
 def _add_fab(p):
     p.add_argument("--fab-ml", type=int, default=64, help="fabricated hidden message bits")
-    p.add_argument("--decoys", type=int, default=4)
+    p.add_argument("--decoys", type=_positive_int, default=4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -741,7 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sig(p)
     _add_channel(p)
     p.add_argument("--count", type=_positive_int, default=5)
-    p.add_argument("--depth", type=int, default=0, help="history length to walk before sampling")
+    p.add_argument(
+        "--depth", type=_nonneg_int, default=0, help="history length to walk before sampling"
+    )
     p.set_defaults(func=cmd_channel_sample)
 
     p = channel.add_parser("entropy", help="min-entropy, exact or estimated")
@@ -752,11 +758,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "estimate"], default="exact")
     p.add_argument(
         "--depths",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=_nonneg_int_list,
         default=[0],
         help="history depths for exact mode, comma separated",
     )
-    p.add_argument("--depth", type=int, default=0, help="history depth for estimate mode")
+    p.add_argument("--depth", type=_nonneg_int, default=0, help="history depth for estimate mode")
     p.add_argument("--samples", type=int, default=4096)
     p.set_defaults(func=cmd_channel_entropy)
 

@@ -135,6 +135,12 @@ def _fab_prefix(ses: SymmetricEncryptionScheme, ml: int) -> int:
     return ses.cl - ml
 
 
+def _check_decoys(decoys: int) -> None:
+    # the fallback after an exhausted search emits the last decoy's answer
+    if decoys < 1:
+        raise ParameterError(f"need decoys >= 1 (one honest oracle answer), got {decoys}")
+
+
 def _fab_pad(ak: Bits, rho: Bits, ml: int) -> Bits:
     return _keystream(ak, b"fabricate", rho, ml)
 
@@ -164,6 +170,7 @@ def fabricating_asa(
     message instead of emitting an invalid document.
     """
     ses, sig = family.ses, family.sig
+    _check_decoys(decoys)
     prefix = _fab_prefix(ses, ml)
     total_len = ses.cl + sig.sigl
 
@@ -254,6 +261,7 @@ def forger_from_fabricating_asa(
     """The fabricating attack replayed inside the forgery game."""
     if sig.ml != ses.cl:
         raise LengthMismatchError("signature scheme must sign ciphertext-length messages")
+    _check_decoys(decoys)
     prefix = _fab_prefix(ses, ml)
 
     def strategy(view, rng: random.Random):

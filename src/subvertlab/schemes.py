@@ -153,6 +153,10 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
 
 # det_scheme keeps the codebooks of its latest keys; when full, a new key
 # evicts the oldest. A trial uses one key throughout, so a few suffice.
+# Each key's entry also caches its ciphertexts, one Bits per message, built
+# the first time that message is encrypted (never all 2^ml up front: most
+# keys see few messages). Enc(k, m) is a point mass, so one rejection-sampling
+# emission on this host encrypts the same (k, m) up to s+1 times.
 _CODEBOOK_MEMO = 8
 
 
@@ -165,9 +169,9 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     if kappa <= 0 or not 0 < ml <= _ENUM_LIMIT:
         raise ParameterError(f"det scheme needs kappa > 0 and 0 < ml <= {_ENUM_LIMIT}")
     size = 2**ml
-    books: dict[Bits, tuple[list[int], list[int]]] = {}
+    books: dict[Bits, tuple[list[int], list[int], list[Bits | None]]] = {}
 
-    def tables(k: Bits) -> tuple[list[int], list[int]]:
+    def tables(k: Bits) -> tuple[list[int], list[int], list[Bits | None]]:
         book = books.get(k)
         if book is None:
             seed = hmac_sha256(k.to_bytes(), b"codebook")
@@ -179,13 +183,18 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
                 inv[p] = i
             if len(books) >= _CODEBOOK_MEMO:
                 del books[next(iter(books))]
-            book = books[k] = (perm, inv)
+            book = books[k] = (perm, inv, [None] * size)
         return book
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != 0:
             raise ParameterError("det enc: wrong message or coin length")
-        return Bits(tables(k)[0][m.uint], ml)
+        perm, _, cts = tables(k)
+        i = m.uint
+        c = cts[i]
+        if c is None:
+            c = cts[i] = Bits(perm[i], ml)
+        return c
 
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != ml:

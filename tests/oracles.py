@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 # --- HMAC-SHA256 from its definition (no hmac module) -------------------------
@@ -74,6 +75,18 @@ def randpad_dec_bits(k: str, c: str, r: int, ml: int):
     if len(c) != r + ml:
         return None
     return _xor_bits(c[r:], keystream_bits(k, b"pad", c[:r], ml))
+
+
+def det_codebook_bits(k: str, ml: int) -> list[str]:
+    """The det fixture's codebook: entry m is Enc(k, m), as ml-bit strings.
+
+    The codebook is range(2^ml) shuffled by a random.Random seeded with the
+    first 16 bytes of HMAC(k, "codebook") read big-endian.
+    """
+    seed = manual_hmac_sha256(_bits_to_bytes(k), b"codebook")
+    perm = list(range(2**ml))
+    random.Random(int.from_bytes(seed[:16], "big")).shuffle(perm)
+    return [format(p, f"0{ml}b") for p in perm]
 
 
 # RFC 4231 test cases 1 and 2 (truncated to the full 256-bit output).

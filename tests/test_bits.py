@@ -19,6 +19,14 @@ def test_construction_bounds():
         Bits(-1, 3)
     with pytest.raises(ParameterError):
         Bits(0, -1)
+    with pytest.raises(ParameterError):
+        Bits(1 << 64, 64)
+    # bools and int subclasses are coerced to plain ints
+    class Width(int):
+        pass
+
+    b = Bits(True, Width(3))
+    assert b == Bits(1, 3) and type(b.uint) is int and type(len(b)) is int
 
 
 def test_msb_first_indexing():
@@ -64,12 +72,24 @@ def test_random_is_rng_driven():
     assert Bits.random(64, random.Random(7)) == Bits.random(64, random.Random(7))
     assert Bits.random(64, random.Random(7)) != Bits.random(64, random.Random(8))
     assert Bits.random(0, random.Random(7)) == Bits.zeros(0)
+    # a zero-length draw is the empty string and consumes no RNG state
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert Bits.random(0, rng) == Bits(0, 0) and len(Bits.random(0, rng)) == 0
+    assert rng.getstate() == state
 
 
 def test_immutability():
     b = Bits(1, 2)
     with pytest.raises(AttributeError):
         b._v = 3
+    with pytest.raises(AttributeError):
+        b._n = 5
+    with pytest.raises(AttributeError):
+        b.extra = 1
+    with pytest.raises(AttributeError):
+        Bits.random(0, random.Random(0))._n = 1
+    assert (b.uint, len(b)) == (1, 2) and len(Bits.random(0, random.Random(0))) == 0
 
 
 def test_history_codec_roundtrip():
@@ -103,6 +123,8 @@ def test_join_matches_concat_property(parts):
 @given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))))
 def test_pickle_roundtrip(value_nbits):
     b = Bits(*value_nbits)
+    assert (b.uint, len(b)) == value_nbits
+    assert Bits.from_bytes(b.to_bytes(), len(b)) == b
     again = pickle.loads(pickle.dumps(b))
     assert again == b and type(again) is Bits
     assert (again.uint, len(again)) == value_nbits

@@ -318,6 +318,11 @@ def test_count_options_are_checked_at_parse_time(capsys):
         ["game", "cpa", "--adversary", "repeat", "--queries", "-1"],
         ["channel", "sample", "--count", "-2"],
         ["lowerbound", "rate", "--budget", "-1"],
+        ["lowerbound", "rate", "--decoys", "0", "--fab-ml", "8", "--budget", "0", "--trials", "2"],
+        ["lowerbound", "rate", "--decoys", "-1"],
+        ["channel", "sample", "--depth", "-1"],
+        ["channel", "entropy", "--depth", "-1"],
+        ["channel", "entropy", "--depths", "0,-1"],
     ):
         with pytest.raises(SystemExit) as exited:
             cli.main(argv)

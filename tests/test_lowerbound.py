@@ -100,6 +100,12 @@ def test_fabrication_recovers_against_weak_tags_only():
     assert attack.ext(ak, [Bits.random(weak.alg.output_bits - 1, rng)]) is None
     with pytest.raises(ParameterError):
         fabricating_asa(weak, ml=weak.ses.cl + 1)
+    # the fallback needs at least one honest answer to fall back on
+    for decoys in (0, -1):
+        with pytest.raises(ParameterError, match="decoys"):
+            fabricating_asa(strong, ml=8, decoys=decoys, budget=0)
+        with pytest.raises(ParameterError, match="decoys"):
+            forger_from_fabricating_asa(ses, sig, ml=8, decoys=decoys, budget=0)
 
 
 def test_oracle_bound_attack_never_forges():

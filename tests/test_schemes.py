@@ -123,6 +123,27 @@ def test_det_codebook_memo_stays_bounded(monkeypatch):
     assert all(ses.dec(first, c) == Bits(m, 8) for m, c in enumerate(again))
 
 
+@pytest.mark.parametrize("ml", [1, 8])
+def test_det_ciphertexts_match_reference_and_are_cached_per_key(ml):
+    ses = det_scheme(16, ml=ml)
+    no_coins = Bits.zeros(0)
+    keys = [Bits(4099 * i + 1, 16) for i in range(schemes._CODEBOOK_MEMO + 2)]
+    first = {}
+    # the last pass revisits the first two keys, evicted by then and rebuilt
+    for k in keys + keys[:2]:
+        book = oracles.det_codebook_bits(k.bin(), ml)
+        for m in range(2**ml):
+            mb = Bits(m, ml)
+            c = ses.enc(k, mb, no_coins)
+            assert c.bin() == book[m] and c == Bits(int(book[m], 2), ml)
+            assert ses.enc(k, mb, no_coins) is c
+            assert ses.enc_sample(k, mb, random.Random(m)) is c
+            assert ses.dec(k, c) == mb
+            if (k, m) in first:
+                assert c == first[k, m] and c is not first[k, m]
+            first.setdefault((k, m), c)
+
+
 def test_sig_fixture_sign_verify():
     sig = sig_fixture("coin-injective", 16, ml=8, coin_bits=8, tag_bits=64)
     assert sig.sigl == 72
