@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 from .bits import Bits
@@ -29,7 +28,12 @@ from .errors import (
     UniversalityViolation,
     WrongDocumentCountError,
 )
-from .schemes import RandomizedAlgorithm, SymmetricEncryptionScheme, alg_from_encryption
+from .schemes import (
+    RandomizedAlgorithm,
+    SymmetricEncryptionScheme,
+    alg_from_encryption,
+    emission_draw,
+)
 from .stego import StegoSystem, mark_agreement
 
 __all__ = [
@@ -108,6 +112,8 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
 
     Each call embeds into the session view key || m^ell (ell = steg.outl),
     answering every channel query of the encoder with a fresh Enc(k, m).
+    On a coin-free host Enc(k, m) is one fixed ciphertext, so it is computed
+    once per emission and every query returns it (schemes.emission_draw).
     A seed-coupled run of this enc and of the plain stego encoder on the
     scheme's channel is bit-identical.
     """
@@ -119,7 +125,8 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
 
     def enc(ak, am, k, m, sigma, rng):
         history = (k,) + (m,) * ell
-        return steg.enc(ak, am, history, sigma, draw=partial(ses.enc_sample, k, m, rng), rng=rng)
+        draw = emission_draw(ses.enc, ses.coin_bits, k, m, rng)
+        return steg.enc(ak, am, history, sigma, draw=draw, rng=rng)
 
     return SubstitutionAttack(
         attack_id=f"rejsam-asa:{ses.scheme_id}",
@@ -276,6 +283,10 @@ def generic_asa_against_alg(
 ) -> AlgSubstitutionAttack:
     """Subvert any randomized algorithm by rejection-sampling its outputs.
 
+    Every draw of the encoder is an honest run on fresh coins; on a coin-free
+    algorithm that is one fixed output, computed once per emission and
+    returned for every draw (schemes.emission_draw).
+
     demo_force_embed is a labeled demonstration mode for deterministic hosts:
     when the cutoff passes without a match it fabricates an off-support
     output that marks correctly, trading detectability for reliability
@@ -291,9 +302,8 @@ def generic_asa_against_alg(
         raise ParameterError("could not fabricate a marking document")
 
     def enc(ak, am, s, x, sigma, rng):
-        doc, sigma = steg.enc(
-            ak, am, (), sigma, draw=lambda: alg.run_sample(s, x, rng), rng=rng
-        )
+        draw = emission_draw(alg.run, alg.coin_bits, s, x, rng)
+        doc, sigma = steg.enc(ak, am, (), sigma, draw=draw, rng=rng)
         if demo_force_embed:
             agrees = mark_agreement(_steg_prf(steg), params, ak, am)
             if not agrees(doc):

@@ -155,8 +155,16 @@ class GameReport:
         trials, successes = d["trials"], d["success_count"]
         if not all(type(v) is int for v in (trials, successes)) or not 0 <= successes <= trials:
             raise ParameterError("'trials' and 'success_count' must be counts, successes <= trials")
+        if not isinstance(d["game"], str):
+            raise ParameterError("'game' must be a string")
         if not isinstance(d["ci95"], list) or len(d["ci95"]) != 2:
             raise ParameterError("'ci95' must be a two-element list")
+        adv_ci = d.get("advantage_ci95")
+        if adv_ci is not None and not (isinstance(adv_ci, list) and len(adv_ci) == 2):
+            raise ParameterError("'advantage_ci95' must be null or a two-element list")
+        config = d.get("config", {})
+        if not isinstance(config, dict):
+            raise ParameterError("'config' must be an object")
         return GameReport(
             game=d["game"],
             trials=d["trials"],
@@ -164,9 +172,9 @@ class GameReport:
             p_hat=d["p_hat"],
             normalized_advantage=d.get("normalized_advantage"),
             ci95=tuple(d["ci95"]),
-            advantage_ci95=tuple(d["advantage_ci95"]) if d.get("advantage_ci95") else None,
+            advantage_ci95=tuple(adv_ci) if adv_ci else None,
             seed=d.get("seed"),
-            config=d.get("config", {}),
+            config=config,
         )
 
 

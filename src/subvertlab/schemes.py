@@ -20,6 +20,7 @@ forgers find them.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,9 +156,16 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
 # evicts the oldest. A trial uses one key throughout, so a few suffice.
 # Each key's entry also caches its ciphertexts, one Bits per message, built
 # the first time that message is encrypted (never all 2^ml up front: most
-# keys see few messages). Enc(k, m) is a point mass, so one rejection-sampling
-# emission on this host encrypts the same (k, m) up to s+1 times.
+# keys see few messages), and the inverse permutation, built on the key's
+# first decryption (most keys are only ever used to encrypt).
 _CODEBOOK_MEMO = 8
+
+
+def _invert(perm: list[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
 
 
 def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
@@ -169,21 +177,19 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     if kappa <= 0 or not 0 < ml <= _ENUM_LIMIT:
         raise ParameterError(f"det scheme needs kappa > 0 and 0 < ml <= {_ENUM_LIMIT}")
     size = 2**ml
-    books: dict[Bits, tuple[list[int], list[int], list[Bits | None]]] = {}
+    # per key: [permutation, its inverse or None until a dec, ciphertexts]
+    books: dict[Bits, list] = {}
 
-    def tables(k: Bits) -> tuple[list[int], list[int], list[Bits | None]]:
+    def tables(k: Bits) -> list:
         book = books.get(k)
         if book is None:
             seed = hmac_sha256(k.to_bytes(), b"codebook")
             shuffle_rng = random.Random(int.from_bytes(seed[:16], "big"))
             perm = list(range(size))
             shuffle_rng.shuffle(perm)
-            inv = [0] * size
-            for i, p in enumerate(perm):
-                inv[p] = i
             if len(books) >= _CODEBOOK_MEMO:
                 del books[next(iter(books))]
-            book = books[k] = (perm, inv, [None] * size)
+            book = books[k] = [perm, None, [None] * size]
         return book
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
@@ -199,7 +205,11 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != ml:
             return None
-        return Bits(tables(k)[1][c.uint], ml)
+        book = tables(k)
+        inv = book[1]
+        if inv is None:
+            inv = book[1] = _invert(book[0])
+        return Bits(inv[c.uint], ml)
 
     return SymmetricEncryptionScheme(
         scheme_id="det",
@@ -309,8 +319,11 @@ def sig_fixture(
 class RandomizedAlgorithm:
     """A keyed randomized algorithm y = R(s, x; coins) with published lengths.
 
-    input_gen supplies the public inputs when the algorithm is wrapped into
-    a channel; by default inputs are uniform bit strings.
+    run(s, x, coins) is a deterministic function of its three arguments;
+    run_sample draws the coins from a caller-supplied PRNG. With coin_bits 0
+    the output for fixed (s, x) is therefore one point, which emission_draw
+    relies on. input_gen supplies the public inputs when the algorithm is
+    wrapped into a channel; by default inputs are uniform bit strings.
     """
 
     alg_id: str
@@ -330,6 +343,30 @@ class RandomizedAlgorithm:
 
     def run_sample(self, s: Bits, x: Bits, rng: random.Random) -> Bits:
         return self.run(s, x, Bits.random(self.coin_bits, rng))
+
+
+def emission_draw(
+    run: Callable[[Bits, Bits, Bits], Bits],
+    coin_bits: int,
+    key: Bits,
+    x: Bits,
+    rng: random.Random,
+) -> Callable[[], Bits]:
+    """The honest host's sampler for one emission: each call returns
+    run(key, x, coins) on fresh coins from rng.
+
+    With no coin bits the explicit-coin run is a deterministic function of
+    (key, x), and Bits.random(0, rng) consumes no RNG state, so the honest
+    output is computed once here and every call returns that same object.
+    Callers see the same documents, in the same number, as from fresh runs.
+    """
+    if coin_bits == 0:
+        return itertools.repeat(run(key, x, Bits.random(0, rng))).__next__
+    return functools.partial(_run_on_fresh_coins, run, coin_bits, key, x, rng)
+
+
+def _run_on_fresh_coins(run, coin_bits, key, x, rng):
+    return run(key, x, Bits.random(coin_bits, rng))
 
 
 def alg_from_encryption(ses: SymmetricEncryptionScheme) -> RandomizedAlgorithm:

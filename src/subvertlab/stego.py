@@ -159,17 +159,22 @@ def encode_step(
 
     The mark is a deterministic function of the document, so a document
     rejected once is rejected again without re-marking it; every draw is
-    still taken, since draws consume the channel's randomness.
+    still taken, since draws consume the channel's randomness. On a
+    coin-free host every draw returns the very object drawn first
+    (schemes.emission_draw), so a draw that is the document just rejected
+    skips even the set lookup.
     """
     agrees = mark_agreement(prf, params, ak, am)
     rejected: set[Bits] = set()
+    last = None
     for _ in range(params.s):
         doc = draw()
-        if doc in rejected:
+        if doc is last or doc in rejected:
             continue
         if agrees(doc):
             return doc
         rejected.add(doc)
+        last = doc
     return draw()
 
 

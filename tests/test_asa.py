@@ -1,6 +1,8 @@
 """Substitution attacks: construction, coupling, universality, query counts."""
 
+import dataclasses
 import random
+from functools import partial
 
 import pytest
 
@@ -20,6 +22,7 @@ from subvertlab import (
     chi2_watchdog,
     det_scheme,
     encode_all,
+    encode_step,
     estimate_unrel,
     estimate_unrel_alg,
     generic_asa_against_alg,
@@ -36,6 +39,8 @@ from subvertlab import (
     universal_asa,
     watchdog_to_warden,
 )
+from subvertlab import stego
+from subvertlab.stego import mark_agreement
 
 import oracles
 
@@ -232,3 +237,127 @@ def test_watchdog_replayed_as_warden_decides_identically():
         against_attack = run_enc_asa_dist(asa, ses, wd, trials, seed=5, record=True)
         against_channel = run_ss_cha_dist(steg, channel, warden, trials, seed=5, record=True)
         assert against_attack.decisions == against_channel.decisions
+
+
+# --- one honest output per emission on a coin-free host --------------------
+
+COIN_FREE = {
+    "det": lambda: det_scheme(kappa=KAPPA, ml=8),
+    "randpad-0": lambda: randpad_scheme(r=0, kappa=KAPPA, ml=8),
+}
+HOSTS = {**COIN_FREE, "randpad-2": lambda: randpad_scheme(r=2, kappa=KAPPA, ml=8)}
+
+
+def _counting_enc(ses):
+    calls = []
+    enc = ses.enc
+
+    def counted(k, m, coins):
+        calls.append(1)
+        return enc(k, m, coins)
+
+    return dataclasses.replace(ses, enc=counted), calls
+
+
+def _count_draws(monkeypatch):
+    """Draws the encoder takes, one entry per emission."""
+    per_emission = []
+    real = stego.encode_step
+
+    def counting_step(prf, params, ak, am, draw):
+        n = 0
+
+        def counted():
+            nonlocal n
+            n += 1
+            return draw()
+
+        doc = real(prf, params, ak, am, counted)
+        per_emission.append(n)
+        return doc
+
+    monkeypatch.setattr(stego, "encode_step", counting_step)
+    return per_emission
+
+
+def _cases(ses, steg, n=60):
+    rng = random.Random(f"{ses.scheme_id}/cases")
+    for i in range(n):
+        ak, am = steg.gen(rng), Bits.random(steg.params.ml, rng)
+        yield i, ak, am, ses.gen(rng), Bits.random(ses.ml, rng)
+
+
+def _old_generic_enc(steg, alg, ak, am, s, x, rng, force):
+    """generic_asa_against_alg's enc as it was: a fresh run per draw."""
+    doc = encode_step(steg.prf, steg.params, ak, am, lambda: alg.run_sample(s, x, rng))
+    if force:
+        agrees = mark_agreement(steg.prf, steg.params, ak, am)
+        while not agrees(doc):
+            doc = Bits.random(alg.output_bits, rng)
+    return doc
+
+
+@pytest.mark.parametrize("host", sorted(HOSTS))
+def test_asa_enc_equals_fresh_encryption_per_draw(host):
+    ses = HOSTS[host]()
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
+    asa = asa_from_stego(steg, ses)
+    for i, ak, am, k, m in _cases(ses, steg):
+        rng, ref_rng = random.Random(i), random.Random(i)
+        c, _ = asa.enc(ak, am, k, m, None, rng)
+        ref = encode_step(steg.prf, steg.params, ak, am, partial(ses.enc_sample, k, m, ref_rng))
+        assert c == ref
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("host", sorted(HOSTS))
+def test_generic_enc_equals_fresh_run_per_draw(host, force):
+    ses = HOSTS[host]()
+    alg = alg_from_encryption(ses)
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
+    attack = generic_asa_against_alg(steg, alg, demo_force_embed=force)
+    forced = 0
+    for i, ak, am, s, x in _cases(ses, steg):
+        rng, ref_rng = random.Random(i), random.Random(i)
+        y, _ = attack.enc(ak, am, s, x, None, rng)
+        assert y == _old_generic_enc(steg, alg, ak, am, s, x, ref_rng, force)
+        assert rng.getstate() == ref_rng.getstate()
+        forced += rng.getstate() != random.Random(i).getstate()
+    if force and host in COIN_FREE:
+        assert forced > 0  # some emissions were fabricated, drawing from the rng
+
+
+@pytest.mark.parametrize("host", sorted(COIN_FREE))
+def test_coin_free_host_encrypts_once_per_emission(monkeypatch, host):
+    draws = _count_draws(monkeypatch)
+    ses, enc_calls = _counting_enc(COIN_FREE[host]())
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
+    alg = alg_from_encryption(ses)
+    for enc in (
+        asa_from_stego(steg, ses).enc,
+        generic_asa_against_alg(steg, alg).enc,
+        generic_asa_against_alg(steg, alg, demo_force_embed=True).enc,
+    ):
+        draws.clear()
+        enc_calls.clear()
+        for i, ak, am, k, m in _cases(ses, steg):
+            enc(ak, am, k, m, None, random.Random(i))
+        assert len(enc_calls) == len(draws) == 60
+        # the encoder still sees every draw: one on a match, s+1 on a cutoff
+        assert set(draws) == {1, steg.params.s + 1}
+
+
+def test_host_with_coins_encrypts_once_per_draw(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    ses, enc_calls = _counting_enc(randpad_scheme(r=2, kappa=KAPPA, ml=8))
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
+    for enc in (
+        asa_from_stego(steg, ses).enc,
+        generic_asa_against_alg(steg, alg_from_encryption(ses)).enc,
+    ):
+        draws.clear()
+        enc_calls.clear()
+        for i, ak, am, k, m in _cases(ses, steg):
+            enc(ak, am, k, m, None, random.Random(i))
+        assert len(enc_calls) == sum(draws) > len(draws) == 60

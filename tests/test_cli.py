@@ -303,6 +303,20 @@ def test_merge_names_the_line_missing_a_report_key(capsys, tmp_path):
     assert f"{bad}:1" in capsys.readouterr().err
 
 
+def test_merge_names_the_line_with_a_malformed_field(capsys, tmp_path):
+    line = {"game": "cpa-dist", "schema": "subvertlab/1", "trials": 9, "success_count": 1,
+            "p_hat": 0.1, "ci95": [0, 1]}
+    path = tmp_path / "report.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    assert cli.main(["report", "merge", str(path)]) == 0
+    capsys.readouterr()
+    for key, value in (("config", [1]), ("advantage_ci95", 5), ("game", ["x"])):
+        path.write_text(json.dumps(line | {key: value}) + "\n")
+        assert cli.main(["report", "merge", str(path)]) == 2, key
+        err = capsys.readouterr().err
+        assert f"{path}:1" in err and repr(key) in err and "Traceback" not in err, key
+
+
 def test_sidecar_records_the_argv_main_was_given(capsys, tmp_path):
     out = str(tmp_path / "cpa.jsonl")
     argv = ["game", "cpa", "--r", "2", "--trials", "10", "--seed", "1", "--out", out]

@@ -144,6 +144,28 @@ def test_det_ciphertexts_match_reference_and_are_cached_per_key(ml):
             first.setdefault((k, m), c)
 
 
+def test_det_inverse_is_built_on_first_dec_only(monkeypatch):
+    inversions = []
+    invert = schemes._invert
+    monkeypatch.setattr(schemes, "_invert", lambda perm: inversions.append(1) or invert(perm))
+    ses = det_scheme(16, ml=8)
+    no_coins = Bits.zeros(0)
+    keys = [Bits(977 * i + 3, 16) for i in range(schemes._CODEBOOK_MEMO + 1)]
+    messages = [Bits(m, 8) for m in range(256)]
+
+    def decrypts(k):
+        book = oracles.det_codebook_bits(k.bin(), 8)
+        return [ses.dec(k, Bits(int(c, 2), 8)) for c in book] == messages
+
+    assert decrypts(keys[0]) and len(inversions) == 1  # dec before any enc
+    cts = [ses.enc(keys[1], m, no_coins) for m in messages]
+    assert len(inversions) == 1  # enc alone builds no inverse
+    assert [ses.dec(keys[1], c) for c in cts] == messages and len(inversions) == 2
+    for k in keys[2:]:
+        ses.enc(k, messages[0], no_coins)  # the last key evicts keys[0]
+    assert decrypts(keys[0]) and len(inversions) == 3
+
+
 def test_sig_fixture_sign_verify():
     sig = sig_fixture("coin-injective", 16, ml=8, coin_bits=8, tag_bits=64)
     assert sig.sigl == 72

@@ -108,7 +108,7 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     params = StegoParams(ml=1, s=7, outl=4, kappa=64)
     prf = Prf(64)
     key = Bits.random(64, random.Random(0))
-    candidates = (Bits(v, 16) for v in range(64))
+    candidates = [Bits(v, 16) for v in range(64)]
     zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
     macs = []
     real_mac = subvertlab.prf.hmac_sha256
@@ -124,6 +124,11 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     assert run(1, [zero0]) == (zero0, params.s + 1, 1)  # rejected: s+1 draws
     assert run(0, [zero0]) == (zero0, 1, 1)  # accepted: one draw
     assert run(1, [zero0, zero1]) == (zero1, params.s + 1, 2)
+    # a repeated object, an equal copy and a return to an earlier document
+    # are all skipped without a MAC, until a document that marks 1
+    one = next(d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 1)
+    stream = [zero0, zero0, Bits(zero0.uint, 16), zero1, zero0, one]
+    assert run(1, stream) == (one, 6, 3)
 
 
 @settings(max_examples=60, deadline=None)
