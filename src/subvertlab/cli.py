@@ -291,8 +291,7 @@ def cmd_stego_embed(args):
     am = _hex_bits(args.message, steg.params.ml, "--message")
     rng = substream(seed, "stego-embed")
     if args.schedule:
-        schedule = [int(x) for x in args.schedule.split(",")]
-        docs = encode_schedule(steg, ak, am, schedule, channel, rng)
+        docs = encode_schedule(steg, ak, am, args.schedule, channel, rng)
     else:
         docs = encode_all(steg, ak, am, (), channel, rng)
     lines = [
@@ -374,9 +373,7 @@ def cmd_stego_roundtrip(args):
     steg = _stego(args)
     channel = _channel(args, seed)
     if args.reboot:
-        schedules = None
-        if args.schedule:
-            schedules = [[int(x) for x in args.schedule.split(",")]]
+        schedules = [args.schedule] if args.schedule else None
         report = estimate_unrel_reboot(
             steg, channel, args.trials, seed, schedules=schedules, jobs=args.jobs
         )
@@ -669,6 +666,10 @@ def _nonneg_int_list(text):
     return [_nonneg_int(x) for x in text.split(",")]
 
 
+def _positive_int_list(text):
+    return [_positive_int(x) for x in text.split(",")]
+
+
 def _add_common(p, trials=True):
     """--seed and --out; --trials and --jobs too for commands that run trials."""
     p.add_argument("--seed", type=int, default=None, help="base seed (env SUBVERTLAB_SEED, then 0)")
@@ -778,7 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel(p)
     p.add_argument("--message", required=True, help="hidden message, hex")
     p.add_argument("--key", help="attacker key, hex (default: derived from seed)")
-    p.add_argument("--schedule", help="reboot segment lengths, comma separated")
+    p.add_argument(
+        "--schedule", type=_positive_int_list, help="reboot segment lengths, comma separated"
+    )
     p.set_defaults(func=cmd_stego_embed)
 
     p = stego.add_parser("extract", help="extract from a saved session file")
@@ -795,7 +798,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel(p)
     p.add_argument("--history-mode", choices=["empty", "sampled"], default="empty")
     p.add_argument("--reboot", action="store_true", help="wipe state between segments")
-    p.add_argument("--schedule", help="fixed reboot schedule, comma separated")
+    p.add_argument(
+        "--schedule", type=_positive_int_list, help="fixed reboot schedule, comma separated"
+    )
     p.set_defaults(func=cmd_stego_roundtrip)
 
     # asa
@@ -954,7 +959,7 @@ def main(argv=None) -> int:
     except SubvertLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a named file that cannot be opened: missing, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -337,6 +337,9 @@ def test_count_options_are_checked_at_parse_time(capsys):
         ["channel", "sample", "--depth", "-1"],
         ["channel", "entropy", "--depth", "-1"],
         ["channel", "entropy", "--depths", "0,-1"],
+        ["stego", "embed", "--message", "a", "--schedule", "a,b"],
+        ["stego", "embed", "--message", "a", "--schedule", "8,0"],
+        ["stego", "roundtrip", "--reboot", "--schedule", "x"],
     ):
         with pytest.raises(SystemExit) as exited:
             cli.main(argv)
@@ -349,6 +352,21 @@ def test_count_options_are_checked_at_parse_time(capsys):
                  "--trials", "4", "--seed", "1"],
     )
     assert rc == 0 and lines[0]["success_count"] == 0
+
+
+def test_a_directory_where_a_file_belongs_exits_2(capsys, tmp_path):
+    report = str(tmp_path / "cpa.jsonl")
+    assert cli.main(["game", "cpa", "--trials", "5", "--out", report]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["report", "merge", str(tmp_path)],
+        ["report", "merge", report, "--csv", str(tmp_path)],
+        ["game", "cpa", "--trials", "5", "--out", str(tmp_path)],
+        ["stego", "extract", "--file", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err and "Traceback" not in err, argv
 
 
 def test_odd_hex_message_longer_than_its_digits_exits_2(capsys):

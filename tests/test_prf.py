@@ -161,3 +161,92 @@ def test_hmac_pad_memo_stays_bounded():
     # an evicted key is rebuilt and still gives the right digest
     assert hmac_sha256(keys[0], b"x") == oracles.manual_hmac_sha256(keys[0], b"x")
     assert len(prf_module._pads) == cap
+
+
+def _manual_split(key, doc, block_bits, n_slots):
+    digest = oracles.manual_hmac_sha256(key.to_bytes(), doc.to_bytes())
+    out = format(int.from_bytes(digest, "big"), "0256b")
+    value, j = oracles.rejsam_mark_bits(out, block_bits, n_slots)
+    return int(value, 2), j
+
+
+def test_mark_tables_match_manual_split_on_every_call(monkeypatch):
+    # one key under two (block_bits, n_slots) pairs: each pair has its own
+    # table, and a repeated document costs no HMAC and returns its first tuple
+    monkeypatch.setattr(prf_module, "_marks", {})
+    macs = []
+    monkeypatch.setattr(prf_module, "hmac_sha256", lambda *a: macs.append(1) or hmac_sha256(*a))
+    prf = Prf(64)
+    key = Bits.random(64, random.Random(31))
+    docs = [Bits(v, 24) for v in range(0, 3000, 97)]
+    splits = ((1, 16), (3, 5))
+    first = {}
+    for _ in range(2):
+        for doc in docs:
+            for block_bits, n_slots in splits:
+                mark = prf_split_block(prf, key, doc, block_bits, n_slots)
+                value, j = mark
+                assert (value.uint, j) == _manual_split(key, doc, block_bits, n_slots)
+                assert len(value) == block_bits
+                assert first.setdefault((doc, block_bits), mark) is mark
+        assert len(macs) == len(docs) * len(splits)
+
+
+def test_mark_tables_stay_bounded_and_rebuild_right(monkeypatch):
+    monkeypatch.setattr(prf_module, "_marks", {})
+    monkeypatch.setattr(prf_module, "TABLE_ENTRIES", 3)
+    prf = Prf(32)
+    keys = [Bits(7919 * i + 1, 32) for i in range(prf_module.TABLE_KEYS + 2)]
+
+    def right(key, doc):
+        value, j = prf_split_block(prf, key, doc, 1, 16)
+        return (value.uint, j) == _manual_split(key, doc, 1, 16)
+
+    doc = Bits(0xBEEF, 16)
+    for key in keys:
+        assert right(key, doc)
+        assert len(prf_module._marks) <= prf_module.TABLE_KEYS
+    held = [kb for kb, _, _ in prf_module._marks]
+    assert held == [key.to_bytes() for key in keys[-prf_module.TABLE_KEYS :]]
+    # an evicted key's table is rebuilt, and its marks are still right
+    assert right(keys[0], doc)
+    table = prf_module._marks[keys[0].to_bytes(), 1, 16]
+    # a table that reaches TABLE_ENTRIES entries is emptied, then refilled
+    sizes = []
+    for v in range(7):
+        assert right(keys[0], Bits(v, 16))
+        sizes.append(len(table))
+    assert sizes == [2, 3, 1, 2, 3, 1, 2]
+    assert right(keys[0], Bits(0, 16)) and right(keys[0], doc)
+
+
+def test_split_checks_its_arguments_on_every_call():
+    prf = Prf(64)
+    key = Bits(0xC0FFEE << 8, 64)
+    short_key = Bits(key.uint >> 1, 63)
+    assert short_key.to_bytes() == key.to_bytes()  # same bytes, same table
+    doc = Bits(0x1234, 16)
+    good = prf_split_block(prf, key, doc, 4, 8)
+    for _ in range(2):
+        for bad in (
+            lambda: prf_split_block(prf, key, doc, 0, 8),
+            lambda: prf_split_block(prf, key, doc, 4, 0),
+            lambda: prf_split_block(Prf(64, out_bits=6), key, doc, 4, 8),
+            lambda: prf_split_block(Prf(63), key, doc, 4, 8),
+            lambda: prf_split_block(prf, short_key, doc, 4, 8),
+        ):
+            with pytest.raises(ParameterError):
+                bad()
+        assert prf_split_block(prf, key, doc, 4, 8) is good
+
+
+def test_documents_with_equal_padded_bytes_mark_the_same(monkeypatch):
+    prf = Prf(64)
+    key = Bits.random(64, random.Random(41))
+    for pair in ((Bits(0b1011, 4), Bits(0b10110000, 8)), (Bits(0x1FF, 9), Bits(0xFF80, 16))):
+        assert pair[0].to_bytes() == pair[1].to_bytes()
+        for docs in (pair, pair[::-1]):
+            monkeypatch.setattr(prf_module, "_marks", {})
+            marks = [prf_split_block(prf, key, doc, 2, 16) for doc in docs]
+            assert marks[0] == marks[1]
+            assert (marks[0][0].uint, marks[0][1]) == _manual_split(key, docs[0], 2, 16)

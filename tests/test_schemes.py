@@ -17,6 +17,7 @@ from subvertlab import (
     sig_fixture,
 )
 from subvertlab import schemes
+from subvertlab.prf import TABLE_KEYS
 
 
 def test_randpad_shape_and_decrypt():
@@ -109,7 +110,7 @@ def test_det_codebook_memo_stays_bounded(monkeypatch):
     first = Bits(0, 32)
     images = [ses.enc(first, Bits(m, 8), Bits.zeros(0)) for m in range(256)]
     assert len(builds) == 1  # one codebook per key, built on first use
-    cap = schemes._CODEBOOK_MEMO
+    cap = TABLE_KEYS
     for i in range(1, 5 * cap):
         ses.enc(Bits(i, 32), Bits(0, 8), Bits.zeros(0))
     assert len(builds) == 5 * cap
@@ -127,7 +128,7 @@ def test_det_codebook_memo_stays_bounded(monkeypatch):
 def test_det_ciphertexts_match_reference_and_are_cached_per_key(ml):
     ses = det_scheme(16, ml=ml)
     no_coins = Bits.zeros(0)
-    keys = [Bits(4099 * i + 1, 16) for i in range(schemes._CODEBOOK_MEMO + 2)]
+    keys = [Bits(4099 * i + 1, 16) for i in range(TABLE_KEYS + 2)]
     first = {}
     # the last pass revisits the first two keys, evicted by then and rebuilt
     for k in keys + keys[:2]:
@@ -150,7 +151,7 @@ def test_det_inverse_is_built_on_first_dec_only(monkeypatch):
     monkeypatch.setattr(schemes, "_invert", lambda perm: inversions.append(1) or invert(perm))
     ses = det_scheme(16, ml=8)
     no_coins = Bits.zeros(0)
-    keys = [Bits(977 * i + 3, 16) for i in range(schemes._CODEBOOK_MEMO + 1)]
+    keys = [Bits(977 * i + 3, 16) for i in range(TABLE_KEYS + 1)]
     messages = [Bits(m, 8) for m in range(256)]
 
     def decrypts(k):
@@ -207,6 +208,101 @@ def test_sig_fixture_validation():
     sig = sig_fixture("coin-injective", 16, ml=8, coin_bits=8)
     with pytest.raises(ParameterError):
         sig.sign(Bits.zeros(16), Bits.zeros(4), Bits.zeros(8))
+
+
+def _count_macs(monkeypatch):
+    macs = []
+    real = schemes.hmac_sha256
+    monkeypatch.setattr(schemes, "hmac_sha256", lambda *a: macs.append(1) or real(*a))
+    return macs
+
+
+def test_randpad_pad_table_matches_reference_on_every_call(monkeypatch):
+    # a key has 2^r pads: each is derived once, and enc and dec share it
+    macs = _count_macs(monkeypatch)
+    ses = randpad_scheme(4, 16, ml=8)
+    rng = random.Random(11)
+    k = Bits.random(16, rng)
+    msgs = [Bits.random(8, rng) for _ in range(3)]
+    for _ in range(2):
+        for rho in range(16):
+            coins = Bits(rho, 4)
+            for m in msgs:
+                c = ses.enc(k, m, coins)
+                assert c.bin() == oracles.randpad_enc_bits(k.bin(), m.bin(), coins.bin())
+                other = c ^ Bits(0x5A, 12)  # same coins, another body
+                assert ses.dec(k, c) == m
+                assert ses.dec(k, other).bin() == oracles.randpad_dec_bits(k.bin(), other.bin(), 4, 8)
+        assert len(macs) == 16
+    # the checks run before the lookup, also on bytes the table holds
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            ses.enc(k, Bits(msgs[0].uint, 9), Bits(0, 4))
+        with pytest.raises(ParameterError):
+            ses.enc(k, msgs[0], Bits(0, 5))
+        assert ses.dec(k, Bits(ses.enc(k, msgs[0], Bits(0, 4)).uint, 13)) is None
+
+
+@pytest.mark.parametrize("kind", ["coin-extractable", "unique"])
+def test_sig_tag_table_matches_reference_on_every_call(kind, monkeypatch):
+    macs = _count_macs(monkeypatch)
+    sig = sig_fixture(kind, 16, ml=6, coin_bits=3, tag_bits=10)
+    c, t = sig.coin_bits, sig.tag_bits
+    sk = Bits(0x1D2C, 16)
+    payloads = [(Bits(m, 6), Bits(rho, c)) for m in (5, 40) for rho in range(2**c)]
+    for _ in range(2):
+        for m, coins in payloads:
+            s = sig.sign(sk, m, coins)
+            assert s.bin() == oracles.sig_sign_bits(sk.bin(), m.bin(), coins.bin(), t)
+            for cand in (s, s ^ Bits(1, c + t)):
+                assert sig.vrfy(sk, m, cand) == oracles.sig_vrfy_bits(
+                    sk.bin(), m.bin(), cand.bin(), 6, c, t
+                )
+        assert len(macs) == len(payloads)
+    # the checks run before the lookup, also on bytes the table holds
+    m, coins = payloads[0]
+    s = sig.sign(sk, m, coins)
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            sig.sign(sk, Bits(m.uint, 7), coins)
+        with pytest.raises(ParameterError):
+            sig.sign(sk, m, Bits(coins.uint, c + 1))
+        assert not sig.vrfy(sk, Bits(m.uint, 7), s)
+        assert not sig.vrfy(sk, m, Bits(s.uint, c + t + 1))
+        assert sig.vrfy(sk, m, s)
+
+
+def test_scheme_tables_stay_bounded_and_rebuild_right(monkeypatch):
+    macs = _count_macs(monkeypatch)
+    m = Bits(0xA7, 8)
+
+    def right(ses, sig, k, rho):
+        coins = Bits(rho, 4)
+        c, s = ses.enc(k, m, coins), sig.sign(k, m, coins)
+        return (
+            c.bin() == oracles.randpad_enc_bits(k.bin(), m.bin(), coins.bin())
+            and s.bin() == oracles.sig_sign_bits(k.bin(), m.bin(), coins.bin(), 12)
+            and sig.vrfy(k, m, s)
+        )
+
+    ses = randpad_scheme(4, 16, ml=8)
+    sig = sig_fixture("coin-extractable", 16, ml=8, coin_bits=4, tag_bits=12)
+    keys = [Bits(31 * i + 7, 16) for i in range(TABLE_KEYS + 1)]
+    for k in keys:
+        assert right(ses, sig, k, 0)
+    assert len(macs) == 2 * len(keys)
+    # the latest TABLE_KEYS keys are held; the first was evicted and is rebuilt
+    assert all(right(ses, sig, k, 0) for k in keys[1:]) and len(macs) == 2 * len(keys)
+    assert right(ses, sig, keys[0], 0) and len(macs) == 2 * len(keys) + 2
+    # a table that reaches TABLE_ENTRIES entries is emptied: with 3, rho 3
+    # and rho 6 each find a full table, so only rho 6 is held after rho 6
+    monkeypatch.setattr(schemes, "TABLE_ENTRIES", 3)
+    ses = randpad_scheme(4, 16, ml=8)
+    sig = sig_fixture("coin-extractable", 16, ml=8, coin_bits=4, tag_bits=12)
+    macs.clear()
+    assert all(right(ses, sig, keys[0], rho) for rho in range(7)) and len(macs) == 14
+    assert right(ses, sig, keys[0], 6) and len(macs) == 14
+    assert right(ses, sig, keys[0], 0) and len(macs) == 16
 
 
 def test_params_dicts():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import subvertlab.prf
+import subvertlab.stego
 from subvertlab import (
     Bits,
     InvalidHistoryError,
@@ -103,29 +103,32 @@ def test_encode_step_draw_budget_is_exact():
 
 def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     # ml=1: one slot, the mark is one PRF bit. The mark is a function of the
-    # document, so a stream stuck on rejected documents costs one HMAC per
-    # distinct document, while every one of the s+1 draws is still taken
+    # document, so a stream stuck on rejected documents costs one mark per
+    # distinct document, while every one of the s+1 draws is still taken.
+    # Marks are counted as calls, not HMACs: the PRF's own table would
+    # answer a re-mark without an HMAC and hide it
     params = StegoParams(ml=1, s=7, outl=4, kappa=64)
     prf = Prf(64)
     key = Bits.random(64, random.Random(0))
     candidates = [Bits(v, 16) for v in range(64)]
     zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
-    macs = []
-    real_mac = subvertlab.prf.hmac_sha256
-    monkeypatch.setattr(subvertlab.prf, "hmac_sha256", lambda *a: macs.append(1) or real_mac(*a))
+    marks = []
+    monkeypatch.setattr(
+        subvertlab.stego, "prf_split_block", lambda *a: marks.append(1) or prf_split_block(*a)
+    )
 
     def run(am, stream):
-        macs.clear()
+        marks.clear()
         it = itertools.cycle(stream)
         draws = []
         doc = encode_step(prf, params, key, Bits(am, 1), lambda: draws.append(1) or next(it))
-        return doc, len(draws), len(macs)
+        return doc, len(draws), len(marks)
 
     assert run(1, [zero0]) == (zero0, params.s + 1, 1)  # rejected: s+1 draws
     assert run(0, [zero0]) == (zero0, 1, 1)  # accepted: one draw
     assert run(1, [zero0, zero1]) == (zero1, params.s + 1, 2)
     # a repeated object, an equal copy and a return to an earlier document
-    # are all skipped without a MAC, until a document that marks 1
+    # are all skipped without a mark, until a document that marks 1
     one = next(d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 1)
     stream = [zero0, zero0, Bits(zero0.uint, 16), zero1, zero0, one]
     assert run(1, stream) == (one, 6, 3)
