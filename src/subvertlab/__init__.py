@@ -6,235 +6,29 @@ encryption / signature / randomized-algorithm fixtures with explicit coins;
 history-indexed channels derived from those fixtures; the rejection-sampling
 embedder; substitution attacks built from it (and the reverse wrapping);
 Monte Carlo distinguishing, reliability and forgery games; and the signed
-family rate experiment.
+family rate experiment. The package exports exactly its modules' __all__.
 """
 
-from .bits import Bits, History, decode_history, encode_history
-from .errors import (
-    InvalidHistoryError,
-    InvariantViolation,
-    LengthMismatchError,
-    NoExactPmfError,
-    ParameterError,
-    ScheduleError,
-    SchemaMismatchError,
-    SubvertLabError,
-    UniversalityViolation,
-    WrongDocumentCountError,
-)
-from .rng import TrialStreams, substream
-from .prf import Prf, is_power_of_two, prf_split_block, prf_split_eval
-from .schemes import (
-    RandomizedAlgorithm,
-    SignatureScheme,
-    SymmetricEncryptionScheme,
-    alg_from_encryption,
-    alg_from_signing,
-    det_scheme,
-    randpad_scheme,
-    sig_fixture,
-)
-from .channels import (
-    Channel,
-    MinEntropyReport,
-    channel_pmf,
-    channel_sample,
-    channel_support,
-    channel_walk,
-    min_entropy_estimate,
-    min_entropy_exact,
-    rand_alg_channel,
-    ses_channel,
-    uniform_channel,
-)
-from .stego import (
-    StegoParams,
-    StegoSystem,
-    default_beta,
-    encode_all,
-    encode_schedule,
-    encode_step,
-    outl_for,
-    rejsam_decode,
-    rejsam_system,
-)
-from .asa import (
-    AlgSubstitutionAttack,
-    OracleQuery,
-    OracleTranscript,
-    QueryCountEstimate,
-    SubstitutionAttack,
-    UniversalHost,
-    alg_enc_all,
-    asa_enc_all,
-    asa_from_stego,
-    generic_asa_against_alg,
-    query_count,
-    transcript_json_lines,
-    universal_asa,
-    watchdog_to_warden,
-)
-from .converse import stego_from_asa, wrapped_warden_to_watchdog
-from .games import (
-    SCHEMA,
-    Adversary,
-    GameReport,
-    advantage_and_ci,
-    estimate_unrel,
-    estimate_unrel_alg,
-    estimate_unrel_reboot,
-    estimate_unrel_stego,
-    merge_reports,
-    random_composition,
-    run_cpa_dist,
-    run_enc_asa_dist,
-    run_rasa_dist,
-    run_sig_forge,
-    run_ss_cha_dist,
-    wilson_ci,
-)
-from .adversaries import (
-    chi2_attacker,
-    chi2_quantile,
-    chi2_warden,
-    chi2_watchdog,
-    constant_guess,
-    default_attackers,
-    default_wardens,
-    default_watchdogs,
-    random_forger,
-    random_guess,
-    repeat_attacker,
-    repeat_warden,
-    repeat_watchdog,
-    replay_forger,
-    search_forger,
-)
-from .lowerbound import (
-    PhiReport,
-    SignedFamily,
-    fabricating_asa,
-    forger_from_fabricating_asa,
-    forger_from_universal_asa,
-    make_signed_family,
-    phi,
-    rate_report,
-)
+from . import bits, errors, rng, prf, schemes, channels, stego, asa, converse, games
+from . import adversaries, lowerbound
+from .bits import *
+from .errors import *
+from .rng import *
+from .prf import *
+from .schemes import *
+from .channels import *
+from .stego import *
+from .asa import *
+from .converse import *
+from .games import *
+from .adversaries import *
+from .lowerbound import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # bits / rng / prf
-    "Bits",
-    "History",
-    "encode_history",
-    "decode_history",
-    "TrialStreams",
-    "substream",
-    "Prf",
-    "is_power_of_two",
-    "prf_split_eval",
-    "prf_split_block",
-    # errors
-    "SubvertLabError",
-    "ParameterError",
-    "LengthMismatchError",
-    "InvalidHistoryError",
-    "NoExactPmfError",
-    "WrongDocumentCountError",
-    "ScheduleError",
-    "InvariantViolation",
-    "UniversalityViolation",
-    "SchemaMismatchError",
-    # schemes
-    "SymmetricEncryptionScheme",
-    "SignatureScheme",
-    "RandomizedAlgorithm",
-    "randpad_scheme",
-    "det_scheme",
-    "sig_fixture",
-    "alg_from_encryption",
-    "alg_from_signing",
-    # channels
-    "Channel",
-    "channel_sample",
-    "channel_walk",
-    "channel_pmf",
-    "channel_support",
-    "uniform_channel",
-    "ses_channel",
-    "rand_alg_channel",
-    "MinEntropyReport",
-    "min_entropy_exact",
-    "min_entropy_estimate",
-    # stego
-    "StegoParams",
-    "StegoSystem",
-    "default_beta",
-    "outl_for",
-    "rejsam_decode",
-    "rejsam_system",
-    "encode_all",
-    "encode_schedule",
-    "encode_step",
-    # attacks
-    "SubstitutionAttack",
-    "AlgSubstitutionAttack",
-    "OracleQuery",
-    "OracleTranscript",
-    "UniversalHost",
-    "QueryCountEstimate",
-    "asa_from_stego",
-    "asa_enc_all",
-    "alg_enc_all",
-    "universal_asa",
-    "generic_asa_against_alg",
-    "query_count",
-    "transcript_json_lines",
-    "watchdog_to_warden",
-    "stego_from_asa",
-    "wrapped_warden_to_watchdog",
-    # games
-    "SCHEMA",
-    "Adversary",
-    "GameReport",
-    "wilson_ci",
-    "advantage_and_ci",
-    "merge_reports",
-    "run_cpa_dist",
-    "run_enc_asa_dist",
-    "run_ss_cha_dist",
-    "run_rasa_dist",
-    "run_sig_forge",
-    "estimate_unrel",
-    "estimate_unrel_alg",
-    "estimate_unrel_stego",
-    "estimate_unrel_reboot",
-    "random_composition",
-    # adversaries
-    "chi2_quantile",
-    "constant_guess",
-    "random_guess",
-    "repeat_attacker",
-    "chi2_attacker",
-    "repeat_watchdog",
-    "chi2_watchdog",
-    "repeat_warden",
-    "chi2_warden",
-    "replay_forger",
-    "random_forger",
-    "search_forger",
-    "default_attackers",
-    "default_watchdogs",
-    "default_wardens",
-    # lower bound
-    "SignedFamily",
-    "make_signed_family",
-    "PhiReport",
-    "phi",
-    "fabricating_asa",
-    "forger_from_universal_asa",
-    "forger_from_fabricating_asa",
-    "rate_report",
+__all__ = ["__version__"] + [
+    name
+    for module in (bits, errors, rng, prf, schemes, channels, stego, asa, converse, games,
+                   adversaries, lowerbound)
+    for name in module.__all__
 ]

@@ -162,30 +162,24 @@ _DIST_ADVERSARIES = {
 
 
 def _adversary(args, kind):
-    entry = _DIST_ADVERSARIES.get(args.adversary)
-    if entry is None:
-        raise ParameterError(f"unknown adversary: {args.adversary}")
+    entry = _DIST_ADVERSARIES[args.adversary]  # a key: the parser takes only the dict's keys
     if callable(entry):
         return entry(args, kind)
     return entry[kind](args)
 
 
-def _forger(args, name):
-    if name == "replay":
-        return replay_forger()
-    if name == "random":
-        return random_forger()
-    if name == "search":
-        return search_forger(args.budget)
-    if name == "universal":
-        ses = _scheme(args)
-        return forger_from_universal_asa(_stego(args), ses, _sig_for_family(args))
-    if name == "fabricating":
-        ses = _scheme(args)
-        return forger_from_fabricating_asa(
-            ses, _sig_for_family(args), ml=args.fab_ml, decoys=args.decoys, budget=args.budget
-        )
-    raise ParameterError(f"unknown forger: {name}")
+# forger builders by name; game forge's --adversary takes the keys
+_FORGERS = {
+    "replay": lambda args: replay_forger(),
+    "random": lambda args: random_forger(),
+    "search": lambda args: search_forger(args.budget),
+    "universal": lambda args: forger_from_universal_asa(
+        _stego(args), _scheme(args), _sig_for_family(args)
+    ),
+    "fabricating": lambda args: forger_from_fabricating_asa(
+        _scheme(args), _sig_for_family(args), ml=args.fab_ml, decoys=args.decoys, budget=args.budget
+    ),
+}
 
 
 # --- output ------------------------------------------------------------------
@@ -369,6 +363,10 @@ def cmd_stego_extract(args):
 
 
 def cmd_stego_roundtrip(args):
+    if args.schedule and not args.reboot:
+        raise ParameterError("--schedule needs --reboot")
+    if args.reboot and args.history_mode == "sampled":
+        raise ParameterError("--history-mode sampled does not apply with --reboot")
     seed = _seed(args)
     steg = _stego(args)
     channel = _channel(args, seed)
@@ -518,7 +516,7 @@ def _forge(args, name):
     """Forgery game against the forger `name`; attack-driven forgers face
     the fixture resized to sign ciphertexts."""
     sig = _sig_for_family(args) if name in ("universal", "fabricating") else _sig(args)
-    report = run_sig_forge(sig, _forger(args, name), args.trials, _seed(args), jobs=args.jobs)
+    report = run_sig_forge(sig, _FORGERS[name](args), args.trials, _seed(args), jobs=args.jobs)
     return [report.to_json_dict()]
 
 
@@ -573,7 +571,7 @@ def cmd_lb_rate(args):
     ses = _scheme(args)
     sig = _sig_for_family(args)
     family = make_signed_family(ses, sig, substream(seed, "family"))
-    forger = _forger(args, args.attack)
+    forger = _FORGERS[args.attack](args)
     if args.attack == "fabricating":
         attack = fabricating_asa(family, ml=args.fab_ml, decoys=args.decoys, budget=args.budget)
         query = float(args.query) if args.query is not None else float(args.decoys)
@@ -662,71 +660,169 @@ _positive_int = _int_at_least(1, "positive")
 _nonneg_int = _int_at_least(0, "non-negative")  # --budget 0: no search at all
 
 
-def _nonneg_int_list(text):
-    return [_nonneg_int(x) for x in text.split(",")]
+def _int_list(item):
+    return lambda text: [item(x) for x in text.split(",")]
 
 
-def _positive_int_list(text):
-    return [_positive_int(x) for x in text.split(",")]
+def _opt(flag, **kwargs):
+    """One option: its flag and its add_argument keywords."""
+    return flag, kwargs
 
 
-def _add_common(p, trials=True):
-    """--seed and --out; --trials and --jobs too for commands that run trials."""
-    p.add_argument("--seed", type=int, default=None, help="base seed (env SUBVERTLAB_SEED, then 0)")
-    if trials:
-        p.add_argument("--trials", type=_positive_int, default=200)
-        p.add_argument(
+def _budget(default):
+    return _opt("--budget", type=_nonneg_int, default=default)
+
+
+# option groups by name; a subcommand's row lists the groups it takes
+_GROUPS = {
+    "out": (_opt("--out", help="also write stdout to this file (plus a .meta.json sidecar)"),),
+    "run": (
+        _opt("--trials", type=_positive_int, default=200),
+        _opt(
             "--jobs",
             type=_positive_int,
             default=1,
             help="worker processes; results are identical at any value",
-        )
-    p.add_argument("--out", help="also write the JSON lines to this file (plus .meta.json sidecar)")
+        ),
+    ),
+    "host": (
+        _opt("--host", choices=["randpad", "det"], default="randpad"),
+        _opt("--kappa", type=int, default=16, help="host key bits"),
+        _opt("--r", type=int, default=8, help="host coin bits"),
+        _opt("--host-ml", type=int, default=8, help="host message bits"),
+    ),
+    "sig": (
+        _opt(
+            "--sig",
+            choices=["coin-injective", "coin-extractable", "unique"],
+            default="coin-injective",
+        ),
+        _opt("--sig-ml", type=int, default=8, help="signed message bits"),
+        _opt("--sig-coins", type=int, default=8),
+        _opt("--tag-bits", type=int, default=64),
+    ),
+    "stego": (
+        _opt("--ml", type=int, default=8, help="hidden message bits"),
+        _opt("--s", type=int, default=64, help="rejection cutoff"),
+        _opt("--outl", type=int, default=None, help="documents per message (default: derived)"),
+        _opt("--beta", type=float, default=None),
+        _opt("--block-bits", type=int, default=1),
+        _opt("--stego-kappa", type=int, default=128, help="attacker key bits"),
+    ),
+    "channel": (
+        _opt("--channel", choices=["uniform", "ses", "rand-alg", "signed"], default="ses"),
+        _opt("--ell", type=int, default=4, help="messages per channel session"),
+        _opt("--doc-bits", type=int, default=8, help="document bits for the uniform channel"),
+    ),
+    # a dict of builders is its own list of choices: argparse tests a choice
+    # with `in` and lists them by iterating, and both see the keys
+    "dist": (
+        _opt("--adversary", choices=_DIST_ADVERSARIES, default="repeat"),
+        _opt("--queries", type=_positive_int, default=2),
+        _opt("--bins", type=int, default=4),
+    ),
+    "fab": (
+        _opt("--fab-ml", type=int, default=64, help="fabricated hidden message bits"),
+        _opt("--decoys", type=_positive_int, default=4),
+    ),
+    "rasa": (
+        _opt("--rasa-host", choices=["enc", "signed"], default="enc"),
+        _opt("--attack", choices=["rejsam", "fabricating"], default="rejsam"),
+        _opt("--force-embed", action="store_true"),
+    ),
+    "session": (
+        _opt("--file", required=True),
+        _opt("--key", help="attacker key, hex (default: from the file header)"),
+    ),
+}
+_HISTORY_MODE = _opt("--history-mode", choices=["empty", "sampled"], default="empty")
+_SCHEDULE = _opt(
+    "--schedule", type=_int_list(_positive_int), help="reboot segment lengths, comma separated"
+)
+_LB_ATTACK = _opt("--attack", choices=["universal", "fabricating"], default="fabricating")
 
+_COMMAND_HELP = {
+    "channel": "document channels",
+    "stego": "embedding and extraction",
+    "asa": "substitution attacks",
+    "game": "Monte Carlo security games",
+    "lowerbound": "rate lower-bound experiment",
+    "report": "report file utilities",
+}
 
-def _add_host(p):
-    p.add_argument("--host", choices=["randpad", "det"], default="randpad")
-    p.add_argument("--kappa", type=int, default=16, help="host key bits")
-    p.add_argument("--r", type=int, default=8, help="host coin bits")
-    p.add_argument("--host-ml", type=int, default=8, help="host message bits")
-
-
-def _add_sig(p):
-    p.add_argument(
-        "--sig",
-        choices=["coin-injective", "coin-extractable", "unique"],
-        default="coin-injective",
-    )
-    p.add_argument("--sig-ml", type=int, default=8, help="signed message bits")
-    p.add_argument("--sig-coins", type=int, default=8)
-    p.add_argument("--tag-bits", type=int, default=64)
-
-
-def _add_stego(p):
-    p.add_argument("--ml", type=int, default=8, help="hidden message bits")
-    p.add_argument("--s", type=int, default=64, help="rejection cutoff")
-    p.add_argument("--outl", type=int, default=None, help="documents per message (default: derived)")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--block-bits", type=int, default=1)
-    p.add_argument("--stego-kappa", type=int, default=128, help="attacker key bits")
-
-
-def _add_channel(p):
-    p.add_argument("--channel", choices=["uniform", "ses", "rand-alg", "signed"], default="ses")
-    p.add_argument("--ell", type=int, default=4, help="messages per channel session")
-    p.add_argument("--doc-bits", type=int, default=8, help="document bits for the uniform channel")
-
-
-def _add_adversary(p, choices, default):
-    p.add_argument("--adversary", choices=choices, default=default)
-    p.add_argument("--queries", type=_positive_int, default=2)
-    p.add_argument("--bins", type=int, default=4)
-    p.add_argument("--budget", type=_nonneg_int, default=512)
-
-
-def _add_fab(p):
-    p.add_argument("--fab-ml", type=int, default=64, help="fabricated hidden message bits")
-    p.add_argument("--decoys", type=_positive_int, default=4)
+# The one place a subcommand and its options are declared, one row each:
+# (command, subcommand, help, option groups, extra options, handler). Every
+# subcommand takes --seed as well. The handler is a name that build_parser
+# looks up in the module globals, so a cmd_* patched on the module runs.
+_COMMANDS = (
+    ("channel", "sample", "walk a channel and emit documents", "out host sig channel", (
+        _opt("--count", type=_positive_int, default=5),
+        _opt("--depth", type=_nonneg_int, default=0, help="history length to walk before sampling"),
+    ), "cmd_channel_sample"),
+    ("channel", "entropy", "min-entropy, exact or estimated", "out host sig channel", (
+        _opt("--mode", choices=["exact", "estimate"], default="exact"),
+        _opt(
+            "--depths",
+            type=_int_list(_nonneg_int),
+            default=[0],
+            help="history depths for exact mode, comma separated",
+        ),
+        _opt("--depth", type=_nonneg_int, default=0, help="history depth for estimate mode"),
+        _opt("--samples", type=int, default=4096),
+    ), "cmd_channel_entropy"),
+    ("stego", "embed", "embed a message into channel documents", "out run host sig stego channel", (
+        _opt("--message", required=True, help="hidden message, hex"),
+        _opt("--key", help="attacker key, hex (default: derived from seed)"),
+        _SCHEDULE,
+    ), "cmd_stego_embed"),
+    ("stego", "extract", "extract from a saved session file", "session", (), "cmd_stego_extract"),
+    ("stego", "roundtrip", "embed-extract recovery rate", "out run host sig stego channel", (
+        _HISTORY_MODE,
+        _opt("--reboot", action="store_true", help="wipe state between segments"),
+        _SCHEDULE,
+    ), "cmd_stego_roundtrip"),
+    ("asa", "build", "show the attack derived from the current options", "out host stego", (),
+     "cmd_asa_build"),
+    ("asa", "run", "run one subverted session end to end", "out host stego", (
+        _opt("--message", help="hidden message, hex (default: random)"),
+    ), "cmd_asa_run"),
+    ("asa", "extract", "extract from a saved session file", "session", (), "cmd_asa_extract"),
+    ("asa", "queries", "measured oracle calls per ciphertext", "out run host stego", (),
+     "cmd_asa_queries"),
+    ("game", "cpa", "scheme vs uniform strings", "out run host dist", (), "cmd_game_cpa"),
+    ("game", "enc-asa", "subverted vs honest encryption", "out run host stego dist", (),
+     "cmd_game_enc_asa"),
+    ("game", "ss-cha", "embedded vs channel documents", "out run host sig stego channel dist", (),
+     "cmd_game_ss_cha"),
+    ("game", "rasa", "subverted vs genuine randomized algorithm",
+     "out run host sig stego dist rasa fab", (_budget(512),), "cmd_game_rasa"),
+    ("game", "forge", "existential forgery", "out run host sig stego fab", (
+        _opt("--adversary", choices=_FORGERS, default="random"),
+        _budget(512),
+    ), "cmd_game_forge"),
+    ("game", "unrel", "recovery-rate estimates", "out run host sig stego channel rasa fab", (
+        _opt("--target", choices=["enc-asa", "stego", "stego-reboot", "rasa"], default="enc-asa"),
+        _opt("--message-mode", choices=["random", "equal"], default="random"),
+        _HISTORY_MODE,
+        _budget(4096),
+    ), "cmd_game_unrel"),
+    ("lowerbound", "phi", "the counting bound, log domain", "out", (
+        _opt("--ml", type=int, required=True),
+        _opt("--outl", type=int, required=True),
+        _opt("--query", type=float, required=True),
+    ), "cmd_lb_phi"),
+    ("lowerbound", "forger", "forgery rate of an attack-driven forger",
+     "out run host sig stego fab", (_LB_ATTACK, _budget(4096)), "cmd_lb_forger"),
+    ("lowerbound", "rate", "full measured rate report", "out run host sig stego fab", (
+        _LB_ATTACK,
+        _budget(4096),
+        _opt("--query", type=float, default=None, help="override measured queries per output"),
+    ), "cmd_lb_rate"),
+    ("report", "merge", "pool reports with matching game and config", "out", (
+        _opt("files", nargs="+"),
+        _opt("--csv", help="also write a flat CSV summary"),
+    ), "cmd_report_merge"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -734,215 +830,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subvertlab",
         description="Substitution attacks, rejection-sampling steganography, and their games.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # channel
-    channel = sub.add_parser("channel", help="document channels").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = channel.add_parser("sample", help="walk a channel and emit documents")
-    _add_common(p, trials=False)
-    _add_host(p)
-    _add_sig(p)
-    _add_channel(p)
-    p.add_argument("--count", type=_positive_int, default=5)
-    p.add_argument(
-        "--depth", type=_nonneg_int, default=0, help="history length to walk before sampling"
-    )
-    p.set_defaults(func=cmd_channel_sample)
-
-    p = channel.add_parser("entropy", help="min-entropy, exact or estimated")
-    _add_common(p, trials=False)
-    _add_host(p)
-    _add_sig(p)
-    _add_channel(p)
-    p.add_argument("--mode", choices=["exact", "estimate"], default="exact")
-    p.add_argument(
-        "--depths",
-        type=_nonneg_int_list,
-        default=[0],
-        help="history depths for exact mode, comma separated",
-    )
-    p.add_argument("--depth", type=_nonneg_int, default=0, help="history depth for estimate mode")
-    p.add_argument("--samples", type=int, default=4096)
-    p.set_defaults(func=cmd_channel_entropy)
-
-    # stego
-    stego = sub.add_parser("stego", help="embedding and extraction").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = stego.add_parser("embed", help="embed a message into channel documents")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    _add_channel(p)
-    p.add_argument("--message", required=True, help="hidden message, hex")
-    p.add_argument("--key", help="attacker key, hex (default: derived from seed)")
-    p.add_argument(
-        "--schedule", type=_positive_int_list, help="reboot segment lengths, comma separated"
-    )
-    p.set_defaults(func=cmd_stego_embed)
-
-    p = stego.add_parser("extract", help="extract from a saved session file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--key", help="attacker key, hex (default: from the file header)")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_stego_extract)
-
-    p = stego.add_parser("roundtrip", help="embed-extract recovery rate")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    _add_channel(p)
-    p.add_argument("--history-mode", choices=["empty", "sampled"], default="empty")
-    p.add_argument("--reboot", action="store_true", help="wipe state between segments")
-    p.add_argument(
-        "--schedule", type=_positive_int_list, help="fixed reboot schedule, comma separated"
-    )
-    p.set_defaults(func=cmd_stego_roundtrip)
-
-    # asa
-    asa = sub.add_parser("asa", help="substitution attacks").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = asa.add_parser("build", help="show the attack derived from the current options")
-    _add_common(p, trials=False)
-    _add_host(p)
-    _add_stego(p)
-    p.set_defaults(func=cmd_asa_build)
-
-    p = asa.add_parser("run", help="run one subverted session end to end")
-    _add_common(p, trials=False)
-    _add_host(p)
-    _add_stego(p)
-    p.add_argument("--message", help="hidden message, hex (default: random)")
-    p.set_defaults(func=cmd_asa_run)
-
-    p = asa.add_parser("extract", help="extract from a saved session file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--key", help="attacker key, hex (default: from the file header)")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_asa_extract)
-
-    p = asa.add_parser("queries", help="measured oracle calls per ciphertext")
-    _add_common(p)
-    _add_host(p)
-    _add_stego(p)
-    p.set_defaults(func=cmd_asa_queries)
-
-    # game
-    game = sub.add_parser("game", help="Monte Carlo security games").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = game.add_parser("cpa", help="scheme vs uniform strings")
-    _add_common(p)
-    _add_host(p)
-    _add_adversary(p, ["constant", "flip", "repeat", "chi2"], "repeat")
-    p.set_defaults(func=cmd_game_cpa)
-
-    p = game.add_parser("enc-asa", help="subverted vs honest encryption")
-    _add_common(p)
-    _add_host(p)
-    _add_stego(p)
-    _add_adversary(p, ["constant", "flip", "repeat", "chi2"], "repeat")
-    p.set_defaults(func=cmd_game_enc_asa)
-
-    p = game.add_parser("ss-cha", help="embedded vs channel documents")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    _add_channel(p)
-    _add_adversary(p, ["constant", "flip", "repeat", "chi2"], "repeat")
-    p.set_defaults(func=cmd_game_ss_cha)
-
-    p = game.add_parser("rasa", help="subverted vs genuine randomized algorithm")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    _add_adversary(p, ["constant", "flip", "repeat", "chi2"], "repeat")
-    p.add_argument("--rasa-host", choices=["enc", "signed"], default="enc")
-    p.add_argument("--attack", choices=["rejsam", "fabricating"], default="rejsam")
-    p.add_argument("--force-embed", action="store_true")
-    _add_fab(p)
-    p.set_defaults(func=cmd_game_rasa)
-
-    p = game.add_parser("forge", help="existential forgery")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    _add_adversary(
-        p, ["replay", "random", "search", "universal", "fabricating"], "random"
-    )
-    _add_fab(p)
-    p.set_defaults(func=cmd_game_forge)
-
-    p = game.add_parser("unrel", help="recovery-rate estimates")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    _add_channel(p)
-    p.add_argument(
-        "--target", choices=["enc-asa", "stego", "stego-reboot", "rasa"], default="enc-asa"
-    )
-    p.add_argument("--message-mode", choices=["random", "equal"], default="random")
-    p.add_argument("--history-mode", choices=["empty", "sampled"], default="empty")
-    p.add_argument("--rasa-host", choices=["enc", "signed"], default="enc")
-    p.add_argument("--attack", choices=["rejsam", "fabricating"], default="rejsam")
-    p.add_argument("--force-embed", action="store_true")
-    p.add_argument("--budget", type=_nonneg_int, default=4096)
-    _add_fab(p)
-    p.set_defaults(func=cmd_game_unrel)
-
-    # lowerbound
-    lb = sub.add_parser("lowerbound", help="rate lower-bound experiment").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = lb.add_parser("phi", help="the counting bound, log domain")
-    p.add_argument("--ml", type=int, required=True)
-    p.add_argument("--outl", type=int, required=True)
-    p.add_argument("--query", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_lb_phi)
-
-    p = lb.add_parser("forger", help="forgery rate of an attack-driven forger")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    p.add_argument("--attack", choices=["universal", "fabricating"], default="fabricating")
-    p.add_argument("--budget", type=_nonneg_int, default=4096)
-    _add_fab(p)
-    p.set_defaults(func=cmd_lb_forger)
-
-    p = lb.add_parser("rate", help="full measured rate report")
-    _add_common(p)
-    _add_host(p)
-    _add_sig(p)
-    _add_stego(p)
-    p.add_argument("--attack", choices=["universal", "fabricating"], default="fabricating")
-    p.add_argument("--budget", type=_nonneg_int, default=4096)
-    p.add_argument("--query", type=float, default=None, help="override measured queries per output")
-    _add_fab(p)
-    p.set_defaults(func=cmd_lb_rate)
-
-    # report
-    report = sub.add_parser("report", help="report file utilities").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = report.add_parser("merge", help="pool reports with matching game and config")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--csv", help="also write a flat CSV summary")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report_merge)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    subparsers = {
+        name: commands.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
+        for name, text in _COMMAND_HELP.items()
+    }
+    for command, subcommand, text, groups, extra, handler in _COMMANDS:
+        p = subparsers[command].add_parser(subcommand, help=text)
+        p.add_argument("--seed", type=int, help="base seed (env SUBVERTLAB_SEED, then 0)")
+        for group in groups.split():
+            for flag, kwargs in _GROUPS[group]:
+                p.add_argument(flag, **kwargs)
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 

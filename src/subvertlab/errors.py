@@ -4,6 +4,19 @@ ParameterError covers configuration mistakes (CLI exit code 2);
 InvariantViolation covers consistency failures detected mid-run (exit code 3).
 """
 
+__all__ = [
+    "SubvertLabError",
+    "ParameterError",
+    "LengthMismatchError",
+    "InvalidHistoryError",
+    "NoExactPmfError",
+    "WrongDocumentCountError",
+    "ScheduleError",
+    "InvariantViolation",
+    "UniversalityViolation",
+    "SchemaMismatchError",
+]
+
 
 class SubvertLabError(Exception):
     """Base class for all package errors."""

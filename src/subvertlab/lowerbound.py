@@ -112,8 +112,8 @@ class PhiReport:
 
 def phi(ml: int, outl: int, query: float) -> PhiReport:
     """Chance that oracle material alone pins down an ml-bit hidden message."""
-    if outl < 1 or query < 1:
-        raise ParameterError("need outl >= 1 and query >= 1")
+    if outl < 1 or not 1 <= query < math.inf:
+        raise ParameterError(f"need outl >= 1 and 1 <= query < inf, got outl={outl}, query={query}")
     if ml < 0:
         raise ParameterError("ml must be nonnegative")
     log2_phi = outl * math.log2(outl * query) - ml
@@ -130,6 +130,8 @@ def phi(ml: int, outl: int, query: float) -> PhiReport:
 
 def _fab_prefix(ses: SymmetricEncryptionScheme, ml: int) -> int:
     """Length of the random prefix rho in front of a fabricated ml-bit payload."""
+    if ml < 0:
+        raise ParameterError(f"hidden message length must be non-negative, got {ml}")
     if ses.cl < ml:
         raise ParameterError("hidden message longer than a ciphertext")
     return ses.cl - ml
@@ -300,6 +302,7 @@ def rate_report(
     a sound attack/forger pairing should show forger_success_hat >= bound.
     insec_hat is the worst normalized advantage over the watchdogs.
     """
+    phi_rep = phi(attack.ml, attack.outl, query)  # checks query before the legs run
     if watchdogs is None:
         from .adversaries import default_watchdogs
 
@@ -320,7 +323,6 @@ def rate_report(
     lo, hi = unrel_rep.ci95
     se_unrel = (hi - lo) / (2 * _Z95)
 
-    phi_rep = phi(attack.ml, attack.outl, query)
     slack = 3.0 * math.sqrt(se_insec**2 + se_unrel**2)
     bound = max(0.0, 1.0 - insec_hat - unrel_hat - phi_rep.phi - slack)
 

@@ -52,10 +52,14 @@ def outl_for(ml: int, beta: float | None = None, block_bits: int = 1) -> int:
     Rounded before the ceiling so exact-integer boundaries (e.g. ml=16,
     default beta -> exactly 256) are not bumped by float noise.
     """
+    if block_bits < 1:
+        raise ParameterError(f"block_bits must be at least 1, got {block_bits}")
     if beta is None:
         beta = default_beta(ml)
     pool = -(-ml // block_bits)
     raw = pool * (math.log(pool) + beta)
+    if not math.isfinite(raw):
+        raise ParameterError(f"outl_for parameters yield no finite length (beta={beta})")
     if raw <= 0:
         raise ParameterError("outl_for parameters yield a non-positive length")
     return math.ceil(round(raw, 9))
@@ -82,6 +86,10 @@ class StegoParams:
             raise ParameterError("outl must be at least 1")
         if self.block_bits < 1 or self.block_bits > self.ml:
             raise ParameterError("block_bits must be in 1..ml")
+        if self.beta is not None and not (
+            isinstance(self.beta, (int, float)) and math.isfinite(self.beta)
+        ):
+            raise ParameterError(f"beta must be a finite number, got {self.beta!r}")
         if self.kappa < 1:
             raise ParameterError("kappa must be positive")
 

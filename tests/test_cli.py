@@ -2,9 +2,13 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import subvertlab
 from subvertlab import Adversary, ParameterError, UniversalityViolation
 from subvertlab import cli, games
 
@@ -375,3 +379,203 @@ def test_odd_hex_message_longer_than_its_digits_exits_2(capsys):
     assert rc == 2 and captured.out == ""
     assert "--message" in captured.err and "odd-length hex" in captured.err
     assert "Traceback" not in captured.err
+
+
+def _opt(flag, default=None, choices=None, required=False):
+    return ((flag,), flag[2:].replace("-", "_"), default, required, choices)
+
+
+SEED_OUT = {_opt("--seed"), _opt("--out")}
+RUN = {_opt("--trials", 200), _opt("--jobs", 1)}
+HOST = {
+    _opt("--host", "randpad", ("randpad", "det")),
+    _opt("--kappa", 16),
+    _opt("--r", 8),
+    _opt("--host-ml", 8),
+}
+SIG = {
+    _opt("--sig", "coin-injective", ("coin-injective", "coin-extractable", "unique")),
+    _opt("--sig-ml", 8),
+    _opt("--sig-coins", 8),
+    _opt("--tag-bits", 64),
+}
+STEGO = {
+    _opt("--ml", 8),
+    _opt("--s", 64),
+    _opt("--outl"),
+    _opt("--beta"),
+    _opt("--block-bits", 1),
+    _opt("--stego-kappa", 128),
+}
+CHANNEL = {
+    _opt("--channel", "ses", ("uniform", "ses", "rand-alg", "signed")),
+    _opt("--ell", 4),
+    _opt("--doc-bits", 8),
+}
+DIST = {
+    _opt("--adversary", "repeat", ("constant", "flip", "repeat", "chi2")),
+    _opt("--queries", 2),
+    _opt("--bins", 4),
+}
+FAB = {_opt("--fab-ml", 64), _opt("--decoys", 4)}
+RASA = {
+    _opt("--rasa-host", "enc", ("enc", "signed")),
+    _opt("--attack", "rejsam", ("rejsam", "fabricating")),
+    _opt("--force-embed", False),
+}
+EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
+LB_ATTACK = {_opt("--attack", "fabricating", ("universal", "fabricating")), _opt("--budget", 4096)}
+HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
+
+# every subcommand's options as (option strings, dest, default, required,
+# choices); an option no command reads has no place here
+OPTION_SURFACE = {
+    ("channel", "sample"): SEED_OUT | HOST | SIG | CHANNEL
+    | {_opt("--count", 5), _opt("--depth", 0)},
+    ("channel", "entropy"): SEED_OUT | HOST | SIG | CHANNEL
+    | {_opt("--mode", "exact", ("exact", "estimate")), _opt("--depths", (0,)),
+       _opt("--depth", 0), _opt("--samples", 4096)},
+    ("stego", "embed"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
+    | {_opt("--message", required=True), _opt("--key"), _opt("--schedule")},
+    ("stego", "extract"): EXTRACT,
+    ("stego", "roundtrip"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
+    | {HISTORY_MODE, _opt("--reboot", False), _opt("--schedule")},
+    ("asa", "build"): SEED_OUT | HOST | STEGO,
+    ("asa", "run"): SEED_OUT | HOST | STEGO | {_opt("--message")},
+    ("asa", "extract"): EXTRACT,
+    ("asa", "queries"): SEED_OUT | RUN | HOST | STEGO,
+    ("game", "cpa"): SEED_OUT | RUN | HOST | DIST,
+    ("game", "enc-asa"): SEED_OUT | RUN | HOST | STEGO | DIST,
+    ("game", "ss-cha"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL | DIST,
+    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO | DIST | RASA | FAB
+    | {_opt("--budget", 512)},
+    ("game", "forge"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB
+    | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating")),
+       _opt("--budget", 512)},
+    ("game", "unrel"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL | RASA | FAB
+    | {_opt("--target", "enc-asa", ("enc-asa", "stego", "stego-reboot", "rasa")),
+       _opt("--message-mode", "random", ("random", "equal")), HISTORY_MODE,
+       _opt("--budget", 4096)},
+    ("lowerbound", "phi"): SEED_OUT
+    | {_opt("--ml", required=True), _opt("--outl", required=True),
+       _opt("--query", required=True)},
+    ("lowerbound", "forger"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB | LB_ATTACK,
+    ("lowerbound", "rate"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB | LB_ATTACK
+    | {_opt("--query")},
+    ("report", "merge"): SEED_OUT | {((), "files", None, True, None), _opt("--csv")},
+}
+
+
+def _option_surface(parser):
+    surface = {}
+    for name, group in parser._subparsers._group_actions[0].choices.items():
+        for sub, p in group._subparsers._group_actions[0].choices.items():
+            surface[name, sub] = {
+                (
+                    tuple(a.option_strings),
+                    a.dest,
+                    tuple(a.default) if isinstance(a.default, list) else a.default,
+                    a.required,
+                    None if a.choices is None else tuple(a.choices),
+                )
+                for a in p._actions
+                if a.dest != "help"
+            }
+    return surface
+
+
+def test_option_surface_is_pinned():
+    surface = _option_surface(cli.build_parser())
+    assert surface.keys() == OPTION_SURFACE.keys()
+    for command, expected in OPTION_SURFACE.items():
+        assert surface[command] == expected, command
+    assert sum(map(len, surface.values())) == 310
+
+
+def test_package_exports_are_pinned():
+    assert sorted(subvertlab.__all__) == [
+        "Adversary", "AlgSubstitutionAttack", "Bits", "Channel", "GameReport", "History",
+        "InvalidHistoryError", "InvariantViolation", "LengthMismatchError", "MinEntropyReport",
+        "NoExactPmfError", "OracleQuery", "OracleTranscript", "ParameterError", "PhiReport",
+        "Prf", "QueryCountEstimate", "RandomizedAlgorithm", "SCHEMA", "ScheduleError",
+        "SchemaMismatchError", "SignatureScheme", "SignedFamily", "StegoParams", "StegoSystem",
+        "SubstitutionAttack", "SubvertLabError", "SymmetricEncryptionScheme", "TrialStreams",
+        "UniversalHost", "UniversalityViolation", "WrongDocumentCountError", "__version__",
+        "advantage_and_ci", "alg_enc_all", "alg_from_encryption", "alg_from_signing",
+        "asa_enc_all", "asa_from_stego", "channel_pmf", "channel_sample", "channel_support",
+        "channel_walk", "check_history", "chi2_attacker", "chi2_quantile", "chi2_warden",
+        "chi2_watchdog", "constant_guess", "decode_history", "default_attackers",
+        "default_beta", "default_wardens", "default_watchdogs", "det_scheme", "draw_next",
+        "encode_all", "encode_history", "encode_schedule", "encode_step", "estimate_unrel",
+        "estimate_unrel_alg", "estimate_unrel_reboot", "estimate_unrel_stego",
+        "extend_history", "fabricating_asa", "forger_from_fabricating_asa",
+        "forger_from_universal_asa", "generic_asa_against_alg", "hmac_sha256",
+        "is_power_of_two", "make_signed_family", "mark_agreement", "merge_reports",
+        "min_entropy_estimate", "min_entropy_exact", "outl_for", "phi", "prf_split_block",
+        "prf_split_eval", "query_count", "rand_alg_channel", "random_composition",
+        "random_forger", "random_guess", "randpad_scheme", "rate_report", "rejsam_decode",
+        "rejsam_system", "repeat_attacker", "repeat_warden", "repeat_watchdog",
+        "replay_forger", "run_cpa_dist", "run_enc_asa_dist", "run_rasa_dist", "run_sig_forge",
+        "run_ss_cha_dist", "search_forger", "ses_channel", "sig_fixture", "stego_from_asa",
+        "substream", "transcript_json_lines", "uniform_channel", "universal_asa",
+        "watchdog_to_warden", "wilson_ci", "wrapped_warden_to_watchdog",
+    ]
+    # every exported name resolves on the package
+    assert all(hasattr(subvertlab, name) for name in subvertlab.__all__)
+
+
+FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]
+SIGNED_FAB = ["--rasa-host", "signed", "--attack", "fabricating", *FAB_OPTS]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # options stego roundtrip would otherwise ignore
+        ["stego", "roundtrip", *STEGO_OPTS, "--trials", "4", "--schedule", "1,1"],
+        ["stego", "roundtrip", *STEGO_OPTS, "--trials", "4", "--schedule", "8,8,8"],
+        ["stego", "roundtrip", *STEGO_OPTS, "--trials", "4", "--reboot", "--history-mode",
+         "sampled"],
+        # stego sizing with no finite document count
+        ["asa", "build", "--block-bits", "0"],
+        ["asa", "build", "--block-bits", "-1"],
+        ["asa", "build", "--beta", "nan"],
+        ["asa", "build", "--beta", "inf"],
+        ["game", "enc-asa", "--beta", "1e308", "--trials", "2"],
+        ["stego", "embed", *STEGO_OPTS, "--beta", "nan", "--message", "a7"],
+        # counting bound arguments that are not JSON numbers, or below one
+        ["lowerbound", "phi", "--ml", "8", "--outl", "1", "--query", "nan"],
+        ["lowerbound", "phi", "--ml", "8", "--outl", "1", "--query", "inf"],
+        ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--query", "nan", "--trials", "2"],
+        ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--query", "inf", "--trials", "2"],
+        ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--query", "0.5", "--trials", "2"],
+        # a fabricated message of negative length
+        ["lowerbound", "forger", *FAB_OPTS, "--fab-ml", "-1", "--trials", "2"],
+        ["game", "rasa", *SIGNED_FAB, "--fab-ml", "-1", "--trials", "2"],
+        ["game", "unrel", "--target", "rasa", *SIGNED_FAB, "--fab-ml", "-1", "--trials", "2"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_values_exit_2_without_output(capsys, argv):
+    rc = cli.main(argv + ["--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["subvertlab"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse():
+    # parse only: a table row that drops an option the README uses fails here
+    commands = list(_readme_commands())
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv).func), argv

@@ -55,7 +55,7 @@ def test_counting_bound_reference_points():
 
     d = tight.to_json_dict()
     assert set(d) == {"ml", "outl", "query", "log2_phi", "phi", "trivial"}
-    for bad in ((8, 0, 2), (8, 1, 0.5), (-1, 1, 2)):
+    for bad in ((8, 0, 2), (8, 1, 0.5), (-1, 1, 2), (8, 1, math.nan), (8, 1, math.inf)):
         with pytest.raises(ParameterError):
             phi(*bad)
 
@@ -98,8 +98,11 @@ def test_fabrication_recovers_against_weak_tags_only():
     with pytest.raises(WrongDocumentCountError):
         attack.ext(ak, [Bits.random(weak.alg.output_bits, rng)] * 2)
     assert attack.ext(ak, [Bits.random(weak.alg.output_bits - 1, rng)]) is None
-    with pytest.raises(ParameterError):
-        fabricating_asa(weak, ml=weak.ses.cl + 1)
+    for ml in (weak.ses.cl + 1, -1):
+        with pytest.raises(ParameterError):
+            fabricating_asa(weak, ml=ml)
+        with pytest.raises(ParameterError):
+            forger_from_fabricating_asa(ses, sig, ml=ml)
     # the fallback needs at least one honest answer to fall back on
     for decoys in (0, -1):
         with pytest.raises(ParameterError, match="decoys"):

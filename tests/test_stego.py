@@ -78,6 +78,15 @@ def test_outl_for_reference_values():
         default_beta(0)
     with pytest.raises(ParameterError):
         outl_for(1, beta=-5.0)
+    # a block of no bits, or a slack with no finite length, is rejected
+    # rather than dividing by zero or taking the ceiling of infinity
+    for bad in ({"block_bits": 0}, {"block_bits": -1}, {"beta": math.nan}, {"beta": math.inf},
+                {"beta": -math.inf}, {"beta": 1e308}):
+        with pytest.raises(ParameterError):
+            outl_for(8, **bad)
+    for beta in (math.nan, math.inf, "1"):
+        with pytest.raises(ParameterError, match="beta"):
+            StegoParams(ml=8, s=64, outl=64, beta=beta)
 
 
 def test_encode_step_draw_budget_is_exact():
