@@ -39,9 +39,7 @@ __all__ = [
     "replay_forger",
     "random_forger",
     "search_forger",
-    "default_attackers",
     "default_watchdogs",
-    "default_wardens",
 ]
 
 
@@ -258,13 +256,5 @@ def search_forger(budget: int = 512) -> Adversary:
     )
 
 
-def default_attackers() -> list[Adversary]:
-    return [constant_guess("attacker"), repeat_attacker(), chi2_attacker()]
-
-
 def default_watchdogs() -> list[Adversary]:
     return [constant_guess("watchdog"), repeat_watchdog(), chi2_watchdog()]
-
-
-def default_wardens() -> list[Adversary]:
-    return [constant_guess("warden"), repeat_warden(), chi2_warden()]

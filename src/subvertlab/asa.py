@@ -49,7 +49,6 @@ __all__ = [
     "generic_asa_against_alg",
     "query_count",
     "QueryCountEstimate",
-    "transcript_json_lines",
     "watchdog_to_warden",
 ]
 
@@ -209,20 +208,6 @@ class OracleTranscript:
         return {q.c for q in self.queries}
 
 
-def transcript_json_lines(transcript: OracleTranscript, trial: int) -> list[dict]:
-    return [
-        {
-            "trial": trial,
-            "query_index": i,
-            "k_hex": q.k.hex(),
-            "m_hex": q.m.hex(),
-            "coins_hex": q.coins.hex(),
-            "c_hex": q.c.hex(),
-        }
-        for i, q in enumerate(transcript.queries)
-    ]
-
-
 class UniversalHost:
     """Oracle-only view of an encryption scheme.
 
@@ -230,8 +215,6 @@ class UniversalHost:
     other attribute access raises and is counted, which is how tests assert
     that universal attacks never peek past the interface.
     """
-
-    _ALLOWED = ("ml", "cl", "coin_bits", "oracle", "forbidden_accesses")
 
     def __init__(self, ses: SymmetricEncryptionScheme):
         self.ml = ses.ml

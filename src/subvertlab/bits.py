@@ -1,20 +1,17 @@
-"""Immutable bit strings and the length-prefixed history wire format.
+"""Immutable bit strings.
 
 A document is a bit string of explicit length; bit 0 is the most significant
-bit. Byte serialization zero-pads on the right to a byte boundary, and the
-history format prefixes each document with its bit length as a 32-bit
-big-endian integer (the padding never becomes ambiguous).
+bit. Byte serialization zero-pads on the right to a byte boundary.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from typing import Iterable, Iterator
 
 from .errors import LengthMismatchError, ParameterError
 
-__all__ = ["Bits", "History", "encode_history", "decode_history"]
+__all__ = ["Bits"]
 
 
 class Bits:
@@ -156,31 +153,3 @@ class Bits:
 _set_n = Bits._n.__set__
 _set_v = Bits._v.__set__
 _EMPTY = Bits(0, 0)
-
-
-History = tuple  # tuple[Bits, ...]; kept a plain tuple on purpose
-
-
-def encode_history(history: Iterable[Bits]) -> bytes:
-    """Serialize documents as (uint32 big-endian bit length, padded payload)*."""
-    out = bytearray()
-    for doc in history:
-        out += struct.pack(">I", len(doc))
-        out += doc.to_bytes()
-    return bytes(out)
-
-
-def decode_history(data: bytes) -> tuple[Bits, ...]:
-    docs = []
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise ParameterError("truncated history: missing length prefix")
-        (nbits,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        nbytes = (nbits + 7) // 8
-        if pos + nbytes > len(data):
-            raise ParameterError("truncated history: missing payload")
-        docs.append(Bits.from_bytes(data[pos : pos + nbytes], nbits))
-        pos += nbytes
-    return tuple(docs)

@@ -1,4 +1,4 @@
-"""History-indexed document channels.
+"""Document channels indexed by history.
 
 A channel assigns to every valid history a distribution over next documents.
 Histories here are recognized by pure length/count automata: a key, then a
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -155,18 +155,18 @@ class _CycleShape:
         want = self.key_bits if pos == 0 else self.in_bits if pos <= self.ell else self.out_bits
         return len(doc) == want
 
-    def role(self, h: tuple) -> tuple[str, int]:
-        """Role of the next document: (name, cycle position for outputs)."""
+    def role(self, h: tuple) -> str:
+        """Role of the next document: key, input or output."""
         n = len(h)
         if n == 0:
-            return "key", 0
-        if n <= self.ell:
-            return "input", 0
-        return "output", (n - self.ell - 1) % self.ell
+            return "key"
+        return "input" if n <= self.ell else "output"
 
-    def cycle_input(self, h: tuple) -> Bits:
-        _, r = self.role(h)
-        return h[1 + r]
+
+def _cycle_input(h: tuple, ell: int) -> Bits:
+    """The input an output appended to the key || inputs^ell || outputs*
+    history h answers: outputs cycle through the ell inputs in order."""
+    return h[1 + (len(h) - ell - 1) % ell]
 
 
 def _cycle_channel(
@@ -189,15 +189,15 @@ def _cycle_channel(
     shape = _CycleShape(key_bits, in_bits, out_bits, ell)
 
     def sampler(h: tuple, rng: random.Random) -> Bits:
-        role, _ = shape.role(h)
+        role = shape.role(h)
         if role == "key":
             return key_sampler(rng)
         if role == "input":
             return input_sampler(rng)
-        return output_sampler(h[0], shape.cycle_input(h), rng)
+        return output_sampler(h[0], _cycle_input(h, ell), rng)
 
     def pmf(h: tuple, d: Bits) -> Fraction:
-        role, _ = shape.role(h)
+        role = shape.role(h)
         if role == "key":
             # toy fixtures draw keys uniformly; exact pmf leans on that
             return Fraction(1, 2**key_bits) if len(d) == key_bits else Fraction(0)
@@ -207,10 +207,10 @@ def _cycle_channel(
             return Fraction(1, 2**in_bits) if len(d) == in_bits else Fraction(0)
         if output_pmf is None:
             raise NoExactPmfError("scheme does not expose an exact ciphertext pmf")
-        return output_pmf(h[0], shape.cycle_input(h), d) if len(d) == out_bits else Fraction(0)
+        return output_pmf(h[0], _cycle_input(h, ell), d) if len(d) == out_bits else Fraction(0)
 
     def support(h: tuple) -> Iterable[Bits]:
-        role, _ = shape.role(h)
+        role = shape.role(h)
         if role == "key":
             return _all_bits(key_bits)
         if role == "input":
@@ -219,7 +219,7 @@ def _cycle_channel(
             return _all_bits(in_bits)
         if output_support is None:
             raise NoExactPmfError("scheme does not enumerate ciphertext support")
-        return output_support(h[0], shape.cycle_input(h))
+        return output_support(h[0], _cycle_input(h, ell))
 
     return Channel(
         descriptor={
@@ -302,12 +302,7 @@ class MinEntropyReport:
     histories: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "bits": self.bits,
-            "method": self.method,
-            "sample_count": self.sample_count,
-            "histories": self.histories,
-        }
+        return asdict(self)
 
 
 def _neg_log2(q: Fraction) -> float:
@@ -335,7 +330,9 @@ def min_entropy_estimate(
 
     Reports -log2 of the pairwise collision rate among `samples` draws
     (a Renyi-2 estimate; it upper-bounds min-entropy, and matches it for
-    flat distributions). Infinite when no collision is observed.
+    flat distributions). With no collision among the N pairs, the rate is
+    below 1 - 0.05^(1/N) (about 3/N) with 95% confidence, and -log2 of that
+    bound is reported instead, with method "collision-bound".
     """
     if samples < 2:
         raise ParameterError("need at least two samples")
@@ -346,5 +343,8 @@ def min_entropy_estimate(
         counts[d] = counts.get(d, 0) + 1
     pairs = sum(n * (n - 1) // 2 for n in counts.values())
     total = samples * (samples - 1) // 2
-    bits = float("inf") if pairs == 0 else -math.log2(pairs / total)
-    return MinEntropyReport(bits=bits, method="collision", sample_count=samples, histories=1)
+    if pairs:
+        bits, method = -math.log2(pairs / total), "collision"
+    else:
+        bits, method = -math.log2(-math.expm1(math.log(0.05) / total)), "collision-bound"
+    return MinEntropyReport(bits=bits, method=method, sample_count=samples, histories=1)

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from .adversaries import (
@@ -186,11 +187,14 @@ _FORGERS = {
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _emit(lines, args, argv):
-    text = "\n".join(_dump(obj) for obj in lines) + "\n"
+    try:
+        text = "\n".join(_dump(obj) for obj in lines) + "\n"
+    except ValueError as exc:  # a NaN or infinity, which strict JSON cannot hold
+        raise ParameterError(f"report is not finite JSON: {exc}") from None
     sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
@@ -205,8 +209,15 @@ def _emit(lines, args, argv):
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def _non_json_constant(name):
+    raise json.JSONDecodeError(f"{name} is not a JSON value", name, 0)
+
+
 def _read_jsonl(path):
-    """(line number, object) for every non-blank line of a JSON-lines file."""
+    """(line number, object) for every non-blank line of a JSON-lines file.
+
+    NaN and Infinity are rejected as in strict JSON, so nothing read here
+    can make a report that _emit refuses to print."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -217,7 +228,7 @@ def _read_jsonl(path):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_constant=_non_json_constant)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}:{n}: not a JSON line ({exc.msg})") from None
         if not isinstance(obj, dict):
@@ -443,15 +454,7 @@ def cmd_asa_queries(args):
     ses = _scheme(args)
     attack = universal_asa(steg, UniversalHost(ses))
     est = query_count(attack, args.trials, seed, host_key_bits=ses.key_bits)
-    return [
-        {
-            "kind": "query-count",
-            "mean": est.mean,
-            "ci95": list(est.ci95),
-            "trials": est.trials,
-            "seed": seed,
-        }
-    ]
+    return [{"kind": "query-count", **asdict(est)}]
 
 
 # --- game commands ---------------------------------------------------------------

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from .asa import SubstitutionAttack
 from .bits import Bits
-from .channels import channel_sample as _channel_sample, ses_channel
+from .channels import _cycle_input, channel_sample as _channel_sample, ses_channel
 from .errors import InvalidHistoryError, WrongDocumentCountError
 from .schemes import SymmetricEncryptionScheme
 from .stego import StegoParams, StegoSystem
 
 __all__ = ["stego_from_asa", "wrapped_warden_to_watchdog"]
-
-
-def _cycle_message(history: tuple, ell: int) -> Bits:
-    return history[1 + ((len(history) - ell - 1) % ell)]
 
 
 def stego_from_asa(asa: SubstitutionAttack, ses: SymmetricEncryptionScheme) -> StegoSystem:
@@ -54,7 +50,7 @@ def stego_from_asa(asa: SubstitutionAttack, ses: SymmetricEncryptionScheme) -> S
         if len(history[0]) != ses.key_bits:
             raise InvalidHistoryError("history does not start with a session key")
         k = history[0]
-        m = _cycle_message(history, ell)
+        m = _cycle_input(history, ell)
         return asa.enc(ak, am, k, m, sigma, rng)
 
     def dec(ak, docs):
@@ -97,7 +93,7 @@ def wrapped_warden_to_watchdog(warden, ses: SymmetricEncryptionScheme, ell: int)
                 return ses.gen(self.sim_rng("oracle-prefix")), sigma
             if n <= ell:
                 return Bits.random(ses.ml, self.sim_rng("oracle-prefix")), sigma
-            return self._parent.ch(am, history[0], _cycle_message(history, ell), sigma)
+            return self._parent.ch(am, history[0], _cycle_input(history, ell), sigma)
 
         def channel_sample(self, history):
             return _channel_sample(channel, history, self.sim_rng("channel"))

@@ -31,7 +31,7 @@ class LengthMismatchError(ParameterError):
 
 
 class InvalidHistoryError(SubvertLabError):
-    """History rejected by a channel grammar."""
+    """A history rejected by a channel grammar."""
 
 
 class NoExactPmfError(SubvertLabError):

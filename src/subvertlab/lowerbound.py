@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .asa import AlgSubstitutionAttack, universal_asa
 from .bits import Bits
@@ -29,7 +29,7 @@ from .schemes import (
     RandomizedAlgorithm,
     SignatureScheme,
     SymmetricEncryptionScheme,
-    _keystream,
+    _keystream_int,
 )
 from .stego import StegoSystem
 
@@ -100,14 +100,11 @@ class PhiReport:
     trivial: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "ml": self.ml,
-            "outl": self.outl,
-            "query": self.query,
-            "log2_phi": self.log2_phi,
-            "phi": self.phi,
-            "trivial": self.trivial,
-        }
+        """The fields as JSON values; a phi that overflowed a float is null."""
+        out = asdict(self)
+        if math.isinf(self.phi):
+            out["phi"] = None
+        return out
 
 
 def phi(ml: int, outl: int, query: float) -> PhiReport:
@@ -116,7 +113,12 @@ def phi(ml: int, outl: int, query: float) -> PhiReport:
         raise ParameterError(f"need outl >= 1 and 1 <= query < inf, got outl={outl}, query={query}")
     if ml < 0:
         raise ParameterError("ml must be nonnegative")
-    log2_phi = outl * math.log2(outl * query) - ml
+    try:
+        log2_phi = outl * math.log2(outl * query) - ml
+    except OverflowError:  # an int argument too large for a float
+        log2_phi = math.inf
+    if not math.isfinite(log2_phi):
+        raise ParameterError(f"log2 phi overflows a float at ml={ml}, outl={outl}, query={query}")
     if log2_phi >= 1024:
         value = math.inf
     elif log2_phi <= -1074:
@@ -144,7 +146,7 @@ def _check_decoys(decoys: int) -> None:
 
 
 def _fab_pad(ak: Bits, rho: Bits, ml: int) -> Bits:
-    return _keystream(ak, b"fabricate", rho, ml)
+    return Bits(_keystream_int(ak.to_bytes(), b"fabricate", rho.to_bytes(), ml), ml)
 
 
 def _fabricate_and_search(ak, am, prefix, sigl, vrfy, pk, budget, rng):

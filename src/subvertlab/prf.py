@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .bits import Bits
 from .errors import ParameterError
 
-__all__ = ["Prf", "prf_split_eval", "prf_split_block", "is_power_of_two", "hmac_sha256"]
+__all__ = ["Prf", "prf_split_block", "is_power_of_two", "hmac_sha256"]
 
 _OUT_BITS = 256
 _BLOCK = 64  # SHA-256 block size in bytes
@@ -117,19 +117,6 @@ class Prf:
         if len(key) != self.key_bits:
             raise ParameterError(f"key must have {self.key_bits} bits")
         return Bits.from_bytes(hmac_sha256(key.to_bytes(), data.to_bytes()), self.out_bits)
-
-
-def prf_split_eval(prf: Prf, key: Bits, doc: Bits, ml: int) -> tuple[int, int]:
-    """Split an evaluation into (bit, slot index) for ml single-bit slots.
-
-    bit = first output bit; slot = next log2(ml) output bits, big-endian.
-    ml must be a power of two so the slot index is exactly uniform; this is
-    prf_split_block with one-bit blocks over ml slots.
-    """
-    if not is_power_of_two(ml):
-        raise ParameterError("ml must be a power of two")
-    value, j = prf_split_block(prf, key, doc, 1, ml)
-    return value.uint, j
 
 
 def prf_split_block(

@@ -64,10 +64,6 @@ def _keystream_int(key_bytes: bytes, label: bytes, payload_bytes: bytes, nbits: 
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
-def _keystream(key: Bits, label: bytes, data: Bits, nbits: int) -> Bits:
-    return Bits(_keystream_int(key.to_bytes(), label, data.to_bytes(), nbits), nbits)
-
-
 def _payload_packer(nbits: int) -> Callable[[int], bytes]:
     """int -> the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
     nbytes = (nbits + 7) // 8
@@ -276,11 +272,6 @@ class SignatureScheme:
 
     def sign_sample(self, sk: Bits, m: Bits, rng: random.Random) -> Bits:
         return self.sign(sk, m, Bits.random(self.coin_bits, rng))
-
-    def extract_coins(self, sig: Bits) -> Bits:
-        if self.coin_bits == 0:
-            return Bits(0, 0)
-        return sig[: self.coin_bits]
 
     def params_dict(self) -> dict:
         return {

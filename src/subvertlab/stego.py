@@ -245,7 +245,7 @@ def encode_all(
     docs: list[Bits] = []
     h = tuple(history)
     check_history(channel, h)
-    for _ in range(params_count(steg, count)):
+    for _ in range(steg.params.outl if count is None else count):
         doc, sigma = steg.enc(
             ak,
             am,
@@ -257,10 +257,6 @@ def encode_all(
         h = extend_history(channel, h, doc)
         docs.append(doc)
     return docs
-
-
-def params_count(steg: StegoSystem, count: int | None) -> int:
-    return steg.params.outl if count is None else count
 
 
 def encode_schedule(

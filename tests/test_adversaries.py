@@ -10,8 +10,6 @@ from subvertlab import (
     alg_from_encryption,
     chi2_quantile,
     constant_guess,
-    default_attackers,
-    default_wardens,
     default_watchdogs,
     random_guess,
     randpad_scheme,
@@ -141,11 +139,7 @@ def test_warden_crafts_one_full_session_history():
 def test_blind_guessers_and_rosters():
     assert constant_guess("warden", guess=0).strategy(None, random.Random(0)) == 0
     assert random_guess().strategy(None, random.Random(0)) in (0, 1)
-    for roster, kind in (
-        (default_attackers(), "attacker"),
-        (default_watchdogs(), "watchdog"),
-        (default_wardens(), "warden"),
-    ):
-        assert all(a.kind == kind for a in roster)
-        names = [a.name for a in roster]
-        assert len(names) == len(set(names))
+    roster = default_watchdogs()
+    assert all(a.kind == "watchdog" for a in roster)
+    names = [a.name for a in roster]
+    assert len(names) == len(set(names))

@@ -35,7 +35,6 @@ from subvertlab import (
     run_ss_cha_dist,
     ses_channel,
     substream,
-    transcript_json_lines,
     universal_asa,
     watchdog_to_warden,
 )
@@ -141,13 +140,6 @@ def test_universal_attack_only_sees_the_oracle():
     assert transcript.count >= uasa.outl
     for q in transcript.queries:
         assert ses.enc(q.k, q.m, q.coins) == q.c
-
-    lines = transcript_json_lines(transcript, trial=5)
-    assert len(lines) == transcript.count
-    for i, line in enumerate(lines):
-        assert set(line) == {"trial", "query_index", "k_hex", "m_hex", "coins_hex", "c_hex"}
-        assert line["trial"] == 5 and line["query_index"] == i
-        assert line["c_hex"] == transcript.queries[i].c.hex()
 
 
 def test_off_interface_access_raises_and_is_counted():

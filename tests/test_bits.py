@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subvertlab import Bits, LengthMismatchError, ParameterError
-from subvertlab.bits import decode_history, encode_history
 
 
 def test_construction_bounds():
@@ -90,11 +89,6 @@ def test_immutability():
     with pytest.raises(AttributeError):
         Bits.random(0, random.Random(0))._n = 1
     assert (b.uint, len(b)) == (1, 2) and len(Bits.random(0, random.Random(0))) == 0
-
-
-def test_history_codec_roundtrip():
-    docs = (Bits.from_str("101"), Bits.zeros(0), Bits.from_hex("beef", 16))
-    assert decode_history(encode_history(docs)) == docs
 
 
 @settings(max_examples=60, deadline=None)

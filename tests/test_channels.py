@@ -183,6 +183,15 @@ def test_min_entropy_estimate_point_mass():
     assert min_entropy_estimate(ch, h, 100, rng).bits == pytest.approx(0.0)
 
 
+def test_min_entropy_estimate_without_collisions_reports_a_bound():
+    # 2^64 equally likely documents: 64 draws collide with chance 1e-16
+    rep = min_entropy_estimate(uniform_channel(64), (), 64, random.Random(9))
+    assert rep.method == "collision-bound" and rep.sample_count == 64
+    # 95% one-sided bound on the collision rate over 2016 pairs, about 3/N
+    assert rep.bits == pytest.approx(-math.log2(1 - 0.05 ** (1 / 2016)))
+    assert abs(rep.bits - math.log2(2016 / 3)) < 0.01
+
+
 def test_descriptor_carries_shape():
     ses = randpad_scheme(8, 16, ml=8)
     ch = ses_channel(ses, 4)

@@ -1,6 +1,7 @@
 """Command line driver: json-lines output, determinism, files, exit codes."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -101,6 +102,38 @@ def test_counting_bound_command(capsys):
     assert rc == 0
     assert lines[0]["kind"] == "phi"
     assert lines[0]["log2_phi"] == -62.0 and lines[0]["trivial"] is False
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_unbounded_values_print_strict_json(capsys):
+    # no collision among the 2016 pairs of 64 samples: the 95% bound on
+    # the collision rate, not infinity
+    rc = cli.main(["channel", "entropy", "--mode", "estimate", "--samples", "64", "--seed", "0"])
+    (line,) = capsys.readouterr().out.splitlines()
+    rep = _strict_json(line)
+    assert rc == 0 and rep["method"] == "collision-bound"
+    assert rep["bits"] == pytest.approx(-math.log2(1 - 0.05 ** (1 / 2016)))
+    # a counting bound too large for a float is null, its log stays finite
+    rc = cli.main(["lowerbound", "phi", "--ml", "1", "--outl", "2000", "--query", "2"])
+    (line,) = capsys.readouterr().out.splitlines()
+    rep = _strict_json(line)
+    assert rc == 0 and rep["phi"] is None and rep["log2_phi"] == pytest.approx(23930.5686)
+
+
+def test_non_finite_output_exits_2_before_writing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "cmd_lb_phi", lambda args: [{"kind": "phi"}, {"phi": math.inf}])
+    out = tmp_path / "phi.jsonl"
+    argv = ["lowerbound", "phi", "--ml", "8", "--outl", "1", "--query", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_query_count_command(capsys):
@@ -321,6 +354,18 @@ def test_merge_names_the_line_with_a_malformed_field(capsys, tmp_path):
         assert f"{path}:1" in err and repr(key) in err and "Traceback" not in err, key
 
 
+def test_merge_rejects_numbers_json_cannot_hold(capsys, tmp_path):
+    # the CSV dumps each config, so a NaN read there would reach the writer
+    line = {"game": "cpa-dist", "schema": "subvertlab/1", "trials": 9, "success_count": 1,
+            "p_hat": 0.1, "ci95": [0, 1], "config": {"x": math.nan}}
+    path, csv_path = tmp_path / "report.jsonl", tmp_path / "merged.csv"
+    path.write_text(json.dumps(line) + "\n")
+    assert cli.main(["report", "merge", str(path), "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv_path.exists()
+    assert f"{path}:1: not a JSON line (NaN is not a JSON value)" in captured.err
+
+
 def test_sidecar_records_the_argv_main_was_given(capsys, tmp_path):
     out = str(tmp_path / "cpa.jsonl")
     argv = ["game", "cpa", "--r", "2", "--trials", "10", "--seed", "1", "--out", out]
@@ -494,7 +539,7 @@ def test_option_surface_is_pinned():
 
 def test_package_exports_are_pinned():
     assert sorted(subvertlab.__all__) == [
-        "Adversary", "AlgSubstitutionAttack", "Bits", "Channel", "GameReport", "History",
+        "Adversary", "AlgSubstitutionAttack", "Bits", "Channel", "GameReport",
         "InvalidHistoryError", "InvariantViolation", "LengthMismatchError", "MinEntropyReport",
         "NoExactPmfError", "OracleQuery", "OracleTranscript", "ParameterError", "PhiReport",
         "Prf", "QueryCountEstimate", "RandomizedAlgorithm", "SCHEMA", "ScheduleError",
@@ -504,21 +549,20 @@ def test_package_exports_are_pinned():
         "advantage_and_ci", "alg_enc_all", "alg_from_encryption", "alg_from_signing",
         "asa_enc_all", "asa_from_stego", "channel_pmf", "channel_sample", "channel_support",
         "channel_walk", "check_history", "chi2_attacker", "chi2_quantile", "chi2_warden",
-        "chi2_watchdog", "constant_guess", "decode_history", "default_attackers",
-        "default_beta", "default_wardens", "default_watchdogs", "det_scheme", "draw_next",
-        "encode_all", "encode_history", "encode_schedule", "encode_step", "estimate_unrel",
+        "chi2_watchdog", "constant_guess", "default_beta", "default_watchdogs", "det_scheme",
+        "draw_next", "encode_all", "encode_schedule", "encode_step", "estimate_unrel",
         "estimate_unrel_alg", "estimate_unrel_reboot", "estimate_unrel_stego",
         "extend_history", "fabricating_asa", "forger_from_fabricating_asa",
         "forger_from_universal_asa", "generic_asa_against_alg", "hmac_sha256",
         "is_power_of_two", "make_signed_family", "mark_agreement", "merge_reports",
         "min_entropy_estimate", "min_entropy_exact", "outl_for", "phi", "prf_split_block",
-        "prf_split_eval", "query_count", "rand_alg_channel", "random_composition",
-        "random_forger", "random_guess", "randpad_scheme", "rate_report", "rejsam_decode",
-        "rejsam_system", "repeat_attacker", "repeat_warden", "repeat_watchdog",
-        "replay_forger", "run_cpa_dist", "run_enc_asa_dist", "run_rasa_dist", "run_sig_forge",
-        "run_ss_cha_dist", "search_forger", "ses_channel", "sig_fixture", "stego_from_asa",
-        "substream", "transcript_json_lines", "uniform_channel", "universal_asa",
-        "watchdog_to_warden", "wilson_ci", "wrapped_warden_to_watchdog",
+        "query_count", "rand_alg_channel", "random_composition", "random_forger",
+        "random_guess", "randpad_scheme", "rate_report", "rejsam_decode", "rejsam_system",
+        "repeat_attacker", "repeat_warden", "repeat_watchdog", "replay_forger", "run_cpa_dist",
+        "run_enc_asa_dist", "run_rasa_dist", "run_sig_forge", "run_ss_cha_dist",
+        "search_forger", "ses_channel", "sig_fixture", "stego_from_asa", "substream",
+        "uniform_channel", "universal_asa", "watchdog_to_warden", "wilson_ci",
+        "wrapped_warden_to_watchdog",
     ]
     # every exported name resolves on the package
     assert all(hasattr(subvertlab, name) for name in subvertlab.__all__)
@@ -546,6 +590,9 @@ SIGNED_FAB = ["--rasa-host", "signed", "--attack", "fabricating", *FAB_OPTS]
         # counting bound arguments that are not JSON numbers, or below one
         ["lowerbound", "phi", "--ml", "8", "--outl", "1", "--query", "nan"],
         ["lowerbound", "phi", "--ml", "8", "--outl", "1", "--query", "inf"],
+        ["lowerbound", "phi", "--ml", "8", "--outl", "2", "--query", "1e308"],  # log2 phi overflows
+        ["lowerbound", "phi", "--ml", "9" * 400, "--outl", "1", "--query", "2"],
+        ["lowerbound", "phi", "--ml", "8", "--outl", "9" * 400, "--query", "2"],
         ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--query", "nan", "--trials", "2"],
         ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--query", "inf", "--trials", "2"],
         ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--query", "0.5", "--trials", "2"],

@@ -45,6 +45,7 @@ def test_counting_bound_reference_points():
     vacuous = phi(ml=16, outl=256, query=2)
     assert vacuous.log2_phi == pytest.approx(2288.0)
     assert vacuous.phi == math.inf and vacuous.trivial
+    assert vacuous.to_json_dict()["phi"] is None  # JSON has no infinity
 
     # an empty message is always recoverable
     empty = phi(ml=0, outl=1, query=1)
@@ -55,7 +56,7 @@ def test_counting_bound_reference_points():
 
     d = tight.to_json_dict()
     assert set(d) == {"ml", "outl", "query", "log2_phi", "phi", "trivial"}
-    for bad in ((8, 0, 2), (8, 1, 0.5), (-1, 1, 2), (8, 1, math.nan), (8, 1, math.inf)):
+    for bad in ((8, 0, 2), (8, 1, 0.5), (-1, 1, 2), (8, 1, math.nan), (8, 1, math.inf), (8, 2, 1e308)):
         with pytest.raises(ParameterError):
             phi(*bad)
 

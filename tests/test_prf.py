@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from subvertlab import Bits, ParameterError, Prf, is_power_of_two, prf_split_block, prf_split_eval
+from subvertlab import Bits, ParameterError, Prf, is_power_of_two, prf_split_block
 from subvertlab import prf as prf_module
 from subvertlab.prf import hmac_sha256
 
@@ -34,8 +34,9 @@ def test_frozen_project_vector():
     key = Bits.from_bytes(oracles.VECTOR_KEY)
     doc = Bits.from_bytes(oracles.VECTOR_DOC)
     assert prf.eval(key, doc).hex() == oracles.VECTOR_DIGEST
-    assert prf_split_eval(prf, key, doc, 16) == oracles.VECTOR_SPLIT_ML16
-    assert prf_split_eval(prf, key, doc, 8) == oracles.VECTOR_SPLIT_ML8
+    for ml, expected in ((16, oracles.VECTOR_SPLIT_ML16), (8, oracles.VECTOR_SPLIT_ML8)):
+        value, j = prf_split_block(prf, key, doc, 1, ml)
+        assert (value.uint, j) == expected
     value, j = prf_split_block(prf, key, doc, 6, 11)
     assert (value.uint, j) == oracles.VECTOR_BLOCK_6_11
 
@@ -46,18 +47,12 @@ def test_split_reads_msb_prefix():
     for _ in range(20):
         key, doc = Bits.random(64, rng), Bits.random(32, rng)
         out = prf.eval(key, doc)
-        bit, j = prf_split_eval(prf, key, doc, 16)
-        assert bit == out[0]
+        bit, j = prf_split_block(prf, key, doc, 1, 16)
+        assert bit.uint == out[0]
         assert j == out[1:5].uint
         value, jb = prf_split_block(prf, key, doc, 3, 4)
         assert value == out[0:3]
         assert jb == out[3:5].uint  # 4 slots: always in range
-
-
-def test_split_eval_requires_power_of_two():
-    prf = Prf(64)
-    with pytest.raises(ParameterError):
-        prf_split_eval(prf, Bits.zeros(64), Bits.zeros(8), 6)
 
 
 def test_block_split_skips_out_of_range():
@@ -87,18 +82,6 @@ def test_block_split_degenerate_single_slot():
     assert j == 0 and len(value) == 4
 
 
-def test_bit_block_agreement():
-    # block_bits=1 over a power-of-two slot count is the same split as the
-    # bit variant, bit for bit
-    prf = Prf(64)
-    rng = random.Random(77)
-    for _ in range(50):
-        key, doc = Bits.random(64, rng), Bits.random(24, rng)
-        bit, j = prf_split_eval(prf, key, doc, 8)
-        value, jb = prf_split_block(prf, key, doc, 1, 8)
-        assert (value.uint, jb) == (bit, j)
-
-
 def test_key_length_enforced():
     prf = Prf(128)
     with pytest.raises(ParameterError):
@@ -117,8 +100,8 @@ def test_slot_distribution_is_balanced():
     counts = [0] * 16
     n = 4096
     for i in range(n):
-        bit, j = prf_split_eval(prf, key, Bits(i, 16), 8)
-        counts[bit * 8 + j] += 1
+        bit, j = prf_split_block(prf, key, Bits(i, 16), 1, 8)
+        counts[bit.uint * 8 + j] += 1
     expected = n / 16
     stat = sum((c - expected) ** 2 / expected for c in counts)
     assert stat < oracles.chi2_quantile_exact(15, 0.9999)
