@@ -25,6 +25,7 @@ from .bits import Bits
 from .errors import ParameterError
 from .games import Adversary
 from .prf import is_power_of_two
+from .schemes import _signature_search
 
 __all__ = [
     "chi2_quantile",
@@ -242,11 +243,8 @@ def search_forger(budget: int = 512) -> Adversary:
     def strategy(view, rng: random.Random):
         m = Bits.random(view.params["ml"], rng)
         sigl = view.params["r"] + view.params["t"]
-        for _ in range(budget):
-            cand = Bits.random(sigl, rng)
-            if view.vrfy(view.pk, m, cand):
-                return m, cand
-        return None
+        sig = _signature_search(view.vrfy, view.verifier, view.pk, m, sigl, budget, rng)
+        return None if sig is None else (m, sig)
 
     return Adversary(
         kind="forger",

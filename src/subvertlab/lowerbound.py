@@ -30,6 +30,7 @@ from .schemes import (
     SignatureScheme,
     SymmetricEncryptionScheme,
     _keystream_int,
+    _signature_search,
 )
 from .stego import StegoSystem
 
@@ -149,17 +150,14 @@ def _fab_pad(ak: Bits, rho: Bits, ml: int) -> Bits:
     return Bits(_keystream_int(ak.to_bytes(), b"fabricate", rho.to_bytes(), ml), ml)
 
 
-def _fabricate_and_search(ak, am, prefix, sigl, vrfy, pk, budget, rng):
+def _fabricate_and_search(ak, am, prefix, sigl, vrfy, verifier, pk, budget, rng):
     """The fabricated ciphertext rho || (am xor pad(ak, rho)) and a signature
-    on it found by random search against vrfy(pk, ., .); None when the
-    budget runs out."""
+    on it found by random search against the verifier bound to (pk, c_star)
+    and confirmed by vrfy; None when the budget runs out."""
     rho = Bits.random(prefix, rng)
     c_star = rho + (am ^ _fab_pad(ak, rho, len(am)))
-    for _ in range(budget):
-        cand = Bits.random(sigl, rng)
-        if vrfy(pk, c_star, cand):
-            return c_star, cand
-    return None
+    sig = _signature_search(vrfy, verifier, pk, c_star, sigl, budget, rng)
+    return None if sig is None else (c_star, sig)
 
 
 def fabricating_asa(
@@ -187,7 +185,9 @@ def fabricating_asa(
         last = None
         for _ in range(decoys):
             last = family.alg.run_sample(s, x, rng)
-        found = _fabricate_and_search(ak, am, prefix, sig.sigl, sig.vrfy, family.pk, budget, rng)
+        found = _fabricate_and_search(
+            ak, am, prefix, sig.sigl, sig.vrfy, sig.verifier, family.pk, budget, rng
+        )
         return (last if found is None else found[0] + found[1]), sigma
 
     def ext(ak, docs):
@@ -277,7 +277,9 @@ def forger_from_fabricating_asa(
         for _ in range(decoys):
             c = ses.enc_sample(k, x, rng)
             last = (c, view.sign(c))
-        found = _fabricate_and_search(ak, am, prefix, sig.sigl, view.vrfy, view.pk, budget, rng)
+        found = _fabricate_and_search(
+            ak, am, prefix, sig.sigl, view.vrfy, view.verifier, view.pk, budget, rng
+        )
         return last if found is None else found
 
     return Adversary(

@@ -10,9 +10,8 @@ schemes' keystreams and signature tags, and the det codebook seed all call
 it, so every keyed digest is computed the same way.
 
 The toy keyed functions see the same (key, input) again and again: a
-rejection sampler re-marks documents the channel repeats, a randpad key has
-only 2^r coin strings, and a forgery search re-verifies the same payloads
-under one signing key. Counted at the benchmark's seed 0, eight
+rejection sampler re-marks documents the channel repeats, and a randpad key
+has only 2^r coin strings. Counted at the benchmark's seed 0, eight
 session-unrel reports make 90,407 HMAC calls over 40,827 distinct inputs;
 one of them marks 6,174 times over 3,273 documents and derives 5,145 pads
 over 1,881 coin strings, and one pointmass-unrel report marks 2,048 times
@@ -51,8 +50,10 @@ _pads: dict[bytes, tuple] = {}
 # The bounds of every per-key table (see the module docstring), and the
 # mark tables of prf_split_block, keyed by (key bytes, block_bits, n_slots).
 # Replayed at the benchmark's seed 0, 1024-entry tables get the same hits as
-# unbounded ones on session-unrel and pointmass-unrel, and 97% of them
-# (39,328 of 40,390) on lowerbound rate, holding at most 1,261 entries, not 9,052.
+# unbounded ones on session-unrel and pointmass-unrel. On eight lowerbound
+# rate reports the signature table answers 743 of 12,696 tag lookups (888
+# unbounded, over at most 1,667 payloads per key): its forgery searches keep
+# their candidates' tags in their own bound verifier, not here.
 TABLE_KEYS = 8
 TABLE_ENTRIES = 1024
 _marks: dict[tuple, dict] = {}

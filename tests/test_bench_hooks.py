@@ -37,3 +37,24 @@ def test_tracer_installs_records_and_uninstalls():
     assert counts["games.trial"] == 2
     assert counts["stego.encode_step"] == 2 * 24  # one step per emitted document
     assert counts["bits.objects"] > 0
+
+
+def test_traced_cli_runs_count_parsing_and_verification(capsys):
+    # the benchmark's cli.parse_ms and lowerbound.vrfy_per_forgery are read
+    # from these counts; a hook that no call reaches would zero them
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rate = cli.main(
+            "lowerbound rate --attack fabricating --sig coin-extractable --sig-ml 16 --tag-bits 4"
+            " --fab-ml 8 --trials 3 --budget 256 --seed 0".split()
+        )
+        cpa = cli.main("game cpa --trials 4 --seed 0".split())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert rate == cpa == 0
+    counts = tracer.counts()
+    assert counts["cli.main"] == counts["cli.build_parser"] == counts["cli.parse_args"] == 2
+    assert counts["schemes.vrfy"] > 0
+    assert counts["lowerbound.searches"] > 0 and counts["lowerbound.search_vrfy"] > 0

@@ -1,17 +1,20 @@
 """Command line driver: json-lines output, determinism, files, exit codes."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 import subvertlab
 from subvertlab import Adversary, ParameterError, UniversalityViolation
-from subvertlab import cli, games
+from subvertlab import cli, games, sig_fixture
 
 
 def run_cli(capsys, argv):
@@ -513,8 +516,10 @@ OPTION_SURFACE = {
 
 def _option_surface(parser):
     surface = {}
+    # group and subcommand parsers add their contents on first use
     for name, group in parser._subparsers._group_actions[0].choices.items():
-        for sub, p in group._subparsers._group_actions[0].choices.items():
+        for sub, p in group.filled()._subparsers._group_actions[0].choices.items():
+            p.filled()
             surface[name, sub] = {
                 (
                     tuple(a.option_strings),
@@ -626,3 +631,72 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv).func), argv
+
+
+def _help_cases():
+    """(command group, argv) of every help, usage and error path the
+    parser prints: --help and an unknown option on the root and on each
+    group, each group bare, and --help, an unknown option and a non-integer
+    --trials on each subcommand."""
+    yield "", ["--help"]
+    yield "", ["--bogus"]
+    for command in cli._COMMAND_HELP:
+        for tail in (["--help"], [], ["--bogus"]):
+            yield command, [command, *tail]
+    for command, subcommand, *_ in cli._COMMANDS:
+        for tail in (["--help"], ["--bogus"], ["--trials", "x"]):
+            yield command, [command, subcommand, *tail]
+
+
+# sha256 over each group's cases (exit code, stdout, stderr) at COLUMNS=80,
+# taken when every subcommand's options were added up front
+HELP_PINS = {
+    "": "aaae6d2929e19c21987ffacd2370424c625680428203921b51b88a68cf8306fa",
+    "channel": "64eb42713088b6785eca65d5ea15867301ea2985335aa37d7bc0efc85160e8de",
+    "stego": "ef8a7a07ce776e29ef65ff1fa107ffcdd69cda87a45a97878cf19ce397dc67c8",
+    "asa": "acddbf90b9b2cf3b99300f3432c539c5ea89dedc0f7ba5e5d492a169d51170d4",
+    "game": "242c348bf905668f20ee986f29c99f795291d918482352f0cc4eeda81f2bf1fa",
+    "lowerbound": "e04a4f3463580421c7492e53db0e52bed41e091c458312e5a48dfc03fa4eea8c",
+    "report": "ebd9b7a3e753b25ea74e11777f6a4c81460835738bbc554ba7fb23b94c30b320",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on Python 3.11's argparse layout")
+def test_help_usage_and_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests, cases = {}, 0
+    for group, argv in _help_cases():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        text = f"{argv}\n{code}\n{captured.out}\n{captured.err}\n"
+        digests.setdefault(group, hashlib.sha256()).update(text.encode())
+        cases += 1
+    assert cases == 77
+    assert {group: h.hexdigest() for group, h in digests.items()} == HELP_PINS
+
+
+def test_parser_builds_only_what_an_invocation_names(monkeypatch):
+    parser = cli.build_parser()
+    groups = parser._subparsers._group_actions[0].choices
+    assert all(g._subparsers is None for g in groups.values())  # nothing below the root yet
+    # a handler patched after build_parser() is the one that runs
+    monkeypatch.setattr(cli, "cmd_game_cpa", lambda args: [{"patched": args.trials}])
+    args = parser.parse_args(["game", "cpa", "--trials", "3"])
+    assert args.func(args) == [{"patched": 3}]
+    game = groups["game"]._subparsers._group_actions[0].choices
+    assert game["cpa"]._actions and not any(p._actions[1:] for n, p in game.items() if n != "cpa")
+    assert all(g._subparsers is None for name, g in groups.items() if name != "game")
+
+
+def test_verifiers_that_disagree_exit_3(capsys, monkeypatch):
+    def lying_sig_fixture(*args, **kwargs):
+        return dataclasses.replace(sig_fixture(*args, **kwargs), vrfy=lambda *a: False)
+
+    monkeypatch.setattr(cli, "sig_fixture", lying_sig_fixture)
+    argv = ["game", "forge", "--adversary", "search", "--tag-bits", "4", "--trials", "2"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invariant violation:")

@@ -248,7 +248,7 @@ def test_every_subcommand_is_in_the_matrix():
     commands = {
         (name, sub)
         for name, group in parser._subparsers._group_actions[0].choices.items()
-        for sub in group._subparsers._group_actions[0].choices
+        for sub in group.filled()._subparsers._group_actions[0].choices
     }
     assert commands == covered
 

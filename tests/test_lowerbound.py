@@ -1,5 +1,6 @@
 """Signed families, the counting bound, and the fabrication experiment."""
 
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from subvertlab import (
     Bits,
+    InvariantViolation,
     LengthMismatchError,
     ParameterError,
     StegoParams,
@@ -21,8 +23,10 @@ from subvertlab import (
     rate_report,
     rejsam_system,
     run_sig_forge,
+    search_forger,
     sig_fixture,
 )
+from subvertlab import lowerbound
 
 KAPPA = 16
 
@@ -152,3 +156,50 @@ def test_rate_report_assembles_the_inequality():
     # and the forger it reduces to does clear the bound
     assert report["forger_success_hat"] >= report["forger_bound"]
     assert report["forger_bound"] >= 0.5
+
+
+def _reference_search(ak, am, prefix, sigl, vrfy, pk, budget, rng):
+    """The fabricate-and-search loop over bit strings: every candidate is a
+    Bits.random draw checked by vrfy."""
+    rho = Bits.random(prefix, rng)
+    c_star = rho + (am ^ lowerbound._fab_pad(ak, rho, len(am)))
+    for _ in range(budget):
+        cand = Bits.random(sigl, rng)
+        if vrfy(pk, c_star, cand):
+            return c_star, cand
+    return None
+
+
+@pytest.mark.parametrize("tag_bits,budget", [(6, 4096), (8, 4096), (8, 40), (12, 300), (8, 0)])
+def test_search_draws_and_finds_what_the_bit_string_loop_does(tag_bits, budget):
+    ses, sig, family = family_fixture(tag_bits=tag_bits)
+    outcomes = set()
+    for seed in range(12):
+        setup = random.Random(seed)
+        ak, am = Bits.random(128, setup), Bits.random(8, setup)
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want = _reference_search(ak, am, 8, sig.sigl, sig.vrfy, family.pk, budget, ref_rng)
+        got = lowerbound._fabricate_and_search(
+            ak, am, 8, sig.sigl, sig.vrfy, sig.verifier, family.pk, budget, rng
+        )
+        assert got == want and rng.getstate() == ref_rng.getstate(), seed
+        outcomes.add(got is None)
+    # budget 0 never searches; 4096 always finds a forgery; 40 and 300
+    # candidates against 8- and 12-bit tags find one at some seeds only
+    assert outcomes == {0: {True}, 4096: {False}}.get(budget, {True, False})
+
+
+def test_verifiers_that_disagree_stop_the_run():
+    ses, sig, _ = family_fixture(tag_bits=6)
+    lying = dataclasses.replace(sig, vrfy=lambda *a: False)
+    forgers = (
+        search_forger(budget=4096),
+        forger_from_fabricating_asa(ses, lying, ml=8, decoys=1, budget=4096),
+    )
+    for forger in forgers:
+        with pytest.raises(InvariantViolation, match="vrfy rejects"):
+            run_sig_forge(lying, forger, trials=3, seed=0)
+    family = make_signed_family(ses, lying, random.Random(0))
+    attack = fabricating_asa(family, ml=8, decoys=1, budget=4096)
+    with pytest.raises(InvariantViolation, match="vrfy rejects"):
+        estimate_unrel_alg(attack, family.alg, trials=3, seed=0)

@@ -387,3 +387,40 @@ def test_randpad_matches_bit_string_reference(r, kappa, ml, data):
     assert ses.dec(k, other).bin() == oracles.randpad_dec_bits(k.bin(), other.bin(), r, ml)
     assert ses.dec(k, other + Bits(0, 1)) is None
     assert oracles.randpad_dec_bits(k.bin(), other.bin() + "0", r, ml) is None
+
+
+@pytest.mark.parametrize(
+    "kind,coin_bits,tag_bits", [("coin-injective", 3, 4), ("coin-extractable", 2, 5), ("unique", 0, 6)]
+)
+def test_bound_verifier_matches_vrfy_on_every_candidate(kind, coin_bits, tag_bits):
+    ml = 5
+    sig = sig_fixture(kind, 12, ml=ml, coin_bits=coin_bits, tag_bits=tag_bits)
+    c, t = sig.coin_bits, sig.tag_bits
+    for pk, m in ((Bits(0x5A3, 12), Bits(9, ml)), (Bits(0x0F1, 12), Bits(9, ml))):
+        accepts = sig.verifier(pk, m)
+        got = [accepts(v) for v in range(2**sig.sigl)]
+        for v, ok in enumerate(got):
+            cand = Bits(v, sig.sigl)
+            assert ok == sig.vrfy(pk, m, cand) == oracles.sig_vrfy_bits(
+                pk.bin(), m.bin(), cand.bin(), ml, c, t
+            ), (pk, v)
+        assert sum(got) == 2**c  # one tag per coin string
+        # asked again, in reverse order, the per-search memo answers the same
+        assert [accepts(v) for v in reversed(range(2**sig.sigl))] == got[::-1]
+    # a wrong-length message verifies nothing
+    for bad_m in (Bits(9, ml + 1), Bits(4, ml - 1)):
+        accepts = sig.verifier(pk, bad_m)
+        assert not any(accepts(v) for v in range(2**sig.sigl))
+
+
+def test_bound_verifier_reads_a_two_block_tag():
+    sig = sig_fixture("coin-extractable", 16, ml=7, coin_bits=2, tag_bits=300)
+    sk, m = Bits(0xBEEF, 16), Bits(0x55, 7)
+    accepts = sig.verifier(sk, m)
+    for rho in range(4):
+        s = sig.sign(sk, m, Bits(rho, 2))
+        for cand in (s, s ^ Bits(1, 302), s ^ Bits(1 << 299, 302), s ^ Bits(1 << 300, 302)):
+            assert accepts(cand.uint) == sig.vrfy(sk, m, cand) == oracles.sig_vrfy_bits(
+                sk.bin(), m.bin(), cand.bin(), 7, 2, 300
+            )
+        assert accepts(s.uint)
