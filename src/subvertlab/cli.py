@@ -232,6 +232,8 @@ def _read_jsonl(path):
             obj = json.loads(line, parse_constant=_non_json_constant)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{path}:{n}: not a JSON line ({exc.msg})") from None
+        except RecursionError:
+            raise ParameterError(f"{path}:{n}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise ParameterError(f"{path}:{n}: expected a JSON object")
         records.append((n, obj))
@@ -239,13 +241,19 @@ def _read_jsonl(path):
 
 
 def _hex_bits(text, nbits, where):
-    """Bits from a hex string, or a ParameterError naming where it came from."""
+    """Bits from a hex string, or a ParameterError naming where it came from.
+    Digits past nbits may hold only zero pad bits, as Bits.hex() writes them."""
     if not isinstance(text, str):
         raise ParameterError(f"{where}: expected a hex string")
     try:
-        return Bits.from_hex(text, nbits)
+        bits = Bits.from_hex(text, nbits)
     except ValueError as exc:
         raise ParameterError(f"{where}: {exc}") from None
+    digits = text.strip()
+    whole = Bits.from_hex(digits + "0" * (len(digits) % 2))
+    if whole.uint & ((1 << len(whole) - nbits) - 1):
+        raise ParameterError(f"{where}: hex {text!r} sets bits past the {nbits} requested")
+    return bits
 
 
 # --- channel commands ----------------------------------------------------------
@@ -270,10 +278,14 @@ def cmd_channel_entropy(args):
         return channel_walk(channel, depth, substream(seed, "entropy-history", depth))
 
     if args.mode == "exact":
-        report = min_entropy_exact(channel, [walk(depth) for depth in args.depths])
+        if args.depth is not None:
+            raise ParameterError("--depth applies to --mode estimate; exact mode takes --depths")
+        report = min_entropy_exact(channel, [walk(depth) for depth in args.depths or [0]])
     else:
+        if args.depths is not None:
+            raise ParameterError("--depths applies to --mode exact; estimate mode takes --depth")
         rng = substream(seed, "channel-entropy")
-        report = min_entropy_estimate(channel, walk(args.depth), args.samples, rng)
+        report = min_entropy_estimate(channel, walk(args.depth or 0), args.samples, rng)
     d = report.to_json_dict()
     d["kind"] = "min-entropy"
     d["seed"] = seed
@@ -769,10 +781,9 @@ _COMMANDS = (
         _opt(
             "--depths",
             type=_int_list(_nonneg_int),
-            default=[0],
             help="history depths for exact mode, comma separated",
         ),
-        _opt("--depth", type=_nonneg_int, default=0, help="history depth for estimate mode"),
+        _opt("--depth", type=_nonneg_int, help="history depth for estimate mode"),
         _opt("--samples", type=int, default=4096),
     ), "cmd_channel_entropy"),
     ("stego", "embed", "embed a message into channel documents", "out run host sig stego channel", (

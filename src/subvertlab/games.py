@@ -153,8 +153,8 @@ class GameReport:
             if key not in d:
                 raise ParameterError(f"report has no {key!r} key")
         trials, successes = d["trials"], d["success_count"]
-        if not all(type(v) is int for v in (trials, successes)) or not 0 <= successes <= trials:
-            raise ParameterError("'trials' and 'success_count' must be counts, successes <= trials")
+        if not all(type(v) is int for v in (trials, successes)) or not 0 <= successes <= trials < 2**63:
+            raise ParameterError("need integers 0 <= 'success_count' <= 'trials' < 2**63")
         if not isinstance(d["game"], str):
             raise ParameterError("'game' must be a string")
         if not isinstance(d["ci95"], list) or len(d["ci95"]) != 2:

@@ -15,18 +15,18 @@ has only 2^r coin strings. Counted at the benchmark's seed 0, eight
 session-unrel reports make 90,407 HMAC calls over 40,827 distinct inputs;
 one of them marks 6,174 times over 3,273 documents and derives 5,145 pads
 over 1,881 coin strings, and one pointmass-unrel report marks 2,048 times
-over 642 documents. So each keyed function keeps a per-key table, filled on
-first use: prf_split_block here (document bytes -> (value, slot), one table
-per key bytes, block_bits and n_slots), the randpad pads and the signature
-tags in schemes. All share one idiom and one pair of bounds: the tables of
-the latest TABLE_KEYS keys are kept (a trial holds one attacker key and one
-host key), and a table that reaches TABLE_ENTRIES entries is emptied, which
-caps the fixed signing key of a lowerbound rate run. Argument checks run on
-every call, before the lookup, and a miss adds no Python call frame.
+over 642 documents. So every keyed cache of the package is one of the two
+table types here, filled by __missing__ on first lookup. A KeyTable keeps
+its latest TABLE_KEYS (8) keys (64 for the HMAC pad states) and evicts the
+oldest; a Table is emptied when it reaches TABLE_ENTRIES (1024) entries. The
+pad states, the marks of prf_split_block, and the randpad pads and det
+codebooks of schemes live in them. A hit is one dict subscript; argument
+checks run on every call, before the lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -41,55 +41,71 @@ _BLOCK = 64  # SHA-256 block size in bytes
 _TRANS_36 = bytes(b ^ 0x36 for b in range(256))
 _TRANS_5C = bytes(b ^ 0x5C for b in range(256))
 
-# The keyed inner and outer SHA-256 states of the latest keys; when full, a
-# new key evicts the oldest. A trial keeps one attacker key and one host key
-# for thousands of calls, so a few dozen keys suffice.
-_PAD_MEMO = 64
-_pads: dict[bytes, tuple] = {}
-
-# The bounds of every per-key table (see the module docstring), and the
-# mark tables of prf_split_block, keyed by (key bytes, block_bits, n_slots).
-# Replayed at the benchmark's seed 0, 1024-entry tables get the same hits as
-# unbounded ones on session-unrel and pointmass-unrel. On eight lowerbound
-# rate reports the signature table answers 743 of 12,696 tag lookups (888
-# unbounded, over at most 1,667 payloads per key): its forgery searches keep
-# their candidates' tags in their own bound verifier, not here.
+# The bounds of every table (module docstring). Replayed at the benchmark's
+# seed 0, 1024-entry mark tables get the same hits as unbounded ones on
+# session-unrel and pointmass-unrel; a trial keeps one attacker key and one
+# host key for thousands of HMACs, so a few dozen pad states suffice.
 TABLE_KEYS = 8
 TABLE_ENTRIES = 1024
-_marks: dict[tuple, dict] = {}
+_PAD_MEMO = 64
 
 
-def remember(memo: dict, key, value, keys: int = TABLE_KEYS):
-    """Store value under a key new to memo and return it; a memo already
-    holding `keys` keys first evicts its oldest."""
-    if len(memo) >= keys:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
+class KeyTable(dict):
+    """key -> fill(key) for the latest `size` keys; a new key evicts the oldest."""
+
+    __slots__ = ("fill", "size")
+
+    def __init__(self, fill, size: int = TABLE_KEYS):
+        self.fill = fill
+        self.size = size
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if len(self) >= self.size:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+
+class Table(dict):
+    """x -> fill(x); a table that holds TABLE_ENTRIES entries empties on a miss."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, x):
+        value = self.fill(x)
+        if len(self) >= TABLE_ENTRIES:
+            self.clear()
+        self[x] = value
+        return value
+
+
+def _pad_states(key: bytes) -> tuple:
+    """SHA-256 after absorbing key xor ipad, and after key xor opad."""
+    block = hashlib.sha256(key).digest() if len(key) > _BLOCK else key
+    block = block.ljust(_BLOCK, b"\x00")
+    return hashlib.sha256(block.translate(_TRANS_36)), hashlib.sha256(block.translate(_TRANS_5C))
+
+
+_pads = KeyTable(_pad_states, _PAD_MEMO)
 
 
 def hmac_sha256(key: bytes, msg: bytes) -> bytes:
     """HMAC-SHA256(key, msg) as in RFC 2104, from cached pad states.
 
-    The keyed states (SHA-256 after absorbing key xor ipad, key xor opad)
-    are computed once per key and copied per call. The standard library's
-    hmac module rebuilds them on every call through a pure-Python wrapper:
-    with a 16-byte key and a 20-byte message the same digest costs 4.7 us
-    that way and 2.0 us from the cache (medians of seven timeit runs on a
-    2-core Xeon, Python 3.11, OpenSSL 3.0).
+    The keyed states are computed once per key and copied per call. The
+    standard library's hmac module rebuilds them on every call through a
+    pure-Python wrapper: with a 16-byte key and a 20-byte message the same
+    digest costs 4.7 us that way and 2.0 us from the cache (medians of seven
+    timeit runs on a 2-core Xeon, Python 3.11, OpenSSL 3.0).
     """
-    pads = _pads.get(key)
-    if pads is None:
-        block = hashlib.sha256(key).digest() if len(key) > _BLOCK else key
-        block = block.ljust(_BLOCK, b"\x00")
-        pads = (
-            hashlib.sha256(block.translate(_TRANS_36)),
-            hashlib.sha256(block.translate(_TRANS_5C)),
-        )
-        remember(_pads, key, pads, _PAD_MEMO)
-    inner = pads[0].copy()
+    inner, outer = _pads[key]
+    inner = inner.copy()
     inner.update(msg)
-    outer = pads[1].copy()
+    outer = outer.copy()
     outer.update(inner.digest())
     return outer.digest()
 
@@ -133,28 +149,26 @@ def prf_split_block(
     as Prf.eval followed by two slices, without the intermediate bit strings.
 
     The pair is a function of the key bytes, the document bytes, block_bits
-    and n_slots alone, so it is kept in a per-key table (module docstring)
-    and a repeated document returns the very tuple marked first. Documents
-    whose padded bytes agree mark the same, table or not.
+    and n_slots alone, so it is kept in a table (module docstring) and a
+    repeated document returns the very tuple marked first. Documents whose
+    padded bytes agree mark the same, table or not.
     """
     if block_bits <= 0 or n_slots <= 0:
         raise ParameterError("block_bits and n_slots must be positive")
-    idx_bits = (n_slots - 1).bit_length()
-    if block_bits + idx_bits > prf.out_bits:
+    if block_bits + (n_slots - 1).bit_length() > prf.out_bits:
         raise ParameterError("PRF output too short for requested split")
     if len(key) != prf.key_bits:
         raise ParameterError(f"key must have {prf.key_bits} bits")
-    kb = key.to_bytes()
-    db = doc.to_bytes()
-    table = _marks.get((kb, block_bits, n_slots))
-    if table is None:
-        table = remember(_marks, (kb, block_bits, n_slots), {})
-    mark = table.get(db)
-    if mark is None:
-        if len(table) >= TABLE_ENTRIES:
-            table.clear()
-        out = int.from_bytes(hmac_sha256(kb, db), "big")
-        rest = _OUT_BITS - block_bits
-        j = (out >> (rest - idx_bits)) & ((1 << idx_bits) - 1)
-        mark = table[db] = (Bits(out >> rest, block_bits), j if j < n_slots else None)
-    return mark
+    return _marks[key.to_bytes(), block_bits, n_slots][doc.to_bytes()]
+
+
+def _mark(kb: bytes, block_bits: int, n_slots: int, db: bytes) -> tuple[Bits, int | None]:
+    out = int.from_bytes(hmac_sha256(kb, db), "big")
+    rest = _OUT_BITS - block_bits
+    idx_bits = (n_slots - 1).bit_length()
+    j = (out >> (rest - idx_bits)) & ((1 << idx_bits) - 1)
+    return Bits(out >> rest, block_bits), j if j < n_slots else None
+
+
+# (key bytes, block_bits, n_slots) -> a table from document bytes to its mark
+_marks = KeyTable(lambda split: Table(functools.partial(_mark, *split)))

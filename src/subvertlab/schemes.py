@@ -10,15 +10,15 @@ comes from prf.hmac_sha256, the package's one HMAC primitive; the hot
 fixtures (randpad, signatures) work on integers and build one bit string
 per output.
 
-Each fixture instance keeps per-key tables with the bounds of prf (the latest
-TABLE_KEYS keys, each table emptied at TABLE_ENTRIES entries): randpad maps
-a coin string rho to its pad, the signature fixture maps the payload m || coins
-to its tag, and det keeps each key's codebook. The inputs repeat: one
+Each fixture instance keeps its keyed caches in prf's table types (bounds
+and eviction are set there): randpad maps a key to its table of pads by coin
+string rho, and det maps a key to its codebook. The inputs repeat: one
 session-unrel benchmark report derives 5,145 pads over only 1,881 coin
-strings, since a randpad key has 2^r of them. A forgery search is the
-exception: it tests hundreds of candidates on one fresh payload, so it binds
-the verifier to that (pk, m) and keeps the tags of that search alone. Every
-argument check still runs on every call, before the lookup.
+strings, since a randpad key has 2^r of them. The signature fixture keeps no
+table: its payloads m || coins seldom repeat across calls, and a forgery
+search, which tests hundreds of candidates on one fresh payload, binds the
+verifier to that (pk, m) and keeps the tags of that search alone. Every
+argument check runs on every call, before the lookup.
 
 Security properties of the fixtures are measured by the games, not proven.
 In particular the signature fixtures verify by recomputing a keyed tag, so
@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 
 from .bits import Bits
 from .errors import InvariantViolation, ParameterError
-from .prf import TABLE_ENTRIES, hmac_sha256, remember
+from .prf import KeyTable, Table, hmac_sha256
 
 __all__ = [
     "SymmetricEncryptionScheme",
@@ -119,39 +119,23 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
     cl = r + ml
     body_mask = (1 << ml) - 1
     pack_rho = _payload_packer(r)
-    # per key bytes: rho -> pad int; looked up inline, so a miss adds no frame
-    pads: dict[bytes, dict] = {}
+
+    def key_pads(kb: bytes) -> Table:  # rho -> pad int, for one key
+        return Table(lambda rho: _keystream_int(kb, b"pad", pack_rho(rho), ml))
+
+    pads = KeyTable(key_pads)
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != r:
             raise ParameterError("randpad enc: wrong message or coin length")
         rho = coins.uint
-        kb = k.to_bytes()
-        table = pads.get(kb)
-        if table is None:
-            table = remember(pads, kb, {})
-        pad = table.get(rho)
-        if pad is None:
-            if len(table) >= TABLE_ENTRIES:
-                table.clear()
-            pad = table[rho] = _keystream_int(kb, b"pad", pack_rho(rho), ml)
-        return Bits((rho << ml) | (m.uint ^ pad), cl)
+        return Bits((rho << ml) | (m.uint ^ pads[k.to_bytes()][rho]), cl)
 
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != cl:
             return None
         v = c.uint
-        rho = v >> ml
-        kb = k.to_bytes()
-        table = pads.get(kb)
-        if table is None:
-            table = remember(pads, kb, {})
-        pad = table.get(rho)
-        if pad is None:
-            if len(table) >= TABLE_ENTRIES:
-                table.clear()
-            pad = table[rho] = _keystream_int(kb, b"pad", pack_rho(rho), ml)
-        return Bits((v & body_mask) ^ pad, ml)
+        return Bits((v & body_mask) ^ pads[k.to_bytes()][v >> ml], ml)
 
     def exact_pmf(k: Bits, m: Bits, c: Bits) -> Fraction:
         if len(c) == cl and enc(k, m, c[:r]) == c:
@@ -177,11 +161,11 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
     )
 
 
-# det_scheme keeps the codebooks of its latest TABLE_KEYS keys. Each key's
-# entry also caches its ciphertexts, one Bits per message, built the first
-# time that message is encrypted (never all 2^ml up front: most keys see few
-# messages), and the inverse permutation, built on the key's first
-# decryption (most keys are only ever used to encrypt).
+# det_scheme keeps a KeyTable of codebooks. Each key's entry also caches its
+# ciphertexts, one Bits per message, built the first time that message is
+# encrypted (never all 2^ml up front: most keys see few messages), and the
+# inverse permutation, built on the key's first decryption (most keys are
+# only ever used to encrypt).
 
 
 def _invert(perm: list[int]) -> list[int]:
@@ -200,23 +184,21 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     if kappa <= 0 or not 0 < ml <= _ENUM_LIMIT:
         raise ParameterError(f"det scheme needs kappa > 0 and 0 < ml <= {_ENUM_LIMIT}")
     size = 2**ml
-    # per key: [permutation, its inverse or None until a dec, ciphertexts]
-    books: dict[Bits, list] = {}
 
-    def tables(k: Bits) -> list:
-        book = books.get(k)
-        if book is None:
-            seed = hmac_sha256(k.to_bytes(), b"codebook")
-            shuffle_rng = random.Random(int.from_bytes(seed[:16], "big"))
-            perm = list(range(size))
-            shuffle_rng.shuffle(perm)
-            book = remember(books, k, [perm, None, [None] * size])
-        return book
+    def codebook(k: Bits) -> list:
+        """[permutation, its inverse or None until a dec, ciphertexts]"""
+        seed = hmac_sha256(k.to_bytes(), b"codebook")
+        shuffle_rng = random.Random(int.from_bytes(seed[:16], "big"))
+        perm = list(range(size))
+        shuffle_rng.shuffle(perm)
+        return [perm, None, [None] * size]
+
+    books = KeyTable(codebook)
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != 0:
             raise ParameterError("det enc: wrong message or coin length")
-        perm, _, cts = tables(k)
+        perm, _, cts = books[k]
         i = m.uint
         c = cts[i]
         if c is None:
@@ -226,7 +208,7 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != ml:
             return None
-        book = tables(k)
+        book = books[k]
         inv = book[1]
         if inv is None:
             inv = book[1] = _invert(book[0])
@@ -303,21 +285,6 @@ def sig_fixture(
     sigl = coin_bits + tag_bits
     tag_mask = (1 << tag_bits) - 1
     pack_mc = _payload_packer(ml + coin_bits)
-    tags: dict[bytes, dict] = {}  # per key bytes: payload int -> tag int
-
-    def tag(sk: Bits, m: int, coins: int) -> int:
-        """The keyed tag on the bit string m || coins."""
-        payload = (m << coin_bits) | coins
-        kb = sk.to_bytes()
-        table = tags.get(kb)
-        if table is None:
-            table = remember(tags, kb, {})
-        t = table.get(payload)
-        if t is None:
-            if len(table) >= TABLE_ENTRIES:
-                table.clear()
-            t = table[payload] = _keystream_int(kb, b"sig", pack_mc(payload), tag_bits)
-        return t
 
     def gen(rng: random.Random) -> tuple[Bits, Bits]:
         sk = Bits.random(kappa, rng)
@@ -326,13 +293,16 @@ def sig_fixture(
     def sign(sk: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != coin_bits:
             raise ParameterError("sign: wrong message or coin length")
-        return Bits((coins.uint << tag_bits) | tag(sk, m.uint, coins.uint), sigl)
+        rho = coins.uint
+        t = _keystream_int(sk.to_bytes(), b"sig", pack_mc((m.uint << coin_bits) | rho), tag_bits)
+        return Bits((rho << tag_bits) | t, sigl)
 
     def vrfy(pk: Bits, m: Bits, sig: Bits) -> bool:
         if len(m) != ml or len(sig) != sigl:
             return False
         s = sig.uint
-        return s & tag_mask == tag(pk, m.uint, s >> tag_bits)
+        payload = pack_mc((m.uint << coin_bits) | (s >> tag_bits))
+        return s & tag_mask == _keystream_int(pk.to_bytes(), b"sig", payload, tag_bits)
 
     def verifier(pk: Bits, m: Bits) -> Callable[[int], bool]:
         if len(m) != ml:

@@ -192,16 +192,16 @@ def rejsam_decode(
     if len(docs) != params.outl:
         raise WrongDocumentCountError(f"expected {params.outl} documents, got {len(docs)}")
     block_bits, n_slots = params.block_bits, params.n_slots
-    slots: list[int | None] = [None] * n_slots
+    slots: dict[int, int] = {}  # not a list: a saved session may claim any ml
     for doc in docs:
         value, j = prf_split_block(prf, ak, doc, block_bits, n_slots)
         if j is not None:
             slots[j] = value.uint  # last write wins
-    if None in slots:
+    if len(slots) < n_slots:
         return None
     am_int = 0
-    for v in slots:
-        am_int = (am_int << block_bits) | v  # type: ignore[operator]
+    for j in range(n_slots):
+        am_int = (am_int << block_bits) | slots[j]
     return Bits(am_int >> (params.padded_ml - params.ml), params.ml)
 
 

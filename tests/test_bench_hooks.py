@@ -1,17 +1,21 @@
-"""The benchmark's tracer still finds every name it patches.
+"""The benchmark still finds every name it patches and every option it passes.
 
-bench/tracer.py wraps package functions by name from outside the package.
-A rename or deletion of one of them otherwise shows only when the benchmark
-runs its traced pass; here it fails the test suite.
+bench/tracer.py wraps package functions by name, and bench/workloads.py
+runs CLI invocations, both from outside the package. A renamed or deleted
+function or option otherwise shows only when the benchmark runs (as a failed
+traced pass, or a `run_failed` workload); here it fails the test suite.
 """
 
 import sys
 from pathlib import Path
 
+import pytest
+
 from subvertlab import Bits, StegoParams, cli, games, rejsam_system, stego, uniform_channel
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from tracer import Tracer  # noqa: E402
+from workloads import INVOCATIONS  # noqa: E402
 
 
 def test_tracer_installs_records_and_uninstalls():
@@ -58,3 +62,11 @@ def test_traced_cli_runs_count_parsing_and_verification(capsys):
     assert counts["cli.main"] == counts["cli.build_parser"] == counts["cli.parse_args"] == 2
     assert counts["schemes.vrfy"] > 0
     assert counts["lowerbound.searches"] > 0 and counts["lowerbound.search_vrfy"] > 0
+
+
+@pytest.mark.parametrize("label, template", [(label, t) for label, _, t in INVOCATIONS])
+def test_benchmark_cli_invocations_parse(label, template, tmp_path):
+    fill = {"seed": 12345, "jobs": 2, "out": tmp_path, "message": "a7"}
+    argv = [token.format(**fill) for token in template.split()]
+    args = cli.build_parser().parse_args(argv)  # an unknown option exits 2 here
+    assert callable(args.func), label

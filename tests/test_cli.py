@@ -429,6 +429,71 @@ def test_odd_hex_message_longer_than_its_digits_exits_2(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asa", "run", "--message", "12345", "--ml", "8"],
+        ["stego", "embed", "--message", "ffff"],
+        ["stego", "embed", "--message", "a5", "--ml", "4"],
+        ["stego", "embed", "--message", "a8", "--ml", "4"],
+        ["stego", "embed", "--message", "a", "--key", "0000f", *STEGO_OPTS],
+    ],
+)
+def test_hex_with_set_bits_past_its_length_exits_2(argv, capsys):
+    rc = cli.main([*argv, "--seed", "0"])
+    captured = capsys.readouterr()
+    where = argv[argv.index("--key") if "--key" in argv else 2]
+    assert rc == 2 and captured.out == ""
+    assert f"error: {where}:" in captured.err and "sets bits past" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_hex_with_zero_bits_past_its_length_is_read(capsys, tmp_path):
+    # the pad bits Bits.hex() writes, and the digits the golden rows pass
+    for argv in (
+        ["asa", "run", "--message", "12", "--ml", "8"],
+        ["stego", "embed", "--message", "a", *STEGO_OPTS],
+        ["stego", "embed", "--message", "5", *STEGO_OPTS],
+        ["stego", "embed", "--message", "a0", *STEGO_OPTS],
+    ):
+        rc, lines, _ = run_cli(capsys, [*argv, "--seed", "0"])
+        assert rc == 0 and lines[-1]["ok"], argv
+    # a session of 12-bit documents saves each with four zero pad bits
+    session = str(tmp_path / "session.jsonl")
+    rc, lines, _ = run_cli(
+        capsys,
+        ["stego", "embed", "--channel", "uniform", "--doc-bits", "12", *STEGO_OPTS,
+         "--message", "c", "--seed", "2", "--out", session],
+    )
+    assert rc == 0 and {line["bits"] for line in lines[1:-1]} == {12}
+    rc, lines, _ = run_cli(capsys, ["stego", "extract", "--file", session])
+    assert rc == 0 and lines == [{"kind": "stego-extract", "extracted_hex": "c0", "ok": True}]
+    # a set pad bit in a saved document is named by file and line
+    rows = Path(session).read_text().splitlines()
+    doc = json.loads(rows[3])
+    doc["doc_hex"] = doc["doc_hex"][:-1] + "1"
+    rows[3] = json.dumps(doc)
+    Path(session).write_text("\n".join(rows) + "\n")
+    assert cli.main(["stego", "extract", "--file", session]) == 2
+    assert f"{session}:4: doc_hex" in capsys.readouterr().err
+
+
+def test_channel_entropy_rejects_the_other_modes_depth_option(capsys):
+    for argv in (
+        ["channel", "entropy", "--depth", "5"],
+        ["channel", "entropy", "--mode", "exact", "--depth", "0"],
+        ["channel", "entropy", "--mode", "estimate", "--samples", "64", "--depths", "0,1,3"],
+    ):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", argv
+        assert "applies to --mode" in captured.err and "Traceback" not in captured.err, argv
+    # each mode's own option still defaults to history depth 0
+    for mode, option in (("exact", "--depths"), ("estimate", "--depth")):
+        argv = ["channel", "entropy", "--mode", mode, "--samples", "64", "--r", "4"]
+        assert run_cli(capsys, argv) == run_cli(capsys, [*argv, option, "0"]), mode
+
+
 def _opt(flag, default=None, choices=None, required=False):
     return ((flag,), flag[2:].replace("-", "_"), default, required, choices)
 
@@ -481,8 +546,8 @@ OPTION_SURFACE = {
     ("channel", "sample"): SEED_OUT | HOST | SIG | CHANNEL
     | {_opt("--count", 5), _opt("--depth", 0)},
     ("channel", "entropy"): SEED_OUT | HOST | SIG | CHANNEL
-    | {_opt("--mode", "exact", ("exact", "estimate")), _opt("--depths", (0,)),
-       _opt("--depth", 0), _opt("--samples", 4096)},
+    | {_opt("--mode", "exact", ("exact", "estimate")), _opt("--depths"), _opt("--depth"),
+       _opt("--samples", 4096)},
     ("stego", "embed"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
     | {_opt("--message", required=True), _opt("--key"), _opt("--schedule")},
     ("stego", "extract"): EXTRACT,

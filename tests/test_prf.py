@@ -156,7 +156,7 @@ def _manual_split(key, doc, block_bits, n_slots):
 def test_mark_tables_match_manual_split_on_every_call(monkeypatch):
     # one key under two (block_bits, n_slots) pairs: each pair has its own
     # table, and a repeated document costs no HMAC and returns its first tuple
-    monkeypatch.setattr(prf_module, "_marks", {})
+    prf_module._marks.clear()
     macs = []
     monkeypatch.setattr(prf_module, "hmac_sha256", lambda *a: macs.append(1) or hmac_sha256(*a))
     prf = Prf(64)
@@ -176,7 +176,7 @@ def test_mark_tables_match_manual_split_on_every_call(monkeypatch):
 
 
 def test_mark_tables_stay_bounded_and_rebuild_right(monkeypatch):
-    monkeypatch.setattr(prf_module, "_marks", {})
+    prf_module._marks.clear()
     monkeypatch.setattr(prf_module, "TABLE_ENTRIES", 3)
     prf = Prf(32)
     keys = [Bits(7919 * i + 1, 32) for i in range(prf_module.TABLE_KEYS + 2)]
@@ -223,13 +223,13 @@ def test_split_checks_its_arguments_on_every_call():
         assert prf_split_block(prf, key, doc, 4, 8) is good
 
 
-def test_documents_with_equal_padded_bytes_mark_the_same(monkeypatch):
+def test_documents_with_equal_padded_bytes_mark_the_same():
     prf = Prf(64)
     key = Bits.random(64, random.Random(41))
     for pair in ((Bits(0b1011, 4), Bits(0b10110000, 8)), (Bits(0x1FF, 9), Bits(0xFF80, 16))):
         assert pair[0].to_bytes() == pair[1].to_bytes()
         for docs in (pair, pair[::-1]):
-            monkeypatch.setattr(prf_module, "_marks", {})
+            prf_module._marks.clear()
             marks = [prf_split_block(prf, key, doc, 2, 16) for doc in docs]
             assert marks[0] == marks[1]
             assert (marks[0][0].uint, marks[0][1]) == _manual_split(key, docs[0], 2, 16)

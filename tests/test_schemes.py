@@ -16,6 +16,7 @@ from subvertlab import (
     randpad_scheme,
     sig_fixture,
 )
+from subvertlab import prf as prf_module
 from subvertlab import schemes
 from subvertlab.prf import TABLE_KEYS
 
@@ -244,13 +245,13 @@ def test_randpad_pad_table_matches_reference_on_every_call(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["coin-extractable", "unique"])
-def test_sig_tag_table_matches_reference_on_every_call(kind, monkeypatch):
+def test_sig_tags_match_reference_on_every_call(kind, monkeypatch):
     macs = _count_macs(monkeypatch)
     sig = sig_fixture(kind, 16, ml=6, coin_bits=3, tag_bits=10)
     c, t = sig.coin_bits, sig.tag_bits
     sk = Bits(0x1D2C, 16)
     payloads = [(Bits(m, 6), Bits(rho, c)) for m in (5, 40) for rho in range(2**c)]
-    for _ in range(2):
+    for rounds in (1, 2):
         for m, coins in payloads:
             s = sig.sign(sk, m, coins)
             assert s.bin() == oracles.sig_sign_bits(sk.bin(), m.bin(), coins.bin(), t)
@@ -258,8 +259,9 @@ def test_sig_tag_table_matches_reference_on_every_call(kind, monkeypatch):
                 assert sig.vrfy(sk, m, cand) == oracles.sig_vrfy_bits(
                     sk.bin(), m.bin(), cand.bin(), 6, c, t
                 )
-        assert len(macs) == len(payloads)
-    # the checks run before the lookup, also on bytes the table holds
+        # no tag table: one HMAC per sign and per vrfy, repeats included
+        assert len(macs) == 3 * len(payloads) * rounds
+    # the checks run before the HMAC, also on payloads signed before
     m, coins = payloads[0]
     s = sig.sign(sk, m, coins)
     for _ in range(2):
@@ -288,21 +290,23 @@ def test_scheme_tables_stay_bounded_and_rebuild_right(monkeypatch):
     ses = randpad_scheme(4, 16, ml=8)
     sig = sig_fixture("coin-extractable", 16, ml=8, coin_bits=4, tag_bits=12)
     keys = [Bits(31 * i + 7, 16) for i in range(TABLE_KEYS + 1)]
+    # each right() signs and verifies once, one HMAC each, and derives a pad
+    # unless the pad table holds it
     for k in keys:
         assert right(ses, sig, k, 0)
-    assert len(macs) == 2 * len(keys)
+    assert len(macs) == 3 * len(keys)
     # the latest TABLE_KEYS keys are held; the first was evicted and is rebuilt
-    assert all(right(ses, sig, k, 0) for k in keys[1:]) and len(macs) == 2 * len(keys)
-    assert right(ses, sig, keys[0], 0) and len(macs) == 2 * len(keys) + 2
+    assert all(right(ses, sig, k, 0) for k in keys[1:]) and len(macs) == 5 * len(keys) - 2
+    assert right(ses, sig, keys[0], 0) and len(macs) == 5 * len(keys) + 1
     # a table that reaches TABLE_ENTRIES entries is emptied: with 3, rho 3
     # and rho 6 each find a full table, so only rho 6 is held after rho 6
-    monkeypatch.setattr(schemes, "TABLE_ENTRIES", 3)
+    monkeypatch.setattr(prf_module, "TABLE_ENTRIES", 3)
     ses = randpad_scheme(4, 16, ml=8)
     sig = sig_fixture("coin-extractable", 16, ml=8, coin_bits=4, tag_bits=12)
     macs.clear()
-    assert all(right(ses, sig, keys[0], rho) for rho in range(7)) and len(macs) == 14
-    assert right(ses, sig, keys[0], 6) and len(macs) == 14
-    assert right(ses, sig, keys[0], 0) and len(macs) == 16
+    assert all(right(ses, sig, keys[0], rho) for rho in range(7)) and len(macs) == 21
+    assert right(ses, sig, keys[0], 6) and len(macs) == 23
+    assert right(ses, sig, keys[0], 0) and len(macs) == 26
 
 
 def test_params_dicts():
