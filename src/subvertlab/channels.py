@@ -14,10 +14,19 @@ per-role bit lengths.
 Channels derived from encryption schemes sample full-history documents by
 calling the scheme's own explicit-coin encryptor, so a seed-coupled run of
 channel_sample and of direct enc_sample produces identical bits.
+
+A channel may also offer an int form at a history: a width and a sampler
+whose ints are the values of the documents its sampler would draw, from
+the same RNG calls. The uniform channel offers one everywhere, and
+ses_channel at its input positions and, where the scheme has enc_ints, at
+its ciphertext positions. draw_for hands the rejection sampler one draw per
+emission that carries this form, so the sampler marks and rejects ints and
+builds a bit string for the emitted document only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -26,7 +35,7 @@ from typing import Callable, Iterable
 
 from .bits import Bits
 from .errors import InvalidHistoryError, NoExactPmfError, ParameterError
-from .schemes import _ENUM_LIMIT, RandomizedAlgorithm, SymmetricEncryptionScheme
+from .schemes import _ENUM_LIMIT, RandomizedAlgorithm, SymmetricEncryptionScheme, _payload_packer
 
 __all__ = [
     "Channel",
@@ -54,6 +63,9 @@ class Channel:
     sampler: Callable[[tuple, random.Random], Bits]
     pmf_fn: Callable[[tuple, Bits], Fraction] | None = None
     support_fn: Callable[[tuple], Iterable[Bits]] | None = None
+    # (history, rng) -> (width, sample) where the next document has an int
+    # form: Bits(sample(), width) is what sampler(history, rng) would draw
+    int_sampler: Callable[[tuple, random.Random], tuple | None] | None = None
 
     def grammar(self, history: tuple) -> bool:
         """A history is valid when every position accepts its document."""
@@ -72,6 +84,38 @@ def draw_next(channel: Channel, history: tuple, rng: random.Random) -> Bits:
     if len(doc) > channel.max_doc_len:
         raise InvalidHistoryError("sampler produced an oversized document")
     return doc
+
+
+class IntDraw:
+    """One emission's draw in int form: ints() samples the next document's
+    value, pack(x) gives the bytes Bits(x, width).to_bytes() would, and
+    emit(x) builds the document. Called plainly, it returns the document,
+    as any draw does."""
+
+    __slots__ = ("ints", "pack", "width")
+
+    def __init__(self, ints: Callable[[], int], width: int):
+        self.ints, self.pack, self.width = ints, _payload_packer(width), width
+
+    def emit(self, x: int) -> Bits:
+        return Bits(x, self.width)
+
+    def __call__(self) -> Bits:
+        return Bits(self.ints(), self.width)
+
+
+def draw_for(channel: Channel, history: tuple, rng: random.Random) -> Callable[[], Bits]:
+    """The draw of one emission at a history the caller has validated: each
+    call returns the next document, as draw_next does. Where the channel
+    offers an int form there, the draw is an IntDraw, whose width is checked
+    here, once; elsewhere it calls draw_next."""
+    form = channel.int_sampler(history, rng) if channel.int_sampler is not None else None
+    if form is None:
+        return functools.partial(draw_next, channel, history, rng)
+    width, ints = form
+    if width > channel.max_doc_len:
+        raise InvalidHistoryError("sampler produced an oversized document")
+    return IntDraw(ints, width)
 
 
 def extend_history(channel: Channel, history: tuple, doc: Bits) -> tuple:
@@ -142,6 +186,7 @@ def uniform_channel(nbits: int) -> Channel:
         sampler=lambda h, rng: Bits.random(nbits, rng),
         pmf_fn=lambda h, d: Fraction(1, 2**nbits) if len(d) == nbits else Fraction(0),
         support_fn=lambda h: _all_bits(nbits),
+        int_sampler=lambda h, rng: (nbits, functools.partial(rng.getrandbits, nbits)),
     )
 
 
@@ -183,6 +228,8 @@ def _cycle_channel(
     output_sampler: Callable[[Bits, Bits, random.Random], Bits],
     output_pmf: Callable[[Bits, Bits, Bits], Fraction] | None,
     output_support: Callable[[Bits, Bits], Iterable[Bits]] | None,
+    input_ints: bool = False,
+    output_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None,
 ) -> Channel:
     if ell <= 0:
         raise ParameterError("ell must be positive")
@@ -221,6 +268,14 @@ def _cycle_channel(
             raise NoExactPmfError("scheme does not enumerate ciphertext support")
         return output_support(h[0], _cycle_input(h, ell))
 
+    def int_sampler(h: tuple, rng: random.Random):
+        role = shape.role(h)
+        if role == "output" and output_ints is not None:
+            return out_bits, output_ints(h[0], _cycle_input(h, ell), rng)
+        if role == "input" and input_ints:  # input_sampler is Bits.random(in_bits, rng)
+            return in_bits, functools.partial(rng.getrandbits, in_bits)
+        return None
+
     return Channel(
         descriptor={
             "type": ctype,
@@ -236,6 +291,7 @@ def _cycle_channel(
         sampler=sampler,
         pmf_fn=pmf,
         support_fn=support,
+        int_sampler=int_sampler if input_ints or output_ints is not None else None,
     )
 
 
@@ -243,7 +299,8 @@ def ses_channel(ses: SymmetricEncryptionScheme, ell: int) -> Channel:
     """Channel of an encryption session: key, ell messages, then ciphertexts.
 
     With r ciphertexts already present, the next document is a fresh
-    encryption of message (r mod ell)+1 under the session key.
+    encryption of message (r mod ell)+1 under the session key. Messages,
+    and ciphertexts of a scheme with enc_ints, have an int form.
     """
     return _cycle_channel(
         ctype="ses",
@@ -258,6 +315,8 @@ def ses_channel(ses: SymmetricEncryptionScheme, ell: int) -> Channel:
         output_sampler=ses.enc_sample,
         output_pmf=ses.exact_pmf,
         output_support=ses.ciphertext_support,
+        input_ints=True,
+        output_ints=ses.enc_ints,
     )
 
 

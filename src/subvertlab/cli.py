@@ -540,7 +540,31 @@ def cmd_game_forge(args):
     return _forge(args, args.adversary)
 
 
+def _unrel_reads(args) -> tuple[set, str]:
+    """The deferred options (_DEFERRED) that game unrel's --target reads,
+    and the selectors that say so. Under --target rasa, --attack picks
+    between --force-embed and the fabricating attack's options."""
+    where = f"--target {args.target}"
+    if args.target == "enc-asa":
+        return {"message_mode"}, where
+    if args.target == "stego":
+        return {"history_mode"}, where
+    if args.target == "rasa":
+        attack = args.attack or args.declared["attack"]
+        where += f" --attack {attack}"
+        if attack == "fabricating":
+            return {"rasa_host", "attack", "fab_ml", "decoys", "budget"}, where
+        return {"rasa_host", "attack", "force_embed"}, where
+    return set(), where
+
+
 def cmd_game_unrel(args):
+    reads, where = _unrel_reads(args)
+    for dest, default in args.declared.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise ParameterError(f"--{dest.replace('_', '-')} does not apply to {where}")
     seed = _seed(args)
     if args.target == "enc-asa":
         ses = _scheme(args)
@@ -841,6 +865,24 @@ _COMMANDS = (
 )
 
 
+# Options a subcommand reads under some values of a selector only, by
+# handler. They parse to None, and args.declared keeps the defaults the
+# table declares: the handler applies a default where its selector reads
+# the option, and exits 2 when one is given where it does not.
+_DEFERRED = {
+    "cmd_game_unrel": (
+        "message_mode",
+        "history_mode",
+        "rasa_host",
+        "attack",
+        "force_embed",
+        "fab_ml",
+        "decoys",
+        "budget",
+    ),
+}
+
+
 class _LazyParser(argparse.ArgumentParser):
     """A command group's or a subcommand's parser. It adds its subparsers,
     or its options, when it first parses or formats, so an invocation
@@ -887,7 +929,9 @@ def _add_options(row, parser):
             parser.add_argument(flag, **kwargs)
     for flag, kwargs in extra:
         parser.add_argument(flag, **kwargs)
-    parser.set_defaults(func=globals()[handler])
+    deferred = _DEFERRED.get(handler, ())
+    declared = {dest: parser.get_default(dest) for dest in deferred}
+    parser.set_defaults(func=globals()[handler], declared=declared, **dict.fromkeys(deferred))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,9 @@ table types here, filled by __missing__ on first lookup. A KeyTable keeps
 its latest TABLE_KEYS (8) keys (64 for the HMAC pad states) and evicts the
 oldest; a Table is emptied when it reaches TABLE_ENTRIES (1024) entries. The
 pad states, the marks of prf_split_block, and the randpad pads and det
-codebooks of schemes live in them. A hit is one dict subscript; argument
-checks run on every call, before the lookup.
+codebooks of schemes live in them. A hit is one dict subscript. Argument
+checks run on every call, before the lookup, except where a caller binds a
+table once for many lookups (split_marker, the randpad int sampler).
 """
 
 from __future__ import annotations
@@ -153,13 +154,21 @@ def prf_split_block(
     repeated document returns the very tuple marked first. Documents whose
     padded bytes agree mark the same, table or not.
     """
+    return split_marker(prf, key, block_bits, n_slots)[doc.to_bytes()]
+
+
+def split_marker(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> Table:
+    """The mark table of one (key, block_bits, n_slots): document bytes ->
+    prf_split_block's pair. The arguments are checked here, once, so a
+    caller that marks many documents under one key binds the table and pays
+    one dict subscript per document."""
     if block_bits <= 0 or n_slots <= 0:
         raise ParameterError("block_bits and n_slots must be positive")
     if block_bits + (n_slots - 1).bit_length() > prf.out_bits:
         raise ParameterError("PRF output too short for requested split")
     if len(key) != prf.key_bits:
         raise ParameterError(f"key must have {prf.key_bits} bits")
-    return _marks[key.to_bytes(), block_bits, n_slots][doc.to_bytes()]
+    return _marks[key.to_bytes(), block_bits, n_slots]
 
 
 def _mark(kb: bytes, block_bits: int, n_slots: int, db: bytes) -> tuple[Bits, int | None]:

@@ -8,7 +8,8 @@ the exact-pmf and exhaustive tests rely on.
 Every keyed digest here (keystreams, signature tags, the det codebook seed)
 comes from prf.hmac_sha256, the package's one HMAC primitive; the hot
 fixtures (randpad, signatures) work on integers and build one bit string
-per output.
+per output; randpad also samples ciphertexts as bare ints (enc_ints), so a
+rejection sampler builds a bit string only for the ciphertext it emits.
 
 Each fixture instance keeps its keyed caches in prf's table types (bounds
 and eviction are set there): randpad maps a key to its table of pads by coin
@@ -65,6 +66,7 @@ def _keystream_int(key_bytes: bytes, label: bytes, payload_bytes: bytes, nbits: 
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
+@functools.lru_cache(maxsize=64)  # channels.IntDraw asks for one per emission
 def _payload_packer(nbits: int) -> Callable[[int], bytes]:
     """int -> the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
     nbytes = (nbits + 7) // 8
@@ -79,7 +81,11 @@ class SymmetricEncryptionScheme:
     enc(k, m, coins) is a deterministic function of its three arguments;
     enc_sample draws the coins from a caller-supplied PRNG, and is the one
     sampler channels use, so seed-coupled runs reproduce ciphertext streams
-    bit for bit.
+    bit for bit. A scheme may also offer enc_ints(k, m, rng): a sampler
+    bound to one (k, m) whose calls return, as ints, the ciphertexts that
+    successive enc_sample(k, m, rng) calls would return, drawing the same
+    coins; ses_channel hands it to a rejection sampler, which then builds a
+    bit string for the emitted ciphertext only.
     """
 
     scheme_id: str
@@ -92,6 +98,7 @@ class SymmetricEncryptionScheme:
     dec: Callable[[Bits, Bits], Bits | None]
     exact_pmf: Callable[[Bits, Bits, Bits], Fraction] | None = None
     ciphertext_support: Callable[[Bits, Bits], Iterable[Bits]] | None = None
+    enc_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None
 
     def enc_sample(self, k: Bits, m: Bits, rng: random.Random) -> Bits:
         return self.enc(k, m, Bits.random(self.coin_bits, rng))
@@ -125,11 +132,23 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
 
     pads = KeyTable(key_pads)
 
+    def ciphertext(rho: int, mv: int, pad: Table) -> int:
+        return (rho << ml) | (mv ^ pad[rho])
+
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != r:
             raise ParameterError("randpad enc: wrong message or coin length")
-        rho = coins.uint
-        return Bits((rho << ml) | (m.uint ^ pads[k.to_bytes()][rho]), cl)
+        return Bits(ciphertext(coins.uint, m.uint, pads[k.to_bytes()]), cl)
+
+    def enc_ints(k: Bits, m: Bits, rng: random.Random) -> Callable[[], int]:
+        # coins as enc_sample draws them: none at all when r = 0
+        if len(m) != ml:
+            raise ParameterError("randpad enc: wrong message length")
+        pad, mv = pads[k.to_bytes()], m.uint
+        if r == 0:
+            return itertools.repeat(ciphertext(0, mv, pad)).__next__
+        draw = rng.getrandbits
+        return lambda: ciphertext(draw(r), mv, pad)
 
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != cl:
@@ -158,6 +177,7 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
         dec=dec,
         exact_pmf=exact_pmf,
         ciphertext_support=support,
+        enc_ints=enc_ints,
     )
 
 

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import subvertlab as sl
 from subvertlab import Bits, StegoParams, cli, games, rejsam_system, stego, uniform_channel
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from tracer import Tracer  # noqa: E402
-from workloads import INVOCATIONS  # noqa: E402
+from workloads import INVOCATIONS, canonical  # noqa: E402
 
 
 def test_tracer_installs_records_and_uninstalls():
@@ -70,3 +71,32 @@ def test_benchmark_cli_invocations_parse(label, template, tmp_path):
     argv = [token.format(**fill) for token in template.split()]
     args = cli.build_parser().parse_args(argv)  # an unknown option exits 2 here
     assert callable(args.func), label
+
+
+def _session_report():
+    steg = rejsam_system(StegoParams(ml=16, s=64, outl=256, kappa=128))
+    channel = sl.ses_channel(sl.randpad_scheme(r=8, kappa=16, ml=8), ell=4)
+    return canonical(sl.estimate_unrel_stego(steg, channel, 3, 11, history_mode="sampled"))
+
+
+def _pointmass_report():
+    steg = rejsam_system(StegoParams(ml=16, s=64, outl=256, kappa=128))
+    det = sl.det_scheme(kappa=16, ml=8)
+    return canonical(sl.estimate_unrel(sl.asa_from_stego(steg, det), det, 3, 11))
+
+
+@pytest.mark.parametrize("report", [_session_report, _pointmass_report], ids=lambda f: f.__name__)
+def test_traced_reports_match_untraced_bytes(report):
+    # the tracer's counted draw is a plain closure, which hides a draw's int
+    # form: traced emissions take encode_step's bit-string path, untraced
+    # ones the int path where the channel offers it, and the bytes agree
+    untraced = report()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        traced = report()
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert counts["stego.encode_step"] == 3 * 256 and counts["stego.draws"] > 3 * 256
+    assert traced == untraced

@@ -24,6 +24,7 @@ from subvertlab import (
     ses_channel,
     uniform_channel,
 )
+from subvertlab.channels import IntDraw, draw_for, draw_next
 
 
 def walk(channel, depth, rng):
@@ -232,3 +233,55 @@ def test_sampling_respects_pmf():
 
     assert stat < oracles.chi2_quantile_exact(len(support) - 1, 0.9999)
     assert math.isclose(sum(counts.values()), n)
+
+
+def _both_forms(channel, history, count, salt):
+    """count documents at history from draw_next and from draw_for's int
+    form, each on its own copy of one RNG, and the RNG states after."""
+    by_bits, by_ints = random.Random(salt), random.Random(salt)
+    want = [draw_next(channel, history, by_bits) for _ in range(count)]
+    draw = draw_for(channel, history, by_ints)
+    assert isinstance(draw, IntDraw)
+    xs = [draw.ints() for _ in range(count)]
+    assert [draw.pack(x) for x in xs] == [d.to_bytes() for d in want]
+    return [draw.emit(x) for x in xs], want, by_ints.getstate(), by_bits.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_uniform_int_form_draws_what_draw_next_draws(width, count, salt):
+    got, want, state, want_state = _both_forms(uniform_channel(width), (), count, salt)
+    assert got == want and state == want_state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10),
+    st.integers(1, 12),
+    st.integers(1, 3),
+    st.data(),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_ses_int_forms_draw_what_draw_next_draws(r, ml, ell, data, count, salt):
+    # message positions and randpad ciphertext positions have an int form
+    ch = ses_channel(randpad_scheme(r, 16, ml), ell)
+    depth = data.draw(st.integers(1, ell + 4))
+    h = channel_walk(ch, depth, random.Random(salt ^ 1))
+    got, want, state, want_state = _both_forms(ch, h, count, salt)
+    assert got == want and state == want_state
+
+
+def test_positions_without_an_int_form_draw_through_draw_next():
+    rng = random.Random(3)
+    ses = ses_channel(randpad_scheme(4, 16, 8), 2)
+    det = ses_channel(det_scheme(16, 8), 2)
+    alg = rand_alg_channel(alg_from_encryption(randpad_scheme(4, 16, 8)), 2)
+    for ch, h in ((ses, ()), (det, channel_walk(det, 3, rng)), (alg, channel_walk(alg, 1, rng))):
+        draw = draw_for(ch, h, rng)
+        assert not hasattr(draw, "ints")
+        state = rng.getstate()
+        doc = draw()
+        rng.setstate(state)
+        assert doc == draw_next(ch, h, rng)
+    assert alg.int_sampler is None

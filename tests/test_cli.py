@@ -565,10 +565,16 @@ OPTION_SURFACE = {
     ("game", "forge"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB
     | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating")),
        _opt("--budget", 512)},
-    ("game", "unrel"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL | RASA | FAB
+    # the options one --target reads parse to None; the handler applies
+    # the defaults the other rows show (random, empty, enc, rejsam, False,
+    # 64, 4 and 4096)
+    ("game", "unrel"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
     | {_opt("--target", "enc-asa", ("enc-asa", "stego", "stego-reboot", "rasa")),
-       _opt("--message-mode", "random", ("random", "equal")), HISTORY_MODE,
-       _opt("--budget", 4096)},
+       _opt("--message-mode", None, ("random", "equal")),
+       _opt("--history-mode", None, ("empty", "sampled")),
+       _opt("--rasa-host", None, ("enc", "signed")),
+       _opt("--attack", None, ("rejsam", "fabricating")),
+       _opt("--force-embed"), _opt("--fab-ml"), _opt("--decoys"), _opt("--budget")},
     ("lowerbound", "phi"): SEED_OUT
     | {_opt("--ml", required=True), _opt("--outl", required=True),
        _opt("--query", required=True)},
@@ -640,6 +646,50 @@ def test_package_exports_are_pinned():
 
 FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]
 SIGNED_FAB = ["--rasa-host", "signed", "--attack", "fabricating", *FAB_OPTS]
+
+UNREL_BASE = ["game", "unrel", *STEGO_OPTS, "--trials", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "target, extra",
+    [
+        ("stego-reboot", ["--history-mode", "sampled"]),
+        ("stego-reboot", ["--message-mode", "equal"]),
+        ("rasa", ["--message-mode", "equal"]),
+        ("rasa", ["--history-mode", "empty"]),
+        ("rasa", ["--budget", "7"]),  # the rejsam attack does not search
+        ("rasa", [*SIGNED_FAB, "--force-embed"]),
+        ("enc-asa", ["--force-embed"]),
+        ("enc-asa", ["--budget", "7"]),
+        ("enc-asa", ["--decoys", "9"]),
+        ("enc-asa", ["--rasa-host", "enc"]),
+        ("enc-asa", ["--attack", "rejsam"]),
+        ("enc-asa", ["--fab-ml", "64"]),
+        ("stego", ["--message-mode", "random"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
+    rc = cli.main([*UNREL_BASE, "--target", target, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "does not apply to --target" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "target, kept, defaults",
+    [
+        ("enc-asa", [], ["--message-mode", "random"]),
+        ("stego", [], ["--history-mode", "empty"]),
+        ("rasa", [], ["--rasa-host", "enc", "--attack", "rejsam"]),
+        ("rasa", SIGNED_FAB, ["--fab-ml", "64", "--decoys", "4", "--budget", "4096"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_game_unrel_applies_each_targets_defaults(capsys, target, kept, defaults):
+    # an option left out reads as the default declared for it
+    argv = [*UNREL_BASE, "--target", target, *kept]
+    assert run_cli(capsys, argv) == run_cli(capsys, [*argv, *defaults])
 
 
 @pytest.mark.parametrize(

@@ -428,3 +428,19 @@ def test_bound_verifier_reads_a_two_block_tag():
                 sk.bin(), m.bin(), cand.bin(), 7, 2, 300
             )
         assert accepts(s.uint)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 20), st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_randpad_int_sampler_draws_what_enc_sample_draws(r, ml, count, salt):
+    # ml off byte boundaries; r = 0 draws no coins on either side
+    ses = randpad_scheme(r, kappa=16, ml=ml)
+    seed = random.Random(salt)
+    k, m = Bits.random(16, seed), Bits.random(ml, seed)
+    by_bits, by_ints = random.Random(salt), random.Random(salt)
+    want = [ses.enc_sample(k, m, by_bits) for _ in range(count)]
+    sample = ses.enc_ints(k, m, by_ints)
+    assert [Bits(sample(), ses.cl) for _ in range(count)] == want
+    assert by_ints.getstate() == by_bits.getstate()
+    with pytest.raises(ParameterError):
+        ses.enc_ints(k, Bits.random(ml + 1, seed), by_ints)

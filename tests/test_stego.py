@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import subvertlab.stego
+import subvertlab.prf
+from subvertlab.channels import IntDraw
 from subvertlab import (
     Bits,
     InvalidHistoryError,
@@ -114,23 +115,29 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     # ml=1: one slot, the mark is one PRF bit. The mark is a function of the
     # document, so a stream stuck on rejected documents costs one mark per
     # distinct document, while every one of the s+1 draws is still taken.
-    # Marks are counted as calls, not HMACs: the PRF's own table would
-    # answer a re-mark without an HMAC and hide it
+    # Marks are counted as fills of the PRF's mark table (prf._mark calls
+    # after the table is emptied), since a re-mark would be a table hit
     params = StegoParams(ml=1, s=7, outl=4, kappa=64)
     prf = Prf(64)
     key = Bits.random(64, random.Random(0))
     candidates = [Bits(v, 16) for v in range(64)]
     zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
+    one = next(d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 1)
     marks = []
-    monkeypatch.setattr(
-        subvertlab.stego, "prf_split_block", lambda *a: marks.append(1) or prf_split_block(*a)
-    )
+    mark = subvertlab.prf._mark
+    monkeypatch.setattr(subvertlab.prf, "_mark", lambda *a: marks.append(1) or mark(*a))
 
-    def run(am, stream):
+    def run(am, stream, draw=None):
+        subvertlab.prf._marks.clear()
         marks.clear()
         it = itertools.cycle(stream)
         draws = []
-        doc = encode_step(prf, params, key, Bits(am, 1), lambda: draws.append(1) or next(it))
+
+        def counted():
+            draws.append(1)
+            return next(it)
+
+        doc = encode_step(prf, params, key, Bits(am, 1), draw(counted) if draw else counted)
         return doc, len(draws), len(marks)
 
     assert run(1, [zero0]) == (zero0, params.s + 1, 1)  # rejected: s+1 draws
@@ -138,9 +145,19 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     assert run(1, [zero0, zero1]) == (zero1, params.s + 1, 2)
     # a repeated object, an equal copy and a return to an earlier document
     # are all skipped without a mark, until a document that marks 1
-    one = next(d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 1)
     stream = [zero0, zero0, Bits(zero0.uint, 16), zero1, zero0, one]
     assert run(1, stream) == (one, 6, 3)
+    # in int form, an equal int that is not the same object is marked once
+    # (values past 256 are not interned, and int(str(.)) builds a new one)
+    wide = next(
+        d for d in (Bits(v, 17) for v in range(2**16, 2**17))
+        if prf_split_block(prf, key, d, 1, 1)[0].uint == 0
+    )
+
+    def int_form(counted):
+        return IntDraw(lambda: int(str(counted().uint)), 17)
+
+    assert run(1, [wide], int_form) == (wide, params.s + 1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,11 +182,19 @@ def test_encode_and_decode_match_bit_string_reference(log_ml, data, s, pool, sal
         return prf.eval(key, doc).bin()
 
     draws = [docs[i % len(docs)] for i in range(s + 1)]
-    it = iter(draws)
-    taken = []
-    got = encode_step(prf, params, key, am, lambda: taken.append(1) or next(it))
     want = oracles.rejsam_emit_index(mark, am.bin(), block_bits, params.n_slots, s, draws)
-    assert got == draws[want] and len(taken) == want + 1
+    # the same documents from a plain Bits closure and as ints (an IntDraw)
+    for as_ints in (False, True):
+        it = iter(draws)
+        taken = []
+
+        def counted():
+            taken.append(1)
+            return next(it)
+
+        draw = IntDraw(lambda: counted().uint, 6) if as_ints else counted
+        got = encode_step(prf, params, key, am, draw)
+        assert got == draws[want] and len(taken) == want + 1
 
     decoded = rejsam_decode(prf, params, key, docs)
     ref = oracles.rejsam_decode_bits(mark, ml, block_bits, params.n_slots, docs)
