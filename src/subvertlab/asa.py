@@ -16,10 +16,13 @@ transcript makes that checkable).
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .bits import Bits
 from .errors import (
@@ -106,15 +109,46 @@ class AlgSubstitutionAttack:
         }
 
 
+class _SessionView(Sequence):
+    """The session history key || m^ell, read-only and never built: len,
+    indexing (negative too), slicing and iteration give what the tuple
+    (key,) + (m,) * ell gives."""
+
+    __slots__ = ("_key", "_m", "_ell")
+
+    def __init__(self, key: Bits, m: Bits, ell: int):
+        self._key, self._m, self._ell = key, m, ell
+
+    def __len__(self) -> int:
+        return self._ell + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = operator.index(i)
+        if i < 0:
+            i += self._ell + 1
+        if not 0 <= i <= self._ell:
+            raise IndexError("session index out of range")
+        return self._m if i else self._key
+
+    def __iter__(self):
+        yield self._key
+        yield from itertools.repeat(self._m, self._ell)
+
+
 def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> SubstitutionAttack:
     """Subvert `ses` with the encoder of `steg`.
 
     Each call embeds into the session view key || m^ell (ell = steg.outl),
     answering every channel query of the encoder with a fresh Enc(k, m).
-    On a coin-free host Enc(k, m) is one fixed ciphertext, so it is computed
-    once per emission and every query returns it (schemes.emission_draw).
-    A seed-coupled run of this enc and of the plain stego encoder on the
-    scheme's channel is bit-identical.
+    The view is handed over unbuilt (_SessionView), since the rejection
+    encoder never reads it. On a coin-free host Enc(k, m) is one fixed
+    ciphertext, so it is computed once per emission and handed over as a
+    point draw, which the rejection encoder returns without drawing or
+    marking (schemes.emission_draw, stego.encode_step). A seed-coupled run
+    of this enc and of the plain stego encoder on the scheme's channel is
+    bit-identical.
     """
     if steg.params.doc_bits is not None and steg.params.doc_bits != ses.cl:
         raise LengthMismatchError(
@@ -123,9 +157,8 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
     ell = steg.params.outl
 
     def enc(ak, am, k, m, sigma, rng):
-        history = (k,) + (m,) * ell
         draw = emission_draw(ses.enc, ses.coin_bits, k, m, rng)
-        return steg.enc(ak, am, history, sigma, draw=draw, rng=rng)
+        return steg.enc(ak, am, _SessionView(k, m, ell), sigma, draw=draw, rng=rng)
 
     return SubstitutionAttack(
         attack_id=f"rejsam-asa:{ses.scheme_id}",
@@ -268,7 +301,8 @@ def generic_asa_against_alg(
 
     Every draw of the encoder is an honest run on fresh coins; on a coin-free
     algorithm that is one fixed output, computed once per emission and
-    returned for every draw (schemes.emission_draw).
+    handed over as a point draw, which the rejection encoder returns
+    without drawing or marking (schemes.emission_draw).
 
     demo_force_embed is a labeled demonstration mode for deterministic hosts:
     when the cutoff passes without a match it fabricates an off-support

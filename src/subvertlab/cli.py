@@ -519,7 +519,28 @@ def _rasa_pieces(args, seed):
     return attack, alg
 
 
+# the deferred options (_DEFERRED) the fabricating attack's search reads
+_FAB_READS = frozenset({"fab_ml", "decoys", "budget"})
+
+
+def _rasa_reads(attack: str) -> frozenset:
+    """The deferred options a rasa --attack reads: the fabricating attack's
+    search, or the rejsam attack's --force-embed."""
+    return _FAB_READS if attack == "fabricating" else frozenset({"force_embed"})
+
+
+def _read_deferred(args, reads: set | frozenset, where: str) -> None:
+    """Apply the declared default to each deferred option left out, and exit
+    2 on one given that `where` does not read."""
+    for dest, default in args.declared.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise ParameterError(f"--{dest.replace('_', '-')} does not apply to {where}")
+
+
 def cmd_game_rasa(args):
+    _read_deferred(args, _rasa_reads(args.attack), f"--attack {args.attack}")
     seed = _seed(args)
     attack, alg = _rasa_pieces(args, seed)
     report = run_rasa_dist(
@@ -552,19 +573,12 @@ def _unrel_reads(args) -> tuple[set, str]:
     if args.target == "rasa":
         attack = args.attack or args.declared["attack"]
         where += f" --attack {attack}"
-        if attack == "fabricating":
-            return {"rasa_host", "attack", "fab_ml", "decoys", "budget"}, where
-        return {"rasa_host", "attack", "force_embed"}, where
+        return {"rasa_host", "attack"} | _rasa_reads(attack), where
     return set(), where
 
 
 def cmd_game_unrel(args):
-    reads, where = _unrel_reads(args)
-    for dest, default in args.declared.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in reads:
-            raise ParameterError(f"--{dest.replace('_', '-')} does not apply to {where}")
+    _read_deferred(args, *_unrel_reads(args))
     seed = _seed(args)
     if args.target == "enc-asa":
         ses = _scheme(args)
@@ -607,6 +621,8 @@ def cmd_lb_forger(args):
 
 
 def cmd_lb_rate(args):
+    reads = _FAB_READS if args.attack == "fabricating" else frozenset()
+    _read_deferred(args, reads, f"--attack {args.attack}")
     seed = _seed(args)
     ses = _scheme(args)
     sig = _sig_for_family(args)
@@ -870,6 +886,8 @@ _COMMANDS = (
 # table declares: the handler applies a default where its selector reads
 # the option, and exits 2 when one is given where it does not.
 _DEFERRED = {
+    "cmd_game_rasa": ("force_embed", "fab_ml", "decoys", "budget"),
+    "cmd_lb_rate": ("fab_ml", "decoys", "budget"),
     "cmd_game_unrel": (
         "message_mode",
         "history_mode",

@@ -408,6 +408,19 @@ class RandomizedAlgorithm:
         return self.run(s, x, Bits.random(self.coin_bits, rng))
 
 
+class PointDraw:
+    """The draw of a coin-free host's emission: every call returns .point,
+    the host's one output for the emission's (key, input)."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, point: Bits):
+        self.point = point
+
+    def __call__(self) -> Bits:
+        return self.point
+
+
 def emission_draw(
     run: Callable[[Bits, Bits, Bits], Bits],
     coin_bits: int,
@@ -420,11 +433,14 @@ def emission_draw(
 
     With no coin bits the explicit-coin run is a deterministic function of
     (key, x), and Bits.random(0, rng) consumes no RNG state, so the honest
-    output is computed once here and every call returns that same object.
-    Callers see the same documents, in the same number, as from fresh runs.
+    output is computed once here and returned as a point draw (PointDraw):
+    each call returns that same object, and a sampler that reads .point
+    (stego.encode_step) knows every draw of the emission without taking
+    one. Callers see the same documents, in the same number, as from fresh
+    runs.
     """
     if coin_bits == 0:
-        return itertools.repeat(run(key, x, Bits.random(0, rng))).__next__
+        return PointDraw(run(key, x, Bits.random(0, rng)))
     return functools.partial(_run_on_fresh_coins, run, coin_bits, key, x, rng)
 
 

@@ -15,7 +15,9 @@ An emission binds the key's mark table and the message once. When its draw
 carries an int form (channels.draw_for: the uniform channel, the messages
 and randpad ciphertexts of a session channel), the sampler draws, rejects
 and marks ints, and builds a bit string for the emitted document only;
-other draws are marked as bit strings in the same loop.
+other draws are marked as bit strings in the same loop. A coin-free host's
+emission is a point draw (schemes.PointDraw): every draw is one document,
+so that document is the emission, and the loop does not run.
 """
 
 from __future__ import annotations
@@ -174,12 +176,16 @@ def encode_step(
 
     The mark is a deterministic function of the document, so a document
     rejected once is rejected again without re-marking it; every draw is
-    still taken, since draws consume the channel's randomness. On a
-    coin-free host every draw returns the very object drawn first
-    (schemes.emission_draw), so a draw that is the document just rejected
-    skips even the set lookup. A draw with an int form (channels.IntDraw)
-    is sampled through it: the loop keys its rejected set by int and marks
-    the packed bytes, and only the emitted int becomes a bit string.
+    still taken, since draws consume the channel's randomness. A point draw
+    (schemes.PointDraw, a coin-free host's emission) is the exception: all
+    its draws are its .point and take no randomness, so the first agreeing
+    draw and the (s+1)-th are both that document, and it is returned after
+    the argument checks without a draw or a mark. Any other draw that
+    repeats the document just rejected (randpad's int sampler at r = 0, a
+    counting wrapper around a point draw) skips even the set lookup. A draw
+    with an int form (channels.IntDraw) is sampled through it: the loop
+    keys its rejected set by int and marks the packed bytes, and only the
+    emitted int becomes a bit string.
     """
     # mark_agreement's binding and test, inline: an emission is only about
     # two draws here, and one more call and tuple per emission cost
@@ -188,6 +194,9 @@ def encode_step(
         raise ParameterError(f"hidden message must have {params.ml} bits")
     block_bits, n_slots = params.block_bits, params.n_slots
     marks = split_marker(prf, ak, block_bits, n_slots)
+    point = getattr(draw, "point", None)
+    if point is not None:  # after the checks: it fails where a looping draw would
+        return point
     am_int = am.uint << (n_slots * block_bits - params.ml)
     mask = (1 << block_bits) - 1
     ints = getattr(draw, "ints", None)

@@ -1,6 +1,7 @@
 """Substitution attacks: construction, coupling, universality, query counts."""
 
 import dataclasses
+import itertools
 import random
 from functools import partial
 
@@ -39,6 +40,8 @@ from subvertlab import (
     watchdog_to_warden,
 )
 from subvertlab import stego
+from subvertlab.asa import _SessionView
+from subvertlab.channels import _cycle_input
 from subvertlab.stego import mark_agreement
 
 import oracles
@@ -272,6 +275,21 @@ def _count_draws(monkeypatch):
     return per_emission
 
 
+def _spy_point_draws(monkeypatch):
+    """Per emission, whether the encoder was handed a point draw (a
+    coin-free host's, which it returns without drawing); the references
+    below call the loop directly, over a plain closure."""
+    points = []
+    real = stego.encode_step
+
+    def spying_step(prf, params, ak, am, draw):
+        points.append(hasattr(draw, "point"))
+        return real(prf, params, ak, am, draw)
+
+    monkeypatch.setattr(stego, "encode_step", spying_step)
+    return points
+
+
 def _cases(ses, steg, n=60):
     rng = random.Random(f"{ses.scheme_id}/cases")
     for i in range(n):
@@ -290,7 +308,8 @@ def _old_generic_enc(steg, alg, ak, am, s, x, rng, force):
 
 
 @pytest.mark.parametrize("host", sorted(HOSTS))
-def test_asa_enc_equals_fresh_encryption_per_draw(host):
+def test_asa_enc_equals_fresh_encryption_per_draw(monkeypatch, host):
+    points = _spy_point_draws(monkeypatch)
     ses = HOSTS[host]()
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
     asa = asa_from_stego(steg, ses)
@@ -300,11 +319,35 @@ def test_asa_enc_equals_fresh_encryption_per_draw(host):
         ref = encode_step(steg.prf, steg.params, ak, am, partial(ses.enc_sample, k, m, ref_rng))
         assert c == ref
         assert rng.getstate() == ref_rng.getstate()
+    assert points == [host in COIN_FREE] * 60
+
+
+@pytest.mark.parametrize("ell", range(5))
+def test_session_view_reads_as_its_tuple(ell):
+    # asa_from_stego hands its encoder key || m^ell unbuilt; every read a
+    # stegosystem may make (converse.stego_from_asa: len, [0], _cycle_input)
+    # must see the tuple
+    key, m = Bits(5, 16), Bits(3, 8)
+    view, tup = _SessionView(key, m, ell), (key,) + (m,) * ell
+    assert len(view) == len(tup) and tuple(view) == tup and list(reversed(view)) == list(tup[::-1])
+    for i in range(-len(tup), len(tup)):
+        assert view[i] is tup[i]
+    for i in (len(tup), -len(tup) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    with pytest.raises(TypeError):
+        view["0"]
+    bounds = [None, *range(-ell - 3, ell + 4)]
+    for start, stop, step in itertools.product(bounds, bounds, (None, 1, 2, -1, -3)):
+        assert view[start:stop:step] == tup[start:stop:step]
+    if ell:
+        assert _cycle_input(view, ell) is _cycle_input(tup, ell)
 
 
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("host", sorted(HOSTS))
-def test_generic_enc_equals_fresh_run_per_draw(host, force):
+def test_generic_enc_equals_fresh_run_per_draw(monkeypatch, host, force):
+    points = _spy_point_draws(monkeypatch)
     ses = HOSTS[host]()
     alg = alg_from_encryption(ses)
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
@@ -318,6 +361,7 @@ def test_generic_enc_equals_fresh_run_per_draw(host, force):
         forced += rng.getstate() != random.Random(i).getstate()
     if force and host in COIN_FREE:
         assert forced > 0  # some emissions were fabricated, drawing from the rng
+    assert points == [host in COIN_FREE] * 60
 
 
 @pytest.mark.parametrize("host", sorted(COIN_FREE))

@@ -531,11 +531,10 @@ DIST = {
     _opt("--bins", 4),
 }
 FAB = {_opt("--fab-ml", 64), _opt("--decoys", 4)}
-RASA = {
-    _opt("--rasa-host", "enc", ("enc", "signed")),
-    _opt("--attack", "rejsam", ("rejsam", "fabricating")),
-    _opt("--force-embed", False),
-}
+# options that one --attack (or --target) reads parse to None, and the
+# handler applies the defaults it declares: --fab-ml 64, --decoys 4,
+# --budget 512 under game rasa and 4096 elsewhere, --force-embed False
+FAB_DEFERRED = {_opt("--fab-ml"), _opt("--decoys"), _opt("--budget")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
 LB_ATTACK = {_opt("--attack", "fabricating", ("universal", "fabricating")), _opt("--budget", 4096)}
 HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
@@ -560,27 +559,28 @@ OPTION_SURFACE = {
     ("game", "cpa"): SEED_OUT | RUN | HOST | DIST,
     ("game", "enc-asa"): SEED_OUT | RUN | HOST | STEGO | DIST,
     ("game", "ss-cha"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL | DIST,
-    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO | DIST | RASA | FAB
-    | {_opt("--budget", 512)},
+    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO | DIST | FAB_DEFERRED
+    | {_opt("--rasa-host", "enc", ("enc", "signed")),
+       _opt("--attack", "rejsam", ("rejsam", "fabricating")), _opt("--force-embed")},
     ("game", "forge"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB
     | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating")),
        _opt("--budget", 512)},
     # the options one --target reads parse to None; the handler applies
-    # the defaults the other rows show (random, empty, enc, rejsam, False,
-    # 64, 4 and 4096)
+    # the defaults it declares (random, empty, enc, rejsam, False, 64, 4
+    # and 4096)
     ("game", "unrel"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
     | {_opt("--target", "enc-asa", ("enc-asa", "stego", "stego-reboot", "rasa")),
        _opt("--message-mode", None, ("random", "equal")),
        _opt("--history-mode", None, ("empty", "sampled")),
        _opt("--rasa-host", None, ("enc", "signed")),
        _opt("--attack", None, ("rejsam", "fabricating")),
-       _opt("--force-embed"), _opt("--fab-ml"), _opt("--decoys"), _opt("--budget")},
+       _opt("--force-embed")} | FAB_DEFERRED,
     ("lowerbound", "phi"): SEED_OUT
     | {_opt("--ml", required=True), _opt("--outl", required=True),
        _opt("--query", required=True)},
     ("lowerbound", "forger"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB | LB_ATTACK,
-    ("lowerbound", "rate"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB | LB_ATTACK
-    | {_opt("--query")},
+    ("lowerbound", "rate"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED
+    | {_opt("--attack", "fabricating", ("universal", "fabricating")), _opt("--query")},
     ("report", "merge"): SEED_OUT | {((), "files", None, True, None), _opt("--csv")},
 }
 
@@ -689,6 +689,44 @@ def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
 def test_game_unrel_applies_each_targets_defaults(capsys, target, kept, defaults):
     # an option left out reads as the default declared for it
     argv = [*UNREL_BASE, "--target", target, *kept]
+    assert run_cli(capsys, argv) == run_cli(capsys, [*argv, *defaults])
+
+
+RASA_REJSAM = ["game", "rasa", *STEGO_OPTS, "--trials", "4", "--seed", "1"]
+RASA_FAB = ["game", "rasa", *SIGNED_FAB, "--fab-ml", "8", "--trials", "4", "--seed", "1"]
+RATE_FAB = ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--trials", "2", "--seed", "1"]
+RATE_UNIVERSAL = ["lowerbound", "rate", "--attack", "universal", "--trials", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (RASA_FAB, ["--force-embed"]),
+        (RASA_REJSAM, ["--budget", "7"]),
+        (RASA_REJSAM, ["--decoys", "9"]),
+        (RASA_REJSAM, ["--fab-ml", "3"]),
+        (RATE_UNIVERSAL, ["--budget", "7"]),
+        (RATE_UNIVERSAL, ["--decoys", "9"]),
+        (RATE_UNIVERSAL, ["--fab-ml", "3"]),
+    ],
+    ids=lambda v: " ".join(v[:2] if len(v) > 2 else v),
+)
+def test_attack_options_exit_2_under_the_other_attack(capsys, argv, extra):
+    rc = cli.main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "does not apply to --attack" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (RASA_FAB, ["--decoys", "4", "--budget", "512"]),
+        (RATE_FAB, ["--attack", "fabricating", "--decoys", "4", "--budget", "4096"]),
+    ],
+    ids=["game rasa", "lowerbound rate"],
+)
+def test_attack_options_left_out_read_as_their_defaults(capsys, argv, defaults):
     assert run_cli(capsys, argv) == run_cli(capsys, [*argv, *defaults])
 
 

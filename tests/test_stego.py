@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 import subvertlab.prf
 from subvertlab.channels import IntDraw
+from subvertlab.schemes import PointDraw
 from subvertlab import (
     Bits,
     InvalidHistoryError,
@@ -242,6 +244,29 @@ def test_encode_step_rejects_wrong_message_length():
     params = StegoParams(ml=4, s=4, outl=4, kappa=64)
     with pytest.raises(ParameterError):
         encode_step(Prf(64), params, Bits.zeros(64), Bits.zeros(3), lambda: Bits.zeros(16))
+
+
+def test_point_draw_is_the_loop_after_every_argument_check():
+    # a coin-free host's emission (schemes.PointDraw) is its point, without
+    # a draw: the same document the loop emits when every draw repeats it,
+    # and only once the arguments pass the checks the loop's draws meet
+    params = StegoParams(ml=4, s=4, outl=4, kappa=64)
+    prf, key, rng = Prf(64), Bits.random(64, random.Random(3)), random.Random(4)
+    for _ in range(16):
+        doc, am = Bits.random(16, rng), Bits.random(4, rng)
+        assert encode_step(prf, params, key, am, PointDraw(doc)) is doc
+        assert encode_step(prf, params, key, am, lambda: doc) is doc
+    doc = Bits.zeros(16)
+    no_slots = types.SimpleNamespace(ml=4, s=4, block_bits=1, n_slots=0)
+    for draw in (PointDraw(doc), lambda: doc):
+        with pytest.raises(ParameterError, match="hidden message"):
+            encode_step(prf, params, key, Bits.zeros(3), draw)
+        with pytest.raises(ParameterError, match="key must have"):
+            encode_step(prf, params, Bits.zeros(63), Bits.zeros(4), draw)
+        with pytest.raises(ParameterError, match="too short"):  # 1 + 2 bits of a 2-bit PRF
+            encode_step(Prf(64, out_bits=2), params, key, Bits.zeros(4), draw)
+        with pytest.raises(ParameterError, match="positive"):
+            encode_step(prf, no_slots, key, Bits.zeros(4), draw)
 
 
 def test_decode_last_write_wins_and_none_when_uncovered():
