@@ -278,14 +278,10 @@ def cmd_channel_entropy(args):
         return channel_walk(channel, depth, substream(seed, "entropy-history", depth))
 
     if args.mode == "exact":
-        if args.depth is not None:
-            raise ParameterError("--depth applies to --mode estimate; exact mode takes --depths")
-        report = min_entropy_exact(channel, [walk(depth) for depth in args.depths or [0]])
+        report = min_entropy_exact(channel, [walk(depth) for depth in args.depths])
     else:
-        if args.depths is not None:
-            raise ParameterError("--depths applies to --mode exact; estimate mode takes --depth")
         rng = substream(seed, "channel-entropy")
-        report = min_entropy_estimate(channel, walk(args.depth or 0), args.samples, rng)
+        report = min_entropy_estimate(channel, walk(args.depth), args.samples, rng)
     d = report.to_json_dict()
     d["kind"] = "min-entropy"
     d["seed"] = seed
@@ -519,28 +515,7 @@ def _rasa_pieces(args, seed):
     return attack, alg
 
 
-# the deferred options (_DEFERRED) the fabricating attack's search reads
-_FAB_READS = frozenset({"fab_ml", "decoys", "budget"})
-
-
-def _rasa_reads(attack: str) -> frozenset:
-    """The deferred options a rasa --attack reads: the fabricating attack's
-    search, or the rejsam attack's --force-embed."""
-    return _FAB_READS if attack == "fabricating" else frozenset({"force_embed"})
-
-
-def _read_deferred(args, reads: set | frozenset, where: str) -> None:
-    """Apply the declared default to each deferred option left out, and exit
-    2 on one given that `where` does not read."""
-    for dest, default in args.declared.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in reads:
-            raise ParameterError(f"--{dest.replace('_', '-')} does not apply to {where}")
-
-
 def cmd_game_rasa(args):
-    _read_deferred(args, _rasa_reads(args.attack), f"--attack {args.attack}")
     seed = _seed(args)
     attack, alg = _rasa_pieces(args, seed)
     report = run_rasa_dist(
@@ -561,24 +536,7 @@ def cmd_game_forge(args):
     return _forge(args, args.adversary)
 
 
-def _unrel_reads(args) -> tuple[set, str]:
-    """The deferred options (_DEFERRED) that game unrel's --target reads,
-    and the selectors that say so. Under --target rasa, --attack picks
-    between --force-embed and the fabricating attack's options."""
-    where = f"--target {args.target}"
-    if args.target == "enc-asa":
-        return {"message_mode"}, where
-    if args.target == "stego":
-        return {"history_mode"}, where
-    if args.target == "rasa":
-        attack = args.attack or args.declared["attack"]
-        where += f" --attack {attack}"
-        return {"rasa_host", "attack"} | _rasa_reads(attack), where
-    return set(), where
-
-
 def cmd_game_unrel(args):
-    _read_deferred(args, *_unrel_reads(args))
     seed = _seed(args)
     if args.target == "enc-asa":
         ses = _scheme(args)
@@ -621,8 +579,6 @@ def cmd_lb_forger(args):
 
 
 def cmd_lb_rate(args):
-    reads = _FAB_READS if args.attack == "fabricating" else frozenset()
-    _read_deferred(args, reads, f"--attack {args.attack}")
     seed = _seed(args)
     ses = _scheme(args)
     sig = _sig_for_family(args)
@@ -778,13 +734,13 @@ _GROUPS = {
         _opt("--bins", type=int, default=4),
     ),
     "fab": (
-        _opt("--fab-ml", type=int, default=64, help="fabricated hidden message bits"),
+        _opt("--fab-ml", type=int, default=8, help="fabricated hidden message bits"),
         _opt("--decoys", type=_positive_int, default=4),
     ),
     "rasa": (
         _opt("--rasa-host", choices=["enc", "signed"], default="enc"),
         _opt("--attack", choices=["rejsam", "fabricating"], default="rejsam"),
-        _opt("--force-embed", action="store_true"),
+        _opt("--force-embed", action="store_true", default=False),
     ),
     "session": (
         _opt("--file", required=True),
@@ -806,7 +762,7 @@ _COMMAND_HELP = {
     "report": "report file utilities",
 }
 
-# The one place a subcommand and its options are declared, one row each:
+# The one place a subcommand and its options are set out, one row each:
 # (command, subcommand, help, option groups, extra options, handler). Every
 # subcommand takes --seed as well. The handler is a name looked up in the
 # module globals when the subcommand's parser is filled, so a cmd_* patched
@@ -821,9 +777,10 @@ _COMMANDS = (
         _opt(
             "--depths",
             type=_int_list(_nonneg_int),
+            default=[0],
             help="history depths for exact mode, comma separated",
         ),
-        _opt("--depth", type=_nonneg_int, help="history depth for estimate mode"),
+        _opt("--depth", type=_nonneg_int, default=0, help="history depth for estimate mode"),
         _opt("--samples", type=int, default=4096),
     ), "cmd_channel_entropy"),
     ("stego", "embed", "embed a message into channel documents", "out run host sig stego channel", (
@@ -882,23 +839,66 @@ _COMMANDS = (
 
 
 # Options a subcommand reads under some values of a selector only, by
-# handler. They parse to None, and args.declared keeps the defaults the
-# table declares: the handler applies a default where its selector reads
-# the option, and exits 2 when one is given where it does not.
-_DEFERRED = {
-    "cmd_game_rasa": ("force_embed", "fab_ml", "decoys", "budget"),
-    "cmd_lb_rate": ("fab_ml", "decoys", "budget"),
-    "cmd_game_unrel": (
-        "message_mode",
-        "history_mode",
-        "rasa_host",
-        "attack",
-        "force_embed",
-        "fab_ml",
-        "decoys",
-        "budget",
+# handler: (conditions, options) rules, each condition a selector dest and
+# the comma-separated values that read the options. Such options parse to
+# None, and _settle applies the default their row declares where every
+# condition holds, or exits 2 where one is given and a condition fails.
+# Rules settle in order, so a selector that is itself owned comes first.
+_OWNED = {
+    "cmd_channel_entropy": (("mode=exact", "depths"), ("mode=estimate", "depth")),
+    "cmd_game_rasa": (
+        ("attack=rejsam", "force_embed"),
+        ("attack=fabricating", "fab_ml decoys budget"),
     ),
+    "cmd_game_forge": (
+        ("adversary=search,fabricating", "budget"),
+        ("adversary=fabricating", "fab_ml decoys"),
+    ),
+    "cmd_game_unrel": (
+        ("target=enc-asa", "message_mode"),
+        ("target=stego", "history_mode"),
+        ("target=rasa", "rasa_host attack"),
+        ("target=rasa attack=rejsam", "force_embed"),
+        ("target=rasa attack=fabricating", "fab_ml decoys budget"),
+    ),
+    "cmd_lb_forger": (("attack=fabricating", "fab_ml decoys budget"),),
+    "cmd_lb_rate": (("attack=fabricating", "fab_ml decoys budget"),),
 }
+
+
+def _row_options(row):
+    """(flag, add_argument keywords) of every option a row takes."""
+    for group in row[3].split():
+        yield from _GROUPS[group]
+    yield from row[4]
+
+
+def _settle(args) -> None:
+    """Give each option _OWNED assigns to the invoked handler the default
+    its row gives it where its rule's conditions hold, and exit 2 on one
+    given where they do not."""
+    row = next(r for r in _COMMANDS if r[:2] == (args.command, args.subcommand))
+    defaults = {f.strip("-").replace("-", "_"): kw.get("default") for f, kw in _row_options(row)}
+    for conditions, options in _OWNED.get(row[5], ()):
+        where = ""
+        for selector, values in (c.split("=") for c in conditions.split()):
+            where += f" --{selector.replace('_', '-')} {getattr(args, selector)}"
+            if getattr(args, selector) not in values.split(","):
+                break
+        else:
+            for dest in options.split():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, defaults[dest])
+            continue
+        for dest in options.split():
+            if getattr(args, dest) is not None:
+                wanted = "".join(
+                    " --" + c.replace("_", "-").replace("=", " ").replace(",", " or ")
+                    for c in conditions.split()
+                )
+                raise ParameterError(
+                    f"--{dest.replace('_', '-')} does not apply to{where}; it applies to{wanted}"
+                )
 
 
 class _LazyParser(argparse.ArgumentParser):
@@ -940,16 +940,11 @@ def _add_subcommands(command, parser):
 
 
 def _add_options(row, parser):
-    _, _, _, groups, extra, handler = row
     parser.add_argument("--seed", type=int, help="base seed (env SUBVERTLAB_SEED, then 0)")
-    for group in groups.split():
-        for flag, kwargs in _GROUPS[group]:
-            parser.add_argument(flag, **kwargs)
-    for flag, kwargs in extra:
+    for flag, kwargs in _row_options(row):
         parser.add_argument(flag, **kwargs)
-    deferred = _DEFERRED.get(handler, ())
-    declared = {dest: parser.get_default(dest) for dest in deferred}
-    parser.set_defaults(func=globals()[handler], declared=declared, **dict.fromkeys(deferred))
+    owned = [dest for _, options in _OWNED.get(row[5], ()) for dest in options.split()]
+    parser.set_defaults(func=globals()[row[5]], **dict.fromkeys(owned))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -968,6 +963,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _settle(args)
         lines = args.func(args)
         _emit(lines, args, argv)
     except InvariantViolation as exc:

@@ -491,7 +491,8 @@ def test_channel_entropy_rejects_the_other_modes_depth_option(capsys):
     # each mode's own option still defaults to history depth 0
     for mode, option in (("exact", "--depths"), ("estimate", "--depth")):
         argv = ["channel", "entropy", "--mode", mode, "--samples", "64", "--r", "4"]
-        assert run_cli(capsys, argv) == run_cli(capsys, [*argv, option, "0"]), mode
+        left_out = run_cli(capsys, argv)
+        assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, option, "0"]), mode
 
 
 def _opt(flag, default=None, choices=None, required=False):
@@ -530,13 +531,13 @@ DIST = {
     _opt("--queries", 2),
     _opt("--bins", 4),
 }
-FAB = {_opt("--fab-ml", 64), _opt("--decoys", 4)}
-# options that one --attack (or --target) reads parse to None, and the
-# handler applies the defaults it declares: --fab-ml 64, --decoys 4,
-# --budget 512 under game rasa and 4096 elsewhere, --force-embed False
+# options that one --attack (or --adversary, --target) reads parse to None,
+# and cli._settle applies the defaults their row declares: --fab-ml 8,
+# --decoys 4, --budget 512 under game rasa and game forge and 4096
+# elsewhere, --force-embed False
 FAB_DEFERRED = {_opt("--fab-ml"), _opt("--decoys"), _opt("--budget")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
-LB_ATTACK = {_opt("--attack", "fabricating", ("universal", "fabricating")), _opt("--budget", 4096)}
+LB_ATTACK = _opt("--attack", "fabricating", ("universal", "fabricating"))
 HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
 
 # every subcommand's options as (option strings, dest, default, required,
@@ -562,12 +563,11 @@ OPTION_SURFACE = {
     ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO | DIST | FAB_DEFERRED
     | {_opt("--rasa-host", "enc", ("enc", "signed")),
        _opt("--attack", "rejsam", ("rejsam", "fabricating")), _opt("--force-embed")},
-    ("game", "forge"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB
-    | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating")),
-       _opt("--budget", 512)},
-    # the options one --target reads parse to None; the handler applies
-    # the defaults it declares (random, empty, enc, rejsam, False, 64, 4
-    # and 4096)
+    ("game", "forge"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED
+    | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating"))},
+    # the options one --target reads parse to None; cli._settle applies
+    # the defaults their row declares (random, empty, enc, rejsam, False,
+    # 8, 4 and 4096)
     ("game", "unrel"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
     | {_opt("--target", "enc-asa", ("enc-asa", "stego", "stego-reboot", "rasa")),
        _opt("--message-mode", None, ("random", "equal")),
@@ -578,9 +578,9 @@ OPTION_SURFACE = {
     ("lowerbound", "phi"): SEED_OUT
     | {_opt("--ml", required=True), _opt("--outl", required=True),
        _opt("--query", required=True)},
-    ("lowerbound", "forger"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB | LB_ATTACK,
+    ("lowerbound", "forger"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED | {LB_ATTACK},
     ("lowerbound", "rate"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED
-    | {_opt("--attack", "fabricating", ("universal", "fabricating")), _opt("--query")},
+    | {LB_ATTACK, _opt("--query")},
     ("report", "merge"): SEED_OUT | {((), "files", None, True, None), _opt("--csv")},
 }
 
@@ -682,20 +682,25 @@ def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
         ("enc-asa", [], ["--message-mode", "random"]),
         ("stego", [], ["--history-mode", "empty"]),
         ("rasa", [], ["--rasa-host", "enc", "--attack", "rejsam"]),
-        ("rasa", SIGNED_FAB, ["--fab-ml", "64", "--decoys", "4", "--budget", "4096"]),
+        ("rasa", SIGNED_FAB, ["--fab-ml", "8", "--decoys", "4", "--budget", "4096"]),
     ],
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
 def test_game_unrel_applies_each_targets_defaults(capsys, target, kept, defaults):
     # an option left out reads as the default declared for it
     argv = [*UNREL_BASE, "--target", target, *kept]
-    assert run_cli(capsys, argv) == run_cli(capsys, [*argv, *defaults])
+    left_out = run_cli(capsys, argv)
+    assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, *defaults])
 
 
 RASA_REJSAM = ["game", "rasa", *STEGO_OPTS, "--trials", "4", "--seed", "1"]
 RASA_FAB = ["game", "rasa", *SIGNED_FAB, "--fab-ml", "8", "--trials", "4", "--seed", "1"]
 RATE_FAB = ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--trials", "2", "--seed", "1"]
 RATE_UNIVERSAL = ["lowerbound", "rate", "--attack", "universal", "--trials", "4", "--seed", "1"]
+THREE_TRIALS = ["--trials", "3", "--seed", "1"]
+FORGER_UNIVERSAL = ["lowerbound", "forger", "--attack", "universal", *THREE_TRIALS]
+FORGER_FAB = ["lowerbound", "forger", "--attack", "fabricating", *THREE_TRIALS]
+SEARCH_OPTIONS = (["--budget", "7"], ["--fab-ml", "3"], ["--decoys", "9"])
 
 
 @pytest.mark.parametrize(
@@ -708,6 +713,7 @@ RATE_UNIVERSAL = ["lowerbound", "rate", "--attack", "universal", "--trials", "4"
         (RATE_UNIVERSAL, ["--budget", "7"]),
         (RATE_UNIVERSAL, ["--decoys", "9"]),
         (RATE_UNIVERSAL, ["--fab-ml", "3"]),
+        *((FORGER_UNIVERSAL, extra) for extra in SEARCH_OPTIONS),
     ],
     ids=lambda v: " ".join(v[:2] if len(v) > 2 else v),
 )
@@ -718,16 +724,118 @@ def test_attack_options_exit_2_under_the_other_attack(capsys, argv, extra):
     assert "does not apply to --attack" in captured.err and "Traceback" not in captured.err
 
 
+def _forge(adversary):
+    return ["game", "forge", "--adversary", adversary, *THREE_TRIALS]
+
+
 @pytest.mark.parametrize(
     "argv, defaults",
     [
         (RASA_FAB, ["--decoys", "4", "--budget", "512"]),
         (RATE_FAB, ["--attack", "fabricating", "--decoys", "4", "--budget", "4096"]),
+        (FORGER_FAB, ["--fab-ml", "8", "--decoys", "4", "--budget", "4096"]),
+        (_forge("search"), ["--budget", "512"]),
+        (_forge("fabricating"), ["--fab-ml", "8", "--decoys", "4", "--budget", "512"]),
     ],
-    ids=["game rasa", "lowerbound rate"],
+    ids=["game rasa", "lowerbound rate", "lowerbound forger", "game forge search",
+         "game forge fabricating"],
 )
 def test_attack_options_left_out_read_as_their_defaults(capsys, argv, defaults):
-    assert run_cli(capsys, argv) == run_cli(capsys, [*argv, *defaults])
+    left_out = run_cli(capsys, argv)
+    assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, *defaults])
+
+
+@pytest.mark.parametrize(
+    "adversary, extra",
+    [
+        *((name, extra) for name in ("random", "replay") for extra in SEARCH_OPTIONS),
+        ("search", ["--fab-ml", "3"]),
+        ("search", ["--decoys", "9"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_forger_options_exit_2_under_forgers_that_do_not_read_them(capsys, adversary, extra):
+    rc = cli.main([*_forge(adversary), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"does not apply to --adversary {adversary};" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (FORGER_UNIVERSAL, "663de9c023a3bfca25dc67cce65ff6d29280f1f3286d4307f853401eba36f405"),
+        (_forge("random"), "b9a8318e779fc61aef2a90b87a380ff4ec5bf8f16f757527851e33cd3181fb01"),
+    ],
+    ids=["lowerbound forger universal", "game forge random"],
+)
+def test_forgers_that_read_no_search_option_keep_their_bytes(capsys, argv, digest):
+    rc, _, out = run_cli(capsys, argv)
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _default_runs():
+    """Every subcommand with only its required options (two trials where it
+    runs trials), then each value of the selectors that decide which
+    options a command reads. {...} names a file the test makes first."""
+    required = {
+        ("stego", "embed"): ["--message", "a7"],
+        ("stego", "extract"): ["--file", "{session}"],
+        ("asa", "extract"): ["--file", "{asa_session}"],
+        ("lowerbound", "phi"): ["--ml", "8", "--outl", "1", "--query", "2"],
+        ("report", "merge"): ["{report}"],
+    }
+    for command, subcommand, _, groups, *_ in cli._COMMANDS:
+        trials = ["--trials", "2"] if "run" in groups.split() else []
+        yield [command, subcommand, *required.get((command, subcommand), []), *trials]
+    for name in cli._FORGERS:
+        yield ["game", "forge", "--adversary", name, "--trials", "2"]
+    for attack in ("rejsam", "fabricating"):
+        yield ["game", "rasa", "--rasa-host", "signed", "--attack", attack, "--trials", "2"]
+    for target in ("enc-asa", "stego", "stego-reboot", "rasa"):
+        yield ["game", "unrel", "--target", target, "--trials", "2"]
+    yield ["game", "unrel", "--target", "rasa", "--rasa-host", "signed", "--attack",
+           "fabricating", "--trials", "2"]
+    for subcommand in ("forger", "rate"):
+        for attack in ("universal", "fabricating"):
+            yield ["lowerbound", subcommand, "--attack", attack, "--trials", "2"]
+
+
+def test_every_subcommand_runs_at_its_defaults(capsys, tmp_path):
+    files = {name: str(tmp_path / f"{name}.jsonl") for name in ("session", "asa_session", "report")}
+    for argv in (["stego", "embed", "--message", "a7", "--out", files["session"]],
+                 ["asa", "run", "--out", files["asa_session"]],
+                 ["game", "cpa", "--trials", "2", "--out", files["report"]]):
+        assert cli.main(argv) == 0
+    for argv in _default_runs():
+        argv = [word.format(**files) for word in argv]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == "", (argv, captured.err)
+
+
+def test_ownership_table_names_handlers_options_and_choices():
+    # a misspelt name would hand its handler None and end in a traceback
+    rows = {row[5]: row[:2] for row in cli._COMMANDS}
+    groups = cli.build_parser()._subparsers._group_actions[0].choices
+    for handler, rules in cli._OWNED.items():
+        assert handler in rows, handler
+        command, subcommand = rows[handler]
+        parser = groups[command].filled()._subparsers._group_actions[0].choices[subcommand]
+        actions = {a.dest: a for a in parser.filled()._actions}
+        owned = [dest for _, options in rules for dest in options.split()]
+        assert len(owned) == len(set(owned)), handler  # one rule settles each option
+        settled = set()
+        for conditions, options in rules:
+            for condition in conditions.split():
+                selector, values = condition.split("=")
+                assert actions[selector].choices is not None, (handler, selector)
+                assert set(values.split(",")) <= set(actions[selector].choices), condition
+                # an owned selector is settled by an earlier rule
+                assert selector not in owned or selector in settled, (handler, selector)
+            assert set(options.split()) <= actions.keys(), (handler, options)
+            settled.update(options.split())
 
 
 @pytest.mark.parametrize(
