@@ -103,10 +103,9 @@ def _scheme(args):
     raise ParameterError(f"unknown host scheme: {args.host}")
 
 
-def _sig(args):
-    return sig_fixture(
-        args.sig, args.kappa, ml=args.sig_ml, coin_bits=args.sig_coins, tag_bits=args.tag_bits
-    )
+def _sig(args, ml=None):
+    ml = args.sig_ml if ml is None else ml
+    return sig_fixture(args.sig, args.kappa, ml, args.sig_coins, args.tag_bits)
 
 
 def _stego(args):
@@ -131,20 +130,23 @@ def _channel(args, seed):
     if args.channel == "rand-alg":
         return rand_alg_channel(alg_from_encryption(_scheme(args)), args.ell)
     if args.channel == "signed":
-        family = make_signed_family(_scheme(args), _sig_for_family(args), substream(seed, "family"))
-        return rand_alg_channel(family.alg, args.ell)
+        return rand_alg_channel(_family(args, seed).alg, args.ell)
     raise ParameterError(f"unknown channel: {args.channel}")
 
 
 def _sig_for_family(args):
-    sig = _sig(args)
-    ses = _scheme(args)
-    if sig.ml != ses.cl:
-        # resize the fixture so it signs ciphertext-length messages
-        sig = sig_fixture(
-            args.sig, args.kappa, ml=ses.cl, coin_bits=args.sig_coins, tag_bits=args.tag_bits
-        )
-    return sig
+    """The fixture resized to sign the host's ciphertexts; --sig-ml is still
+    checked on its own."""
+    _sig(args)
+    return _sig(args, _scheme(args).cl)
+
+
+def _family(args, seed):
+    return make_signed_family(_scheme(args), _sig_for_family(args), substream(seed, "family"))
+
+
+def _fabricating(args, family):
+    return fabricating_asa(family, ml=args.fab_ml, decoys=args.decoys, budget=args.budget)
 
 
 _DIST_ADVERSARIES = {
@@ -196,7 +198,6 @@ def _emit(lines, args, argv):
         text = "\n".join(_dump(obj) for obj in lines) + "\n"
     except ValueError as exc:  # a NaN or infinity, which strict JSON cannot hold
         raise ParameterError(f"report is not finite JSON: {exc}") from None
-    sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -208,6 +209,7 @@ def _emit(lines, args, argv):
         }
         with open(out + ".meta.json", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(text)  # last, so a report that cannot be saved is not printed
 
 
 def _non_json_constant(name):
@@ -265,9 +267,7 @@ def cmd_channel_sample(args):
     rng = substream(seed, "channel-sample")
     start = channel_walk(channel, args.depth, rng)
     lines = [{"kind": "channel-sample", "channel": channel.descriptor, "seed": seed}]
-    for i, doc in enumerate(channel_walk(channel, args.count, rng, start)[len(start) :]):
-        lines.append({"i": i, "doc_hex": doc.hex(), "bits": len(doc)})
-    return lines
+    return lines + _doc_lines(channel_walk(channel, args.count, rng, start)[len(start) :])
 
 
 def cmd_channel_entropy(args):
@@ -291,6 +291,20 @@ def cmd_channel_entropy(args):
 # --- stego commands -------------------------------------------------------------
 
 
+def _doc_lines(docs):
+    return [{"i": i, "doc_hex": d.hex(), "bits": len(d)} for i, d in enumerate(docs)]
+
+
+def _session_lines(header, params, ak, am, seed, docs, got):
+    """A saved session as _load_session reads it: the header, one line per
+    document, and whether the documents decode to the hidden message."""
+    header = {**header, "key_hex": ak.hex(), "key_bits": len(ak), "message_hex": am.hex()}
+    header.update(params=params.to_json_dict(), seed=seed)
+    decoded = got.hex() if got is not None else None
+    check = {"kind": "decode-check", "decoded_hex": decoded, "ok": got == am}
+    return [header, *_doc_lines(docs), check]
+
+
 def _session_key(args, steg, seed):
     if args.key:
         return _hex_bits(args.key, steg.params.kappa, "--key")
@@ -308,28 +322,8 @@ def cmd_stego_embed(args):
         docs = encode_schedule(steg, ak, am, args.schedule, channel, rng)
     else:
         docs = encode_all(steg, ak, am, (), channel, rng)
-    lines = [
-        {
-            "kind": "stego-session",
-            "key_hex": ak.hex(),
-            "key_bits": len(ak),
-            "message_hex": am.hex(),
-            "params": steg.params.to_json_dict(),
-            "channel": channel.descriptor,
-            "seed": seed,
-        }
-    ]
-    for i, d in enumerate(docs):
-        lines.append({"i": i, "doc_hex": d.hex(), "bits": len(d)})
-    decoded = steg.dec(ak, docs)
-    lines.append(
-        {
-            "kind": "decode-check",
-            "decoded_hex": decoded.hex() if decoded is not None else None,
-            "ok": decoded == am,
-        }
-    )
-    return lines
+    header = {"kind": "stego-session", "channel": channel.descriptor}
+    return _session_lines(header, steg.params, ak, am, seed, docs, steg.dec(ak, docs))
 
 
 _SESSION_INTS = ("ml", "s", "outl", "kappa", "block_bits")
@@ -382,16 +376,13 @@ def cmd_stego_extract(args):
     return _extract(args, "stego-extract")
 
 
-def cmd_stego_roundtrip(args):
-    if args.schedule and not args.reboot:
-        raise ParameterError("--schedule needs --reboot")
-    if args.reboot and args.history_mode == "sampled":
-        raise ParameterError("--history-mode sampled does not apply with --reboot")
+def _stego_unrel(args, reboot, schedules=None):
+    """Recovery rate of the stegosystem over the channel, with the encoder's
+    state wiped between schedule segments when reboot is set."""
     seed = _seed(args)
     steg = _stego(args)
     channel = _channel(args, seed)
-    if args.reboot:
-        schedules = [args.schedule] if args.schedule else None
+    if reboot:
         report = estimate_unrel_reboot(
             steg, channel, args.trials, seed, schedules=schedules, jobs=args.jobs
         )
@@ -400,6 +391,14 @@ def cmd_stego_roundtrip(args):
             steg, channel, args.trials, seed, history_mode=args.history_mode, jobs=args.jobs
         )
     return [report.to_json_dict()]
+
+
+def cmd_stego_roundtrip(args):
+    if args.schedule and not args.reboot:
+        raise ParameterError("--schedule needs --reboot")
+    if args.reboot and args.history_mode == "sampled":
+        raise ParameterError("--history-mode sampled does not apply with --reboot")
+    return _stego_unrel(args, args.reboot, [args.schedule] if args.schedule else None)
 
 
 # --- attack commands -------------------------------------------------------------
@@ -429,28 +428,8 @@ def cmd_asa_run(args):
     k = ses.gen(rng)
     messages = [Bits.random(ses.ml, rng) for _ in range(asa.outl)]
     cts = asa_enc_all(asa, ak, am, k, messages, rng)
-    lines = [
-        {
-            "kind": "asa-session",
-            "attack": asa.describe(),
-            "key_hex": ak.hex(),
-            "key_bits": len(ak),
-            "message_hex": am.hex(),
-            "params": steg.params.to_json_dict(),
-            "seed": seed,
-        }
-    ]
-    for i, c in enumerate(cts):
-        lines.append({"i": i, "doc_hex": c.hex(), "bits": len(c)})
-    got = asa.ext(ak, cts)
-    lines.append(
-        {
-            "kind": "decode-check",
-            "decoded_hex": got.hex() if got is not None else None,
-            "ok": got == am,
-        }
-    )
-    return lines
+    header = {"kind": "asa-session", "attack": asa.describe()}
+    return _session_lines(header, steg.params, ak, am, seed, cts, asa.ext(ak, cts))
 
 
 def cmd_asa_extract(args):
@@ -498,17 +477,13 @@ def cmd_game_ss_cha(args):
 
 
 def _rasa_pieces(args, seed):
-    ses = _scheme(args)
     if args.rasa_host == "signed":
-        family = make_signed_family(ses, _sig_for_family(args), substream(seed, "family"))
+        family = _family(args, seed)
         alg = family.alg
         if args.attack == "fabricating":
-            attack = fabricating_asa(
-                family, ml=args.fab_ml, decoys=args.decoys, budget=args.budget
-            )
-            return attack, alg
+            return _fabricating(args, family), alg
     else:
-        alg = alg_from_encryption(ses)
+        alg = alg_from_encryption(_scheme(args))
     if args.attack == "fabricating":
         raise ParameterError("fabricating attack needs --rasa-host signed")
     attack = generic_asa_against_alg(_stego(args), alg, demo_force_embed=args.force_embed)
@@ -537,6 +512,8 @@ def cmd_game_forge(args):
 
 
 def cmd_game_unrel(args):
+    if args.target in ("stego", "stego-reboot"):
+        return _stego_unrel(args, args.target == "stego-reboot")
     seed = _seed(args)
     if args.target == "enc-asa":
         ses = _scheme(args)
@@ -544,24 +521,9 @@ def cmd_game_unrel(args):
         report = estimate_unrel(
             asa, ses, args.trials, seed, message_mode=args.message_mode, jobs=args.jobs
         )
-    elif args.target == "stego":
-        report = estimate_unrel_stego(
-            _stego(args),
-            _channel(args, seed),
-            args.trials,
-            seed,
-            history_mode=args.history_mode,
-            jobs=args.jobs,
-        )
-    elif args.target == "stego-reboot":
-        report = estimate_unrel_reboot(
-            _stego(args), _channel(args, seed), args.trials, seed, jobs=args.jobs
-        )
-    elif args.target == "rasa":
+    else:  # rasa: the parser takes no other target
         attack, alg = _rasa_pieces(args, seed)
         report = estimate_unrel_alg(attack, alg, args.trials, seed, jobs=args.jobs)
-    else:
-        raise ParameterError(f"unknown unreliability target: {args.target}")
     return [report.to_json_dict()]
 
 
@@ -580,23 +542,19 @@ def cmd_lb_forger(args):
 
 def cmd_lb_rate(args):
     seed = _seed(args)
-    ses = _scheme(args)
-    sig = _sig_for_family(args)
-    family = make_signed_family(ses, sig, substream(seed, "family"))
+    family = _family(args, seed)
     forger = _FORGERS[args.attack](args)
+    query = args.query  # a float, or None for the attack's own count
     if args.attack == "fabricating":
-        attack = fabricating_asa(family, ml=args.fab_ml, decoys=args.decoys, budget=args.budget)
-        query = float(args.query) if args.query is not None else float(args.decoys)
+        attack = _fabricating(args, family)
+        query = float(args.decoys) if query is None else query
     else:
         steg = _stego(args)
         attack = generic_asa_against_alg(steg, family.alg)
-        if args.query is not None:
-            query = float(args.query)
-        else:
-            est = query_count(
-                universal_asa(steg, UniversalHost(ses)), 200, seed, host_key_bits=ses.key_bits
-            )
-            query = est.mean
+        if query is None:
+            ses = family.ses
+            universal = universal_asa(steg, UniversalHost(ses))
+            query = query_count(universal, 200, seed, host_key_bits=ses.key_bits).mean
     report = rate_report(family, attack, query, forger, args.trials, seed, jobs=args.jobs)
     return [report]
 
@@ -843,27 +801,37 @@ _COMMANDS = (
 # the comma-separated values that read the options. Such options parse to
 # None, and _settle applies the default their row declares where every
 # condition holds, or exits 2 where one is given and a condition fails.
+# An option @group stands for every option of that group in _GROUPS.
 # Rules settle in order, so a selector that is itself owned comes first.
 _OWNED = {
     "cmd_channel_entropy": (("mode=exact", "depths"), ("mode=estimate", "depth")),
     "cmd_game_rasa": (
         ("attack=rejsam", "force_embed"),
-        ("attack=fabricating", "fab_ml decoys budget"),
+        ("attack=fabricating", "@fab budget"),
     ),
     "cmd_game_forge": (
         ("adversary=search,fabricating", "budget"),
-        ("adversary=fabricating", "fab_ml decoys"),
+        ("adversary=fabricating", "@fab"),
+        ("adversary=universal,fabricating", "host r host_ml"),  # not kappa: _sig reads it
+        ("adversary=universal", "@stego"),
     ),
     "cmd_game_unrel": (
         ("target=enc-asa", "message_mode"),
         ("target=stego", "history_mode"),
         ("target=rasa", "rasa_host attack"),
         ("target=rasa attack=rejsam", "force_embed"),
-        ("target=rasa attack=fabricating", "fab_ml decoys budget"),
+        ("target=rasa attack=fabricating", "@fab budget"),
     ),
-    "cmd_lb_forger": (("attack=fabricating", "fab_ml decoys budget"),),
-    "cmd_lb_rate": (("attack=fabricating", "fab_ml decoys budget"),),
+    "cmd_lb_forger": (("attack=fabricating", "@fab budget"), ("attack=universal", "@stego")),
+    "cmd_lb_rate": (("attack=fabricating", "@fab budget"), ("attack=universal", "@stego")),
 }
+
+
+def _dests(options):
+    """The dests an _OWNED rule's options name, with each @group expanded."""
+    for word in options.split():
+        flags = [flag for flag, _ in _GROUPS[word[1:]]] if word[0] == "@" else [word]
+        yield from (flag.strip("-").replace("-", "_") for flag in flags)
 
 
 def _row_options(row):
@@ -886,11 +854,11 @@ def _settle(args) -> None:
             if getattr(args, selector) not in values.split(","):
                 break
         else:
-            for dest in options.split():
+            for dest in _dests(options):
                 if getattr(args, dest) is None:
                     setattr(args, dest, defaults[dest])
             continue
-        for dest in options.split():
+        for dest in _dests(options):
             if getattr(args, dest) is not None:
                 wanted = "".join(
                     " --" + c.replace("_", "-").replace("=", " ").replace(",", " or ")
@@ -943,7 +911,7 @@ def _add_options(row, parser):
     parser.add_argument("--seed", type=int, help="base seed (env SUBVERTLAB_SEED, then 0)")
     for flag, kwargs in _row_options(row):
         parser.add_argument(flag, **kwargs)
-    owned = [dest for _, options in _OWNED.get(row[5], ()) for dest in options.split()]
+    owned = [dest for _, options in _OWNED.get(row[5], ()) for dest in _dests(options)]
     parser.set_defaults(func=globals()[row[5]], **dict.fromkeys(owned))
 
 

@@ -12,7 +12,8 @@ oracle material alone with probability at most 2^(outl*log2(outl*query) - ml).
 rate_report() runs all four measured legs (detectability, unreliability,
 the counting bound, forgery rate) and assembles the lower-bound inequality
 empirically. fabricating_asa() is the attack that makes it bite: one output
-carrying a 64-bit message, signed by brute verifier search.
+carrying an ml-bit message (8 by default, which fits the 16-bit ciphertexts
+of randpad_scheme(8, 16, 8)), signed by brute verifier search.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _fabricate_and_search(ak, am, prefix, sigl, vrfy, verifier, pk, budget, rng)
 
 
 def fabricating_asa(
-    family: SignedFamily, ml: int = 64, decoys: int = 4, budget: int = 4096
+    family: SignedFamily, ml: int = 8, decoys: int = 4, budget: int = 4096
 ) -> AlgSubstitutionAttack:
     """One-output attack that leaks ml bits by inventing a signed pair.
 
@@ -258,7 +259,7 @@ def forger_from_universal_asa(
 def forger_from_fabricating_asa(
     ses: SymmetricEncryptionScheme,
     sig: SignatureScheme,
-    ml: int = 64,
+    ml: int = 8,
     decoys: int = 4,
     budget: int = 4096,
 ) -> Adversary:

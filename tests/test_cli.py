@@ -139,6 +139,15 @@ def test_non_finite_output_exits_2_before_writing(capsys, monkeypatch, tmp_path)
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_a_report_that_cannot_be_saved_is_not_printed(capsys, tmp_path):
+    out = tmp_path / "missing" / "phi.jsonl"
+    argv = ["lowerbound", "phi", "--ml", "8", "--outl", "1", "--query", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.parent.exists()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_query_count_command(capsys):
     rc, lines, _ = run_cli(capsys, ["asa", "queries", *STEGO_OPTS, "--trials", "60", "--seed", "1"])
     assert rc == 0
@@ -536,6 +545,11 @@ DIST = {
 # --decoys 4, --budget 512 under game rasa and game forge and 4096
 # elsewhere, --force-embed False
 FAB_DEFERRED = {_opt("--fab-ml"), _opt("--decoys"), _opt("--budget")}
+# forgers and lowerbound attacks that build no stegosystem, or no host
+# scheme, make those options parse to None too; --kappa keeps its default,
+# since every signature fixture reads it
+STEGO_DEFERRED = {_opt(flag) for (flag,), *_ in STEGO}
+HOST_DEFERRED = {_opt("--host", None, ("randpad", "det")), _opt("--r"), _opt("--host-ml")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
 LB_ATTACK = _opt("--attack", "fabricating", ("universal", "fabricating"))
 HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
@@ -563,7 +577,8 @@ OPTION_SURFACE = {
     ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO | DIST | FAB_DEFERRED
     | {_opt("--rasa-host", "enc", ("enc", "signed")),
        _opt("--attack", "rejsam", ("rejsam", "fabricating")), _opt("--force-embed")},
-    ("game", "forge"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED
+    ("game", "forge"): SEED_OUT | RUN | HOST_DEFERRED | {_opt("--kappa", 16)} | SIG
+    | STEGO_DEFERRED | FAB_DEFERRED
     | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating"))},
     # the options one --target reads parse to None; cli._settle applies
     # the defaults their row declares (random, empty, enc, rejsam, False,
@@ -578,8 +593,9 @@ OPTION_SURFACE = {
     ("lowerbound", "phi"): SEED_OUT
     | {_opt("--ml", required=True), _opt("--outl", required=True),
        _opt("--query", required=True)},
-    ("lowerbound", "forger"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED | {LB_ATTACK},
-    ("lowerbound", "rate"): SEED_OUT | RUN | HOST | SIG | STEGO | FAB_DEFERRED
+    ("lowerbound", "forger"): SEED_OUT | RUN | HOST | SIG | STEGO_DEFERRED | FAB_DEFERRED
+    | {LB_ATTACK},
+    ("lowerbound", "rate"): SEED_OUT | RUN | HOST | SIG | STEGO_DEFERRED | FAB_DEFERRED
     | {LB_ATTACK, _opt("--query")},
     ("report", "merge"): SEED_OUT | {((), "files", None, True, None), _opt("--csv")},
 }
@@ -693,6 +709,21 @@ def test_game_unrel_applies_each_targets_defaults(capsys, target, kept, defaults
     assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, *defaults])
 
 
+@pytest.mark.parametrize(
+    "roundtrip, unrel",
+    [
+        ([], ["--target", "stego"]),
+        (["--history-mode", "sampled"], ["--target", "stego", "--history-mode", "sampled"]),
+        (["--reboot"], ["--target", "stego-reboot"]),
+    ],
+    ids=["stego", "stego sampled", "stego-reboot"],
+)
+def test_stego_roundtrip_prints_what_game_unrel_prints(capsys, roundtrip, unrel):
+    tail = [*STEGO_OPTS, "--trials", "6", "--seed", "3"]
+    printed = run_cli(capsys, ["stego", "roundtrip", *roundtrip, *tail])
+    assert printed[0] == 0 and printed == run_cli(capsys, ["game", "unrel", *unrel, *tail])
+
+
 RASA_REJSAM = ["game", "rasa", *STEGO_OPTS, "--trials", "4", "--seed", "1"]
 RASA_FAB = ["game", "rasa", *SIGNED_FAB, "--fab-ml", "8", "--trials", "4", "--seed", "1"]
 RATE_FAB = ["lowerbound", "rate", *FAB_OPTS, "--fab-ml", "8", "--trials", "2", "--seed", "1"]
@@ -775,6 +806,36 @@ def test_forgers_that_read_no_search_option_keep_their_bytes(capsys, argv, diges
     assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, extra, selector",
+    [
+        (_forge("random"), ["--ml", "5", "--r", "3", "--s", "9"], "--adversary random"),
+        (_forge("replay"), ["--stego-kappa", "16"], "--adversary replay"),
+        (_forge("search"), ["--host", "det"], "--adversary search"),
+        (_forge("fabricating"), ["--ml", "5"], "--adversary fabricating"),
+        (["lowerbound", "rate", "--attack", "fabricating", "--trials", "2", "--seed", "1"],
+         ["--ml", "5", "--s", "9", "--block-bits", "2"], "--attack fabricating"),
+        (["lowerbound", "forger", *THREE_TRIALS], ["--ml", "5"], "--attack fabricating"),
+    ],
+    ids=["game forge random", "game forge replay", "game forge search", "game forge fabricating",
+         "lowerbound rate fabricating", "lowerbound forger fabricating"],
+)
+def test_host_and_stego_options_exit_2_where_the_selector_ignores_them(
+    capsys, argv, extra, selector
+):
+    rc = cli.main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"does not apply to {selector};" in captured.err and "Traceback" not in captured.err
+
+
+def test_universal_forger_reads_host_and_stego_defaults_when_left_out(capsys):
+    host_stego = ["--host", "randpad", "--r", "8", "--host-ml", "8", "--ml", "8", "--s", "64",
+                  "--block-bits", "1", "--stego-kappa", "128"]
+    left_out = run_cli(capsys, _forge("universal"))
+    assert left_out[0] == 0 and left_out == run_cli(capsys, [*_forge("universal"), *host_stego])
+
+
 def _default_runs():
     """Every subcommand with only its required options (two trials where it
     runs trials), then each value of the selectors that decide which
@@ -824,7 +885,7 @@ def test_ownership_table_names_handlers_options_and_choices():
         command, subcommand = rows[handler]
         parser = groups[command].filled()._subparsers._group_actions[0].choices[subcommand]
         actions = {a.dest: a for a in parser.filled()._actions}
-        owned = [dest for _, options in rules for dest in options.split()]
+        owned = [dest for _, options in rules for dest in cli._dests(options)]
         assert len(owned) == len(set(owned)), handler  # one rule settles each option
         settled = set()
         for conditions, options in rules:
@@ -834,8 +895,8 @@ def test_ownership_table_names_handlers_options_and_choices():
                 assert set(values.split(",")) <= set(actions[selector].choices), condition
                 # an owned selector is settled by an earlier rule
                 assert selector not in owned or selector in settled, (handler, selector)
-            assert set(options.split()) <= actions.keys(), (handler, options)
-            settled.update(options.split())
+            assert set(cli._dests(options)) <= actions.keys(), (handler, options)
+            settled.update(cli._dests(options))
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,18 @@ def test_fabrication_recovers_against_weak_tags_only():
             forger_from_fabricating_asa(ses, sig, ml=8, decoys=decoys, budget=0)
 
 
+def test_fabricating_defaults_fit_the_default_randpad_host():
+    # 8 hidden bits, as the CLI's --fab-ml, fit this host's 16-bit ciphertexts
+    ses = randpad_scheme(8, 16, 8)
+    sig = sig_fixture("coin-extractable", kappa=16, ml=ses.cl, tag_bits=8)
+    family = make_signed_family(ses, sig, random.Random(0))
+    attack = fabricating_asa(family)
+    forger = forger_from_fabricating_asa(ses, sig)
+    assert (attack.ml, forger.name) == (8, "fabricating-8")
+    assert estimate_unrel_alg(attack, family.alg, trials=4, seed=1).p_hat == 1.0
+    assert run_sig_forge(sig, forger, trials=4, seed=1).p_hat == 1.0
+
+
 def test_oracle_bound_attack_never_forges():
     ses, sig, _ = family_fixture()
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=1, kappa=KAPPA))
