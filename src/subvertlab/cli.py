@@ -806,7 +806,7 @@ _COMMANDS = (
 _OWNED = {
     "cmd_channel_entropy": (("mode=exact", "depths"), ("mode=estimate", "depth")),
     "cmd_game_rasa": (
-        ("attack=rejsam", "force_embed"),
+        ("attack=rejsam", "force_embed @stego"),
         ("attack=fabricating", "@fab budget"),
     ),
     "cmd_game_forge": (

@@ -19,15 +19,19 @@ over 642 documents. So every keyed cache of the package is one of the two
 table types here, filled by __missing__ on first lookup. A KeyTable keeps
 its latest TABLE_KEYS (8) keys (64 for the HMAC pad states) and evicts the
 oldest; a Table is emptied when it reaches TABLE_ENTRIES (1024) entries. The
-pad states, the marks of prf_split_block, and the randpad pads and det
+pad states, the marks of split_marker, and the randpad pads and det
 codebooks of schemes live in them. A hit is one dict subscript. Argument
 checks run on every call, before the lookup, except where a caller binds a
 table once for many lookups (split_marker, the randpad int sampler).
+
+A mark is the pair (int value, slot or None). The encoder binds a key's
+mark table once per emission and the decoder once per decode, and both
+compare the int value to the message's block; only prf_split_block, the
+one-document form, wraps the value in a bit string.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -149,35 +153,51 @@ def prf_split_block(
     Both fields are read from one HMAC digest as an integer: the same bits
     as Prf.eval followed by two slices, without the intermediate bit strings.
 
-    The pair is a function of the key bytes, the document bytes, block_bits
+    The mark is a function of the key bytes, the document bytes, block_bits
     and n_slots alone, so it is kept in a table (module docstring) and a
-    repeated document returns the very tuple marked first. Documents whose
-    padded bytes agree mark the same, table or not.
+    repeated document costs no HMAC. The table holds the value as an int,
+    which is all the encoder and decoder compare; this wrapper builds the
+    block_bits-bit string from it on every call. Documents whose padded
+    bytes agree mark the same, table or not.
     """
-    return split_marker(prf, key, block_bits, n_slots)[doc.to_bytes()]
+    value, j = split_marker(prf, key, block_bits, n_slots)[doc.to_bytes()]
+    return Bits(value, block_bits), j
 
 
-def split_marker(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> Table:
-    """The mark table of one (key, block_bits, n_slots): document bytes ->
-    prf_split_block's pair. The arguments are checked here, once, so a
-    caller that marks many documents under one key binds the table and pays
-    one dict subscript per document."""
+def _check_split(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> None:
+    """The checks of a split: both fields fit the PRF output, and the key fits the PRF."""
     if block_bits <= 0 or n_slots <= 0:
         raise ParameterError("block_bits and n_slots must be positive")
     if block_bits + (n_slots - 1).bit_length() > prf.out_bits:
         raise ParameterError("PRF output too short for requested split")
     if len(key) != prf.key_bits:
         raise ParameterError(f"key must have {prf.key_bits} bits")
+
+
+def split_marker(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> Table:
+    """The mark table of one (key, block_bits, n_slots): document bytes ->
+    (int value, slot or None). The arguments are checked here, once, so a
+    caller that marks many documents under one key (an emission, a decode)
+    binds the table and pays one dict subscript per document."""
+    _check_split(prf, key, block_bits, n_slots)
     return _marks[key.to_bytes(), block_bits, n_slots]
 
 
-def _mark(kb: bytes, block_bits: int, n_slots: int, db: bytes) -> tuple[Bits, int | None]:
-    out = int.from_bytes(hmac_sha256(kb, db), "big")
+def _mark_table(split: tuple[bytes, int, int]) -> Table:
+    """An empty mark table for (key bytes, block_bits, n_slots); a miss
+    runs one HMAC, with the field shifts and mask computed here, once."""
+    kb, block_bits, n_slots = split
     rest = _OUT_BITS - block_bits
     idx_bits = (n_slots - 1).bit_length()
-    j = (out >> (rest - idx_bits)) & ((1 << idx_bits) - 1)
-    return Bits(out >> rest, block_bits), j if j < n_slots else None
+    idx_shift, idx_mask = rest - idx_bits, (1 << idx_bits) - 1
+
+    def mark(db: bytes) -> tuple[int, int | None]:
+        out = int.from_bytes(hmac_sha256(kb, db), "big")
+        j = (out >> idx_shift) & idx_mask
+        return out >> rest, j if j < n_slots else None
+
+    return Table(mark)
 
 
 # (key bytes, block_bits, n_slots) -> a table from document bytes to its mark
-_marks = KeyTable(lambda split: Table(functools.partial(_mark, *split)))
+_marks = KeyTable(_mark_table)

@@ -11,13 +11,17 @@ Coverage of all slots is a coupon-collector event, so the output length for
 an ml-bit message grows like ml ln ml; the block variant embeds several bits
 per document at the cost of a longer rejection phase.
 
-An emission binds the key's mark table and the message once. When its draw
-carries an int form (channels.draw_for: the uniform channel, the messages
-and randpad ciphertexts of a session channel), the sampler draws, rejects
-and marks ints, and builds a bit string for the emitted document only;
-other draws are marked as bit strings in the same loop. A coin-free host's
-emission is a point draw (schemes.PointDraw): every draw is one document,
-so that document is the emission, and the loop does not run.
+A mark is an int value and a slot (prf.split_marker). An emission binds
+the key's mark table and the message once, and compares each mark's value
+to the message block as ints. When its draw carries an int form
+(channels.draw_for: the uniform channel, the messages and randpad
+ciphertexts of a session channel), the sampler draws, rejects and marks
+ints, and builds a bit string for the emitted document only; other draws
+are marked as bit strings in the same loop. A coin-free host's emission is
+a point draw (schemes.PointDraw): every draw is one document, so that
+document is the emission; the arguments are checked, and neither the loop
+nor the mark table is touched. A decode binds the mark table once and
+looks each received document up in it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable, Sequence
 from .bits import Bits
 from .channels import Channel, check_history, draw_for, extend_history
 from .errors import ParameterError, ScheduleError, WrongDocumentCountError
-from .prf import Prf, is_power_of_two, prf_split_block, split_marker
+from .prf import Prf, _check_split, is_power_of_two, split_marker
 
 __all__ = [
     "StegoParams",
@@ -163,7 +167,7 @@ def mark_agreement(
 
     def agrees(doc: Bits) -> bool:
         value, j = marks[doc.to_bytes()]
-        return j is not None and value.uint == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask
+        return j is not None and value == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask
 
     return agrees
 
@@ -180,12 +184,12 @@ def encode_step(
     (schemes.PointDraw, a coin-free host's emission) is the exception: all
     its draws are its .point and take no randomness, so the first agreeing
     draw and the (s+1)-th are both that document, and it is returned after
-    the argument checks without a draw or a mark. Any other draw that
-    repeats the document just rejected (randpad's int sampler at r = 0, a
-    counting wrapper around a point draw) skips even the set lookup. A draw
-    with an int form (channels.IntDraw) is sampled through it: the loop
-    keys its rejected set by int and marks the packed bytes, and only the
-    emitted int becomes a bit string.
+    the argument checks without a draw, a mark or the mark table. Any other
+    draw that repeats the document just rejected (randpad's int sampler at
+    r = 0, a counting wrapper around a point draw) skips even the set
+    lookup. A draw with an int form (channels.IntDraw) is sampled through
+    it: the loop keys its rejected set by int and marks the packed bytes,
+    and only the emitted int becomes a bit string.
     """
     # mark_agreement's binding and test, inline: an emission is only about
     # two draws here, and one more call and tuple per emission cost
@@ -193,10 +197,11 @@ def encode_step(
     if len(am) != params.ml:
         raise ParameterError(f"hidden message must have {params.ml} bits")
     block_bits, n_slots = params.block_bits, params.n_slots
-    marks = split_marker(prf, ak, block_bits, n_slots)
     point = getattr(draw, "point", None)
     if point is not None:  # after the checks: it fails where a looping draw would
+        _check_split(prf, ak, block_bits, n_slots)
         return point
+    marks = split_marker(prf, ak, block_bits, n_slots)
     am_int = am.uint << (n_slots * block_bits - params.ml)
     mask = (1 << block_bits) - 1
     ints = getattr(draw, "ints", None)
@@ -208,7 +213,7 @@ def encode_step(
         if x is last or x in rejected:
             continue
         value, j = marks[pack(x)]
-        if j is not None and value.uint == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask:
+        if j is not None and value == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask:
             break
         rejected.add(x)
         last = x
@@ -220,14 +225,23 @@ def encode_step(
 def rejsam_decode(
     prf: Prf, params: StegoParams, ak: Bits, docs: Sequence[Bits]
 ) -> Bits | None:
+    """The hidden message: each document's mark fills its slot with its
+    value, last write wins, and a slot left empty gives None.
+
+    The document count is checked first, then the key's mark table is bound
+    once (split_marker checks the key and split there), so each document
+    costs one dict subscript, and an HMAC only where its bytes miss the
+    table.
+    """
     if len(docs) != params.outl:
         raise WrongDocumentCountError(f"expected {params.outl} documents, got {len(docs)}")
     block_bits, n_slots = params.block_bits, params.n_slots
+    marks = split_marker(prf, ak, block_bits, n_slots)
     slots: dict[int, int] = {}  # not a list: a saved session may claim any ml
     for doc in docs:
-        value, j = prf_split_block(prf, ak, doc, block_bits, n_slots)
+        value, j = marks[doc.to_bytes()]
         if j is not None:
-            slots[j] = value.uint  # last write wins
+            slots[j] = value  # last write wins
     if len(slots) < n_slots:
         return None
     am_int = 0

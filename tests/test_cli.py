@@ -545,9 +545,9 @@ DIST = {
 # --decoys 4, --budget 512 under game rasa and game forge and 4096
 # elsewhere, --force-embed False
 FAB_DEFERRED = {_opt("--fab-ml"), _opt("--decoys"), _opt("--budget")}
-# forgers and lowerbound attacks that build no stegosystem, or no host
-# scheme, make those options parse to None too; --kappa keeps its default,
-# since every signature fixture reads it
+# forgers and attacks (lowerbound's, and game rasa's) that build no
+# stegosystem, or no host scheme, make those options parse to None too;
+# --kappa keeps its default, since every signature fixture reads it
 STEGO_DEFERRED = {_opt(flag) for (flag,), *_ in STEGO}
 HOST_DEFERRED = {_opt("--host", None, ("randpad", "det")), _opt("--r"), _opt("--host-ml")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
@@ -574,7 +574,7 @@ OPTION_SURFACE = {
     ("game", "cpa"): SEED_OUT | RUN | HOST | DIST,
     ("game", "enc-asa"): SEED_OUT | RUN | HOST | STEGO | DIST,
     ("game", "ss-cha"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL | DIST,
-    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO | DIST | FAB_DEFERRED
+    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO_DEFERRED | DIST | FAB_DEFERRED
     | {_opt("--rasa-host", "enc", ("enc", "signed")),
        _opt("--attack", "rejsam", ("rejsam", "fabricating")), _opt("--force-embed")},
     ("game", "forge"): SEED_OUT | RUN | HOST_DEFERRED | {_opt("--kappa", 16)} | SIG
@@ -816,9 +816,11 @@ def test_forgers_that_read_no_search_option_keep_their_bytes(capsys, argv, diges
         (["lowerbound", "rate", "--attack", "fabricating", "--trials", "2", "--seed", "1"],
          ["--ml", "5", "--s", "9", "--block-bits", "2"], "--attack fabricating"),
         (["lowerbound", "forger", *THREE_TRIALS], ["--ml", "5"], "--attack fabricating"),
+        (["game", "rasa", *SIGNED_FAB, *THREE_TRIALS], ["--ml", "5", "--s", "9"],
+         "--attack fabricating"),
     ],
     ids=["game forge random", "game forge replay", "game forge search", "game forge fabricating",
-         "lowerbound rate fabricating", "lowerbound forger fabricating"],
+         "lowerbound rate fabricating", "lowerbound forger fabricating", "game rasa fabricating"],
 )
 def test_host_and_stego_options_exit_2_where_the_selector_ignores_them(
     capsys, argv, extra, selector

@@ -155,7 +155,7 @@ def _manual_split(key, doc, block_bits, n_slots):
 
 def test_mark_tables_match_manual_split_on_every_call(monkeypatch):
     # one key under two (block_bits, n_slots) pairs: each pair has its own
-    # table, and a repeated document costs no HMAC and returns its first tuple
+    # table, and a repeated document costs no HMAC and returns its first mark
     prf_module._marks.clear()
     macs = []
     monkeypatch.setattr(prf_module, "hmac_sha256", lambda *a: macs.append(1) or hmac_sha256(*a))
@@ -171,7 +171,7 @@ def test_mark_tables_match_manual_split_on_every_call(monkeypatch):
                 value, j = mark
                 assert (value.uint, j) == _manual_split(key, doc, block_bits, n_slots)
                 assert len(value) == block_bits
-                assert first.setdefault((doc, block_bits), mark) is mark
+                assert first.setdefault((doc, block_bits), mark) == mark
         assert len(macs) == len(docs) * len(splits)
 
 
@@ -220,7 +220,7 @@ def test_split_checks_its_arguments_on_every_call():
         ):
             with pytest.raises(ParameterError):
                 bad()
-        assert prf_split_block(prf, key, doc, 4, 8) is good
+        assert prf_split_block(prf, key, doc, 4, 8) == good
 
 
 def test_documents_with_equal_padded_bytes_mark_the_same():

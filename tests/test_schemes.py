@@ -101,10 +101,10 @@ def test_det_scheme_differs_across_keys():
 def test_det_codebook_memo_stays_bounded(monkeypatch):
     builds = []
 
-    class CountingRandom(random.Random):
-        def shuffle(self, x):
+    class CountingRandom(random.Random):  # a codebook build seeds one generator
+        def __init__(self, *args):
             builds.append(1)
-            super().shuffle(x)
+            super().__init__(*args)
 
     monkeypatch.setattr(schemes, "random", types.SimpleNamespace(Random=CountingRandom))
     ses = det_scheme(32, ml=8)
@@ -123,6 +123,20 @@ def test_det_codebook_memo_stays_bounded(monkeypatch):
     assert len(builds) == 5 * cap + 1
     assert again == images
     assert all(ses.dec(first, c) == Bits(m, 8) for m, c in enumerate(again))
+
+
+def test_inline_shuffle_is_random_shuffle():
+    # the det codebook's inline Fisher-Yates makes random.shuffle's calls:
+    # the same permutation, and the generator left in the same state (a
+    # drift at one size would also change every later permutation)
+    for seed in range(20):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for size in (*range(1, 1001), 2**16):
+            x, y = list(range(size)), list(range(size))
+            schemes._shuffle(x, ours.getrandbits)
+            theirs.shuffle(y)
+            assert x == y, (seed, size)
+        assert ours.getstate() == theirs.getstate(), seed
 
 
 @pytest.mark.parametrize("ml", [1, 8])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import subvertlab.prf
+import subvertlab.stego
 from subvertlab.channels import IntDraw
 from subvertlab.schemes import PointDraw
 from subvertlab import (
@@ -117,8 +118,8 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     # ml=1: one slot, the mark is one PRF bit. The mark is a function of the
     # document, so a stream stuck on rejected documents costs one mark per
     # distinct document, while every one of the s+1 draws is still taken.
-    # Marks are counted as fills of the PRF's mark table (prf._mark calls
-    # after the table is emptied), since a re-mark would be a table hit
+    # Marks are counted as fills of the PRF's mark table (HMAC calls after
+    # the tables are emptied), since a re-mark would be a table hit
     params = StegoParams(ml=1, s=7, outl=4, kappa=64)
     prf = Prf(64)
     key = Bits.random(64, random.Random(0))
@@ -126,8 +127,8 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
     one = next(d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 1)
     marks = []
-    mark = subvertlab.prf._mark
-    monkeypatch.setattr(subvertlab.prf, "_mark", lambda *a: marks.append(1) or mark(*a))
+    mac = subvertlab.prf.hmac_sha256
+    monkeypatch.setattr(subvertlab.prf, "hmac_sha256", lambda *a: marks.append(1) or mac(*a))
 
     def run(am, stream, draw=None):
         subvertlab.prf._marks.clear()
@@ -283,6 +284,43 @@ def test_decode_last_write_wins_and_none_when_uncovered():
     assert rejsam_decode(prf, params, key, [d00, d10, d00, d10]) is None
     with pytest.raises(WrongDocumentCountError):
         rejsam_decode(prf, params, key, [d00, d01])
+
+
+def test_decode_binds_the_mark_table_once(monkeypatch):
+    # one split_marker call per decode, and one HMAC per distinct document
+    # bytes, however often and in whatever Bits form a document repeats
+    params = StegoParams(ml=4, s=4, outl=40, kappa=64)
+    prf, key = Prf(64), Bits.random(64, random.Random(8))  # its marks cover every slot
+    distinct = [Bits(v, 16) for v in range(0, 7 * 4104, 4104)]  # low 3 bits zero
+    # a 13-bit document pads to the same bytes as the 16-bit one it prefixes
+    alias = Bits(distinct[3].uint >> 3, 13)
+    assert alias.to_bytes() == distinct[3].to_bytes() and alias != distinct[3]
+    docs = [alias if i % 9 == 4 else distinct[(i * 5) % 7] for i in range(params.outl)]
+    binds, macs = [], []
+    bind = subvertlab.stego.split_marker
+    monkeypatch.setattr(subvertlab.stego, "split_marker", lambda *a: binds.append(1) or bind(*a))
+    mac = subvertlab.prf.hmac_sha256
+    monkeypatch.setattr(subvertlab.prf, "hmac_sha256", lambda *a: macs.append(1) or mac(*a))
+    subvertlab.prf._marks.clear()
+    got = rejsam_decode(prf, params, key, docs)
+    assert (len(binds), len(macs)) == (1, len(distinct))
+    slots = {}
+    for doc in docs:
+        value, j = prf_split_block(prf, key, doc, params.block_bits, params.n_slots)
+        if j is not None:
+            slots[j] = value.uint
+    assert got == Bits(sum(slots[j] << (3 - j) for j in range(4)), 4)
+    assert rejsam_decode(prf, params, key, docs) == got
+    assert (len(binds), len(macs)) == (2, len(distinct))
+
+
+def test_decode_checks_the_document_count_before_the_key():
+    params = StegoParams(ml=4, s=4, outl=8, kappa=64)
+    prf, short_key = Prf(64), Bits.zeros(63)
+    with pytest.raises(WrongDocumentCountError):
+        rejsam_decode(prf, params, short_key, [Bits.zeros(16)] * 7)
+    with pytest.raises(ParameterError, match="key must have"):
+        rejsam_decode(prf, params, short_key, [Bits.zeros(16)] * 8)
 
 
 def test_system_construction_checks():
