@@ -8,6 +8,8 @@ passed through untouched, so a reboot can never desynchronize them.
 
 asa_from_stego turns any stegosystem into such an attack by answering the
 encoder's channel queries with fresh encryptions of the current message.
+An encryption scheme is a randomized algorithm, so SubstitutionAttack is
+the one attack type, against encryption, signing or any other host.
 universal_asa is the same construction against an oracle-only host: the
 attack sees nothing but published lengths and an explicit-coin encryption
 oracle, and every emitted ciphertext is one the oracle produced (the
@@ -41,7 +43,6 @@ from .stego import StegoSystem, mark_agreement
 
 __all__ = [
     "SubstitutionAttack",
-    "AlgSubstitutionAttack",
     "OracleQuery",
     "OracleTranscript",
     "UniversalHost",
@@ -58,11 +59,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubstitutionAttack:
-    """Attack triple against an encryption scheme.
+    """Attack triple against a randomized algorithm, encryption included.
 
-    enc(ak, am, k, m, sigma, rng[, transcript]) -> (ciphertext, sigma);
-    ext(ak, ciphertexts) -> hidden message or None. host_params records the
-    published lengths of the scheme the attack was built for.
+    enc(ak, am, s, x, sigma, rng[, transcript]) -> (output, sigma), on the
+    host's secret and input (a key and message); ext(ak, outputs) -> hidden
+    message or None. host_params records the published lengths of the host
+    the attack was built for.
     """
 
     attack_id: str
@@ -81,31 +83,6 @@ class SubstitutionAttack:
             "ml": self.ml,
             "outl": self.outl,
             "host": self.host_params,
-        }
-
-
-@dataclass(frozen=True)
-class AlgSubstitutionAttack:
-    """Attack triple against a general randomized algorithm.
-
-    enc(ak, am, s, x, sigma, rng) -> (output, sigma); the extractor works
-    from outputs alone, without the inputs x_i.
-    """
-
-    attack_id: str
-    ml: int
-    outl: int
-    alg: RandomizedAlgorithm
-    gen: Callable[[random.Random], Bits]
-    enc: Callable[..., tuple[Bits, object]]
-    ext: Callable[[Bits, Sequence[Bits]], Bits | None]
-
-    def describe(self) -> dict:
-        return {
-            "attack": self.attack_id,
-            "ml": self.ml,
-            "outl": self.outl,
-            "host": {"alg_id": self.alg.alg_id, "output_bits": self.alg.output_bits},
         }
 
 
@@ -141,23 +118,22 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
     """Subvert `ses` with the encoder of `steg`.
 
     Each call embeds into the session view key || m^ell (ell = steg.outl),
-    answering every channel query of the encoder with a fresh Enc(k, m).
-    The view is handed over unbuilt (_SessionView), since the rejection
-    encoder never reads it. On a coin-free host Enc(k, m) is one fixed
-    ciphertext, so it is computed once per emission and handed over as a
-    point draw, which the rejection encoder returns without drawing or
-    marking (schemes.emission_draw, stego.encode_step). A seed-coupled run
-    of this enc and of the plain stego encoder on the scheme's channel is
-    bit-identical.
+    answering every channel query of the encoder with a fresh Enc(k, m),
+    drawn through schemes.emission_draw (as ints where the scheme has
+    enc_ints, as one point draw per emission on a coin-free scheme). The
+    view is handed over unbuilt (_SessionView), since the rejection
+    encoder never reads it. A seed-coupled run of this enc and of the
+    plain stego encoder on the scheme's channel is bit-identical.
     """
     if steg.params.doc_bits is not None and steg.params.doc_bits != ses.cl:
         raise LengthMismatchError(
             f"stego documents are {steg.params.doc_bits} bits but ciphertexts are {ses.cl}"
         )
     ell = steg.params.outl
+    alg = alg_from_encryption(ses)
 
     def enc(ak, am, k, m, sigma, rng):
-        draw = emission_draw(ses.enc, ses.coin_bits, k, m, rng)
+        draw = emission_draw(alg, k, m, rng)
         return steg.enc(ak, am, _SessionView(k, m, ell), sigma, draw=draw, rng=rng)
 
     return SubstitutionAttack(
@@ -196,7 +172,7 @@ def asa_enc_all(
 
 
 def alg_enc_all(
-    attack: AlgSubstitutionAttack,
+    attack: SubstitutionAttack,
     ak: Bits,
     am: Bits,
     s: Bits,
@@ -296,13 +272,12 @@ def generic_asa_against_alg(
     steg: StegoSystem,
     alg: RandomizedAlgorithm,
     demo_force_embed: bool = False,
-) -> AlgSubstitutionAttack:
+) -> SubstitutionAttack:
     """Subvert any randomized algorithm by rejection-sampling its outputs.
 
-    Every draw of the encoder is an honest run on fresh coins; on a coin-free
-    algorithm that is one fixed output, computed once per emission and
-    handed over as a point draw, which the rejection encoder returns
-    without drawing or marking (schemes.emission_draw).
+    Every draw of the encoder is an honest run on fresh coins, drawn as
+    schemes.emission_draw draws it (a point draw on a coin-free algorithm,
+    an int draw where the algorithm has run_ints).
 
     demo_force_embed is a labeled demonstration mode for deterministic hosts:
     when the cutoff passes without a match it fabricates an off-support
@@ -319,7 +294,7 @@ def generic_asa_against_alg(
         raise ParameterError("could not fabricate a marking document")
 
     def enc(ak, am, s, x, sigma, rng):
-        draw = emission_draw(alg.run, alg.coin_bits, s, x, rng)
+        draw = emission_draw(alg, s, x, rng)
         doc, sigma = steg.enc(ak, am, (), sigma, draw=draw, rng=rng)
         if demo_force_embed:
             agrees = mark_agreement(_steg_prf(steg), params, ak, am)
@@ -327,11 +302,12 @@ def generic_asa_against_alg(
                 doc = force_embed(agrees, rng)
         return doc, sigma
 
-    return AlgSubstitutionAttack(
+    return SubstitutionAttack(
         attack_id=f"rejsam-asa:{alg.alg_id}" + ("+force-embed" if demo_force_embed else ""),
         ml=params.ml,
         outl=params.outl,
-        alg=alg,
+        key_bits=params.kappa,
+        host_params={"alg_id": alg.alg_id, "output_bits": alg.output_bits},
         gen=steg.gen,
         enc=enc,
         ext=steg.dec,

@@ -11,16 +11,17 @@ once (check_history) and then each new document (extend_history), never the
 whole history per draw. Sampling never needs more than the published
 per-role bit lengths.
 
-Channels derived from encryption schemes sample full-history documents by
-calling the scheme's own explicit-coin encryptor, so a seed-coupled run of
-channel_sample and of direct enc_sample produces identical bits.
+ses_channel and rand_alg_channel are one builder's: the channel of a
+randomized algorithm's runs, an encryption scheme being the algorithm
+alg_from_encryption makes of it. Outputs are the host's explicit-coin runs,
+so a seed-coupled run of channel_sample and of enc_sample is identical.
 
-A channel may also offer an int form at a history: a width and a sampler
-whose ints are the values of the documents its sampler would draw, from
-the same RNG calls. The uniform channel offers one everywhere, and
-ses_channel at its input positions and, where the scheme has enc_ints, at
-its ciphertext positions. draw_for hands the rejection sampler one draw per
-emission that carries this form, so the sampler marks and rejects ints and
+A channel may also have its own draw at a history (Channel.draw_at): an
+IntDraw, whose ints are the values of the documents its sampler would draw
+from the same RNG calls, or a PointDraw, whose every call is the one
+document. The uniform channel has an IntDraw everywhere; a session channel
+at its uniform inputs and, at its outputs, what schemes.emission_draw
+picks. draw_for hands that draw to the rejection sampler, which then
 builds a bit string for the emitted document only.
 """
 
@@ -35,7 +36,8 @@ from typing import Callable, Iterable
 
 from .bits import Bits
 from .errors import InvalidHistoryError, NoExactPmfError, ParameterError
-from .schemes import _ENUM_LIMIT, RandomizedAlgorithm, SymmetricEncryptionScheme, _payload_packer
+from .schemes import _ENUM_LIMIT, IntDraw, PointDraw, RandomizedAlgorithm, emission_draw
+from .schemes import SymmetricEncryptionScheme, alg_from_encryption
 
 __all__ = [
     "Channel",
@@ -63,9 +65,9 @@ class Channel:
     sampler: Callable[[tuple, random.Random], Bits]
     pmf_fn: Callable[[tuple, Bits], Fraction] | None = None
     support_fn: Callable[[tuple], Iterable[Bits]] | None = None
-    # (history, rng) -> (width, sample) where the next document has an int
-    # form: Bits(sample(), width) is what sampler(history, rng) would draw
-    int_sampler: Callable[[tuple, random.Random], tuple | None] | None = None
+    # (history, rng) -> an IntDraw or a PointDraw whose calls return what
+    # sampler(history, rng) would, or None where the next document has neither
+    draw_at: Callable[[tuple, random.Random], IntDraw | PointDraw | None] | None = None
 
     def grammar(self, history: tuple) -> bool:
         """A history is valid when every position accepts its document."""
@@ -86,36 +88,18 @@ def draw_next(channel: Channel, history: tuple, rng: random.Random) -> Bits:
     return doc
 
 
-class IntDraw:
-    """One emission's draw in int form: ints() samples the next document's
-    value, pack(x) gives the bytes Bits(x, width).to_bytes() would, and
-    emit(x) builds the document. Called plainly, it returns the document,
-    as any draw does."""
-
-    __slots__ = ("ints", "pack", "width")
-
-    def __init__(self, ints: Callable[[], int], width: int):
-        self.ints, self.pack, self.width = ints, _payload_packer(width), width
-
-    def emit(self, x: int) -> Bits:
-        return Bits(x, self.width)
-
-    def __call__(self) -> Bits:
-        return Bits(self.ints(), self.width)
-
-
 def draw_for(channel: Channel, history: tuple, rng: random.Random) -> Callable[[], Bits]:
     """The draw of one emission at a history the caller has validated: each
     call returns the next document, as draw_next does. Where the channel
-    offers an int form there, the draw is an IntDraw, whose width is checked
-    here, once; elsewhere it calls draw_next."""
-    form = channel.int_sampler(history, rng) if channel.int_sampler is not None else None
-    if form is None:
+    has a draw of its own there (draw_at), it is that draw, whose width is
+    checked here, once; elsewhere it calls draw_next."""
+    draw = channel.draw_at(history, rng) if channel.draw_at is not None else None
+    if draw is None:
         return functools.partial(draw_next, channel, history, rng)
-    width, ints = form
+    width = draw.width if isinstance(draw, IntDraw) else len(draw.point)
     if width > channel.max_doc_len:
         raise InvalidHistoryError("sampler produced an oversized document")
-    return IntDraw(ints, width)
+    return draw
 
 
 def extend_history(channel: Channel, history: tuple, doc: Bits) -> tuple:
@@ -186,7 +170,7 @@ def uniform_channel(nbits: int) -> Channel:
         sampler=lambda h, rng: Bits.random(nbits, rng),
         pmf_fn=lambda h, d: Fraction(1, 2**nbits) if len(d) == nbits else Fraction(0),
         support_fn=lambda h: _all_bits(nbits),
-        int_sampler=lambda h, rng: (nbits, functools.partial(rng.getrandbits, nbits)),
+        draw_at=lambda h, rng: IntDraw(functools.partial(rng.getrandbits, nbits), nbits),
     )
 
 
@@ -215,33 +199,29 @@ def _cycle_input(h: tuple, ell: int) -> Bits:
 
 
 def _cycle_channel(
-    *,
+    alg: RandomizedAlgorithm,
+    ell: int,
     ctype: str,
     scheme_id: str,
-    key_bits: int,
-    in_bits: int,
-    out_bits: int,
-    ell: int,
-    key_sampler: Callable[[random.Random], Bits],
-    input_sampler: Callable[[random.Random], Bits],
-    input_uniform: bool,
-    output_sampler: Callable[[Bits, Bits, random.Random], Bits],
-    output_pmf: Callable[[Bits, Bits, Bits], Fraction] | None,
     output_support: Callable[[Bits, Bits], Iterable[Bits]] | None,
-    input_ints: bool = False,
-    output_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None,
+    input_gen: Callable[[random.Random], Bits] | None = None,
 ) -> Channel:
+    """The channel of alg's runs: secret, ell inputs, then outputs. Inputs
+    come from input_gen, or when it is None from the uniform alg.input_gen."""
     if ell <= 0:
         raise ParameterError("ell must be positive")
+    key_bits, in_bits, out_bits = alg.secret_bits, alg.input_bits, alg.output_bits
     shape = _CycleShape(key_bits, in_bits, out_bits, ell)
+    uniform_inputs = input_gen is None
+    inputs = alg.input_gen if uniform_inputs else input_gen
 
     def sampler(h: tuple, rng: random.Random) -> Bits:
         role = shape.role(h)
         if role == "key":
-            return key_sampler(rng)
+            return alg.secret_gen(rng)
         if role == "input":
-            return input_sampler(rng)
-        return output_sampler(h[0], _cycle_input(h, ell), rng)
+            return inputs(rng)
+        return alg.run_sample(h[0], _cycle_input(h, ell), rng)
 
     def pmf(h: tuple, d: Bits) -> Fraction:
         role = shape.role(h)
@@ -249,31 +229,32 @@ def _cycle_channel(
             # toy fixtures draw keys uniformly; exact pmf leans on that
             return Fraction(1, 2**key_bits) if len(d) == key_bits else Fraction(0)
         if role == "input":
-            if not input_uniform:
+            if not uniform_inputs:
                 raise NoExactPmfError("custom input generator has no declared pmf")
             return Fraction(1, 2**in_bits) if len(d) == in_bits else Fraction(0)
-        if output_pmf is None:
+        if alg.exact_pmf is None:
             raise NoExactPmfError("scheme does not expose an exact ciphertext pmf")
-        return output_pmf(h[0], _cycle_input(h, ell), d) if len(d) == out_bits else Fraction(0)
+        return alg.exact_pmf(h[0], _cycle_input(h, ell), d) if len(d) == out_bits else Fraction(0)
 
     def support(h: tuple) -> Iterable[Bits]:
         role = shape.role(h)
         if role == "key":
             return _all_bits(key_bits)
         if role == "input":
-            if not input_uniform:
+            if not uniform_inputs:
                 raise NoExactPmfError("custom input generator has no declared support")
             return _all_bits(in_bits)
         if output_support is None:
             raise NoExactPmfError("scheme does not enumerate ciphertext support")
         return output_support(h[0], _cycle_input(h, ell))
 
-    def int_sampler(h: tuple, rng: random.Random):
+    def draw_at(h: tuple, rng: random.Random) -> IntDraw | PointDraw | None:
         role = shape.role(h)
-        if role == "output" and output_ints is not None:
-            return out_bits, output_ints(h[0], _cycle_input(h, ell), rng)
-        if role == "input" and input_ints:  # input_sampler is Bits.random(in_bits, rng)
-            return in_bits, functools.partial(rng.getrandbits, in_bits)
+        if role == "output":
+            draw = emission_draw(alg, h[0], _cycle_input(h, ell), rng)
+            return draw if isinstance(draw, (IntDraw, PointDraw)) else None
+        if role == "input" and uniform_inputs:  # inputs is Bits.random(in_bits, rng)
+            return IntDraw(functools.partial(rng.getrandbits, in_bits), in_bits)
         return None
 
     return Channel(
@@ -291,7 +272,7 @@ def _cycle_channel(
         sampler=sampler,
         pmf_fn=pmf,
         support_fn=support,
-        int_sampler=int_sampler if input_ints or output_ints is not None else None,
+        draw_at=draw_at,
     )
 
 
@@ -299,25 +280,11 @@ def ses_channel(ses: SymmetricEncryptionScheme, ell: int) -> Channel:
     """Channel of an encryption session: key, ell messages, then ciphertexts.
 
     With r ciphertexts already present, the next document is a fresh
-    encryption of message (r mod ell)+1 under the session key. Messages,
-    and ciphertexts of a scheme with enc_ints, have an int form.
+    encryption of message (r mod ell)+1 under the session key: the channel
+    of alg_from_encryption(ses), typed "ses".
     """
-    return _cycle_channel(
-        ctype="ses",
-        scheme_id=ses.scheme_id,
-        key_bits=ses.key_bits,
-        in_bits=ses.ml,
-        out_bits=ses.cl,
-        ell=ell,
-        key_sampler=ses.gen,
-        input_sampler=lambda rng: Bits.random(ses.ml, rng),
-        input_uniform=True,
-        output_sampler=ses.enc_sample,
-        output_pmf=ses.exact_pmf,
-        output_support=ses.ciphertext_support,
-        input_ints=True,
-        output_ints=ses.enc_ints,
-    )
+    alg = alg_from_encryption(ses)
+    return _cycle_channel(alg, ell, "ses", ses.scheme_id, ses.ciphertext_support)
 
 
 def rand_alg_channel(
@@ -337,20 +304,7 @@ def rand_alg_channel(
                 seen.add(y)
                 yield y
 
-    return _cycle_channel(
-        ctype="rand-alg",
-        scheme_id=alg.alg_id,
-        key_bits=alg.secret_bits,
-        in_bits=alg.input_bits,
-        out_bits=alg.output_bits,
-        ell=ell,
-        key_sampler=alg.secret_gen,
-        input_sampler=input_gen or alg.input_gen,
-        input_uniform=input_gen is None,
-        output_sampler=alg.run_sample,
-        output_pmf=alg.exact_pmf,
-        output_support=output_support,
-    )
+    return _cycle_channel(alg, ell, "rand-alg", alg.alg_id, output_support, input_gen)
 
 
 @dataclass(frozen=True)

@@ -800,9 +800,11 @@ _COMMANDS = (
 # handler: (conditions, options) rules, each condition a selector dest and
 # the comma-separated values that read the options. Such options parse to
 # None, and _settle applies the default their row declares where every
-# condition holds, or exits 2 where one is given and a condition fails.
-# An option @group stands for every option of that group in _GROUPS.
-# Rules settle in order, so a selector that is itself owned comes first.
+# condition of a rule naming them holds, or exits 2 where one is given and
+# no rule naming it holds: an option several rules name is read when any
+# of them holds. An option @group stands for every option of that group in
+# _GROUPS. Rules settle in order, so every rule naming a selector comes
+# before the rules whose conditions read it.
 _OWNED = {
     "cmd_channel_entropy": (("mode=exact", "depths"), ("mode=estimate", "depth")),
     "cmd_game_rasa": (
@@ -818,9 +820,13 @@ _OWNED = {
     "cmd_game_unrel": (
         ("target=enc-asa", "message_mode"),
         ("target=stego", "history_mode"),
+        ("target=enc-asa,stego,stego-reboot", "@stego"),
+        ("target=stego,stego-reboot", "@channel"),
+        ("target=stego,stego-reboot channel=signed", "@sig"),
         ("target=rasa", "rasa_host attack"),
-        ("target=rasa attack=rejsam", "force_embed"),
+        ("target=rasa attack=rejsam", "force_embed @stego"),
         ("target=rasa attack=fabricating", "@fab budget"),
+        ("target=rasa rasa_host=signed", "@sig"),
     ),
     "cmd_lb_forger": (("attack=fabricating", "@fab budget"), ("attack=universal", "@stego")),
     "cmd_lb_rate": (("attack=fabricating", "@fab budget"), ("attack=universal", "@stego")),
@@ -843,30 +849,36 @@ def _row_options(row):
 
 def _settle(args) -> None:
     """Give each option _OWNED assigns to the invoked handler the default
-    its row gives it where its rule's conditions hold, and exit 2 on one
-    given where they do not."""
+    its row gives it where the conditions of a rule naming it hold, and exit
+    2 on one given where no such rule holds."""
     row = next(r for r in _COMMANDS if r[:2] == (args.command, args.subcommand))
     defaults = {f.strip("-").replace("-", "_"): kw.get("default") for f, kw in _row_options(row)}
+    held, refused = set(), {}  # refused: dest -> [(selectors read, wanted)] per failed rule
     for conditions, options in _OWNED.get(row[5], ()):
-        where = ""
+        where = []
         for selector, values in (c.split("=") for c in conditions.split()):
-            where += f" --{selector.replace('_', '-')} {getattr(args, selector)}"
+            where.append(f"--{selector.replace('_', '-')} {getattr(args, selector)}")
             if getattr(args, selector) not in values.split(","):
                 break
         else:
             for dest in _dests(options):
+                held.add(dest)
                 if getattr(args, dest) is None:
                     setattr(args, dest, defaults[dest])
             continue
+        wanted = " ".join(
+            "--" + c.replace("_", "-").replace("=", " ").replace(",", " or ")
+            for c in conditions.split()
+        )
         for dest in _dests(options):
-            if getattr(args, dest) is not None:
-                wanted = "".join(
-                    " --" + c.replace("_", "-").replace("=", " ").replace(",", " or ")
-                    for c in conditions.split()
-                )
-                raise ParameterError(
-                    f"--{dest.replace('_', '-')} does not apply to{where}; it applies to{wanted}"
-                )
+            refused.setdefault(dest, []).append((where, wanted))
+    for dest, rules in refused.items():
+        if dest not in held and getattr(args, dest) is not None:
+            where = " ".join(dict.fromkeys(part for parts, _ in rules for part in parts))
+            wanted = ", or to ".join(w for _, w in rules)
+            raise ParameterError(
+                f"--{dest.replace('_', '-')} does not apply to {where}; it applies to {wanted}"
+            )
 
 
 class _LazyParser(argparse.ArgumentParser):

@@ -34,7 +34,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .asa import AlgSubstitutionAttack, SubstitutionAttack, alg_enc_all
+from .asa import SubstitutionAttack, alg_enc_all
 from .bits import Bits
 from .channels import Channel, channel_sample, channel_walk, check_history, draw_for, draw_next
 from .errors import LengthMismatchError, ParameterError, SchemaMismatchError, SubvertLabError
@@ -432,7 +432,7 @@ def run_enc_asa_dist(
 
 
 def run_rasa_dist(
-    attack: AlgSubstitutionAttack,
+    attack: SubstitutionAttack,
     alg: RandomizedAlgorithm,
     adversary: Adversary,
     trials: int,
@@ -586,7 +586,7 @@ def estimate_unrel(
 
 
 def estimate_unrel_alg(
-    attack: AlgSubstitutionAttack,
+    attack: SubstitutionAttack,
     alg: RandomizedAlgorithm,
     trials: int,
     seed: int,

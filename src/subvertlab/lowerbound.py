@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
-from .asa import AlgSubstitutionAttack, universal_asa
+from .asa import SubstitutionAttack, universal_asa
 from .bits import Bits
 from .errors import LengthMismatchError, ParameterError, WrongDocumentCountError
 from .games import SCHEMA, _Z95, Adversary, estimate_unrel_alg, run_rasa_dist, run_sig_forge
@@ -163,7 +163,7 @@ def _fabricate_and_search(ak, am, prefix, sigl, vrfy, verifier, pk, budget, rng)
 
 def fabricating_asa(
     family: SignedFamily, ml: int = 8, decoys: int = 4, budget: int = 4096
-) -> AlgSubstitutionAttack:
+) -> SubstitutionAttack:
     """One-output attack that leaks ml bits by inventing a signed pair.
 
     The emitted document is rho || (am xor pad(ak, rho)) with a signature
@@ -199,11 +199,12 @@ def fabricating_asa(
             return None
         return d[prefix : prefix + ml] ^ _fab_pad(ak, d[:prefix], ml)
 
-    return AlgSubstitutionAttack(
+    return SubstitutionAttack(
         attack_id=f"fabricating:{family.alg.alg_id}",
         ml=ml,
         outl=1,
-        alg=family.alg,
+        key_bits=128,
+        host_params={"alg_id": family.alg.alg_id, "output_bits": family.alg.output_bits},
         gen=gen,
         enc=enc,
         ext=ext,
@@ -293,7 +294,7 @@ def forger_from_fabricating_asa(
 
 def rate_report(
     family: SignedFamily,
-    attack: AlgSubstitutionAttack,
+    attack: SubstitutionAttack,
     query: float,
     forger: Adversary,
     trials: int,

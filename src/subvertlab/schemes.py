@@ -8,8 +8,11 @@ the exact-pmf and exhaustive tests rely on.
 Every keyed digest here (keystreams, signature tags, the det codebook seed)
 comes from prf.hmac_sha256, the package's one HMAC primitive; the hot
 fixtures (randpad, signatures) work on integers and build one bit string
-per output; randpad also samples ciphertexts as bare ints (enc_ints), so a
-rejection sampler builds a bit string only for the ciphertext it emits.
+per output; randpad also samples ciphertexts as bare ints (enc_ints).
+Attacks and channels alike draw a host's fresh outputs through
+emission_draw: a PointDraw when the host (a RandomizedAlgorithm, such as
+alg_from_encryption(ses)) takes no coins, an IntDraw over its run_ints (a
+scheme's enc_ints) where it has one, and a run on fresh coins otherwise.
 
 Each fixture instance keeps its keyed caches in prf's table types (bounds
 and eviction are set there): randpad maps a key to its table of pads by coin
@@ -66,7 +69,7 @@ def _keystream_int(key_bytes: bytes, label: bytes, payload_bytes: bytes, nbits: 
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
-@functools.lru_cache(maxsize=64)  # channels.IntDraw asks for one per emission
+@functools.lru_cache(maxsize=64)  # IntDraw asks for one per emission
 def _payload_packer(nbits: int) -> Callable[[int], bytes]:
     """int -> the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
     nbytes = (nbits + 7) // 8
@@ -79,13 +82,11 @@ class SymmetricEncryptionScheme:
     """Explicit-coin symmetric encryption with published lengths.
 
     enc(k, m, coins) is a deterministic function of its three arguments;
-    enc_sample draws the coins from a caller-supplied PRNG, and is the one
-    sampler channels use, so seed-coupled runs reproduce ciphertext streams
-    bit for bit. A scheme may also offer enc_ints(k, m, rng): a sampler
-    bound to one (k, m) whose calls return, as ints, the ciphertexts that
-    successive enc_sample(k, m, rng) calls would return, drawing the same
-    coins; ses_channel hands it to a rejection sampler, which then builds a
-    bit string for the emitted ciphertext only.
+    enc_sample draws the coins from a caller-supplied PRNG, so seed-coupled
+    runs reproduce ciphertext streams bit for bit. A scheme may also offer
+    enc_ints(k, m, rng): a sampler bound to one (k, m) whose calls return,
+    as ints, the ciphertexts that successive enc_sample(k, m, rng) calls
+    would return, drawing the same coins.
     """
 
     scheme_id: str
@@ -407,8 +408,10 @@ class RandomizedAlgorithm:
     run(s, x, coins) is a deterministic function of its three arguments;
     run_sample draws the coins from a caller-supplied PRNG. With coin_bits 0
     the output for fixed (s, x) is therefore one point, which emission_draw
-    relies on. input_gen supplies the public inputs when the algorithm is
-    wrapped into a channel; by default inputs are uniform bit strings.
+    relies on. run_ints(s, x, rng), where given, samples outputs as ints,
+    as a scheme's enc_ints samples ciphertexts. input_gen supplies the
+    public inputs when the algorithm is wrapped into a channel; by default
+    inputs are uniform bit strings.
     """
 
     alg_id: str
@@ -420,6 +423,7 @@ class RandomizedAlgorithm:
     run: Callable[[Bits, Bits, Bits], Bits]
     input_gen: Callable[[random.Random], Bits] = field(default=None)  # type: ignore[assignment]
     exact_pmf: Callable[[Bits, Bits, Bits], Fraction] | None = None
+    run_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None
 
     def __post_init__(self):
         if self.input_gen is None:
@@ -443,31 +447,43 @@ class PointDraw:
         return self.point
 
 
+class IntDraw:
+    """One emission's draw in int form: ints() samples the next document's
+    value, pack(x) gives the bytes Bits(x, width).to_bytes() would, and
+    emit(x) builds the document. Called plainly, it returns the document,
+    as any draw does."""
+
+    __slots__ = ("ints", "pack", "width")
+
+    def __init__(self, ints: Callable[[], int], width: int):
+        self.ints, self.pack, self.width = ints, _payload_packer(width), width
+
+    def emit(self, x: int) -> Bits:
+        return Bits(x, self.width)
+
+    def __call__(self) -> Bits:
+        return Bits(self.ints(), self.width)
+
+
 def emission_draw(
-    run: Callable[[Bits, Bits, Bits], Bits],
-    coin_bits: int,
-    key: Bits,
-    x: Bits,
-    rng: random.Random,
+    alg: RandomizedAlgorithm, key: Bits, x: Bits, rng: random.Random
 ) -> Callable[[], Bits]:
     """The honest host's sampler for one emission: each call returns
-    run(key, x, coins) on fresh coins from rng.
+    alg.run(key, x, coins) on fresh coins from rng.
 
     With no coin bits the explicit-coin run is a deterministic function of
     (key, x), and Bits.random(0, rng) consumes no RNG state, so the honest
     output is computed once here and returned as a point draw (PointDraw):
     each call returns that same object, and a sampler that reads .point
     (stego.encode_step) knows every draw of the emission without taking
-    one. Callers see the same documents, in the same number, as from fresh
-    runs.
+    one. A host with run_ints gives an IntDraw. Callers see the same
+    documents, from the same RNG calls, as from fresh runs.
     """
-    if coin_bits == 0:
-        return PointDraw(run(key, x, Bits.random(0, rng)))
-    return functools.partial(_run_on_fresh_coins, run, coin_bits, key, x, rng)
-
-
-def _run_on_fresh_coins(run, coin_bits, key, x, rng):
-    return run(key, x, Bits.random(coin_bits, rng))
+    if alg.coin_bits == 0:
+        return PointDraw(alg.run(key, x, Bits.random(0, rng)))
+    if alg.run_ints is not None:
+        return IntDraw(alg.run_ints(key, x, rng), alg.output_bits)
+    return functools.partial(alg.run_sample, key, x, rng)
 
 
 def alg_from_encryption(ses: SymmetricEncryptionScheme) -> RandomizedAlgorithm:
@@ -480,6 +496,7 @@ def alg_from_encryption(ses: SymmetricEncryptionScheme) -> RandomizedAlgorithm:
         secret_gen=ses.gen,
         run=ses.enc,
         exact_pmf=ses.exact_pmf,
+        run_ints=ses.enc_ints,
     )
 
 

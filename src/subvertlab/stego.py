@@ -13,15 +13,15 @@ per document at the cost of a longer rejection phase.
 
 A mark is an int value and a slot (prf.split_marker). An emission binds
 the key's mark table and the message once, and compares each mark's value
-to the message block as ints. When its draw carries an int form
-(channels.draw_for: the uniform channel, the messages and randpad
-ciphertexts of a session channel), the sampler draws, rejects and marks
-ints, and builds a bit string for the emitted document only; other draws
-are marked as bit strings in the same loop. A coin-free host's emission is
-a point draw (schemes.PointDraw): every draw is one document, so that
-document is the emission; the arguments are checked, and neither the loop
-nor the mark table is touched. A decode binds the mark table once and
-looks each received document up in it.
+to the message block as ints. When its draw is an int draw
+(schemes.IntDraw, from channels.draw_for or schemes.emission_draw), the
+sampler draws, rejects and marks ints, and builds a bit string for the
+emitted document only; other draws are marked as bit strings in the same
+loop. A coin-free host's emission is a point draw (schemes.PointDraw):
+every draw is one document, so that document is the emission; the
+arguments are checked, and neither the loop nor the mark table is touched.
+A decode binds the mark table once and looks each received document up in
+it.
 """
 
 from __future__ import annotations
@@ -185,11 +185,11 @@ def encode_step(
     its draws are its .point and take no randomness, so the first agreeing
     draw and the (s+1)-th are both that document, and it is returned after
     the argument checks without a draw, a mark or the mark table. Any other
-    draw that repeats the document just rejected (randpad's int sampler at
-    r = 0, a counting wrapper around a point draw) skips even the set
-    lookup. A draw with an int form (channels.IntDraw) is sampled through
-    it: the loop keys its rejected set by int and marks the packed bytes,
-    and only the emitted int becomes a bit string.
+    draw that repeats the document just rejected (a counting wrapper
+    around a point draw) skips even the set lookup. A draw with an int
+    form (schemes.IntDraw) is sampled through it: the loop keys its
+    rejected set by int and marks the packed bytes, and only the emitted
+    int becomes a bit string.
     """
     # mark_agreement's binding and test, inline: an emission is only about
     # two draws here, and one more call and tuple per emission cost
@@ -286,8 +286,8 @@ def encode_all(
 
     The start history is validated once and each emitted document at its
     own position (see channels), so draws never re-check the history. Each
-    emission gets one draw (channels.draw_for), in int form where the
-    channel offers one.
+    emission gets one draw (channels.draw_for), the channel's own int or
+    point draw where it has one.
     """
     docs: list[Bits] = []
     h = tuple(history)

@@ -42,6 +42,7 @@ from subvertlab import (
 from subvertlab import stego
 from subvertlab.asa import _SessionView
 from subvertlab.channels import _cycle_input
+from subvertlab.schemes import IntDraw, PointDraw
 from subvertlab.stego import mark_agreement
 
 import oracles
@@ -275,19 +276,24 @@ def _count_draws(monkeypatch):
     return per_emission
 
 
-def _spy_point_draws(monkeypatch):
-    """Per emission, whether the encoder was handed a point draw (a
-    coin-free host's, which it returns without drawing); the references
-    below call the loop directly, over a plain closure."""
-    points = []
+def _spy_draw_kinds(monkeypatch):
+    """Per emission, the kind of draw the encoder was handed: a PointDraw
+    (a coin-free host's, which it returns without drawing), an IntDraw (a
+    host with an int form) or a plain callable; the references below call
+    the loop directly, over a plain closure."""
+    kinds = []
     real = stego.encode_step
 
     def spying_step(prf, params, ak, am, draw):
-        points.append(hasattr(draw, "point"))
+        kinds.append(type(draw))
         return real(prf, params, ak, am, draw)
 
     monkeypatch.setattr(stego, "encode_step", spying_step)
-    return points
+    return kinds
+
+
+def _draw_kind(host):
+    return PointDraw if host in COIN_FREE else IntDraw  # randpad-2 has enc_ints
 
 
 def _cases(ses, steg, n=60):
@@ -309,7 +315,7 @@ def _old_generic_enc(steg, alg, ak, am, s, x, rng, force):
 
 @pytest.mark.parametrize("host", sorted(HOSTS))
 def test_asa_enc_equals_fresh_encryption_per_draw(monkeypatch, host):
-    points = _spy_point_draws(monkeypatch)
+    kinds = _spy_draw_kinds(monkeypatch)
     ses = HOSTS[host]()
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
     asa = asa_from_stego(steg, ses)
@@ -319,7 +325,7 @@ def test_asa_enc_equals_fresh_encryption_per_draw(monkeypatch, host):
         ref = encode_step(steg.prf, steg.params, ak, am, partial(ses.enc_sample, k, m, ref_rng))
         assert c == ref
         assert rng.getstate() == ref_rng.getstate()
-    assert points == [host in COIN_FREE] * 60
+    assert kinds == [_draw_kind(host)] * 60
 
 
 @pytest.mark.parametrize("ell", range(5))
@@ -347,7 +353,7 @@ def test_session_view_reads_as_its_tuple(ell):
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("host", sorted(HOSTS))
 def test_generic_enc_equals_fresh_run_per_draw(monkeypatch, host, force):
-    points = _spy_point_draws(monkeypatch)
+    kinds = _spy_draw_kinds(monkeypatch)
     ses = HOSTS[host]()
     alg = alg_from_encryption(ses)
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
@@ -361,7 +367,7 @@ def test_generic_enc_equals_fresh_run_per_draw(monkeypatch, host, force):
         forced += rng.getstate() != random.Random(i).getstate()
     if force and host in COIN_FREE:
         assert forced > 0  # some emissions were fabricated, drawing from the rng
-    assert points == [host in COIN_FREE] * 60
+    assert kinds == [_draw_kind(host)] * 60
 
 
 @pytest.mark.parametrize("host", sorted(COIN_FREE))
@@ -384,16 +390,40 @@ def test_coin_free_host_encrypts_once_per_emission(monkeypatch, host):
         assert set(draws) == {1, steg.params.s + 1}
 
 
+def _counting_ints(ses):
+    """ses whose enc_ints samplers count their calls."""
+    calls = []
+    enc_ints = ses.enc_ints
+
+    def counted(k, m, rng):
+        sample = enc_ints(k, m, rng)
+
+        def counted_sample():
+            calls.append(1)
+            return sample()
+
+        return counted_sample
+
+    return dataclasses.replace(ses, enc_ints=counted), calls
+
+
 def test_host_with_coins_encrypts_once_per_draw(monkeypatch):
+    # randpad's draws are its enc_ints samples, and a host with no int
+    # form runs enc once per draw
     draws = _count_draws(monkeypatch)
-    ses, enc_calls = _counting_enc(randpad_scheme(r=2, kappa=KAPPA, ml=8))
+    randpad, enc_calls = _counting_enc(randpad_scheme(r=2, kappa=KAPPA, ml=8))
+    with_ints, int_calls = _counting_ints(randpad)
+    without_ints = dataclasses.replace(randpad, enc_ints=None)
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
-    for enc in (
-        asa_from_stego(steg, ses).enc,
-        generic_asa_against_alg(steg, alg_from_encryption(ses)).enc,
-    ):
-        draws.clear()
-        enc_calls.clear()
-        for i, ak, am, k, m in _cases(ses, steg):
-            enc(ak, am, k, m, None, random.Random(i))
-        assert len(enc_calls) == sum(draws) > len(draws) == 60
+    for ses, calls in ((with_ints, int_calls), (without_ints, enc_calls)):
+        for enc in (
+            asa_from_stego(steg, ses).enc,
+            generic_asa_against_alg(steg, alg_from_encryption(ses)).enc,
+        ):
+            draws.clear()
+            enc_calls.clear()
+            int_calls.clear()
+            for i, ak, am, k, m in _cases(ses, steg):
+                enc(ak, am, k, m, None, random.Random(i))
+            assert len(calls) == sum(draws) > len(draws) == 60
+            assert len(enc_calls) + len(int_calls) == len(calls)  # no draw runs both

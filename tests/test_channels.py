@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from subvertlab import (
     InvalidHistoryError,
     NoExactPmfError,
     alg_from_encryption,
+    alg_from_signing,
     channel_pmf,
     channel_sample,
     channel_support,
@@ -22,9 +24,11 @@ from subvertlab import (
     rand_alg_channel,
     randpad_scheme,
     ses_channel,
+    sig_fixture,
     uniform_channel,
 )
 from subvertlab.channels import IntDraw, draw_for, draw_next
+from subvertlab.schemes import PointDraw
 
 
 def walk(channel, depth, rng):
@@ -124,15 +128,35 @@ def test_ses_channel_key_and_input_positions_are_uniform():
     assert len(list(channel_support(ch, ()))) == 16
 
 
+def _drawn(draw, rng):
+    return [draw() for _ in range(6)], rng.getstate()
+
+
 def test_rand_alg_channel_agrees_with_ses_channel():
-    ses = randpad_scheme(3, 8, ml=3)
-    ch_ses = ses_channel(ses, 2)
-    ch_alg = rand_alg_channel(alg_from_encryption(ses), 2)
-    rng = random.Random(4)
-    h = walk(ch_ses, 4, rng)
-    for d in channel_support(ch_ses, h):
-        assert channel_pmf(ch_ses, h, d) == channel_pmf(ch_alg, h, d)
-    assert ch_alg.descriptor["type"] == "rand-alg"
+    # one builder: at every position the two channels have the same pmf,
+    # and draw_next and draw_for on either draw the documents draw_next
+    # draws on the session channel, from the same RNG calls; draw_for's
+    # draw is an int draw at inputs and at randpad's outputs, a point draw
+    # at a coin-free host's outputs
+    for ses in [randpad_scheme(r, 8, ml=3) for r in (0, 1, 4)] + [det_scheme(8, ml=3)]:
+        ch_ses = ses_channel(ses, 2)
+        ch_alg = rand_alg_channel(alg_from_encryption(ses), 2)
+        assert ch_alg.descriptor["type"] == "rand-alg"
+        output_kind = PointDraw if ses.coin_bits == 0 else IntDraw
+        h = channel_walk(ch_ses, 6, random.Random(4))
+        for depth in range(len(h) + 1):
+            prefix, case = h[:depth], (ses.scheme_id, depth)
+            for d in channel_support(ch_ses, prefix):
+                assert channel_pmf(ch_ses, prefix, d) == channel_pmf(ch_alg, prefix, d)
+            rng = random.Random(depth)
+            want = _drawn(partial(draw_next, ch_ses, prefix, rng), rng)
+            kind = partial if depth == 0 else IntDraw if depth <= 2 else output_kind
+            for ch in (ch_ses, ch_alg):
+                rng = random.Random(depth)
+                assert _drawn(partial(draw_next, ch, prefix, rng), rng) == want, case
+                rng = random.Random(depth)
+                draw = draw_for(ch, prefix, rng)
+                assert type(draw) is kind and _drawn(draw, rng) == want, case
 
 
 def test_rand_alg_channel_custom_inputs_have_no_pmf():
@@ -264,24 +288,39 @@ def test_uniform_int_form_draws_what_draw_next_draws(width, count, salt):
     st.integers(0, 2**32 - 1),
 )
 def test_ses_int_forms_draw_what_draw_next_draws(r, ml, ell, data, count, salt):
-    # message positions and randpad ciphertext positions have an int form
+    # message positions and randpad ciphertext positions have an int form,
+    # except the ciphertexts of r = 0, which are one point
     ch = ses_channel(randpad_scheme(r, 16, ml), ell)
     depth = data.draw(st.integers(1, ell + 4))
     h = channel_walk(ch, depth, random.Random(salt ^ 1))
+    if r == 0 and depth > ell:
+        _assert_point_draw(ch, h, random.Random(salt))
+        return
     got, want, state, want_state = _both_forms(ch, h, count, salt)
     assert got == want and state == want_state
+
+
+def _assert_point_draw(channel, history, rng):
+    state = rng.getstate()
+    draw = draw_for(channel, history, rng)
+    assert isinstance(draw, PointDraw) and rng.getstate() == state
+    assert draw() is draw.point == draw_next(channel, history, rng)
+    assert rng.getstate() == state
 
 
 def test_positions_without_an_int_form_draw_through_draw_next():
     rng = random.Random(3)
     ses = ses_channel(randpad_scheme(4, 16, 8), 2)
-    det = ses_channel(det_scheme(16, 8), 2)
     alg = rand_alg_channel(alg_from_encryption(randpad_scheme(4, 16, 8)), 2)
-    for ch, h in ((ses, ()), (det, channel_walk(det, 3, rng)), (alg, channel_walk(alg, 1, rng))):
+    signed = rand_alg_channel(alg_from_signing(sig_fixture("coin-injective", 16, 8, 4, 8)), 2)
+    # keys, and outputs of a host with coins and no run_ints
+    for ch, h in ((ses, ()), (alg, ()), (signed, channel_walk(signed, 3, rng))):
         draw = draw_for(ch, h, rng)
-        assert not hasattr(draw, "ints")
+        assert isinstance(draw, partial) and draw.func is draw_next
         state = rng.getstate()
         doc = draw()
         rng.setstate(state)
         assert doc == draw_next(ch, h, rng)
-    assert alg.int_sampler is None
+    # a coin-free host's output is a point draw, and takes no randomness
+    det = ses_channel(det_scheme(16, 8), 2)
+    _assert_point_draw(det, channel_walk(det, 3, rng), rng)

@@ -545,10 +545,13 @@ DIST = {
 # --decoys 4, --budget 512 under game rasa and game forge and 4096
 # elsewhere, --force-embed False
 FAB_DEFERRED = {_opt("--fab-ml"), _opt("--decoys"), _opt("--budget")}
-# forgers and attacks (lowerbound's, and game rasa's) that build no
-# stegosystem, or no host scheme, make those options parse to None too;
-# --kappa keeps its default, since every signature fixture reads it
+# forgers, attacks and targets (lowerbound's, game rasa's and game unrel's)
+# that build no stegosystem, host scheme, channel or signature fixture make
+# those options parse to None too; --kappa keeps its default, since every
+# signature fixture reads it
 STEGO_DEFERRED = {_opt(flag) for (flag,), *_ in STEGO}
+SIG_DEFERRED = {_opt(flag, None, choices) for (flag,), _, _, _, choices in SIG}
+CHANNEL_DEFERRED = {_opt(flag, None, choices) for (flag,), _, _, _, choices in CHANNEL}
 HOST_DEFERRED = {_opt("--host", None, ("randpad", "det")), _opt("--r"), _opt("--host-ml")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
 LB_ATTACK = _opt("--attack", "fabricating", ("universal", "fabricating"))
@@ -582,8 +585,8 @@ OPTION_SURFACE = {
     | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating"))},
     # the options one --target reads parse to None; cli._settle applies
     # the defaults their row declares (random, empty, enc, rejsam, False,
-    # 8, 4 and 4096)
-    ("game", "unrel"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
+    # 8, 4 and 4096, and those of the stego, channel and signature groups)
+    ("game", "unrel"): SEED_OUT | RUN | HOST | SIG_DEFERRED | STEGO_DEFERRED | CHANNEL_DEFERRED
     | {_opt("--target", "enc-asa", ("enc-asa", "stego", "stego-reboot", "rasa")),
        _opt("--message-mode", None, ("random", "equal")),
        _opt("--history-mode", None, ("empty", "sampled")),
@@ -631,7 +634,7 @@ def test_option_surface_is_pinned():
 
 def test_package_exports_are_pinned():
     assert sorted(subvertlab.__all__) == [
-        "Adversary", "AlgSubstitutionAttack", "Bits", "Channel", "GameReport",
+        "Adversary", "Bits", "Channel", "GameReport",
         "InvalidHistoryError", "InvariantViolation", "LengthMismatchError", "MinEntropyReport",
         "NoExactPmfError", "OracleQuery", "OracleTranscript", "ParameterError", "PhiReport",
         "Prf", "QueryCountEstimate", "RandomizedAlgorithm", "SCHEMA", "ScheduleError",
@@ -663,7 +666,12 @@ def test_package_exports_are_pinned():
 FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]
 SIGNED_FAB = ["--rasa-host", "signed", "--attack", "fabricating", *FAB_OPTS]
 
-UNREL_BASE = ["game", "unrel", *STEGO_OPTS, "--trials", "4", "--seed", "1"]
+
+def _unrel(target, *extra):
+    """game unrel at a target, with the stego options unless the fabricating
+    attack, which embeds nothing, runs there."""
+    stego = [] if "fabricating" in extra else STEGO_OPTS
+    return ["game", "unrel", *stego, "--trials", "4", "--seed", "1", "--target", target, *extra]
 
 
 @pytest.mark.parametrize(
@@ -682,11 +690,22 @@ UNREL_BASE = ["game", "unrel", *STEGO_OPTS, "--trials", "4", "--seed", "1"]
         ("enc-asa", ["--attack", "rejsam"]),
         ("enc-asa", ["--fab-ml", "64"]),
         ("stego", ["--message-mode", "random"]),
+        # the channel group is read by the stego targets, the signature
+        # group by a signed channel or a signed rasa host
+        ("enc-asa", ["--channel", "uniform"]),
+        ("rasa", ["--ell", "9"]),
+        ("enc-asa", ["--sig", "unique"]),
+        ("stego", ["--sig-ml", "16"]),
+        ("stego-reboot", ["--channel", "uniform", "--tag-bits", "4"]),
+        ("rasa", ["--tag-bits", "4"]),
+        # the stego group is read by the targets that embed
+        ("rasa", [*SIGNED_FAB, "--ml", "4"]),
+        ("rasa", [*SIGNED_FAB, "--stego-kappa", "16"]),
     ],
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
 def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
-    rc = cli.main([*UNREL_BASE, "--target", target, *extra])
+    rc = cli.main(_unrel(target, *extra))
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "does not apply to --target" in captured.err and "Traceback" not in captured.err
@@ -699,14 +718,40 @@ def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
         ("stego", [], ["--history-mode", "empty"]),
         ("rasa", [], ["--rasa-host", "enc", "--attack", "rejsam"]),
         ("rasa", SIGNED_FAB, ["--fab-ml", "8", "--decoys", "4", "--budget", "4096"]),
+        ("stego-reboot", [], ["--channel", "ses", "--ell", "4", "--doc-bits", "8"]),
+        ("stego", ["--channel", "signed", "--tag-bits", "8"],
+         ["--sig", "coin-injective", "--sig-ml", "8", "--sig-coins", "8"]),
+        ("rasa", ["--rasa-host", "signed", "--tag-bits", "8"],
+         ["--sig", "coin-injective", "--sig-ml", "8", "--sig-coins", "8"]),
     ],
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
 def test_game_unrel_applies_each_targets_defaults(capsys, target, kept, defaults):
     # an option left out reads as the default declared for it
-    argv = [*UNREL_BASE, "--target", target, *kept]
+    argv = _unrel(target, *kept)
     left_out = run_cli(capsys, argv)
     assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, *defaults])
+
+
+@pytest.mark.parametrize(
+    "argv, extra, digest",
+    [
+        (["game", "unrel", "--target", "rasa", *SIGNED_FAB, "--trials", "3", "--seed", "1"],
+         ["--ml", "4", "--s", "9"],
+         "8312c16ddbc417dbc04d051520ea862f0d5ea2f4731dc9517902c8de6e3c2261"),
+        (["game", "unrel", "--target", "enc-asa", "--trials", "3", "--seed", "1"],
+         ["--channel", "uniform", "--ell", "9", "--sig", "unique", "--tag-bits", "4"],
+         "b032de09dcceb8933986bdfcc401dfb11b2ac9627e9a35e946fa2ca2b4fac872"),
+    ],
+    ids=["rasa fabricating", "enc-asa"],
+)
+def test_game_unrel_options_no_target_reads_exit_2(capsys, argv, extra, digest):
+    # each printed these bytes with and without the options it ignored
+    rc, _, out = run_cli(capsys, argv)
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    rc = cli.main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and "does not apply to --target" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -887,18 +932,16 @@ def test_ownership_table_names_handlers_options_and_choices():
         command, subcommand = rows[handler]
         parser = groups[command].filled()._subparsers._group_actions[0].choices[subcommand]
         actions = {a.dest: a for a in parser.filled()._actions}
-        owned = [dest for _, options in rules for dest in cli._dests(options)]
-        assert len(owned) == len(set(owned)), handler  # one rule settles each option
-        settled = set()
-        for conditions, options in rules:
+        for i, (conditions, options) in enumerate(rules):
+            # an option several rules name is settled only once all of them
+            # have run, so no rule from this one on names a selector it reads
+            later = {dest for _, rest in rules[i:] for dest in cli._dests(rest)}
             for condition in conditions.split():
                 selector, values = condition.split("=")
                 assert actions[selector].choices is not None, (handler, selector)
                 assert set(values.split(",")) <= set(actions[selector].choices), condition
-                # an owned selector is settled by an earlier rule
-                assert selector not in owned or selector in settled, (handler, selector)
+                assert selector not in later, (handler, selector)
             assert set(cli._dests(options)) <= actions.keys(), (handler, options)
-            settled.update(cli._dests(options))
 
 
 @pytest.mark.parametrize(
