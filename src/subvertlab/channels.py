@@ -21,8 +21,12 @@ IntDraw, whose ints are the values of the documents its sampler would draw
 from the same RNG calls, or a PointDraw, whose every call is the one
 document. The uniform channel has an IntDraw everywhere; a session channel
 at its uniform inputs and, at its outputs, what schemes.emission_draw
-picks. draw_for hands that draw to the rejection sampler, which then
-builds a bit string for the emitted document only.
+picks. A session's outputs answer at most ell inputs under one key, so a
+session channel builds that output draw once per session and input, not
+once per emission: it keeps the draws of the last (key, rng), each with
+the input it answers, all compared by identity. draw_for hands the draw
+to the rejection sampler, which then builds a bit string for the emitted
+document only, and channel_walk draws through it too.
 """
 
 from __future__ import annotations
@@ -66,7 +70,9 @@ class Channel:
     pmf_fn: Callable[[tuple, Bits], Fraction] | None = None
     support_fn: Callable[[tuple], Iterable[Bits]] | None = None
     # (history, rng) -> an IntDraw or a PointDraw whose calls return what
-    # sampler(history, rng) would, or None where the next document has neither
+    # sampler(history, rng) would, or None where the next document has
+    # neither; the same draw object may come back for every history of a
+    # session whose next document is drawn the same way
     draw_at: Callable[[tuple, random.Random], IntDraw | PointDraw | None] | None = None
 
     def grammar(self, history: tuple) -> bool:
@@ -92,7 +98,9 @@ def draw_for(channel: Channel, history: tuple, rng: random.Random) -> Callable[[
     """The draw of one emission at a history the caller has validated: each
     call returns the next document, as draw_next does. Where the channel
     has a draw of its own there (draw_at), it is that draw, whose width is
-    checked here, once; elsewhere it calls draw_next."""
+    checked here; elsewhere it calls draw_next. A session channel builds
+    its host draw once per session and input, so the emissions that answer
+    one input get the same draw object."""
     draw = channel.draw_at(history, rng) if channel.draw_at is not None else None
     if draw is None:
         return functools.partial(draw_next, channel, history, rng)
@@ -122,13 +130,15 @@ def channel_walk(
 ) -> tuple:
     """Extend a history by `depth` documents sampled one after another.
 
-    Draws the same documents as `depth` chained channel_sample calls, but
-    validates the start history only once.
+    Draws the same documents, from the same RNG calls, as `depth` chained
+    channel_sample calls, but validates the start history only once, and
+    draws each document through draw_for, so a session's output positions
+    share its host draws.
     """
     h = tuple(history)
     check_history(channel, h)
     for _ in range(depth):
-        h = extend_history(channel, h, draw_next(channel, h, rng))
+        h = extend_history(channel, h, draw_for(channel, h, rng)())
     return h
 
 
@@ -248,12 +258,26 @@ def _cycle_channel(
             raise NoExactPmfError("scheme does not enumerate ciphertext support")
         return output_support(h[0], _cycle_input(h, ell))
 
+    # the last session's output draws: (key, rng, [(input, draw) per cycle slot])
+    session: list = [(None, None, None)]
+
     def draw_at(h: tuple, rng: random.Random) -> IntDraw | PointDraw | None:
-        role = shape.role(h)
-        if role == "output":
-            draw = emission_draw(alg, h[0], _cycle_input(h, ell), rng)
-            return draw if isinstance(draw, (IntDraw, PointDraw)) else None
-        if role == "input" and uniform_inputs:  # inputs is Bits.random(in_bits, rng)
+        n = len(h)
+        if n > ell:  # an output: the draw for this (key, input, rng), built once
+            key, slot = h[0], (n - ell - 1) % ell
+            x = h[1 + slot]
+            held_key, held_rng, draws = session[0]
+            if held_key is not key or held_rng is not rng:
+                draws = [None] * ell
+                session[0] = (key, rng, draws)
+            held = draws[slot]
+            if held is not None and held[0] is x:
+                return held[1]
+            draw = emission_draw(alg, key, x, rng)
+            draw = draw if isinstance(draw, (IntDraw, PointDraw)) else None
+            draws[slot] = (x, draw)
+            return draw
+        if n and uniform_inputs:  # inputs is Bits.random(in_bits, rng)
             return IntDraw(functools.partial(rng.getrandbits, in_bits), in_bits)
         return None
 

@@ -804,9 +804,24 @@ _COMMANDS = (
 # no rule naming it holds: an option several rules name is read when any
 # of them holds. An option @group stands for every option of that group in
 # _GROUPS. Rules settle in order, so every rule naming a selector comes
-# before the rules whose conditions read it.
+# before the rules whose conditions read it. Where --channel builds the
+# only host, the channel's rules (_CHANNEL_READS) settle the host, signature
+# and channel options.
+_CHANNEL_READS = (
+    ("channel=uniform", "doc_bits"),
+    ("channel=ses,rand-alg,signed", "ell @host"),
+    ("channel=signed", "@sig"),
+)
 _OWNED = {
-    "cmd_channel_entropy": (("mode=exact", "depths"), ("mode=estimate", "depth")),
+    "cmd_channel_sample": _CHANNEL_READS,
+    "cmd_channel_entropy": (
+        ("mode=exact", "depths"),
+        ("mode=estimate", "depth"),
+        *_CHANNEL_READS,
+    ),
+    "cmd_stego_embed": _CHANNEL_READS,
+    "cmd_stego_roundtrip": _CHANNEL_READS,
+    "cmd_game_ss_cha": _CHANNEL_READS,
     "cmd_game_rasa": (
         ("attack=rejsam", "force_embed @stego"),
         ("attack=fabricating", "@fab budget"),
@@ -821,7 +836,10 @@ _OWNED = {
         ("target=enc-asa", "message_mode"),
         ("target=stego", "history_mode"),
         ("target=enc-asa,stego,stego-reboot", "@stego"),
-        ("target=stego,stego-reboot", "@channel"),
+        ("target=enc-asa,rasa", "@host"),
+        ("target=stego,stego-reboot", "channel"),
+        ("target=stego,stego-reboot channel=uniform", "doc_bits"),
+        ("target=stego,stego-reboot channel=ses,rand-alg,signed", "ell @host"),
         ("target=stego,stego-reboot channel=signed", "@sig"),
         ("target=rasa", "rasa_host attack"),
         ("target=rasa attack=rejsam", "force_embed @stego"),

@@ -25,8 +25,9 @@ checks run on every call, before the lookup, except where a caller binds a
 table once for many lookups (split_marker, the randpad int sampler).
 
 A mark is the pair (int value, slot or None). The encoder binds a key's
-mark table once per emission and the decoder once per decode, and both
-compare the int value to the message's block; only prf_split_block, the
+mark table once per session (stego.encode_step keeps the binding of the
+last key and message) and the decoder once per decode, and both compare
+the int value to the message's block; only prf_split_block, the
 one-document form, wraps the value in a bit string.
 """
 

@@ -13,6 +13,8 @@ Attacks and channels alike draw a host's fresh outputs through
 emission_draw: a PointDraw when the host (a RandomizedAlgorithm, such as
 alg_from_encryption(ses)) takes no coins, an IntDraw over its run_ints (a
 scheme's enc_ints) where it has one, and a run on fresh coins otherwise.
+A session channel builds that draw once per session and input, and its
+emissions reuse it (channels.draw_for).
 
 Each fixture instance keeps its keyed caches in prf's table types (bounds
 and eviction are set there): randpad maps a key to its table of pads by coin
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bits import Bits
+from .bits import _EMPTY, Bits
 from .errors import InvariantViolation, ParameterError
 from .prf import KeyTable, Table, hmac_sha256
 
@@ -69,7 +71,7 @@ def _keystream_int(key_bytes: bytes, label: bytes, payload_bytes: bytes, nbits: 
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
-@functools.lru_cache(maxsize=64)  # IntDraw asks for one per emission
+@functools.lru_cache(maxsize=64)  # each IntDraw asks for one
 def _payload_packer(nbits: int) -> Callable[[int], bytes]:
     """int -> the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
     nbytes = (nbits + 7) // 8
@@ -186,7 +188,9 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
 # ciphertexts, one Bits per message, built the first time that message is
 # encrypted (never all 2^ml up front: most keys see few messages), and the
 # inverse permutation, built on the key's first decryption (most keys are
-# only ever used to encrypt).
+# only ever used to encrypt). enc binds the codebook of the last key object
+# it saw, so the encryptions of one session, all under one key object, look
+# the codebook up once per session instead of hashing the key each time.
 
 
 def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
@@ -237,11 +241,16 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
         return [perm, None, [None] * size]
 
     books = KeyTable(codebook)
+    last = [(None, None)]  # (the last key object enc saw, its codebook)
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != 0:
             raise ParameterError("det enc: wrong message or coin length")
-        perm, _, cts = books[k]
+        key, book = last[0]
+        if key is not k:
+            book = books[k]
+            last[0] = (k, book)
+        perm, _, cts = book
         i = m.uint
         c = cts[i]
         if c is None:
@@ -472,15 +481,18 @@ def emission_draw(
     alg.run(key, x, coins) on fresh coins from rng.
 
     With no coin bits the explicit-coin run is a deterministic function of
-    (key, x), and Bits.random(0, rng) consumes no RNG state, so the honest
-    output is computed once here and returned as a point draw (PointDraw):
-    each call returns that same object, and a sampler that reads .point
-    (stego.encode_step) knows every draw of the emission without taking
-    one. A host with run_ints gives an IntDraw. Callers see the same
-    documents, from the same RNG calls, as from fresh runs.
+    (key, x), and a zero-bit coin draw consumes no RNG state, so the honest
+    output is computed once here, on the shared empty coin string, and
+    returned as a point draw (PointDraw): each call returns that same
+    object, and a sampler that reads .point (stego.encode_step) knows every
+    draw of the emission without taking one. A host with run_ints gives an
+    IntDraw. Callers see the same documents, from the same RNG calls, as
+    from fresh runs. No draw holds state of its own besides rng's, so a
+    caller may keep one and reuse it for every emission of a session that
+    answers the same (key, x) from the same rng (channels.draw_for does).
     """
     if alg.coin_bits == 0:
-        return PointDraw(alg.run(key, x, Bits.random(0, rng)))
+        return PointDraw(alg.run(key, x, _EMPTY))
     if alg.run_ints is not None:
         return IntDraw(alg.run_ints(key, x, rng), alg.output_bits)
     return functools.partial(alg.run_sample, key, x, rng)

@@ -11,17 +11,19 @@ Coverage of all slots is a coupon-collector event, so the output length for
 an ml-bit message grows like ml ln ml; the block variant embeds several bits
 per document at the cost of a longer rejection phase.
 
-A mark is an int value and a slot (prf.split_marker). An emission binds
-the key's mark table and the message once, and compares each mark's value
-to the message block as ints. When its draw is an int draw
-(schemes.IntDraw, from channels.draw_for or schemes.emission_draw), the
-sampler draws, rejects and marks ints, and builds a bit string for the
-emitted document only; other draws are marked as bit strings in the same
-loop. A coin-free host's emission is a point draw (schemes.PointDraw):
-every draw is one document, so that document is the emission; the
-arguments are checked, and neither the loop nor the mark table is touched.
-A decode binds the mark table once and looks each received document up in
-it.
+A mark is an int value and a slot (prf.split_marker). A session's
+emissions share one attacker key and hidden message, so the encoder checks
+and binds them once per session, not once per emission: the key's mark
+table and the message's block per slot are kept for the last (key,
+message) objects, and each mark's value is compared to its slot's block
+as ints. When an emission's draw is an int draw (schemes.IntDraw, from
+channels.draw_for or schemes.emission_draw), the sampler draws, rejects
+and marks ints, and builds a bit string for the emitted document only;
+other draws are marked as bit strings in the same loop. A coin-free host's
+emission is a point draw (schemes.PointDraw): every draw is one document,
+so that document is the emission, returned after the argument checks
+without the loop. A decode binds the mark table once and looks each
+received document up in it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 from .bits import Bits
 from .channels import Channel, check_history, draw_for, extend_history
 from .errors import ParameterError, ScheduleError, WrongDocumentCountError
-from .prf import Prf, _check_split, is_power_of_two, split_marker
+from .prf import Prf, is_power_of_two, split_marker
 
 __all__ = [
     "StegoParams",
@@ -150,26 +152,36 @@ class StegoSystem:
         return {"system": self.system_id, **self.params.to_json_dict()}
 
 
+def _message_blocks(params: StegoParams, am: Bits) -> list[int]:
+    """The message's block per slot: am zero-padded to n_slots blocks of
+    block_bits bits, slot j's block being the j-th from the top."""
+    block_bits, n_slots = params.block_bits, params.n_slots
+    am_int = am.uint << (n_slots * block_bits - params.ml)
+    mask = (1 << block_bits) - 1
+    return [(am_int >> ((n_slots - 1 - j) * block_bits)) & mask for j in range(n_slots)]
+
+
 def mark_agreement(
     prf: Prf, params: StegoParams, ak: Bits, am: Bits
 ) -> Callable[[Bits], bool]:
-    """Predicate: does a document's mark (value, slot) agree with am?
-
-    The message is zero-padded to n_slots blocks and held as one int, so
-    slot j's block is the j-th block_bits-wide field from the top.
-    """
+    """Predicate: does a document's mark (value, slot) agree with am?"""
     if len(am) != params.ml:
         raise ParameterError(f"hidden message must have {params.ml} bits")
-    block_bits, n_slots = params.block_bits, params.n_slots
-    marks = split_marker(prf, ak, block_bits, n_slots)
-    am_int = am.uint << (params.padded_ml - params.ml)
-    mask = (1 << block_bits) - 1
+    marks = split_marker(prf, ak, params.block_bits, params.n_slots)
+    blocks = _message_blocks(params, am)
 
     def agrees(doc: Bits) -> bool:
         value, j = marks[doc.to_bytes()]
-        return j is not None and value == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask
+        return j is not None and value == blocks[j]
 
     return agrees
+
+
+# encode_step's checked binding of the last (prf, params, ak, am): those
+# four, the mark table and the message block per slot. It is matched by
+# identity: hashing the key and message by value on every emission would
+# cost more than the binding saves.
+_bound: tuple = (None, None, None, None, None, None)
 
 
 def encode_step(
@@ -178,32 +190,37 @@ def encode_step(
     """One emission: first draw whose mark agrees with the message, else the
     (s+1)-th draw unconditionally.
 
+    The arguments are checked and bound once per session, not once per
+    emission: the message length, the split and the key (split_marker), the
+    key's mark table and the message's block per slot are kept for the last
+    (prf, params, ak, am), compared by identity, and every emission of a
+    session reuses them. An emission with any other argument object is
+    checked from scratch, so a wrong key or message still raises.
+
     The mark is a deterministic function of the document, so a document
     rejected once is rejected again without re-marking it; every draw is
     still taken, since draws consume the channel's randomness. A point draw
     (schemes.PointDraw, a coin-free host's emission) is the exception: all
     its draws are its .point and take no randomness, so the first agreeing
     draw and the (s+1)-th are both that document, and it is returned after
-    the argument checks without a draw, a mark or the mark table. Any other
-    draw that repeats the document just rejected (a counting wrapper
-    around a point draw) skips even the set lookup. A draw with an int
-    form (schemes.IntDraw) is sampled through it: the loop keys its
-    rejected set by int and marks the packed bytes, and only the emitted
-    int becomes a bit string.
+    the argument checks without a draw or a mark. Any other draw that
+    repeats the document just rejected (a counting wrapper around a point
+    draw) skips even the set lookup. A draw with an int form
+    (schemes.IntDraw) is sampled through it: the loop keys its rejected set
+    by int and marks the packed bytes, and only the emitted int becomes a
+    bit string.
     """
-    # mark_agreement's binding and test, inline: an emission is only about
-    # two draws here, and one more call and tuple per emission cost
-    # session-unrel about 3% (in-process A/B of CPU time per report)
-    if len(am) != params.ml:
-        raise ParameterError(f"hidden message must have {params.ml} bits")
-    block_bits, n_slots = params.block_bits, params.n_slots
+    global _bound
+    bound_prf, bound_params, bound_ak, bound_am, marks, blocks = _bound
+    if not (ak is bound_ak and am is bound_am and prf is bound_prf and params is bound_params):
+        if len(am) != params.ml:
+            raise ParameterError(f"hidden message must have {params.ml} bits")
+        marks = split_marker(prf, ak, params.block_bits, params.n_slots)  # checks split, key
+        blocks = _message_blocks(params, am)
+        _bound = (prf, params, ak, am, marks, blocks)
     point = getattr(draw, "point", None)
     if point is not None:  # after the checks: it fails where a looping draw would
-        _check_split(prf, ak, block_bits, n_slots)
         return point
-    marks = split_marker(prf, ak, block_bits, n_slots)
-    am_int = am.uint << (n_slots * block_bits - params.ml)
-    mask = (1 << block_bits) - 1
     ints = getattr(draw, "ints", None)
     sample, pack = (draw, Bits.to_bytes) if ints is None else (ints, draw.pack)
     rejected: set = set()
@@ -213,7 +230,7 @@ def encode_step(
         if x is last or x in rejected:
             continue
         value, j = marks[pack(x)]
-        if j is not None and value == (am_int >> ((n_slots - 1 - j) * block_bits)) & mask:
+        if j is not None and value == blocks[j]:
             break
         rejected.add(x)
         last = x

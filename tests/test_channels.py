@@ -324,3 +324,63 @@ def test_positions_without_an_int_form_draw_through_draw_next():
     # a coin-free host's output is a point draw, and takes no randomness
     det = ses_channel(det_scheme(16, 8), 2)
     _assert_point_draw(det, channel_walk(det, 3, rng), rng)
+
+
+
+def _walk_channels():
+    """One channel of each kind, by name."""
+    randpad = randpad_scheme(3, 16, 4)
+    signing = alg_from_signing(sig_fixture("coin-injective", 16, 4, 3, 8))
+    return {
+        "uniform": uniform_channel(12),
+        "ses randpad": ses_channel(randpad, 3),
+        "ses det": ses_channel(det_scheme(16, 4), 3),
+        "rand-alg": rand_alg_channel(alg_from_encryption(randpad), 3),
+        "signed": rand_alg_channel(signing, 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_walk_channels()))
+def test_channel_walk_leaves_the_rng_where_chained_samples_do(name):
+    # channel_walk draws through draw_for, chained channel_sample calls
+    # through the sampler: the same documents from the same RNG calls, from
+    # the empty history and from a start history
+    channel = _walk_channels()[name]
+    for seed in range(4):
+        by_walk, by_samples = random.Random(seed), random.Random(seed)
+        start = channel_walk(channel, seed, by_walk)
+        want = walk(channel, seed, by_samples)
+        assert start == want
+        for _ in range(14):
+            want = want + (channel_sample(channel, want, by_samples),)
+        assert channel_walk(channel, 14, by_walk, start) == want, (name, seed)
+        assert by_walk.getstate() == by_samples.getstate(), (name, seed)
+
+
+@pytest.mark.parametrize("name", ["ses randpad", "ses det", "rand-alg", "signed"])
+def test_one_channel_serves_interleaved_sessions_like_draw_next(name):
+    # one channel object, two sessions with their own rngs and host keys,
+    # drawn in turn; two more on the first one's rng, one with its key
+    # object and other inputs, one with its input objects and another key;
+    # and one with the first one's key and inputs on the second one's rng.
+    # Each draw_for draw gives, call after call, what unmemoized draw_next
+    # calls give from a copy of the rng
+    channel = _walk_channels()[name]
+    first = channel_walk(channel, 4, random.Random(1))
+    second = channel_walk(channel, 4, random.Random(2))
+    assert first[0] != second[0] and first[1:] != second[1:]
+    rngs = [(random.Random(10 + i), random.Random(10 + i)) for i in range(2)]
+    sessions = [
+        [first, *rngs[0]],
+        [second, *rngs[1]],
+        [first[:1] + second[1:], *rngs[0]],
+        [second[:1] + first[1:], *rngs[0]],
+        [first, *rngs[1]],
+    ]
+    for step, i in enumerate(random.Random(3).choices(range(len(sessions)), k=80)):
+        h, rng, reference = sessions[i]
+        draw = draw_for(channel, h, rng)
+        got = [draw() for _ in range(3)]
+        assert got == [draw_next(channel, h, reference) for _ in range(3)], (name, step)
+        assert rng.getstate() == reference.getstate(), (name, step)
+        sessions[i][0] = h + (got[0],)

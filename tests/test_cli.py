@@ -504,6 +504,49 @@ def test_channel_entropy_rejects_the_other_modes_depth_option(capsys):
         assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, option, "0"]), mode
 
 
+@pytest.mark.parametrize(
+    "argv, extra, digest",
+    [
+        (["channel", "sample", "--channel", "uniform", "--count", "3", "--seed", "1"],
+         [["--ell", "9"], ["--kappa", "5"], ["--sig", "unique"]],
+         "6f001bd67853d968ac54cf26f90ed01b0ddf1a8dd666840afee13884a4b34b57"),
+        (["stego", "roundtrip", "--channel", "ses", "--trials", "3", "--seed", "1"],
+         [["--doc-bits", "3"]],
+         "f9bc4606aab85eaf060a5816510b3d56fe40831b1bc86b10f0642f4b3ee1ac9e"),
+    ],
+    ids=["channel sample uniform", "stego roundtrip ses"],
+)
+def test_options_the_channel_does_not_read_exit_2(capsys, argv, extra, digest):
+    # each printed these bytes with and without the options it ignored
+    rc, _, out = run_cli(capsys, argv)
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    for option in extra:
+        rc = cli.main([*argv, *option])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", option
+        assert f"{option[0]} does not apply to --channel" in captured.err, option
+
+
+@pytest.mark.parametrize(
+    "command", [["channel", "sample"], ["channel", "entropy"], ["stego", "embed", "--message", "a7"],
+                ["stego", "roundtrip", "--trials", "2"], ["game", "ss-cha", "--trials", "2"]],
+    ids=lambda c: " ".join(c[:2]),
+)
+@pytest.mark.parametrize(
+    "channel, defaults",
+    [
+        ("uniform", ["--doc-bits", "8"]),
+        ("ses", ["--ell", "4", "--host", "randpad", "--kappa", "16", "--r", "8", "--host-ml", "8"]),
+        ("rand-alg", ["--ell", "4", "--r", "8"]),
+        ("signed", ["--kappa", "16", "--sig", "coin-injective", "--sig-ml", "8", "--tag-bits", "64"]),
+    ],
+)
+def test_each_channel_reads_its_options_defaults_when_left_out(capsys, command, channel, defaults):
+    argv = [*command, "--channel", channel, "--seed", "2"]
+    left_out = run_cli(capsys, argv)
+    assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, *defaults])
+
+
 def _opt(flag, default=None, choices=None, required=False):
     return ((flag,), flag[2:].replace("-", "_"), default, required, choices)
 
@@ -553,6 +596,13 @@ STEGO_DEFERRED = {_opt(flag) for (flag,), *_ in STEGO}
 SIG_DEFERRED = {_opt(flag, None, choices) for (flag,), _, _, _, choices in SIG}
 CHANNEL_DEFERRED = {_opt(flag, None, choices) for (flag,), _, _, _, choices in CHANNEL}
 HOST_DEFERRED = {_opt("--host", None, ("randpad", "det")), _opt("--r"), _opt("--host-ml")}
+# where --channel decides what is read (channel sample and entropy, stego
+# embed and roundtrip, game ss-cha, and game unrel with --target and
+# --channel together), --ell and the host group (--kappa too) parse to
+# None, and so do --doc-bits and the signature group
+CHANNEL_HOST = HOST_DEFERRED | {_opt("--kappa")} | SIG_DEFERRED
+CHANNEL_BY_VALUE = {_opt("--channel", "ses", ("uniform", "ses", "rand-alg", "signed")),
+                    _opt("--ell"), _opt("--doc-bits")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
 LB_ATTACK = _opt("--attack", "fabricating", ("universal", "fabricating"))
 HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
@@ -560,15 +610,15 @@ HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
 # every subcommand's options as (option strings, dest, default, required,
 # choices); an option no command reads has no place here
 OPTION_SURFACE = {
-    ("channel", "sample"): SEED_OUT | HOST | SIG | CHANNEL
+    ("channel", "sample"): SEED_OUT | CHANNEL_HOST | CHANNEL_BY_VALUE
     | {_opt("--count", 5), _opt("--depth", 0)},
-    ("channel", "entropy"): SEED_OUT | HOST | SIG | CHANNEL
+    ("channel", "entropy"): SEED_OUT | CHANNEL_HOST | CHANNEL_BY_VALUE
     | {_opt("--mode", "exact", ("exact", "estimate")), _opt("--depths"), _opt("--depth"),
        _opt("--samples", 4096)},
-    ("stego", "embed"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
+    ("stego", "embed"): SEED_OUT | RUN | CHANNEL_HOST | STEGO | CHANNEL_BY_VALUE
     | {_opt("--message", required=True), _opt("--key"), _opt("--schedule")},
     ("stego", "extract"): EXTRACT,
-    ("stego", "roundtrip"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL
+    ("stego", "roundtrip"): SEED_OUT | RUN | CHANNEL_HOST | STEGO | CHANNEL_BY_VALUE
     | {HISTORY_MODE, _opt("--reboot", False), _opt("--schedule")},
     ("asa", "build"): SEED_OUT | HOST | STEGO,
     ("asa", "run"): SEED_OUT | HOST | STEGO | {_opt("--message")},
@@ -576,7 +626,7 @@ OPTION_SURFACE = {
     ("asa", "queries"): SEED_OUT | RUN | HOST | STEGO,
     ("game", "cpa"): SEED_OUT | RUN | HOST | DIST,
     ("game", "enc-asa"): SEED_OUT | RUN | HOST | STEGO | DIST,
-    ("game", "ss-cha"): SEED_OUT | RUN | HOST | SIG | STEGO | CHANNEL | DIST,
+    ("game", "ss-cha"): SEED_OUT | RUN | CHANNEL_HOST | STEGO | CHANNEL_BY_VALUE | DIST,
     ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO_DEFERRED | DIST | FAB_DEFERRED
     | {_opt("--rasa-host", "enc", ("enc", "signed")),
        _opt("--attack", "rejsam", ("rejsam", "fabricating")), _opt("--force-embed")},
@@ -585,8 +635,9 @@ OPTION_SURFACE = {
     | {_opt("--adversary", "random", ("replay", "random", "search", "universal", "fabricating"))},
     # the options one --target reads parse to None; cli._settle applies
     # the defaults their row declares (random, empty, enc, rejsam, False,
-    # 8, 4 and 4096, and those of the stego, channel and signature groups)
-    ("game", "unrel"): SEED_OUT | RUN | HOST | SIG_DEFERRED | STEGO_DEFERRED | CHANNEL_DEFERRED
+    # 8, 4 and 4096, and those of the host, stego, channel and signature
+    # groups)
+    ("game", "unrel"): SEED_OUT | RUN | CHANNEL_HOST | STEGO_DEFERRED | CHANNEL_DEFERRED
     | {_opt("--target", "enc-asa", ("enc-asa", "stego", "stego-reboot", "rasa")),
        _opt("--message-mode", None, ("random", "equal")),
        _opt("--history-mode", None, ("empty", "sampled")),
@@ -697,6 +748,11 @@ def _unrel(target, *extra):
         ("enc-asa", ["--sig", "unique"]),
         ("stego", ["--sig-ml", "16"]),
         ("stego-reboot", ["--channel", "uniform", "--tag-bits", "4"]),
+        # --ell and the host group are read by every channel but uniform,
+        # and --doc-bits by uniform alone
+        ("stego", ["--channel", "uniform", "--ell", "9"]),
+        ("stego", ["--channel", "uniform", "--kappa", "5"]),
+        ("stego-reboot", ["--channel", "ses", "--doc-bits", "3"]),
         ("rasa", ["--tag-bits", "4"]),
         # the stego group is read by the targets that embed
         ("rasa", [*SIGNED_FAB, "--ml", "4"]),
@@ -718,7 +774,9 @@ def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
         ("stego", [], ["--history-mode", "empty"]),
         ("rasa", [], ["--rasa-host", "enc", "--attack", "rejsam"]),
         ("rasa", SIGNED_FAB, ["--fab-ml", "8", "--decoys", "4", "--budget", "4096"]),
-        ("stego-reboot", [], ["--channel", "ses", "--ell", "4", "--doc-bits", "8"]),
+        ("stego-reboot", [], ["--channel", "ses", "--ell", "4", "--kappa", "16", "--r", "8"]),
+        ("stego", ["--channel", "uniform"], ["--doc-bits", "8"]),
+        ("enc-asa", [], ["--host", "randpad", "--kappa", "16", "--r", "8", "--host-ml", "8"]),
         ("stego", ["--channel", "signed", "--tag-bits", "8"],
          ["--sig", "coin-injective", "--sig-ml", "8", "--sig-coins", "8"]),
         ("rasa", ["--rasa-host", "signed", "--tag-bits", "8"],

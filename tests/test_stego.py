@@ -270,6 +270,51 @@ def test_point_draw_is_the_loop_after_every_argument_check():
             encode_step(prf, no_slots, key, Bits.zeros(4), draw)
 
 
+def test_a_bound_session_still_checks_every_other_argument():
+    # encode_step keeps the checked binding of the last (prf, params, ak,
+    # am) objects; after a valid emission, any other key or message object
+    # is checked again, however its value compares
+    params = StegoParams(ml=4, s=4, outl=4, kappa=64)
+    prf, key, am = Prf(64), Bits.random(64, random.Random(5)), Bits(0b1010, 4)
+    doc = Bits.zeros(16)
+    for draw in (PointDraw(doc), lambda: doc):
+        assert encode_step(prf, params, key, am, draw) is doc
+        with pytest.raises(ParameterError, match="hidden message"):
+            encode_step(prf, params, key, Bits(0b101, 3), draw)
+        with pytest.raises(ParameterError, match="key must have"):
+            encode_step(prf, params, Bits(key.uint >> 1, 63), am, draw)
+        with pytest.raises(ParameterError, match="too short"):
+            encode_step(Prf(64, out_bits=2), params, key, am, draw)
+        assert encode_step(prf, params, key, am, draw) is doc
+
+
+def test_alternating_sessions_emit_what_fresh_bindings_emit():
+    # three sessions interleaved emission by emission, each sharing its key
+    # or its message object with another, against the same emissions bound
+    # from scratch each time (equal copies of every argument miss the
+    # binding)
+    params = StegoParams(ml=8, s=16, outl=24, kappa=64, block_bits=2)
+    prf = Prf(64)
+    key = Bits.random(64, random.Random(6))
+    other = Bits.random(64, random.Random(7))
+    am = Bits(0xA5, 8)
+    pairs = [(key, am), (key, Bits(0x3C, 8)), (other, am)]
+
+    def emissions(fresh):
+        rng = random.Random(8)
+        docs = []
+        for i in range(3 * params.outl):
+            ak, am = pairs[i % len(pairs)]
+            if fresh:
+                ak, am = Bits(ak.uint, len(ak)), Bits(am.uint, len(am))
+            if i == params.outl:  # a bound table outlives its eviction
+                subvertlab.prf._marks.clear()
+            docs.append(encode_step(prf, params, ak, am, lambda: Bits.random(12, rng)))
+        return docs, rng.getstate()
+
+    assert emissions(fresh=False) == emissions(fresh=True)
+
+
 def test_decode_last_write_wins_and_none_when_uncovered():
     params = StegoParams(ml=2, s=4, outl=4, kappa=64)
     prf = Prf(64)
