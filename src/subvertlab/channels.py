@@ -6,9 +6,7 @@ fixed count of messages, then ciphertexts cycling through those messages.
 Each channel states its grammar as a per-position rule, and a history is
 valid when every position passes it. So every prefix of a valid history is
 valid, and a valid history stays valid when a document that passes at its
-own position is appended: callers that extend a history validate the start
-once (check_history) and then each new document (extend_history), never the
-whole history per draw. Sampling never needs more than the published
+own position is appended. Sampling never needs more than the published
 per-role bit lengths.
 
 ses_channel and rand_alg_channel are one builder's: the channel of a
@@ -16,17 +14,19 @@ randomized algorithm's runs, an encryption scheme being the algorithm
 alg_from_encryption makes of it. Outputs are the host's explicit-coin runs,
 so a seed-coupled run of channel_sample and of enc_sample is identical.
 
-A channel may also have its own draw at a history (Channel.draw_at): an
-IntDraw, whose ints are the values of the documents its sampler would draw
-from the same RNG calls, or a PointDraw, whose every call is the one
-document. The uniform channel has an IntDraw everywhere; a session channel
-at its uniform inputs and, at its outputs, what schemes.emission_draw
-picks. A session's outputs answer at most ell inputs under one key, so a
-session channel builds that output draw once per session and input, not
-once per emission: it keeps the draws of the last (key, rng), each with
-the input it answers, all compared by identity. draw_for hands the draw
-to the rejection sampler, which then builds a bit string for the emitted
-document only, and channel_walk draws through it too.
+As in the Hopper-Langford-von Ahn model, the encoder samples the channel at
+the current history, and the history is the channel's state. Every document
+is drawn in a session (Channel.session(history, rng)): it validates the
+start history once, keeps the history as one list, and checks each appended
+document at its own position, so an append costs O(1) and no draw re-checks
+the history. draw() is the next position's draw: an IntDraw, whose ints are
+the values of the documents it draws, a PointDraw, whose every call is the
+one document, or a callable whose documents are checked for width. The
+uniform channel has one IntDraw per session. A cycle channel has an IntDraw
+at its uniform inputs and, at its outputs, what schemes.emission_draw picks
+for the slot's (key, input), built on the slot's first output and kept for
+the session's lifetime. Draws take the same RNG calls as fresh runs of the
+host, so a session draws what chained channel_sample calls draw.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .bits import Bits
 from .errors import InvalidHistoryError, NoExactPmfError, ParameterError
@@ -48,8 +48,6 @@ __all__ = [
     "channel_sample",
     "channel_walk",
     "check_history",
-    "draw_next",
-    "extend_history",
     "channel_pmf",
     "channel_support",
     "uniform_channel",
@@ -66,80 +64,83 @@ class Channel:
     descriptor: dict
     max_doc_len: int
     accepts_at: Callable[[int, Bits], bool]  # may this document sit at this position?
-    sampler: Callable[[tuple, random.Random], Bits]
+    # rng -> (history -> the next document's draw); called once per session,
+    # so whatever it builds lives as long as that session
+    drawer: Callable[[random.Random], Callable[[Sequence[Bits]], Callable[[], Bits]]]
     pmf_fn: Callable[[tuple, Bits], Fraction] | None = None
     support_fn: Callable[[tuple], Iterable[Bits]] | None = None
-    # (history, rng) -> an IntDraw or a PointDraw whose calls return what
-    # sampler(history, rng) would, or None where the next document has
-    # neither; the same draw object may come back for every history of a
-    # session whose next document is drawn the same way
-    draw_at: Callable[[tuple, random.Random], IntDraw | PointDraw | None] | None = None
 
-    def grammar(self, history: tuple) -> bool:
+    def grammar(self, history: Sequence[Bits]) -> bool:
         """A history is valid when every position accepts its document."""
         accepts_at = self.accepts_at
         return all(accepts_at(pos, doc) for pos, doc in enumerate(history))
 
+    def session(self, history: Sequence[Bits], rng: random.Random) -> ChannelSession:
+        """A walk of this channel on rng from a start history, validated here."""
+        return ChannelSession(self, history, rng)
 
-def check_history(channel: Channel, history: tuple) -> None:
+
+def check_history(channel: Channel, history: Sequence[Bits]) -> None:
     if not channel.grammar(history):
         raise InvalidHistoryError(f"history of length {len(history)} rejected by grammar")
 
 
-def draw_next(channel: Channel, history: tuple, rng: random.Random) -> Bits:
-    """Draw the next document for a history the caller has already validated."""
-    doc = channel.sampler(history, rng)
-    if len(doc) > channel.max_doc_len:
-        raise InvalidHistoryError("sampler produced an oversized document")
+def _width_checked(draw: Callable[[], Bits], max_doc_len: int) -> Bits:
+    doc = draw()
+    if len(doc) > max_doc_len:
+        raise InvalidHistoryError("channel drew an oversized document")
     return doc
 
 
-def draw_for(channel: Channel, history: tuple, rng: random.Random) -> Callable[[], Bits]:
-    """The draw of one emission at a history the caller has validated: each
-    call returns the next document, as draw_next does. Where the channel
-    has a draw of its own there (draw_at), it is that draw, whose width is
-    checked here; elsewhere it calls draw_next. A session channel builds
-    its host draw once per session and input, so the emissions that answer
-    one input get the same draw object."""
-    draw = channel.draw_at(history, rng) if channel.draw_at is not None else None
-    if draw is None:
-        return functools.partial(draw_next, channel, history, rng)
-    width = draw.width if isinstance(draw, IntDraw) else len(draw.point)
-    if width > channel.max_doc_len:
-        raise InvalidHistoryError("sampler produced an oversized document")
-    return draw
+class ChannelSession:
+    """The history of one walk of a channel on one rng, as a list that only
+    grows: draw() gives the next position's draw, append(doc) adds a
+    document that passes at its own position."""
+
+    __slots__ = ("history", "_accepts_at", "_max_doc_len", "_draw_at")
+
+    def __init__(self, channel: Channel, history: Sequence[Bits], rng: random.Random):
+        self.history: list[Bits] = list(history)
+        check_history(channel, self.history)
+        self._accepts_at, self._max_doc_len = channel.accepts_at, channel.max_doc_len
+        self._draw_at = channel.drawer(rng)
+
+    def draw(self) -> Callable[[], Bits]:
+        draw = self._draw_at(self.history)
+        if isinstance(draw, IntDraw):
+            width = draw.width
+        elif isinstance(draw, PointDraw):
+            width = len(draw.point)
+        else:
+            return functools.partial(_width_checked, draw, self._max_doc_len)
+        if width > self._max_doc_len:
+            raise InvalidHistoryError("channel drew an oversized document")
+        return draw
+
+    def append(self, doc: Bits) -> None:
+        h = self.history
+        if not self._accepts_at(len(h), doc):
+            raise InvalidHistoryError(
+                f"{len(doc)}-bit document rejected by grammar at position {len(h)}"
+            )
+        h.append(doc)
 
 
-def extend_history(channel: Channel, history: tuple, doc: Bits) -> tuple:
-    """Append a document to a valid history, checking it at its own position."""
-    if not channel.accepts_at(len(history), doc):
-        raise InvalidHistoryError(
-            f"{len(doc)}-bit document rejected by grammar at position {len(history)}"
-        )
-    return history + (doc,)
-
-
-def channel_sample(channel: Channel, history: tuple, rng: random.Random) -> Bits:
+def channel_sample(channel: Channel, history: Sequence[Bits], rng: random.Random) -> Bits:
     """Draw the next document for a history, validating the history first."""
-    check_history(channel, history)
-    return draw_next(channel, history, rng)
+    return channel.session(history, rng).draw()()
 
 
 def channel_walk(
-    channel: Channel, depth: int, rng: random.Random, history: tuple = ()
+    channel: Channel, depth: int, rng: random.Random, history: Sequence[Bits] = ()
 ) -> tuple:
-    """Extend a history by `depth` documents sampled one after another.
-
-    Draws the same documents, from the same RNG calls, as `depth` chained
-    channel_sample calls, but validates the start history only once, and
-    draws each document through draw_for, so a session's output positions
-    share its host draws.
-    """
-    h = tuple(history)
-    check_history(channel, h)
+    """Extend a history by `depth` documents sampled one after another, in
+    one session: the same documents, from the same RNG calls, as `depth`
+    chained channel_sample calls."""
+    session = channel.session(history, rng)
     for _ in range(depth):
-        h = extend_history(channel, h, draw_for(channel, h, rng)())
-    return h
+        session.append(session.draw()())
+    return tuple(session.history)
 
 
 def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
@@ -162,6 +163,10 @@ def _all_bits(nbits: int) -> Iterable[Bits]:
     return (Bits(v, nbits) for v in range(2**nbits))
 
 
+def _constant(draw):
+    return lambda h: draw
+
+
 def uniform_channel(nbits: int) -> Channel:
     """Memoryless channel: every document is a fresh uniform nbits string."""
     if nbits <= 0:
@@ -177,10 +182,9 @@ def uniform_channel(nbits: int) -> Channel:
         },
         max_doc_len=nbits,
         accepts_at=lambda pos, d: len(d) == nbits,
-        sampler=lambda h, rng: Bits.random(nbits, rng),
+        drawer=lambda rng: _constant(IntDraw(functools.partial(rng.getrandbits, nbits), nbits)),
         pmf_fn=lambda h, d: Fraction(1, 2**nbits) if len(d) == nbits else Fraction(0),
         support_fn=lambda h: _all_bits(nbits),
-        draw_at=lambda h, rng: IntDraw(functools.partial(rng.getrandbits, nbits), nbits),
     )
 
 
@@ -223,15 +227,6 @@ def _cycle_channel(
     key_bits, in_bits, out_bits = alg.secret_bits, alg.input_bits, alg.output_bits
     shape = _CycleShape(key_bits, in_bits, out_bits, ell)
     uniform_inputs = input_gen is None
-    inputs = alg.input_gen if uniform_inputs else input_gen
-
-    def sampler(h: tuple, rng: random.Random) -> Bits:
-        role = shape.role(h)
-        if role == "key":
-            return alg.secret_gen(rng)
-        if role == "input":
-            return inputs(rng)
-        return alg.run_sample(h[0], _cycle_input(h, ell), rng)
 
     def pmf(h: tuple, d: Bits) -> Fraction:
         role = shape.role(h)
@@ -258,28 +253,25 @@ def _cycle_channel(
             raise NoExactPmfError("scheme does not enumerate ciphertext support")
         return output_support(h[0], _cycle_input(h, ell))
 
-    # the last session's output draws: (key, rng, [(input, draw) per cycle slot])
-    session: list = [(None, None, None)]
+    def drawer(rng: random.Random) -> Callable[[Sequence[Bits]], Callable[[], Bits]]:
+        key = functools.partial(alg.secret_gen, rng)
+        if uniform_inputs:  # alg.input_gen is Bits.random(in_bits, rng)
+            fresh_input = IntDraw(functools.partial(rng.getrandbits, in_bits), in_bits)
+        else:
+            fresh_input = functools.partial(input_gen, rng)
+        outputs: list = [None] * ell  # the output draw of each cycle slot, once built
 
-    def draw_at(h: tuple, rng: random.Random) -> IntDraw | PointDraw | None:
-        n = len(h)
-        if n > ell:  # an output: the draw for this (key, input, rng), built once
-            key, slot = h[0], (n - ell - 1) % ell
-            x = h[1 + slot]
-            held_key, held_rng, draws = session[0]
-            if held_key is not key or held_rng is not rng:
-                draws = [None] * ell
-                session[0] = (key, rng, draws)
-            held = draws[slot]
-            if held is not None and held[0] is x:
-                return held[1]
-            draw = emission_draw(alg, key, x, rng)
-            draw = draw if isinstance(draw, (IntDraw, PointDraw)) else None
-            draws[slot] = (x, draw)
+        def draw_at(h: Sequence[Bits]) -> Callable[[], Bits]:
+            n = len(h)
+            if n <= ell:
+                return fresh_input if n else key
+            slot = (n - ell - 1) % ell
+            draw = outputs[slot]
+            if draw is None:
+                draw = outputs[slot] = emission_draw(alg, h[0], h[1 + slot], rng)
             return draw
-        if n and uniform_inputs:  # inputs is Bits.random(in_bits, rng)
-            return IntDraw(functools.partial(rng.getrandbits, in_bits), in_bits)
-        return None
+
+        return draw_at
 
     return Channel(
         descriptor={
@@ -293,10 +285,9 @@ def _cycle_channel(
         },
         max_doc_len=max(key_bits, in_bits, out_bits),
         accepts_at=shape.accepts_at,
-        sampler=sampler,
+        drawer=drawer,
         pmf_fn=pmf,
         support_fn=support,
-        draw_at=draw_at,
     )
 
 
@@ -373,10 +364,10 @@ def min_entropy_estimate(
     """
     if samples < 2:
         raise ParameterError("need at least two samples")
-    check_history(channel, history)
+    draw = channel.session(history, rng).draw()
     counts: dict[Bits, int] = {}
     for _ in range(samples):
-        d = draw_next(channel, history, rng)
+        d = draw()
         counts[d] = counts.get(d, 0) + 1
     pairs = sum(n * (n - 1) // 2 for n in counts.values())
     total = samples * (samples - 1) // 2

@@ -394,11 +394,8 @@ def _stego_unrel(args, reboot, schedules=None):
 
 
 def cmd_stego_roundtrip(args):
-    if args.schedule and not args.reboot:
-        raise ParameterError("--schedule needs --reboot")
-    if args.reboot and args.history_mode == "sampled":
-        raise ParameterError("--history-mode sampled does not apply with --reboot")
-    return _stego_unrel(args, args.reboot, [args.schedule] if args.schedule else None)
+    schedules = [args.schedule] if args.reboot and args.schedule else None
+    return _stego_unrel(args, args.reboot, schedules)
 
 
 # --- attack commands -------------------------------------------------------------
@@ -798,56 +795,76 @@ _COMMANDS = (
 
 # Options a subcommand reads under some values of a selector only, by
 # handler: (conditions, options) rules, each condition a selector dest and
-# the comma-separated values that read the options. Such options parse to
-# None, and _settle applies the default their row declares where every
-# condition of a rule naming them holds, or exits 2 where one is given and
-# no rule naming it holds: an option several rules name is read when any
-# of them holds. An option @group stands for every option of that group in
-# _GROUPS. Rules settle in order, so every rule naming a selector comes
-# before the rules whose conditions read it. Where --channel builds the
-# only host, the channel's rules (_CHANNEL_READS) settle the host, signature
-# and channel options.
+# the comma-separated values that read the options (true or false for a
+# flag). Such options parse to None, and _settle applies the default their
+# row declares where every condition of a rule naming them holds, or exits
+# 2 where one is given and no rule naming it holds: an option several rules
+# name is read when any of them holds. An option @group stands for every
+# option of that group in _GROUPS. Rules settle in order, so every rule
+# naming a selector comes before the rules whose conditions read it. Each
+# selector's rules are written once and composed: _under makes a set of
+# rules hold only under another condition as well. A det host takes no
+# coins, so --r is read under --host randpad alone (_COINS). Where --channel
+# builds the only host, the channel's rules (_CHANNEL_READS) settle the
+# host, signature and channel options.
+def _under(condition, rules):
+    return tuple((f"{condition} {conditions}", options) for conditions, options in rules)
+
+
+_COINS = (("host=randpad", "r"),)
 _CHANNEL_READS = (
     ("channel=uniform", "doc_bits"),
-    ("channel=ses,rand-alg,signed", "ell @host"),
+    ("channel=ses,rand-alg,signed", "ell host kappa host_ml"),
+    *_under("channel=ses,rand-alg,signed", _COINS),
     ("channel=signed", "@sig"),
 )
+_DIST_READS = (("adversary=repeat,chi2", "queries"), ("adversary=chi2", "bins"))
+_RASA_READS = (
+    ("attack=rejsam", "force_embed @stego"),
+    ("attack=fabricating", "@fab budget"),
+    ("rasa_host=signed", "@sig"),
+)
+_LB_READS = (*_COINS, ("attack=fabricating", "@fab budget"), ("attack=universal", "@stego"))
 _OWNED = {
     "cmd_channel_sample": _CHANNEL_READS,
     "cmd_channel_entropy": (
         ("mode=exact", "depths"),
-        ("mode=estimate", "depth"),
+        ("mode=estimate", "depth samples"),
         *_CHANNEL_READS,
     ),
     "cmd_stego_embed": _CHANNEL_READS,
-    "cmd_stego_roundtrip": _CHANNEL_READS,
-    "cmd_game_ss_cha": _CHANNEL_READS,
-    "cmd_game_rasa": (
-        ("attack=rejsam", "force_embed @stego"),
-        ("attack=fabricating", "@fab budget"),
+    "cmd_stego_roundtrip": (
+        ("reboot=false", "history_mode"),
+        ("reboot=true", "schedule"),
+        *_CHANNEL_READS,
     ),
+    "cmd_asa_build": _COINS,
+    "cmd_asa_run": _COINS,
+    "cmd_asa_queries": _COINS,
+    "cmd_game_cpa": (*_COINS, *_DIST_READS),
+    "cmd_game_enc_asa": (*_COINS, *_DIST_READS),
+    "cmd_game_ss_cha": (*_CHANNEL_READS, *_DIST_READS),
+    "cmd_game_rasa": (*_COINS, *_RASA_READS, *_DIST_READS),
     "cmd_game_forge": (
         ("adversary=search,fabricating", "budget"),
         ("adversary=fabricating", "@fab"),
-        ("adversary=universal,fabricating", "host r host_ml"),  # not kappa: _sig reads it
+        ("adversary=universal,fabricating", "host host_ml"),  # not kappa: _sig reads it
+        *_under("adversary=universal,fabricating", _COINS),
         ("adversary=universal", "@stego"),
     ),
     "cmd_game_unrel": (
         ("target=enc-asa", "message_mode"),
         ("target=stego", "history_mode"),
         ("target=enc-asa,stego,stego-reboot", "@stego"),
-        ("target=enc-asa,rasa", "@host"),
+        ("target=enc-asa,rasa", "host kappa host_ml"),
         ("target=stego,stego-reboot", "channel"),
-        ("target=stego,stego-reboot channel=uniform", "doc_bits"),
-        ("target=stego,stego-reboot channel=ses,rand-alg,signed", "ell @host"),
-        ("target=stego,stego-reboot channel=signed", "@sig"),
+        *_under("target=stego,stego-reboot", _CHANNEL_READS),
+        *_under("target=enc-asa,rasa", _COINS),
         ("target=rasa", "rasa_host attack"),
-        ("target=rasa attack=rejsam", "force_embed @stego"),
-        ("target=rasa attack=fabricating", "@fab budget"),
-        ("target=rasa rasa_host=signed", "@sig"),
+        *_under("target=rasa", _RASA_READS),
     ),
-    "cmd_lb_forger": (("attack=fabricating", "@fab budget"), ("attack=universal", "@stego")),
-    "cmd_lb_rate": (("attack=fabricating", "@fab budget"), ("attack=universal", "@stego")),
+    "cmd_lb_forger": _LB_READS,
+    "cmd_lb_rate": _LB_READS,
 }
 
 
@@ -865,6 +882,15 @@ def _row_options(row):
     yield from row[4]
 
 
+def _state(selector, value):
+    """A selector's value as a message names it: --mode exact, or for a
+    flag --reboot and a run without --reboot."""
+    flag = "--" + selector.replace("_", "-")
+    if value in ("true", "false"):
+        return flag if value == "true" else f"a run without {flag}"
+    return f"{flag} {value}"
+
+
 def _settle(args) -> None:
     """Give each option _OWNED assigns to the invoked handler the default
     its row gives it where the conditions of a rule naming it hold, and exit
@@ -875,8 +901,10 @@ def _settle(args) -> None:
     for conditions, options in _OWNED.get(row[5], ()):
         where = []
         for selector, values in (c.split("=") for c in conditions.split()):
-            where.append(f"--{selector.replace('_', '-')} {getattr(args, selector)}")
-            if getattr(args, selector) not in values.split(","):
+            value = getattr(args, selector)
+            value = str(value).lower() if isinstance(value, bool) else value
+            where.append(_state(selector, value))
+            if value not in values.split(","):
                 break
         else:
             for dest in _dests(options):
@@ -885,8 +913,8 @@ def _settle(args) -> None:
                     setattr(args, dest, defaults[dest])
             continue
         wanted = " ".join(
-            "--" + c.replace("_", "-").replace("=", " ").replace(",", " or ")
-            for c in conditions.split()
+            _state(selector, values.replace(",", " or "))
+            for selector, values in (c.split("=") for c in conditions.split())
         )
         for dest in _dests(options):
             refused.setdefault(dest, []).append((where, wanted))

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 from .asa import SubstitutionAttack, alg_enc_all
 from .bits import Bits
-from .channels import Channel, channel_sample, channel_walk, check_history, draw_for, draw_next
+from .channels import Channel, channel_sample, channel_walk
 from .errors import LengthMismatchError, ParameterError, SchemaMismatchError, SubvertLabError
 from .rng import TrialStreams
 from .schemes import (
@@ -459,11 +459,10 @@ class _SsChaView:
         steg = self._steg
         transparent = steg.transparent_at is not None and steg.transparent_at(history)
         rng = self.sim_rng("oracle-prefix") if transparent else self._rng
-        check_history(self.channel, history)
+        draw = self.channel.session(history, rng).draw()
         if self._b == 0:
-            draw = draw_for(self.channel, history, rng)
             return steg.enc(self._ak, am, history, sigma, draw=draw, rng=rng)
-        return draw_next(self.channel, history, rng), sigma
+        return draw(), sigma
 
     def channel_sample(self, history):
         return channel_sample(self.channel, history, self.sim_rng("channel"))

@@ -13,8 +13,8 @@ Attacks and channels alike draw a host's fresh outputs through
 emission_draw: a PointDraw when the host (a RandomizedAlgorithm, such as
 alg_from_encryption(ses)) takes no coins, an IntDraw over its run_ints (a
 scheme's enc_ints) where it has one, and a run on fresh coins otherwise.
-A session channel builds that draw once per session and input, and its
-emissions reuse it (channels.draw_for).
+A channel session builds that draw once per cycle slot (key, input), and
+the emissions that answer that input reuse it (channels.ChannelSession).
 
 Each fixture instance keeps its keyed caches in prf's table types (bounds
 and eviction are set there): randpad maps a key to its table of pads by coin
@@ -489,7 +489,7 @@ def emission_draw(
     IntDraw. Callers see the same documents, from the same RNG calls, as
     from fresh runs. No draw holds state of its own besides rng's, so a
     caller may keep one and reuse it for every emission of a session that
-    answers the same (key, x) from the same rng (channels.draw_for does).
+    answers the same (key, x) from the same rng (a channel session does).
     """
     if alg.coin_bits == 0:
         return PointDraw(alg.run(key, x, _EMPTY))

@@ -16,14 +16,15 @@ emissions share one attacker key and hidden message, so the encoder checks
 and binds them once per session, not once per emission: the key's mark
 table and the message's block per slot are kept for the last (key,
 message) objects, and each mark's value is compared to its slot's block
-as ints. When an emission's draw is an int draw (schemes.IntDraw, from
-channels.draw_for or schemes.emission_draw), the sampler draws, rejects
-and marks ints, and builds a bit string for the emitted document only;
-other draws are marked as bit strings in the same loop. A coin-free host's
-emission is a point draw (schemes.PointDraw): every draw is one document,
-so that document is the emission, returned after the argument checks
-without the loop. A decode binds the mark table once and looks each
-received document up in it.
+as ints. encode_all and encode_schedule run in one channel session
+(Channel.session): each emission gets the draw at its position, and the
+encoder sees the session's one history list. Over an int draw
+(schemes.IntDraw) the sampler draws, rejects and marks ints, and builds a
+bit string for the emitted document only; other draws are marked as bit
+strings in the same loop. A coin-free host's emission is a point draw
+(schemes.PointDraw), returned after the argument checks without the loop.
+A decode binds the mark table once and looks each received document up in
+it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bits import Bits
-from .channels import Channel, check_history, draw_for, extend_history
+from .channels import Channel
 from .errors import ParameterError, ScheduleError, WrongDocumentCountError
 from .prf import Prf, is_power_of_two, split_marker
 
@@ -203,9 +204,7 @@ def encode_step(
     (schemes.PointDraw, a coin-free host's emission) is the exception: all
     its draws are its .point and take no randomness, so the first agreeing
     draw and the (s+1)-th are both that document, and it is returned after
-    the argument checks without a draw or a mark. Any other draw that
-    repeats the document just rejected (a counting wrapper around a point
-    draw) skips even the set lookup. A draw with an int form
+    the argument checks without a draw or a mark. A draw with an int form
     (schemes.IntDraw) is sampled through it: the loop keys its rejected set
     by int and marks the packed bytes, and only the emitted int becomes a
     bit string.
@@ -224,16 +223,14 @@ def encode_step(
     ints = getattr(draw, "ints", None)
     sample, pack = (draw, Bits.to_bytes) if ints is None else (ints, draw.pack)
     rejected: set = set()
-    last = None
     for _ in range(params.s):
         x = sample()
-        if x is last or x in rejected:
+        if x in rejected:
             continue
         value, j = marks[pack(x)]
         if j is not None and value == blocks[j]:
             break
         rejected.add(x)
-        last = x
     else:
         x = sample()
     return x if ints is None else draw.emit(x)
@@ -288,32 +285,35 @@ def rejsam_system(params: StegoParams, prf: Prf | None = None) -> StegoSystem:
     )
 
 
+def _encode(steg: StegoSystem, ak, am, history, channel, rng, segments, sigma) -> list[Bits]:
+    """The documents emitted in one channel session from history, in
+    segments of the given lengths, each starting from state sigma."""
+    session = channel.session(history, rng)
+    h, draw, append, start = session.history, session.draw, session.append, len(session.history)
+    for n in segments:
+        state = sigma
+        for _ in range(n):
+            doc, state = steg.enc(ak, am, h, state, draw=draw(), rng=rng)
+            append(doc)
+    return h[start:]
+
+
 def encode_all(
     steg: StegoSystem,
     ak: Bits,
     am: Bits,
-    history: tuple,
+    history: Sequence[Bits],
     channel: Channel,
     rng: random.Random,
     count: int | None = None,
     sigma: object = None,
 ) -> list[Bits]:
     """Run `count` (default outl) encode steps, threading sigma and extending
-    the history with each emitted document.
-
-    The start history is validated once and each emitted document at its
-    own position (see channels), so draws never re-check the history. Each
-    emission gets one draw (channels.draw_for), the channel's own int or
-    point draw where it has one.
-    """
-    docs: list[Bits] = []
-    h = tuple(history)
-    check_history(channel, h)
-    for _ in range(steg.params.outl if count is None else count):
-        doc, sigma = steg.enc(ak, am, h, sigma, draw=draw_for(channel, h, rng), rng=rng)
-        h = extend_history(channel, h, doc)
-        docs.append(doc)
-    return docs
+    the history with each emitted document, in one channel session: the
+    start history is validated once and each emitted document at its own
+    position."""
+    count = steg.params.outl if count is None else count
+    return _encode(steg, ak, am, history, channel, rng, [count], sigma)
 
 
 def encode_schedule(
@@ -323,21 +323,16 @@ def encode_schedule(
     schedule: Sequence[int],
     channel: Channel,
     rng: random.Random,
-    history: tuple = (),
+    history: Sequence[Bits] = (),
 ) -> list[Bits]:
     """Restart-tolerant encoding: one continuous document stream whose state
     is wiped at every segment boundary. Segment lengths must be positive and
-    sum to outl; the history keeps growing across segments, so only encoders
-    that can restart from the history alone survive this."""
+    sum to outl; the history keeps growing across segments (one channel
+    session), so only encoders that can restart from the history alone
+    survive this."""
     if any(n <= 0 for n in schedule):
         raise ScheduleError("segment lengths must be positive")
     total = sum(schedule)
     if total != steg.params.outl:
         raise ScheduleError(f"segment lengths sum to {total}, expected {steg.params.outl}")
-    docs: list[Bits] = []
-    h = tuple(history)
-    for n in schedule:
-        segment = encode_all(steg, ak, am, h, channel, rng, count=n, sigma=None)
-        docs.extend(segment)
-        h = h + tuple(segment)
-    return docs
+    return _encode(steg, ak, am, history, channel, rng, schedule, None)

@@ -27,8 +27,7 @@ from subvertlab import (
     sig_fixture,
     uniform_channel,
 )
-from subvertlab.channels import IntDraw, draw_for, draw_next
-from subvertlab.schemes import PointDraw
+from subvertlab.schemes import IntDraw, PointDraw
 
 
 def walk(channel, depth, rng):
@@ -36,6 +35,24 @@ def walk(channel, depth, rng):
     for _ in range(depth):
         h = h + (channel_sample(channel, h, rng),)
     return h
+
+
+def reference_next(host, ell, h, rng):
+    """The next document of a cycle channel at h, drawn without the package's
+    channel code: host is an encryption scheme (outputs from enc_sample) or
+    a randomized algorithm (outputs from run_sample); ell None means the
+    uniform channel of host-many bits."""
+    if ell is None:
+        return Bits.random(host, rng)
+    n = len(h)
+    if n == 0:
+        return host.gen(rng) if hasattr(host, "gen") else host.secret_gen(rng)
+    if n <= ell:
+        return Bits.random(host.ml if hasattr(host, "ml") else host.input_bits, rng)
+    key, x = h[0], h[1 + (n - ell - 1) % ell]
+    if hasattr(host, "enc_sample"):
+        return host.enc_sample(key, x, rng)
+    return host.run_sample(key, x, rng)
 
 
 def test_uniform_channel_basics():
@@ -74,8 +91,8 @@ def test_channel_walk_matches_chained_samples():
     assert rest[:4] == start and ch.grammar(rest) and len(rest) == 9
     with pytest.raises(InvalidHistoryError):
         channel_walk(ch, 1, random.Random(0), (Bits.zeros(16), Bits.zeros(8)))
-    # a sampler that emits an off-grammar document is caught at that draw
-    short = dataclasses.replace(ch, sampler=lambda h, rng: Bits.zeros(3))
+    # a drawer that emits an off-grammar document is caught at its append
+    short = dataclasses.replace(ch, drawer=lambda rng: lambda h: lambda: Bits.zeros(3))
     with pytest.raises(InvalidHistoryError, match="position 0"):
         channel_walk(short, 1, random.Random(0))
     # the per-position rule is the grammar, one position at a time
@@ -134,10 +151,9 @@ def _drawn(draw, rng):
 
 def test_rand_alg_channel_agrees_with_ses_channel():
     # one builder: at every position the two channels have the same pmf,
-    # and draw_next and draw_for on either draw the documents draw_next
-    # draws on the session channel, from the same RNG calls; draw_for's
-    # draw is an int draw at inputs and at randpad's outputs, a point draw
-    # at a coin-free host's outputs
+    # and a session on either draws what the reference draws from the same
+    # RNG calls; the draw is an int draw at inputs and at randpad's
+    # outputs, a point draw at a coin-free host's outputs
     for ses in [randpad_scheme(r, 8, ml=3) for r in (0, 1, 4)] + [det_scheme(8, ml=3)]:
         ch_ses = ses_channel(ses, 2)
         ch_alg = rand_alg_channel(alg_from_encryption(ses), 2)
@@ -149,13 +165,11 @@ def test_rand_alg_channel_agrees_with_ses_channel():
             for d in channel_support(ch_ses, prefix):
                 assert channel_pmf(ch_ses, prefix, d) == channel_pmf(ch_alg, prefix, d)
             rng = random.Random(depth)
-            want = _drawn(partial(draw_next, ch_ses, prefix, rng), rng)
+            want = _drawn(partial(reference_next, ses, 2, prefix, rng), rng)
             kind = partial if depth == 0 else IntDraw if depth <= 2 else output_kind
             for ch in (ch_ses, ch_alg):
                 rng = random.Random(depth)
-                assert _drawn(partial(draw_next, ch, prefix, rng), rng) == want, case
-                rng = random.Random(depth)
-                draw = draw_for(ch, prefix, rng)
+                draw = ch.session(prefix, rng).draw()
                 assert type(draw) is kind and _drawn(draw, rng) == want, case
 
 
@@ -259,12 +273,13 @@ def test_sampling_respects_pmf():
     assert math.isclose(sum(counts.values()), n)
 
 
-def _both_forms(channel, history, count, salt):
-    """count documents at history from draw_next and from draw_for's int
-    form, each on its own copy of one RNG, and the RNG states after."""
+def _both_forms(channel, history, reference, count, salt):
+    """count documents at history from the reference and from the session
+    draw's int form, each on its own copy of one RNG, and the RNG states
+    after."""
     by_bits, by_ints = random.Random(salt), random.Random(salt)
-    want = [draw_next(channel, history, by_bits) for _ in range(count)]
-    draw = draw_for(channel, history, by_ints)
+    want = [reference(by_bits) for _ in range(count)]
+    draw = channel.session(history, by_ints).draw()
     assert isinstance(draw, IntDraw)
     xs = [draw.ints() for _ in range(count)]
     assert [draw.pack(x) for x in xs] == [d.to_bytes() for d in want]
@@ -273,8 +288,9 @@ def _both_forms(channel, history, count, salt):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 16), st.integers(0, 2**32 - 1))
-def test_uniform_int_form_draws_what_draw_next_draws(width, count, salt):
-    got, want, state, want_state = _both_forms(uniform_channel(width), (), count, salt)
+def test_uniform_int_form_draws_what_bits_random_draws(width, count, salt):
+    reference = partial(Bits.random, width)
+    got, want, state, want_state = _both_forms(uniform_channel(width), (), reference, count, salt)
     assert got == want and state == want_state
 
 
@@ -287,100 +303,142 @@ def test_uniform_int_form_draws_what_draw_next_draws(width, count, salt):
     st.integers(1, 8),
     st.integers(0, 2**32 - 1),
 )
-def test_ses_int_forms_draw_what_draw_next_draws(r, ml, ell, data, count, salt):
+def test_ses_int_forms_draw_what_enc_sample_draws(r, ml, ell, data, count, salt):
     # message positions and randpad ciphertext positions have an int form,
     # except the ciphertexts of r = 0, which are one point
-    ch = ses_channel(randpad_scheme(r, 16, ml), ell)
+    ses = randpad_scheme(r, 16, ml)
+    ch = ses_channel(ses, ell)
     depth = data.draw(st.integers(1, ell + 4))
     h = channel_walk(ch, depth, random.Random(salt ^ 1))
     if r == 0 and depth > ell:
-        _assert_point_draw(ch, h, random.Random(salt))
+        _assert_point_draw(ch, ses, ell, h, random.Random(salt))
         return
-    got, want, state, want_state = _both_forms(ch, h, count, salt)
+    reference = partial(reference_next, ses, ell, h)
+    got, want, state, want_state = _both_forms(ch, h, reference, count, salt)
     assert got == want and state == want_state
 
 
-def _assert_point_draw(channel, history, rng):
+def _assert_point_draw(channel, ses, ell, history, rng):
     state = rng.getstate()
-    draw = draw_for(channel, history, rng)
+    draw = channel.session(history, rng).draw()
     assert isinstance(draw, PointDraw) and rng.getstate() == state
-    assert draw() is draw.point == draw_next(channel, history, rng)
+    assert draw() is draw.point == reference_next(ses, ell, history, rng)
     assert rng.getstate() == state
 
 
-def test_positions_without_an_int_form_draw_through_draw_next():
+def test_positions_without_an_int_form_draw_what_the_host_draws():
     rng = random.Random(3)
-    ses = ses_channel(randpad_scheme(4, 16, 8), 2)
-    alg = rand_alg_channel(alg_from_encryption(randpad_scheme(4, 16, 8)), 2)
-    signed = rand_alg_channel(alg_from_signing(sig_fixture("coin-injective", 16, 8, 4, 8)), 2)
+    randpad = randpad_scheme(4, 16, 8)
+    signing = alg_from_signing(sig_fixture("coin-injective", 16, 8, 4, 8))
+    ses = ses_channel(randpad, 2)
+    alg = rand_alg_channel(alg_from_encryption(randpad), 2)
+    signed = rand_alg_channel(signing, 2)
     # keys, and outputs of a host with coins and no run_ints
-    for ch, h in ((ses, ()), (alg, ()), (signed, channel_walk(signed, 3, rng))):
-        draw = draw_for(ch, h, rng)
-        assert isinstance(draw, partial) and draw.func is draw_next
+    for ch, host, h in ((ses, randpad, ()), (alg, randpad, ()),
+                        (signed, signing, channel_walk(signed, 3, rng))):
+        draw = ch.session(h, rng).draw()
+        assert not isinstance(draw, (IntDraw, PointDraw))
         state = rng.getstate()
         doc = draw()
         rng.setstate(state)
-        assert doc == draw_next(ch, h, rng)
+        assert doc == reference_next(host, 2, h, rng)
     # a coin-free host's output is a point draw, and takes no randomness
-    det = ses_channel(det_scheme(16, 8), 2)
-    _assert_point_draw(det, channel_walk(det, 3, rng), rng)
+    det = det_scheme(16, 8)
+    det_ch = ses_channel(det, 2)
+    _assert_point_draw(det_ch, det, 2, channel_walk(det_ch, 3, rng), rng)
 
+
+def test_a_draw_wider_than_the_channel_is_refused():
+    # every form of draw is checked against max_doc_len: an int draw and a
+    # point draw when the session hands them out, a plain callable per call
+    ch = uniform_channel(16)
+    wide = (IntDraw(lambda: 0, 17), PointDraw(Bits.zeros(17)), lambda: Bits.zeros(17))
+    for draw in wide:
+        bad = dataclasses.replace(ch, drawer=lambda rng, draw=draw: lambda h: draw)
+        with pytest.raises(InvalidHistoryError, match="oversized"):
+            channel_sample(bad, (), random.Random(0))
+        with pytest.raises(InvalidHistoryError, match="oversized"):
+            channel_walk(bad, 1, random.Random(0))
+    at_width = (IntDraw(lambda: 0, 16), PointDraw(Bits.zeros(16)), lambda: Bits.zeros(16))
+    for draw in at_width:
+        ok = dataclasses.replace(ch, drawer=lambda rng, draw=draw: lambda h: draw)
+        assert channel_sample(ok, (), random.Random(0)) == Bits.zeros(16)
 
 
 def _walk_channels():
-    """One channel of each kind, by name."""
+    """One channel of each kind, by name, with its reference host and ell."""
     randpad = randpad_scheme(3, 16, 4)
+    det = det_scheme(16, 4)
     signing = alg_from_signing(sig_fixture("coin-injective", 16, 4, 3, 8))
     return {
-        "uniform": uniform_channel(12),
-        "ses randpad": ses_channel(randpad, 3),
-        "ses det": ses_channel(det_scheme(16, 4), 3),
-        "rand-alg": rand_alg_channel(alg_from_encryption(randpad), 3),
-        "signed": rand_alg_channel(signing, 3),
+        "uniform": (uniform_channel(12), 12, None),
+        "ses randpad": (ses_channel(randpad, 3), randpad, 3),
+        "ses det": (ses_channel(det, 3), det, 3),
+        "rand-alg": (rand_alg_channel(alg_from_encryption(randpad), 3), randpad, 3),
+        "signed": (rand_alg_channel(signing, 3), signing, 3),
     }
 
 
 @pytest.mark.parametrize("name", list(_walk_channels()))
-def test_channel_walk_leaves_the_rng_where_chained_samples_do(name):
-    # channel_walk draws through draw_for, chained channel_sample calls
-    # through the sampler: the same documents from the same RNG calls, from
-    # the empty history and from a start history
-    channel = _walk_channels()[name]
+def test_channel_walk_leaves_the_rng_where_the_reference_does(name):
+    # channel_walk and chained channel_sample calls draw the documents the
+    # reference draws, from the same RNG calls, from the empty history and
+    # from a start history
+    channel, host, ell = _walk_channels()[name]
     for seed in range(4):
-        by_walk, by_samples = random.Random(seed), random.Random(seed)
+        by_walk, by_samples, by_ref = random.Random(seed), random.Random(seed), random.Random(seed)
         start = channel_walk(channel, seed, by_walk)
-        want = walk(channel, seed, by_samples)
-        assert start == want
+        want = ()
+        for _ in range(seed):
+            want = want + (reference_next(host, ell, want, by_ref),)
+        assert start == want == walk(channel, seed, by_samples)
         for _ in range(14):
-            want = want + (channel_sample(channel, want, by_samples),)
+            want = want + (reference_next(host, ell, want, by_ref),)
         assert channel_walk(channel, 14, by_walk, start) == want, (name, seed)
-        assert by_walk.getstate() == by_samples.getstate(), (name, seed)
+        assert by_walk.getstate() == by_ref.getstate(), (name, seed)
 
 
 @pytest.mark.parametrize("name", ["ses randpad", "ses det", "rand-alg", "signed"])
-def test_one_channel_serves_interleaved_sessions_like_draw_next(name):
+def test_interleaved_sessions_on_one_channel_draw_what_fresh_references_draw(name):
     # one channel object, two sessions with their own rngs and host keys,
     # drawn in turn; two more on the first one's rng, one with its key
     # object and other inputs, one with its input objects and another key;
     # and one with the first one's key and inputs on the second one's rng.
-    # Each draw_for draw gives, call after call, what unmemoized draw_next
-    # calls give from a copy of the rng
-    channel = _walk_channels()[name]
+    # Each session's draw gives, call after call, what the reference gives
+    # from a copy of the rng, and each session appends its first document
+    channel, host, ell = _walk_channels()[name]
     first = channel_walk(channel, 4, random.Random(1))
     second = channel_walk(channel, 4, random.Random(2))
     assert first[0] != second[0] and first[1:] != second[1:]
     rngs = [(random.Random(10 + i), random.Random(10 + i)) for i in range(2)]
     sessions = [
-        [first, *rngs[0]],
-        [second, *rngs[1]],
-        [first[:1] + second[1:], *rngs[0]],
-        [second[:1] + first[1:], *rngs[0]],
-        [first, *rngs[1]],
+        (channel.session(first, rngs[0][0]), rngs[0][1]),
+        (channel.session(second, rngs[1][0]), rngs[1][1]),
+        (channel.session(first[:1] + second[1:], rngs[0][0]), rngs[0][1]),
+        (channel.session(second[:1] + first[1:], rngs[0][0]), rngs[0][1]),
+        (channel.session(first, rngs[1][0]), rngs[1][1]),
     ]
     for step, i in enumerate(random.Random(3).choices(range(len(sessions)), k=80)):
-        h, rng, reference = sessions[i]
-        draw = draw_for(channel, h, rng)
+        session, reference = sessions[i]
+        h = tuple(session.history)
+        draw = session.draw()
         got = [draw() for _ in range(3)]
-        assert got == [draw_next(channel, h, reference) for _ in range(3)], (name, step)
+        assert got == [reference_next(host, ell, h, reference) for _ in range(3)], (name, step)
+        rng = rngs[0][0] if reference is rngs[0][1] else rngs[1][0]
         assert rng.getstate() == reference.getstate(), (name, step)
-        sessions[i][0] = h + (got[0],)
+        session.append(got[0])
+        assert session.history[-1] is got[0] and len(session.history) == len(h) + 1
+
+
+def test_a_session_validates_its_start_and_each_append_and_copies_its_start():
+    ch = ses_channel(randpad_scheme(4, 16, ml=4), 2)
+    start = walk(ch, 4, random.Random(5))
+    session = ch.session(start, random.Random(6))
+    assert session.history == list(start) and session.history is not start
+    with pytest.raises(InvalidHistoryError, match="position 4"):
+        session.append(Bits.zeros(4))  # a message where an output belongs
+    assert len(session.history) == 4
+    session.append(session.draw()())
+    assert len(start) == 4 and len(session.history) == 5
+    with pytest.raises(InvalidHistoryError):
+        ch.session((Bits.zeros(16), Bits.zeros(8)), random.Random(0))

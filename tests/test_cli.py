@@ -491,17 +491,20 @@ def test_channel_entropy_rejects_the_other_modes_depth_option(capsys):
     for argv in (
         ["channel", "entropy", "--depth", "5"],
         ["channel", "entropy", "--mode", "exact", "--depth", "0"],
+        ["channel", "entropy", "--mode", "exact", "--samples", "64"],
         ["channel", "entropy", "--mode", "estimate", "--samples", "64", "--depths", "0,1,3"],
     ):
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "", argv
         assert "applies to --mode" in captured.err and "Traceback" not in captured.err, argv
-    # each mode's own option still defaults to history depth 0
-    for mode, option in (("exact", "--depths"), ("estimate", "--depth")):
-        argv = ["channel", "entropy", "--mode", mode, "--samples", "64", "--r", "4"]
+    # each mode's own options still default: history depth 0, 4096 samples
+    for mode, options in (("exact", ["--depths", "0"]), ("estimate", ["--depth", "0"])):
+        argv = ["channel", "entropy", "--mode", mode, "--r", "4"]
         left_out = run_cli(capsys, argv)
-        assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, option, "0"]), mode
+        assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, *options]), mode
+    argv = ["channel", "entropy", "--mode", "estimate", "--r", "4"]
+    assert run_cli(capsys, argv) == run_cli(capsys, [*argv, "--samples", "4096"])
 
 
 @pytest.mark.parametrize(
@@ -553,10 +556,12 @@ def _opt(flag, default=None, choices=None, required=False):
 
 SEED_OUT = {_opt("--seed"), _opt("--out")}
 RUN = {_opt("--trials", 200), _opt("--jobs", 1)}
+# --r is read under --host randpad alone, and cli._settle applies its
+# default 8 there
 HOST = {
     _opt("--host", "randpad", ("randpad", "det")),
     _opt("--kappa", 16),
-    _opt("--r", 8),
+    _opt("--r"),
     _opt("--host-ml", 8),
 }
 SIG = {
@@ -578,10 +583,12 @@ CHANNEL = {
     _opt("--ell", 4),
     _opt("--doc-bits", 8),
 }
+# --queries is read by --adversary repeat and chi2, --bins by chi2 alone;
+# cli._settle applies their defaults 2 and 4
 DIST = {
     _opt("--adversary", "repeat", ("constant", "flip", "repeat", "chi2")),
-    _opt("--queries", 2),
-    _opt("--bins", 4),
+    _opt("--queries"),
+    _opt("--bins"),
 }
 # options that one --attack (or --adversary, --target) reads parse to None,
 # and cli._settle applies the defaults their row declares: --fab-ml 8,
@@ -605,7 +612,6 @@ CHANNEL_BY_VALUE = {_opt("--channel", "ses", ("uniform", "ses", "rand-alg", "sig
                     _opt("--ell"), _opt("--doc-bits")}
 EXTRACT = {_opt("--file", required=True), _opt("--key"), _opt("--seed")}
 LB_ATTACK = _opt("--attack", "fabricating", ("universal", "fabricating"))
-HISTORY_MODE = _opt("--history-mode", "empty", ("empty", "sampled"))
 
 # every subcommand's options as (option strings, dest, default, required,
 # choices); an option no command reads has no place here
@@ -614,12 +620,13 @@ OPTION_SURFACE = {
     | {_opt("--count", 5), _opt("--depth", 0)},
     ("channel", "entropy"): SEED_OUT | CHANNEL_HOST | CHANNEL_BY_VALUE
     | {_opt("--mode", "exact", ("exact", "estimate")), _opt("--depths"), _opt("--depth"),
-       _opt("--samples", 4096)},
+       _opt("--samples")},
     ("stego", "embed"): SEED_OUT | RUN | CHANNEL_HOST | STEGO | CHANNEL_BY_VALUE
     | {_opt("--message", required=True), _opt("--key"), _opt("--schedule")},
     ("stego", "extract"): EXTRACT,
     ("stego", "roundtrip"): SEED_OUT | RUN | CHANNEL_HOST | STEGO | CHANNEL_BY_VALUE
-    | {HISTORY_MODE, _opt("--reboot", False), _opt("--schedule")},
+    | {_opt("--history-mode", None, ("empty", "sampled")), _opt("--reboot", False),
+       _opt("--schedule")},
     ("asa", "build"): SEED_OUT | HOST | STEGO,
     ("asa", "run"): SEED_OUT | HOST | STEGO | {_opt("--message")},
     ("asa", "extract"): EXTRACT,
@@ -627,7 +634,7 @@ OPTION_SURFACE = {
     ("game", "cpa"): SEED_OUT | RUN | HOST | DIST,
     ("game", "enc-asa"): SEED_OUT | RUN | HOST | STEGO | DIST,
     ("game", "ss-cha"): SEED_OUT | RUN | CHANNEL_HOST | STEGO | CHANNEL_BY_VALUE | DIST,
-    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG | STEGO_DEFERRED | DIST | FAB_DEFERRED
+    ("game", "rasa"): SEED_OUT | RUN | HOST | SIG_DEFERRED | STEGO_DEFERRED | DIST | FAB_DEFERRED
     | {_opt("--rasa-host", "enc", ("enc", "signed")),
        _opt("--attack", "rejsam", ("rejsam", "fabricating")), _opt("--force-embed")},
     ("game", "forge"): SEED_OUT | RUN | HOST_DEFERRED | {_opt("--kappa", 16)} | SIG
@@ -696,10 +703,10 @@ def test_package_exports_are_pinned():
         "asa_enc_all", "asa_from_stego", "channel_pmf", "channel_sample", "channel_support",
         "channel_walk", "check_history", "chi2_attacker", "chi2_quantile", "chi2_warden",
         "chi2_watchdog", "constant_guess", "default_beta", "default_watchdogs", "det_scheme",
-        "draw_next", "encode_all", "encode_schedule", "encode_step", "estimate_unrel",
-        "estimate_unrel_alg", "estimate_unrel_reboot", "estimate_unrel_stego",
-        "extend_history", "fabricating_asa", "forger_from_fabricating_asa",
-        "forger_from_universal_asa", "generic_asa_against_alg", "hmac_sha256",
+        "encode_all", "encode_schedule", "encode_step", "estimate_unrel", "estimate_unrel_alg",
+        "estimate_unrel_reboot", "estimate_unrel_stego", "fabricating_asa",
+        "forger_from_fabricating_asa", "forger_from_universal_asa", "generic_asa_against_alg",
+        "hmac_sha256",
         "is_power_of_two", "make_signed_family", "mark_agreement", "merge_reports",
         "min_entropy_estimate", "min_entropy_exact", "outl_for", "phi", "prf_split_block",
         "query_count", "rand_alg_channel", "random_composition", "random_forger",
@@ -996,8 +1003,10 @@ def test_ownership_table_names_handlers_options_and_choices():
             later = {dest for _, rest in rules[i:] for dest in cli._dests(rest)}
             for condition in conditions.split():
                 selector, values = condition.split("=")
-                assert actions[selector].choices is not None, (handler, selector)
-                assert set(values.split(",")) <= set(actions[selector].choices), condition
+                action = actions[selector]  # a choices option, or a flag read as true/false
+                choices = ("true", "false") if action.const is True else action.choices
+                assert choices is not None, (handler, selector)
+                assert set(values.split(",")) <= set(choices), condition
                 assert selector not in later, (handler, selector)
             assert set(cli._dests(options)) <= actions.keys(), (handler, options)
 

@@ -23,6 +23,7 @@ from subvertlab import (
     StegoParams,
     WrongDocumentCountError,
     channel_sample,
+    channel_walk,
     default_beta,
     encode_all,
     encode_schedule,
@@ -461,6 +462,37 @@ def test_encode_all_count_override():
     rng = substream(46)
     docs = encode_all(steg, steg.gen(rng), Bits.zeros(4), (), ch, rng, count=3)
     assert len(docs) == 3
+
+
+def test_the_encoder_sees_one_history_object_per_session():
+    # encode_all and encode_schedule hand every emission the session's one
+    # history list, grown by each document emitted before it, not a copy
+    # per emission; the caller's start history is left as it was
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=64))
+    seen = []
+
+    def recording(ak, am, history, sigma, *, draw, rng=None):
+        seen.append((history, list(history)))
+        return steg.enc(ak, am, history, sigma, draw=draw, rng=rng)
+
+    spy = dataclasses.replace(steg, enc=recording)
+    ch = ses_channel(randpad_scheme(4, 16, ml=8), 2)
+    start = channel_walk(ch, 3, substream(52, "h"))
+    ak, am = steg.gen(substream(52, "k")), Bits.from_str("0110")
+    runs = {
+        "encode_all": lambda: encode_all(spy, ak, am, start, ch, substream(52)),
+        "encode_schedule": lambda: encode_schedule(spy, ak, am, [2, 1, 3], ch, substream(52),
+                                                   start),
+    }
+    emitted = {}
+    for name, run in runs.items():
+        seen.clear()
+        docs = emitted[name] = run()
+        full = [*start, *docs]
+        assert len({id(history) for history, _ in seen}) == 1, name
+        assert seen[0][0] is not start and seen[0][0] == full, name
+        assert [prefix for _, prefix in seen] == [full[:n] for n in range(3, 9)], name
+    assert emitted["encode_all"] == emitted["encode_schedule"] and len(start) == 3
 
 
 def test_schedule_validation_and_equivalence():
