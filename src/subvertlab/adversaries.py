@@ -52,13 +52,14 @@ def chi2_quantile(df: int, q: float = 0.95) -> float:
     return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
 
 
-def constant_guess(kind: str = "watchdog", guess: int = 1) -> Adversary:
-    """Ignores its oracles entirely; the exact-zero-advantage baseline."""
+def constant_guess(kind: str = "watchdog") -> Adversary:
+    """Ignores its oracles and always guesses 1; the exact-zero-advantage
+    baseline."""
     return Adversary(
         kind=kind,
-        name=f"constant-{guess}",
+        name="constant-1",
         description="always returns the same guess",
-        strategy=lambda view, rng: guess,
+        strategy=lambda view, rng: 1,
     )
 
 

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bits import Bits
-from .errors import (
-    LengthMismatchError,
-    ParameterError,
-    UniversalityViolation,
-    WrongDocumentCountError,
-)
+from .errors import ParameterError, UniversalityViolation, WrongDocumentCountError
 from .schemes import (
     RandomizedAlgorithm,
     SymmetricEncryptionScheme,
@@ -125,10 +120,6 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
     encoder never reads it. A seed-coupled run of this enc and of the
     plain stego encoder on the scheme's channel is bit-identical.
     """
-    if steg.params.doc_bits is not None and steg.params.doc_bits != ses.cl:
-        raise LengthMismatchError(
-            f"stego documents are {steg.params.doc_bits} bits but ciphertexts are {ses.cl}"
-        )
     ell = steg.params.outl
     alg = alg_from_encryption(ses)
 
@@ -155,13 +146,13 @@ def asa_enc_all(
     k: Bits,
     messages: Sequence[Bits],
     rng: random.Random,
-    sigma: object = None,
     transcript: "OracleTranscript | None" = None,
 ) -> list[Bits]:
-    """Threaded-state driver: one subverted ciphertext per message."""
+    """Threaded-state driver: one subverted ciphertext per message, from
+    state None."""
     if len(messages) != asa.outl:
         raise WrongDocumentCountError(f"expected {asa.outl} messages, got {len(messages)}")
-    out = []
+    out, sigma = [], None
     for m in messages:
         if transcript is not None and asa.supports_transcript:
             c, sigma = asa.enc(ak, am, k, m, sigma, rng, transcript=transcript)
@@ -178,11 +169,11 @@ def alg_enc_all(
     s: Bits,
     inputs: Sequence[Bits],
     rng: random.Random,
-    sigma: object = None,
 ) -> list[Bits]:
+    """Threaded-state driver: one subverted output per input, from state None."""
     if len(inputs) != attack.outl:
         raise WrongDocumentCountError(f"expected {attack.outl} inputs, got {len(inputs)}")
-    out = []
+    out, sigma = [], None
     for x in inputs:
         y, sigma = attack.enc(ak, am, s, x, sigma, rng)
         out.append(y)
@@ -329,14 +320,14 @@ class QueryCountEstimate:
 
 
 def query_count(
-    asa: SubstitutionAttack, trials: int, seed: int, host_key_bits: int | None = None
+    asa: SubstitutionAttack, trials: int, seed: int, host_key_bits: int
 ) -> QueryCountEstimate:
     """Measured expected oracle calls per subverted ciphertext.
 
     Counts every oracle invocation, including the final over-cutoff draw.
     Only transcript-supporting attacks can be measured, over at least two
-    trials (the interval uses the sample deviation). host_key_bits sets
-    the experiment's key length when the host never published one.
+    trials (the interval uses the sample deviation). host_key_bits is the
+    experiment's key length: an oracle-only host never publishes one.
     """
     if not asa.supports_transcript:
         raise ParameterError("attack does not expose oracle transcripts")
@@ -345,15 +336,12 @@ def query_count(
     from .games import _Z95
     from .rng import substream
 
-    key_bits = host_key_bits or asa.host_params.get("kappa")
-    if not key_bits:
-        raise ParameterError("host key length unknown; pass host_key_bits")
     counts = []
     for i in range(trials):
         rng = substream(seed, i, "query-count")
         ak = asa.gen(rng)
         am = Bits.random(asa.ml, rng)
-        k = Bits.random(key_bits, rng)
+        k = Bits.random(host_key_bits, rng)
         m = Bits.random(asa.host_params["ml"], rng)
         transcript = OracleTranscript()
         asa.enc(ak, am, k, m, None, rng, transcript=transcript)

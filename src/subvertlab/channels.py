@@ -143,11 +143,16 @@ def channel_walk(
     return tuple(session.history)
 
 
-def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
+def _pmf_fn(channel: Channel) -> Callable[[tuple, Bits], Fraction]:
     if channel.pmf_fn is None:
         raise NoExactPmfError(f"channel {channel.descriptor.get('type')} has no exact pmf")
+    return channel.pmf_fn
+
+
+def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
+    pmf = _pmf_fn(channel)
     check_history(channel, history)
-    return channel.pmf_fn(history, doc)
+    return pmf(history, doc)
 
 
 def channel_support(channel: Channel, history: tuple) -> Iterable[Bits]:
@@ -218,15 +223,12 @@ def _cycle_channel(
     ctype: str,
     scheme_id: str,
     output_support: Callable[[Bits, Bits], Iterable[Bits]] | None,
-    input_gen: Callable[[random.Random], Bits] | None = None,
 ) -> Channel:
-    """The channel of alg's runs: secret, ell inputs, then outputs. Inputs
-    come from input_gen, or when it is None from the uniform alg.input_gen."""
+    """The channel of alg's runs: secret, ell uniform inputs, then outputs."""
     if ell <= 0:
         raise ParameterError("ell must be positive")
     key_bits, in_bits, out_bits = alg.secret_bits, alg.input_bits, alg.output_bits
     shape = _CycleShape(key_bits, in_bits, out_bits, ell)
-    uniform_inputs = input_gen is None
 
     def pmf(h: tuple, d: Bits) -> Fraction:
         role = shape.role(h)
@@ -234,8 +236,6 @@ def _cycle_channel(
             # toy fixtures draw keys uniformly; exact pmf leans on that
             return Fraction(1, 2**key_bits) if len(d) == key_bits else Fraction(0)
         if role == "input":
-            if not uniform_inputs:
-                raise NoExactPmfError("custom input generator has no declared pmf")
             return Fraction(1, 2**in_bits) if len(d) == in_bits else Fraction(0)
         if alg.exact_pmf is None:
             raise NoExactPmfError("scheme does not expose an exact ciphertext pmf")
@@ -246,8 +246,6 @@ def _cycle_channel(
         if role == "key":
             return _all_bits(key_bits)
         if role == "input":
-            if not uniform_inputs:
-                raise NoExactPmfError("custom input generator has no declared support")
             return _all_bits(in_bits)
         if output_support is None:
             raise NoExactPmfError("scheme does not enumerate ciphertext support")
@@ -255,10 +253,8 @@ def _cycle_channel(
 
     def drawer(rng: random.Random) -> Callable[[Sequence[Bits]], Callable[[], Bits]]:
         key = functools.partial(alg.secret_gen, rng)
-        if uniform_inputs:  # alg.input_gen is Bits.random(in_bits, rng)
-            fresh_input = IntDraw(functools.partial(rng.getrandbits, in_bits), in_bits)
-        else:
-            fresh_input = functools.partial(input_gen, rng)
+        # the draws of alg.input_gen, Bits.random(in_bits, rng), as ints
+        fresh_input = IntDraw(functools.partial(rng.getrandbits, in_bits), in_bits)
         outputs: list = [None] * ell  # the output draw of each cycle slot, once built
 
         def draw_at(h: Sequence[Bits]) -> Callable[[], Bits]:
@@ -302,11 +298,7 @@ def ses_channel(ses: SymmetricEncryptionScheme, ell: int) -> Channel:
     return _cycle_channel(alg, ell, "ses", ses.scheme_id, ses.ciphertext_support)
 
 
-def rand_alg_channel(
-    alg: RandomizedAlgorithm,
-    ell: int,
-    input_gen: Callable[[random.Random], Bits] | None = None,
-) -> Channel:
+def rand_alg_channel(alg: RandomizedAlgorithm, ell: int) -> Channel:
     """Channel of a randomized algorithm run: secret, ell inputs, then outputs."""
 
     def output_support(s: Bits, x: Bits) -> Iterable[Bits]:
@@ -319,7 +311,7 @@ def rand_alg_channel(
                 seen.add(y)
                 yield y
 
-    return _cycle_channel(alg, ell, "rand-alg", alg.alg_id, output_support, input_gen)
+    return _cycle_channel(alg, ell, "rand-alg", alg.alg_id, output_support)
 
 
 @dataclass(frozen=True)
@@ -338,12 +330,17 @@ def _neg_log2(q: Fraction) -> float:
 
 
 def min_entropy_exact(channel: Channel, histories: Iterable[tuple]) -> MinEntropyReport:
-    """Exact min-entropy: min over histories of -log2 of the largest pmf value."""
+    """Exact min-entropy: min over histories of -log2 of the largest pmf value.
+
+    Each history is checked once, by channel_support; its documents are
+    then weighed through pmf_fn directly, not through channel_pmf, which
+    would check the history again for every document."""
     worst = None
     count = 0
     for h in histories:
         count += 1
-        peak = max(channel_pmf(channel, h, d) for d in channel_support(channel, h))
+        support = channel_support(channel, h)
+        peak = max(map(functools.partial(_pmf_fn(channel), h), support))
         if worst is None or peak > worst:
             worst = peak
     if worst is None:

@@ -33,13 +33,7 @@ def stego_from_asa(asa: SubstitutionAttack, ses: SymmetricEncryptionScheme) -> S
     2*asa.outl + 1 documents and extracts from the last asa.outl.
     """
     ell = asa.outl
-    params = StegoParams(
-        ml=asa.ml,
-        s=1,
-        outl=2 * ell + 1,
-        kappa=asa.key_bits,
-        doc_bits=None,
-    )
+    params = StegoParams(ml=asa.ml, s=1, outl=2 * ell + 1, kappa=asa.key_bits)
 
     def enc(ak, am, history, sigma, *, draw, rng):
         n = len(history)

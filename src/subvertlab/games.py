@@ -21,7 +21,9 @@ the scheme, and every watchdog sees one kind of view.
 
 Success counts come back as a GameReport: trials, successes, the success
 frequency, the normalized advantage |2p - 1| where the game is a
-distinguishing game, and Wilson 95% intervals for both.
+distinguishing game, and Wilson 95% intervals for both. A distinguishing
+report also keeps each trial's (hidden bit, guess) as its decisions, which
+are never serialised: reduction tests compare them trial for trial.
 """
 
 from __future__ import annotations
@@ -89,11 +91,12 @@ class Adversary:
         return {"kind": self.kind, "name": self.name, "description": self.description}
 
 
-def wilson_ci(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
+    z = _Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -316,10 +319,11 @@ def _receive(pid: int, fd: int, chunk: range) -> tuple[bool, object]:
     )
 
 
-def _play(game, config, trials, seed, jobs, run_one, distinguishing, record=False):
+def _play(game, config, trials, seed, jobs, run_one, distinguishing):
     """Run every trial through _collect and report the successes.
 
-    run_one(t) returns (success, decision); decisions are kept when record.
+    run_one(t) returns (success, decision); a distinguishing game's report
+    keeps the decisions, in trial order.
     """
     results = _collect(trials, jobs, run_one)
     successes = sum(1 for ok, _ in results if ok)
@@ -334,14 +338,14 @@ def _play(game, config, trials, seed, jobs, run_one, distinguishing, record=Fals
         advantage_ci95=adv_ci,
         seed=seed,
         config=config,
-        decisions=[r for _, r in results] if record else None,
+        decisions=[r for _, r in results] if distinguishing else None,
     )
 
 
 # --- distinguishing games ---------------------------------------------------
 
 
-def _distinguish(game, config, adversary, trials, seed, jobs, record, view):
+def _distinguish(game, config, adversary, trials, seed, jobs, view):
     """The hidden-bit game: view(streams, b) builds the challenger's oracles
     for world b, and a trial succeeds when the adversary names b."""
 
@@ -351,7 +355,7 @@ def _distinguish(game, config, adversary, trials, seed, jobs, record, view):
         guess = adversary.strategy(view(streams, b), streams.get("adv"))
         return guess == b, (b, guess)
 
-    return _play(game, config, trials, seed, jobs, run_one, True, record)
+    return _play(game, config, trials, seed, jobs, run_one, True)
 
 
 class _CpaView:
@@ -377,7 +381,6 @@ def run_cpa_dist(
     trials: int,
     seed: int,
     jobs: int = 1,
-    record: bool = False,
 ) -> GameReport:
     """Distinguish the scheme's encryptions from uniform strings."""
 
@@ -385,7 +388,7 @@ def run_cpa_dist(
         return _CpaView(ses, b, streams.get("oracle"), streams.sim)
 
     config = {"scheme": ses.params_dict(), "adversary": adversary.name}
-    return _distinguish("cpa-dist", config, adversary, trials, seed, jobs, record, view)
+    return _distinguish("cpa-dist", config, adversary, trials, seed, jobs, view)
 
 
 class _WatchdogView:
@@ -406,13 +409,13 @@ class _WatchdogView:
         return self.alg.run_sample(s, x, self._rng), sigma
 
 
-def _watchdog_game(game, attack, alg, adversary, trials, seed, jobs, record):
+def _watchdog_game(game, attack, alg, adversary, trials, seed, jobs):
     def view(streams, b):
         ak = attack.gen(streams.get("ak"))
         return _WatchdogView(attack, alg, ak, b, streams.get("oracle"), streams.sim)
 
     config = {"attack": attack.describe(), "adversary": adversary.name}
-    return _distinguish(game, config, adversary, trials, seed, jobs, record, view)
+    return _distinguish(game, config, adversary, trials, seed, jobs, view)
 
 
 def run_enc_asa_dist(
@@ -422,12 +425,11 @@ def run_enc_asa_dist(
     trials: int,
     seed: int,
     jobs: int = 1,
-    record: bool = False,
 ) -> GameReport:
     """Distinguish subverted encryption from the honest scheme: the
     algorithm game, played on the scheme as a randomized algorithm."""
     return _watchdog_game(
-        "enc-asa-dist", asa, alg_from_encryption(ses), adversary, trials, seed, jobs, record
+        "enc-asa-dist", asa, alg_from_encryption(ses), adversary, trials, seed, jobs
     )
 
 
@@ -438,10 +440,9 @@ def run_rasa_dist(
     trials: int,
     seed: int,
     jobs: int = 1,
-    record: bool = False,
 ) -> GameReport:
     """Distinguish a subverted randomized algorithm from the genuine one."""
-    return _watchdog_game("rasa-dist", attack, alg, adversary, trials, seed, jobs, record)
+    return _watchdog_game("rasa-dist", attack, alg, adversary, trials, seed, jobs)
 
 
 class _SsChaView:
@@ -475,7 +476,6 @@ def run_ss_cha_dist(
     trials: int,
     seed: int,
     jobs: int = 1,
-    record: bool = False,
 ) -> GameReport:
     """Distinguish embedded documents from the channel's own."""
 
@@ -488,7 +488,7 @@ def run_ss_cha_dist(
         "channel": channel.descriptor,
         "adversary": adversary.name,
     }
-    return _distinguish("ss-cha-dist", config, adversary, trials, seed, jobs, record, view)
+    return _distinguish("ss-cha-dist", config, adversary, trials, seed, jobs, view)
 
 
 # --- forging ----------------------------------------------------------------
@@ -589,11 +589,11 @@ def estimate_unrel_alg(
     alg: RandomizedAlgorithm,
     trials: int,
     seed: int,
-    input_mode: str = "random",
     jobs: int = 1,
 ) -> GameReport:
-    """Recovery rate for attacks on general randomized algorithms."""
-    return _unrel_sessions("rasa-unrel", attack, alg, trials, seed, "input_mode", input_mode, jobs)
+    """Recovery rate for attacks on general randomized algorithms, with a
+    fresh input per position (input_mode "random" in the config)."""
+    return _unrel_sessions("rasa-unrel", attack, alg, trials, seed, "input_mode", "random", jobs)
 
 
 def _unrel_embed(game, steg, channel, trials, seed, config, jobs, start):

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import asdict, dataclass
 
+from .adversaries import default_watchdogs
 from .asa import SubstitutionAttack, universal_asa
 from .bits import Bits
 from .errors import LengthMismatchError, ParameterError, WrongDocumentCountError
@@ -299,24 +300,18 @@ def rate_report(
     forger: Adversary,
     trials: int,
     seed: int,
-    watchdogs: list[Adversary] | None = None,
     jobs: int = 1,
 ) -> dict:
     """Assemble the rate lower-bound inequality from measured legs.
 
     forger_bound = 1 - insec_hat - unrel_hat - phi - 3*SE, floored at zero;
     a sound attack/forger pairing should show forger_success_hat >= bound.
-    insec_hat is the worst normalized advantage over the watchdogs.
+    insec_hat is the worst normalized advantage over the default watchdogs.
     """
     phi_rep = phi(attack.ml, attack.outl, query)  # checks query before the legs run
-    if watchdogs is None:
-        from .adversaries import default_watchdogs
-
-        watchdogs = default_watchdogs()
-
     insec_hat, se_insec = 0.0, 0.0
     insec_by_watchdog = {}
-    for w in watchdogs:
+    for w in default_watchdogs():
         rep = run_rasa_dist(attack, family.alg, w, trials, seed, jobs=jobs)
         insec_by_watchdog[w.name] = rep.normalized_advantage
         if rep.normalized_advantage >= insec_hat:

@@ -122,16 +122,14 @@ def is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Prf:
-    """HMAC-SHA256 family keyed by a key_bits-bit attacker key."""
+    """HMAC-SHA256 family keyed by a key_bits-bit attacker key; every
+    output is the whole 256-bit digest."""
 
     key_bits: int
-    out_bits: int = _OUT_BITS
 
     def __post_init__(self):
         if self.key_bits <= 0:
             raise ParameterError("key_bits must be positive")
-        if not 0 < self.out_bits <= _OUT_BITS:
-            raise ParameterError(f"out_bits must be in 1..{_OUT_BITS}")
 
     def gen(self, rng: random.Random) -> Bits:
         return Bits.random(self.key_bits, rng)
@@ -139,7 +137,7 @@ class Prf:
     def eval(self, key: Bits, data: Bits) -> Bits:
         if len(key) != self.key_bits:
             raise ParameterError(f"key must have {self.key_bits} bits")
-        return Bits.from_bytes(hmac_sha256(key.to_bytes(), data.to_bytes()), self.out_bits)
+        return Bits.from_bytes(hmac_sha256(key.to_bytes(), data.to_bytes()), _OUT_BITS)
 
 
 def prf_split_block(
@@ -169,7 +167,7 @@ def _check_split(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> None:
     """The checks of a split: both fields fit the PRF output, and the key fits the PRF."""
     if block_bits <= 0 or n_slots <= 0:
         raise ParameterError("block_bits and n_slots must be positive")
-    if block_bits + (n_slots - 1).bit_length() > prf.out_bits:
+    if block_bits + (n_slots - 1).bit_length() > _OUT_BITS:
         raise ParameterError("PRF output too short for requested split")
     if len(key) != prf.key_bits:
         raise ParameterError(f"key must have {prf.key_bits} bits")

@@ -36,7 +36,6 @@ forgers find them.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,12 +143,11 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
         return Bits(ciphertext(coins.uint, m.uint, pads[k.to_bytes()]), cl)
 
     def enc_ints(k: Bits, m: Bits, rng: random.Random) -> Callable[[], int]:
-        # coins as enc_sample draws them: none at all when r = 0
+        # coins as enc_sample draws them: getrandbits(0) is 0 and takes no
+        # RNG state, as Bits.random(0, rng) takes none
         if len(m) != ml:
             raise ParameterError("randpad enc: wrong message length")
         pad, mv = pads[k.to_bytes()], m.uint
-        if r == 0:
-            return itertools.repeat(ciphertext(0, mv, pad)).__next__
         draw = rng.getrandbits
         return lambda: ciphertext(draw(r), mv, pad)
 
@@ -418,9 +416,9 @@ class RandomizedAlgorithm:
     run_sample draws the coins from a caller-supplied PRNG. With coin_bits 0
     the output for fixed (s, x) is therefore one point, which emission_draw
     relies on. run_ints(s, x, rng), where given, samples outputs as ints,
-    as a scheme's enc_ints samples ciphertexts. input_gen supplies the
-    public inputs when the algorithm is wrapped into a channel; by default
-    inputs are uniform bit strings.
+    as a scheme's enc_ints samples ciphertexts. input_gen(rng) draws a
+    uniform input_bits-bit input, the inputs the games and watchdogs pick
+    (a cycle channel draws its uniform inputs itself).
     """
 
     alg_id: str
@@ -430,14 +428,13 @@ class RandomizedAlgorithm:
     coin_bits: int
     secret_gen: Callable[[random.Random], Bits]
     run: Callable[[Bits, Bits, Bits], Bits]
-    input_gen: Callable[[random.Random], Bits] = field(default=None)  # type: ignore[assignment]
+    input_gen: Callable[[random.Random], Bits] = field(init=False)
     exact_pmf: Callable[[Bits, Bits, Bits], Fraction] | None = None
     run_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None
 
     def __post_init__(self):
-        if self.input_gen is None:
-            # a partial, not a lambda: no interpreted frame per drawn input
-            object.__setattr__(self, "input_gen", functools.partial(Bits.random, self.input_bits))
+        # a partial, not a lambda: no interpreted frame per drawn input
+        object.__setattr__(self, "input_gen", functools.partial(Bits.random, self.input_bits))
 
     def run_sample(self, s: Bits, x: Bits, rng: random.Random) -> Bits:
         return self.run(s, x, Bits.random(self.coin_bits, rng))

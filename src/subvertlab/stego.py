@@ -90,7 +90,6 @@ class StegoParams:
     kappa: int = 128
     beta: float | None = None
     block_bits: int = 1
-    doc_bits: int | None = None  # declared document length, None = any
 
     def __post_init__(self):
         if not is_power_of_two(self.ml):
@@ -198,16 +197,16 @@ def encode_step(
     session reuses them. An emission with any other argument object is
     checked from scratch, so a wrong key or message still raises.
 
-    The mark is a deterministic function of the document, so a document
-    rejected once is rejected again without re-marking it; every draw is
-    still taken, since draws consume the channel's randomness. A point draw
+    The mark is a deterministic function of the document and the key's
+    mark table keeps it, so a document drawn again is a table hit while
+    the table holds it; every draw is still taken, since draws consume the
+    channel's randomness. A point draw
     (schemes.PointDraw, a coin-free host's emission) is the exception: all
     its draws are its .point and take no randomness, so the first agreeing
     draw and the (s+1)-th are both that document, and it is returned after
     the argument checks without a draw or a mark. A draw with an int form
-    (schemes.IntDraw) is sampled through it: the loop keys its rejected set
-    by int and marks the packed bytes, and only the emitted int becomes a
-    bit string.
+    (schemes.IntDraw) is sampled through it: the loop marks the packed
+    bytes of each int, and only the emitted int becomes a bit string.
     """
     global _bound
     bound_prf, bound_params, bound_ak, bound_am, marks, blocks = _bound
@@ -222,15 +221,11 @@ def encode_step(
         return point
     ints = getattr(draw, "ints", None)
     sample, pack = (draw, Bits.to_bytes) if ints is None else (ints, draw.pack)
-    rejected: set = set()
     for _ in range(params.s):
         x = sample()
-        if x in rejected:
-            continue
         value, j = marks[pack(x)]
         if j is not None and value == blocks[j]:
             break
-        rejected.add(x)
     else:
         x = sample()
     return x if ints is None else draw.emit(x)
@@ -264,10 +259,8 @@ def rejsam_decode(
     return Bits(am_int >> (params.padded_ml - params.ml), params.ml)
 
 
-def rejsam_system(params: StegoParams, prf: Prf | None = None) -> StegoSystem:
-    prf = prf or Prf(params.kappa)
-    if prf.key_bits != params.kappa:
-        raise ParameterError("PRF key length must match kappa")
+def rejsam_system(params: StegoParams) -> StegoSystem:
+    prf = Prf(params.kappa)
 
     def enc(ak, am, history, sigma, *, draw, rng=None):
         return encode_step(prf, params, ak, am, draw), sigma
@@ -285,13 +278,13 @@ def rejsam_system(params: StegoParams, prf: Prf | None = None) -> StegoSystem:
     )
 
 
-def _encode(steg: StegoSystem, ak, am, history, channel, rng, segments, sigma) -> list[Bits]:
+def _encode(steg: StegoSystem, ak, am, history, channel, rng, segments) -> list[Bits]:
     """The documents emitted in one channel session from history, in
-    segments of the given lengths, each starting from state sigma."""
+    segments of the given lengths, each starting from state None."""
     session = channel.session(history, rng)
     h, draw, append, start = session.history, session.draw, session.append, len(session.history)
     for n in segments:
-        state = sigma
+        state = None
         for _ in range(n):
             doc, state = steg.enc(ak, am, h, state, draw=draw(), rng=rng)
             append(doc)
@@ -305,15 +298,12 @@ def encode_all(
     history: Sequence[Bits],
     channel: Channel,
     rng: random.Random,
-    count: int | None = None,
-    sigma: object = None,
 ) -> list[Bits]:
-    """Run `count` (default outl) encode steps, threading sigma and extending
-    the history with each emitted document, in one channel session: the
-    start history is validated once and each emitted document at its own
-    position."""
-    count = steg.params.outl if count is None else count
-    return _encode(steg, ak, am, history, channel, rng, [count], sigma)
+    """Run outl encode steps from state None, threading the state and
+    extending the history with each emitted document, in one channel
+    session: the start history is validated once and each emitted document
+    at its own position."""
+    return _encode(steg, ak, am, history, channel, rng, [steg.params.outl])
 
 
 def encode_schedule(
@@ -323,16 +313,15 @@ def encode_schedule(
     schedule: Sequence[int],
     channel: Channel,
     rng: random.Random,
-    history: Sequence[Bits] = (),
 ) -> list[Bits]:
-    """Restart-tolerant encoding: one continuous document stream whose state
-    is wiped at every segment boundary. Segment lengths must be positive and
-    sum to outl; the history keeps growing across segments (one channel
-    session), so only encoders that can restart from the history alone
-    survive this."""
+    """Restart-tolerant encoding: one continuous document stream from the
+    empty history whose state is wiped at every segment boundary. Segment
+    lengths must be positive and sum to outl; the history keeps growing
+    across segments (one channel session), so only encoders that can
+    restart from the history alone survive this."""
     if any(n <= 0 for n in schedule):
         raise ScheduleError("segment lengths must be positive")
     total = sum(schedule)
     if total != steg.params.outl:
         raise ScheduleError(f"segment lengths sum to {total}, expected {steg.params.outl}")
-    return _encode(steg, ak, am, history, channel, rng, schedule, None)
+    return _encode(steg, ak, am, (), channel, rng, schedule)

@@ -153,8 +153,8 @@ def test_criterion_05_converse_and_adapter():
 
     warden = repeat_warden()
     watchdog = wrapped_warden_to_watchdog(warden, ses, asa.outl)
-    on_channel = run_ss_cha_dist(wrapped, channel, warden, trials=1000, seed=SEED, record=True)
-    on_attack = run_enc_asa_dist(asa, ses, watchdog, trials=1000, seed=SEED, record=True)
+    on_channel = run_ss_cha_dist(wrapped, channel, warden, trials=1000, seed=SEED)
+    on_attack = run_enc_asa_dist(asa, ses, watchdog, trials=1000, seed=SEED)
     mismatches = sum(a != b for a, b in zip(on_channel.decisions, on_attack.decisions))
     ok = rt.p_hat >= 0.98 and mismatches == 0
     verdict(5, ok, f"wrapped roundtrip {rt.p_hat:.4f} >= 0.98, decision mismatches {mismatches}/1000")

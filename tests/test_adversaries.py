@@ -137,7 +137,8 @@ def test_warden_crafts_one_full_session_history():
 
 
 def test_blind_guessers_and_rosters():
-    assert constant_guess("warden", guess=0).strategy(None, random.Random(0)) == 0
+    constant = constant_guess("warden")
+    assert constant.name == "constant-1" and constant.strategy(None, random.Random(0)) == 1
     assert random_guess().strategy(None, random.Random(0)) in (0, 1)
     roster = default_watchdogs()
     assert all(a.kind == "watchdog" for a in roster)

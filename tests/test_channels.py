@@ -27,6 +27,7 @@ from subvertlab import (
     sig_fixture,
     uniform_channel,
 )
+from subvertlab import channels
 from subvertlab.schemes import IntDraw, PointDraw
 
 
@@ -173,14 +174,6 @@ def test_rand_alg_channel_agrees_with_ses_channel():
                 assert type(draw) is kind and _drawn(draw, rng) == want, case
 
 
-def test_rand_alg_channel_custom_inputs_have_no_pmf():
-    ses = randpad_scheme(3, 8, ml=3)
-    ch = rand_alg_channel(alg_from_encryption(ses), 1, input_gen=lambda rng: Bits.zeros(3))
-    assert channel_sample(ch, (Bits.zeros(8),), random.Random(0)) == Bits.zeros(3)
-    with pytest.raises(NoExactPmfError):
-        channel_pmf(ch, (Bits.zeros(8),), Bits.zeros(3))
-
-
 def test_min_entropy_exact_randpad_equals_pad_bits():
     ses = randpad_scheme(5, 8, ml=4)
     ch = ses_channel(ses, 1)
@@ -200,6 +193,25 @@ def test_min_entropy_exact_det_scheme_is_zero():
     rng = random.Random(6)
     h = walk(ch, 2, rng)
     assert min_entropy_exact(ch, [h]).bits == pytest.approx(0.0)
+
+
+def test_min_entropy_exact_checks_each_history_once(monkeypatch):
+    # the history is checked once, not again for every support document
+    ch = ses_channel(randpad_scheme(5, 8, ml=4), 1)
+    histories = [(), walk(ch, 2, random.Random(5))]
+    checked, check = [], channels.check_history
+
+    def counting(channel, history):
+        checked.append(history)
+        return check(channel, history)
+
+    monkeypatch.setattr(channels, "check_history", counting)
+    assert min_entropy_exact(ch, histories).bits == pytest.approx(5.0)
+    assert checked == histories
+    # a channel without an exact pmf or support still says so
+    for missing in ("pmf_fn", "support_fn"):
+        with pytest.raises(NoExactPmfError):
+            min_entropy_exact(dataclasses.replace(ch, **{missing: None}), histories)
 
 
 def test_min_entropy_estimate_tracks_exact():

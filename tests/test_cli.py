@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -719,6 +720,89 @@ def test_package_exports_are_pinned():
     ]
     # every exported name resolves on the package
     assert all(hasattr(subvertlab, name) for name in subvertlab.__all__)
+
+
+# every value a library caller can set: per exported name, the parameters
+# with a default (a class's __init__ and public plain methods too, as
+# "method.param"), and a dataclass's init fields with a default or default
+# factory; an option only one value of is used for is a constant instead
+LIBRARY_OPTIONS = {
+    "Channel": ("pmf_fn", "support_fn"),
+    "GameReport": ("decisions",),
+    "OracleTranscript": ("queries",),
+    "RandomizedAlgorithm": ("exact_pmf", "run_ints"),
+    "StegoParams": ("kappa", "beta", "block_bits"),
+    "StegoSystem": ("prf", "transparent_at"),
+    "SubstitutionAttack": ("supports_transcript",),
+    "SymmetricEncryptionScheme": ("exact_pmf", "ciphertext_support", "enc_ints"),
+    "asa_enc_all": ("transcript",),
+    "channel_walk": ("history",),
+    "chi2_attacker": ("queries", "bins"),
+    "chi2_quantile": ("q",),
+    "chi2_warden": ("queries", "bins"),
+    "chi2_watchdog": ("queries", "bins"),
+    "constant_guess": ("kind",),
+    "det_scheme": ("ml",),
+    "estimate_unrel": ("message_mode", "jobs"),
+    "estimate_unrel_alg": ("jobs",),
+    "estimate_unrel_reboot": ("schedules", "jobs"),
+    "estimate_unrel_stego": ("history_mode", "jobs"),
+    "fabricating_asa": ("ml", "decoys", "budget"),
+    "forger_from_fabricating_asa": ("ml", "decoys", "budget"),
+    "generic_asa_against_alg": ("demo_force_embed",),
+    "outl_for": ("beta", "block_bits"),
+    "random_guess": ("kind",),
+    "randpad_scheme": ("ml",),
+    "rate_report": ("jobs",),
+    "repeat_attacker": ("queries",),
+    "repeat_warden": ("queries",),
+    "repeat_watchdog": ("queries",),
+    "run_cpa_dist": ("jobs",),
+    "run_enc_asa_dist": ("jobs",),
+    "run_rasa_dist": ("jobs",),
+    "run_sig_forge": ("jobs",),
+    "run_ss_cha_dist": ("jobs",),
+    "search_forger": ("budget",),
+    "sig_fixture": ("ml", "coin_bits", "tag_bits"),
+}
+
+
+def _defaulted(fn):
+    return tuple(
+        p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty
+    )
+
+
+def _library_options():
+    surface = {}
+    for name in subvertlab.__all__:
+        obj = getattr(subvertlab, name)
+        if inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                unset = dataclasses.MISSING
+                opts = tuple(
+                    f.name for f in dataclasses.fields(obj)
+                    if f.init and (f.default is not unset or f.default_factory is not unset)
+                )
+            else:
+                opts = _defaulted(obj) if "__init__" in vars(obj) else ()
+            opts += tuple(
+                f"{attr}.{p}"
+                for attr, member in vars(obj).items()
+                if not attr.startswith("_") and inspect.isfunction(member)
+                for p in _defaulted(member)
+            )
+        else:
+            opts = _defaulted(obj) if callable(obj) else ()
+        if opts:
+            surface[name] = opts
+    return surface
+
+
+def test_library_option_surface_is_pinned():
+    surface = _library_options()
+    assert surface == LIBRARY_OPTIONS
+    assert sum(map(len, surface.values())) == 57
 
 
 FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]

@@ -171,15 +171,14 @@ def test_encryption_games_are_the_algorithm_games_on_the_scheme(host):
     asa = asa_from_stego(steg, ses)
     alg = alg_from_encryption(ses)
     for wd in (repeat_watchdog(), chi2_watchdog(queries=8)):
-        enc = run_enc_asa_dist(asa, ses, wd, trials=40, seed=6, record=True)
-        gen = run_rasa_dist(asa, alg, wd, trials=40, seed=6, record=True)
+        enc = run_enc_asa_dist(asa, ses, wd, trials=40, seed=6)
+        gen = run_rasa_dist(asa, alg, wd, trials=40, seed=6)
         assert enc.decisions == gen.decisions, wd.name
         assert (enc.game, gen.game) == ("enc-asa-dist", "rasa-dist")
-    for mode in ("random", "equal"):
-        enc = estimate_unrel(asa, ses, trials=12, seed=6, message_mode=mode)
-        gen = estimate_unrel_alg(asa, alg, trials=12, seed=6, input_mode=mode)
-        assert enc.success_count == gen.success_count, mode
-        assert enc.config["message_mode"] == gen.config["input_mode"] == mode
+    enc = estimate_unrel(asa, ses, trials=12, seed=6)
+    gen = estimate_unrel_alg(asa, alg, trials=12, seed=6)
+    assert enc.success_count == gen.success_count
+    assert enc.config["message_mode"] == gen.config["input_mode"] == "random"
 
 
 def test_random_compositions_partition_the_total():
@@ -228,10 +227,10 @@ def _runners():
     fab = fabricating_asa(family, ml=8, decoys=4, budget=1024)
     fab_forger = forger_from_fabricating_asa(fam_ses, fam_sig, ml=8, decoys=4, budget=1024)
     return {
-        "cpa": lambda t, j: run_cpa_dist(ses, repeat_attacker(), t, 3, jobs=j, record=True),
-        "enc-asa": lambda t, j: run_enc_asa_dist(asa, ses, repeat_watchdog(), t, 3, jobs=j, record=True),
-        "ss-cha": lambda t, j: run_ss_cha_dist(steg, channel, repeat_warden(), t, 3, jobs=j, record=True),
-        "rasa": lambda t, j: run_rasa_dist(attack, alg, repeat_watchdog(), t, 3, jobs=j, record=True),
+        "cpa": lambda t, j: run_cpa_dist(ses, repeat_attacker(), t, 3, jobs=j),
+        "enc-asa": lambda t, j: run_enc_asa_dist(asa, ses, repeat_watchdog(), t, 3, jobs=j),
+        "ss-cha": lambda t, j: run_ss_cha_dist(steg, channel, repeat_warden(), t, 3, jobs=j),
+        "rasa": lambda t, j: run_rasa_dist(attack, alg, repeat_watchdog(), t, 3, jobs=j),
         "forge": lambda t, j: run_sig_forge(sig, search_forger(budget=256), t, 3, jobs=j),
         "unrel": lambda t, j: estimate_unrel(asa, ses, t, 3, jobs=j),
         "unrel-alg": lambda t, j: estimate_unrel_alg(attack, alg, t, 3, jobs=j),

@@ -214,7 +214,7 @@ def test_split_checks_its_arguments_on_every_call():
         for bad in (
             lambda: prf_split_block(prf, key, doc, 0, 8),
             lambda: prf_split_block(prf, key, doc, 4, 0),
-            lambda: prf_split_block(Prf(64, out_bits=6), key, doc, 4, 8),
+            lambda: prf_split_block(prf, key, doc, 256, 2),
             lambda: prf_split_block(Prf(63), key, doc, 4, 8),
             lambda: prf_split_block(prf, short_key, doc, 4, 8),
         ):

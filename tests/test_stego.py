@@ -260,13 +260,14 @@ def test_point_draw_is_the_loop_after_every_argument_check():
         assert encode_step(prf, params, key, am, lambda: doc) is doc
     doc = Bits.zeros(16)
     no_slots = types.SimpleNamespace(ml=4, s=4, block_bits=1, n_slots=0)
+    wide = StegoParams(ml=512, s=4, outl=4, kappa=64, block_bits=256)
     for draw in (PointDraw(doc), lambda: doc):
         with pytest.raises(ParameterError, match="hidden message"):
             encode_step(prf, params, key, Bits.zeros(3), draw)
         with pytest.raises(ParameterError, match="key must have"):
             encode_step(prf, params, Bits.zeros(63), Bits.zeros(4), draw)
-        with pytest.raises(ParameterError, match="too short"):  # 1 + 2 bits of a 2-bit PRF
-            encode_step(Prf(64, out_bits=2), params, key, Bits.zeros(4), draw)
+        with pytest.raises(ParameterError, match="too short"):  # a 257-bit split
+            encode_step(prf, wide, key, Bits.zeros(512), draw)
         with pytest.raises(ParameterError, match="positive"):
             encode_step(prf, no_slots, key, Bits.zeros(4), draw)
 
@@ -277,6 +278,7 @@ def test_a_bound_session_still_checks_every_other_argument():
     # is checked again, however its value compares
     params = StegoParams(ml=4, s=4, outl=4, kappa=64)
     prf, key, am = Prf(64), Bits.random(64, random.Random(5)), Bits(0b1010, 4)
+    wide = StegoParams(ml=512, s=4, outl=4, kappa=64, block_bits=256)
     doc = Bits.zeros(16)
     for draw in (PointDraw(doc), lambda: doc):
         assert encode_step(prf, params, key, am, draw) is doc
@@ -284,8 +286,10 @@ def test_a_bound_session_still_checks_every_other_argument():
             encode_step(prf, params, key, Bits(0b101, 3), draw)
         with pytest.raises(ParameterError, match="key must have"):
             encode_step(prf, params, Bits(key.uint >> 1, 63), am, draw)
+        with pytest.raises(ParameterError, match="key must have"):
+            encode_step(Prf(32), params, key, am, draw)
         with pytest.raises(ParameterError, match="too short"):
-            encode_step(Prf(64, out_bits=2), params, key, am, draw)
+            encode_step(prf, wide, key, Bits.zeros(512), draw)
         assert encode_step(prf, params, key, am, draw) is doc
 
 
@@ -374,8 +378,6 @@ def test_system_construction_checks():
     steg = rejsam_system(params)
     assert steg.prf is not None and steg.prf.key_bits == 128
     assert steg.describe()["system"] == "rejsam"
-    with pytest.raises(ParameterError):
-        rejsam_system(params, prf=Prf(64))
     ak = steg.gen(random.Random(2))
     assert len(ak) == 128
 
@@ -456,14 +458,6 @@ def test_emission_distribution_matches_closed_form():
     assert stat < oracles.chi2_quantile_exact(n_docs - 1, 0.9999)
 
 
-def test_encode_all_count_override():
-    steg = rejsam_system(StegoParams(ml=4, s=8, outl=10, kappa=64))
-    ch = uniform_channel(8)
-    rng = substream(46)
-    docs = encode_all(steg, steg.gen(rng), Bits.zeros(4), (), ch, rng, count=3)
-    assert len(docs) == 3
-
-
 def test_the_encoder_sees_one_history_object_per_session():
     # encode_all and encode_schedule hand every emission the session's one
     # history list, grown by each document emitted before it, not a copy
@@ -479,20 +473,18 @@ def test_the_encoder_sees_one_history_object_per_session():
     ch = ses_channel(randpad_scheme(4, 16, ml=8), 2)
     start = channel_walk(ch, 3, substream(52, "h"))
     ak, am = steg.gen(substream(52, "k")), Bits.from_str("0110")
-    runs = {
-        "encode_all": lambda: encode_all(spy, ak, am, start, ch, substream(52)),
-        "encode_schedule": lambda: encode_schedule(spy, ak, am, [2, 1, 3], ch, substream(52),
-                                                   start),
+    runs = {  # encode_schedule always starts at the empty history
+        "encode_all": (start, lambda: encode_all(spy, ak, am, start, ch, substream(52))),
+        "encode_schedule": ((), lambda: encode_schedule(spy, ak, am, [2, 1, 3], ch, substream(52))),
     }
-    emitted = {}
-    for name, run in runs.items():
+    for name, (begin, run) in runs.items():
         seen.clear()
-        docs = emitted[name] = run()
-        full = [*start, *docs]
+        docs = run()
+        full = [*begin, *docs]
         assert len({id(history) for history, _ in seen}) == 1, name
-        assert seen[0][0] is not start and seen[0][0] == full, name
-        assert [prefix for _, prefix in seen] == [full[:n] for n in range(3, 9)], name
-    assert emitted["encode_all"] == emitted["encode_schedule"] and len(start) == 3
+        assert seen[0][0] is not begin and seen[0][0] == full, name
+        assert [prefix for _, prefix in seen] == [full[:n] for n in range(len(begin), len(full))]
+    assert docs == encode_all(steg, ak, am, (), ch, substream(52)) and len(start) == 3
 
 
 def test_schedule_validation_and_equivalence():
