@@ -174,6 +174,23 @@ def test_rand_alg_channel_agrees_with_ses_channel():
                 assert type(draw) is kind and _drawn(draw, rng) == want, case
 
 
+def test_rand_alg_channel_inputs_are_uniform_and_enumerable():
+    # every input position of a run has the uniform pmf over all input
+    # strings, for an encryption host and a signing host alike
+    hosts = (alg_from_encryption(randpad_scheme(3, 8, ml=3)),
+             alg_from_signing(sig_fixture("coin-injective", 16, 4, 4, 8)))
+    for alg in hosts:
+        ch = rand_alg_channel(alg, 2)
+        h = channel_walk(ch, 3, random.Random(7))
+        for prefix in (h[:1], h[:2]):
+            support = list(channel_support(ch, prefix))
+            assert support == [Bits(v, alg.input_bits) for v in range(2**alg.input_bits)]
+            assert {channel_pmf(ch, prefix, d) for d in support} == {
+                Fraction(1, 2**alg.input_bits)}
+            assert channel_pmf(ch, prefix, Bits.zeros(alg.input_bits + 1)) == 0
+            assert len(channel_sample(ch, prefix, random.Random(8))) == alg.input_bits
+
+
 def test_min_entropy_exact_randpad_equals_pad_bits():
     ses = randpad_scheme(5, 8, ml=4)
     ch = ses_channel(ses, 1)

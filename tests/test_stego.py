@@ -487,6 +487,28 @@ def test_the_encoder_sees_one_history_object_per_session():
     assert docs == encode_all(steg, ak, am, (), ch, substream(52)) and len(start) == 3
 
 
+def test_encode_all_emits_outl_documents_threading_state_from_none():
+    # encode_all starts one state at None and threads it through all outl
+    # emissions; encode_schedule restarts it at None at every segment
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=64))
+    states = []
+
+    def counting(ak, am, history, sigma, *, draw, rng=None):
+        states.append(sigma)
+        doc, _ = steg.enc(ak, am, history, sigma, draw=draw, rng=rng)
+        return doc, (0 if sigma is None else sigma) + 1
+
+    spy = dataclasses.replace(steg, enc=counting)
+    ch = uniform_channel(8)
+    ak, am = steg.gen(substream(53, "k")), Bits.from_str("1001")
+    docs = encode_all(spy, ak, am, (), ch, substream(53))
+    assert len(docs) == 6 and states == [None, 1, 2, 3, 4, 5]
+    assert docs == encode_all(steg, ak, am, (), ch, substream(53))
+    states.clear()
+    encode_schedule(spy, ak, am, [2, 1, 3], ch, substream(53))
+    assert states == [None, 1, None, None, 1, 2]
+
+
 def test_schedule_validation_and_equivalence():
     steg = rejsam_system(StegoParams(ml=4, s=16, outl=12, kappa=64))
     ch = uniform_channel(8)
