@@ -14,6 +14,13 @@ randomized algorithm's runs, an encryption scheme being the algorithm
 alg_from_encryption makes of it. Outputs are the host's explicit-coin runs,
 so a seed-coupled run of channel_sample and of enc_sample is identical.
 
+Each channel states its exact law once, as law_fn(history) -> (weights,
+total): every possible next document's integer weight and their total. The
+law is a count over uniform seeds: a key, an input or a uniform-channel
+document weighs 1 of 2^bits, and an output weighs the number of the host's
+2^coin_bits coin strings that give it (_run_law, the one enumerator of a
+host's coins). channel_pmf, channel_support and min_entropy_exact read it.
+
 As in the Hopper-Langford-von Ahn model, the encoder samples the channel at
 the current history, and the history is the channel's state. Every document
 is drawn in a session (Channel.session(history, rng)): it validates the
@@ -39,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .bits import Bits
-from .errors import InvalidHistoryError, NoExactPmfError, ParameterError
+from .errors import InvalidHistoryError, ParameterError
 from .schemes import _ENUM_LIMIT, IntDraw, PointDraw, RandomizedAlgorithm, emission_draw
 from .schemes import SymmetricEncryptionScheme, alg_from_encryption
 
@@ -67,8 +74,9 @@ class Channel:
     # rng -> (history -> the next document's draw); called once per session,
     # so whatever it builds lives as long as that session
     drawer: Callable[[random.Random], Callable[[Sequence[Bits]], Callable[[], Bits]]]
-    pmf_fn: Callable[[tuple, Bits], Fraction] | None = None
-    support_fn: Callable[[tuple], Iterable[Bits]] | None = None
+    # history -> (weights, total): the next document's exact law, each
+    # possible document's integer weight out of total
+    law_fn: Callable[[tuple], tuple[dict[Bits, int], int]]
 
     def grammar(self, history: Sequence[Bits]) -> bool:
         """A history is valid when every position accepts its document."""
@@ -143,29 +151,37 @@ def channel_walk(
     return tuple(session.history)
 
 
-def _pmf_fn(channel: Channel) -> Callable[[tuple, Bits], Fraction]:
-    if channel.pmf_fn is None:
-        raise NoExactPmfError(f"channel {channel.descriptor.get('type')} has no exact pmf")
-    return channel.pmf_fn
+def _checked_law(channel: Channel, history: tuple) -> tuple[dict[Bits, int], int]:
+    check_history(channel, history)
+    return channel.law_fn(history)
 
 
 def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
-    pmf = _pmf_fn(channel)
-    check_history(channel, history)
-    return pmf(history, doc)
+    weights, total = _checked_law(channel, history)
+    return Fraction(weights.get(doc, 0), total)
 
 
 def channel_support(channel: Channel, history: tuple) -> Iterable[Bits]:
-    if channel.support_fn is None:
-        raise NoExactPmfError("channel does not enumerate its support")
-    check_history(channel, history)
-    return channel.support_fn(history)
+    return _checked_law(channel, history)[0].keys()
 
 
-def _all_bits(nbits: int) -> Iterable[Bits]:
+def _uniform_law(nbits: int) -> tuple[dict[Bits, int], int]:
+    """Every nbits document weighs 1: a uniform key, input or document."""
     if nbits > _ENUM_LIMIT:
         raise ParameterError(f"cannot enumerate 2^{nbits} documents")
-    return (Bits(v, nbits) for v in range(2**nbits))
+    return dict.fromkeys((Bits(v, nbits) for v in range(2**nbits)), 1), 2**nbits
+
+
+def _run_law(alg: RandomizedAlgorithm, s: Bits, x: Bits) -> tuple[dict[Bits, int], int]:
+    """Each output of alg on (s, x) weighs the number of coin strings that
+    give it: the law of the output over uniform coins."""
+    if alg.coin_bits > _ENUM_LIMIT:
+        raise ParameterError("coin space too large to enumerate")
+    weights: dict[Bits, int] = {}
+    for rho in range(2**alg.coin_bits):
+        y = alg.run(s, x, Bits(rho, alg.coin_bits))
+        weights[y] = weights.get(y, 0) + 1
+    return weights, 2**alg.coin_bits
 
 
 def _constant(draw):
@@ -188,8 +204,7 @@ def uniform_channel(nbits: int) -> Channel:
         max_doc_len=nbits,
         accepts_at=lambda pos, d: len(d) == nbits,
         drawer=lambda rng: _constant(IntDraw(functools.partial(rng.getrandbits, nbits), nbits)),
-        pmf_fn=lambda h, d: Fraction(1, 2**nbits) if len(d) == nbits else Fraction(0),
-        support_fn=lambda h: _all_bits(nbits),
+        law_fn=lambda h: _uniform_law(nbits),
     )
 
 
@@ -203,13 +218,6 @@ class _CycleShape:
         want = self.key_bits if pos == 0 else self.in_bits if pos <= self.ell else self.out_bits
         return len(doc) == want
 
-    def role(self, h: tuple) -> str:
-        """Role of the next document: key, input or output."""
-        n = len(h)
-        if n == 0:
-            return "key"
-        return "input" if n <= self.ell else "output"
-
 
 def _cycle_input(h: tuple, ell: int) -> Bits:
     """The input an output appended to the key || inputs^ell || outputs*
@@ -217,39 +225,20 @@ def _cycle_input(h: tuple, ell: int) -> Bits:
     return h[1 + (len(h) - ell - 1) % ell]
 
 
-def _cycle_channel(
-    alg: RandomizedAlgorithm,
-    ell: int,
-    ctype: str,
-    scheme_id: str,
-    output_support: Callable[[Bits, Bits], Iterable[Bits]] | None,
-) -> Channel:
+def _cycle_channel(alg: RandomizedAlgorithm, ell: int, ctype: str, scheme_id: str) -> Channel:
     """The channel of alg's runs: secret, ell uniform inputs, then outputs."""
     if ell <= 0:
         raise ParameterError("ell must be positive")
     key_bits, in_bits, out_bits = alg.secret_bits, alg.input_bits, alg.output_bits
     shape = _CycleShape(key_bits, in_bits, out_bits, ell)
 
-    def pmf(h: tuple, d: Bits) -> Fraction:
-        role = shape.role(h)
-        if role == "key":
-            # toy fixtures draw keys uniformly; exact pmf leans on that
-            return Fraction(1, 2**key_bits) if len(d) == key_bits else Fraction(0)
-        if role == "input":
-            return Fraction(1, 2**in_bits) if len(d) == in_bits else Fraction(0)
-        if alg.exact_pmf is None:
-            raise NoExactPmfError("scheme does not expose an exact ciphertext pmf")
-        return alg.exact_pmf(h[0], _cycle_input(h, ell), d) if len(d) == out_bits else Fraction(0)
-
-    def support(h: tuple) -> Iterable[Bits]:
-        role = shape.role(h)
-        if role == "key":
-            return _all_bits(key_bits)
-        if role == "input":
-            return _all_bits(in_bits)
-        if output_support is None:
-            raise NoExactPmfError("scheme does not enumerate ciphertext support")
-        return output_support(h[0], _cycle_input(h, ell))
+    def law(h: tuple) -> tuple[dict[Bits, int], int]:
+        n = len(h)
+        if n == 0:  # toy fixtures draw keys uniformly; the key's law leans on that
+            return _uniform_law(key_bits)
+        if n <= ell:
+            return _uniform_law(in_bits)
+        return _run_law(alg, h[0], _cycle_input(h, ell))
 
     def drawer(rng: random.Random) -> Callable[[Sequence[Bits]], Callable[[], Bits]]:
         key = functools.partial(alg.secret_gen, rng)
@@ -282,8 +271,7 @@ def _cycle_channel(
         max_doc_len=max(key_bits, in_bits, out_bits),
         accepts_at=shape.accepts_at,
         drawer=drawer,
-        pmf_fn=pmf,
-        support_fn=support,
+        law_fn=law,
     )
 
 
@@ -294,24 +282,12 @@ def ses_channel(ses: SymmetricEncryptionScheme, ell: int) -> Channel:
     encryption of message (r mod ell)+1 under the session key: the channel
     of alg_from_encryption(ses), typed "ses".
     """
-    alg = alg_from_encryption(ses)
-    return _cycle_channel(alg, ell, "ses", ses.scheme_id, ses.ciphertext_support)
+    return _cycle_channel(alg_from_encryption(ses), ell, "ses", ses.scheme_id)
 
 
 def rand_alg_channel(alg: RandomizedAlgorithm, ell: int) -> Channel:
     """Channel of a randomized algorithm run: secret, ell inputs, then outputs."""
-
-    def output_support(s: Bits, x: Bits) -> Iterable[Bits]:
-        if alg.coin_bits > _ENUM_LIMIT:
-            raise ParameterError("coin space too large to enumerate")
-        seen = set()
-        for rho in range(2**alg.coin_bits):
-            y = alg.run(s, x, Bits(rho, alg.coin_bits))
-            if y not in seen:
-                seen.add(y)
-                yield y
-
-    return _cycle_channel(alg, ell, "rand-alg", alg.alg_id, output_support)
+    return _cycle_channel(alg, ell, "rand-alg", alg.alg_id)
 
 
 @dataclass(frozen=True)
@@ -332,15 +308,14 @@ def _neg_log2(q: Fraction) -> float:
 def min_entropy_exact(channel: Channel, histories: Iterable[tuple]) -> MinEntropyReport:
     """Exact min-entropy: min over histories of -log2 of the largest pmf value.
 
-    Each history is checked once, by channel_support; its documents are
-    then weighed through pmf_fn directly, not through channel_pmf, which
-    would check the history again for every document."""
+    Each history is checked once, and its law read once: the peak is the
+    largest integer weight over the law's total."""
     worst = None
     count = 0
     for h in histories:
         count += 1
-        support = channel_support(channel, h)
-        peak = max(map(functools.partial(_pmf_fn(channel), h), support))
+        weights, total = _checked_law(channel, h)
+        peak = Fraction(max(weights.values()), total)
         if worst is None or peak > worst:
             worst = peak
     if worst is None:

@@ -572,39 +572,25 @@ def cmd_report_merge(args):
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "game",
-                    "trials",
-                    "success_count",
-                    "p_hat",
-                    "normalized_advantage",
-                    "ci_lo",
-                    "ci_hi",
-                    "adv_lo",
-                    "adv_hi",
-                    "seed",
-                    "config",
-                ]
-            )
-            for r in merged:
-                adv_ci = r.advantage_ci95 or (None, None)
-                writer.writerow(
-                    [
-                        r.game,
-                        r.trials,
-                        r.success_count,
-                        r.p_hat,
-                        r.normalized_advantage,
-                        r.ci95[0],
-                        r.ci95[1],
-                        adv_ci[0],
-                        adv_ci[1],
-                        r.seed,
-                        _dump(r.config),
-                    ]
-                )
+            writer.writerow(name for name, _ in _CSV_COLUMNS)
+            writer.writerows([cell(r) for _, cell in _CSV_COLUMNS] for r in merged)
     return [r.to_json_dict() for r in merged]
+
+
+# report merge --csv: each column's header and its cell of a merged report
+_CSV_COLUMNS = (
+    ("game", lambda r: r.game),
+    ("trials", lambda r: r.trials),
+    ("success_count", lambda r: r.success_count),
+    ("p_hat", lambda r: r.p_hat),
+    ("normalized_advantage", lambda r: r.normalized_advantage),
+    ("ci_lo", lambda r: r.ci95[0]),
+    ("ci_hi", lambda r: r.ci95[1]),
+    ("adv_lo", lambda r: (r.advantage_ci95 or (None, None))[0]),
+    ("adv_hi", lambda r: (r.advantage_ci95 or (None, None))[1]),
+    ("seed", lambda r: r.seed),
+    ("config", lambda r: _dump(r.config)),
+)
 
 
 # --- parser --------------------------------------------------------------------

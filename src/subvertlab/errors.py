@@ -9,7 +9,6 @@ __all__ = [
     "ParameterError",
     "LengthMismatchError",
     "InvalidHistoryError",
-    "NoExactPmfError",
     "WrongDocumentCountError",
     "ScheduleError",
     "InvariantViolation",
@@ -32,10 +31,6 @@ class LengthMismatchError(ParameterError):
 
 class InvalidHistoryError(SubvertLabError):
     """A history rejected by a channel grammar."""
-
-
-class NoExactPmfError(SubvertLabError):
-    """Channel does not expose an exact pmf."""
 
 
 class WrongDocumentCountError(SubvertLabError):

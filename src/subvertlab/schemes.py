@@ -2,8 +2,10 @@
 
 Everything here is desk-scale and explicit-coin: encryption and signing take
 their randomness as an argument, so callers (channels, games, attacks) control
-every coin. Key and coin lengths are small enough to enumerate, which is what
-the exact-pmf and exhaustive tests rely on.
+every coin. Key and coin lengths are small enough to enumerate: a host states
+no law of its own, and a channel's exact law at one of its outputs is a count
+of its runs over all coin strings (channels._run_law), as keys and inputs
+are counted over all uniform strings.
 
 Every keyed digest here (keystreams, signature tags, the det codebook seed)
 comes from prf.hmac_sha256, the package's one HMAC primitive; the hot
@@ -38,8 +40,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bits import _EMPTY, Bits
 from .errors import InvariantViolation, ParameterError
@@ -98,8 +99,6 @@ class SymmetricEncryptionScheme:
     gen: Callable[[random.Random], Bits]
     enc: Callable[[Bits, Bits, Bits], Bits]
     dec: Callable[[Bits, Bits], Bits | None]
-    exact_pmf: Callable[[Bits, Bits, Bits], Fraction] | None = None
-    ciphertext_support: Callable[[Bits, Bits], Iterable[Bits]] | None = None
     enc_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None
 
     def enc_sample(self, k: Bits, m: Bits, rng: random.Random) -> Bits:
@@ -157,16 +156,6 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
         v = c.uint
         return Bits((v & body_mask) ^ pads[k.to_bytes()][v >> ml], ml)
 
-    def exact_pmf(k: Bits, m: Bits, c: Bits) -> Fraction:
-        if len(c) == cl and enc(k, m, c[:r]) == c:
-            return Fraction(1, 2**r)
-        return Fraction(0)
-
-    def support(k: Bits, m: Bits) -> Iterable[Bits]:
-        if r > _ENUM_LIMIT:
-            raise ParameterError("coin space too large to enumerate")
-        return (enc(k, m, Bits(rho, r)) for rho in range(2**r))
-
     return SymmetricEncryptionScheme(
         scheme_id=f"randpad-{r}",
         key_bits=kappa,
@@ -176,8 +165,6 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
         gen=lambda rng: Bits.random(kappa, rng),
         enc=enc,
         dec=dec,
-        exact_pmf=exact_pmf,
-        ciphertext_support=support,
         enc_ints=enc_ints,
     )
 
@@ -273,8 +260,6 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
         gen=lambda rng: Bits.random(kappa, rng),
         enc=enc,
         dec=dec,
-        exact_pmf=lambda k, m, c: Fraction(1) if enc(k, m, Bits(0, 0)) == c else Fraction(0),
-        ciphertext_support=lambda k, m: [enc(k, m, Bits(0, 0))],
     )
 
 
@@ -429,7 +414,6 @@ class RandomizedAlgorithm:
     secret_gen: Callable[[random.Random], Bits]
     run: Callable[[Bits, Bits, Bits], Bits]
     input_gen: Callable[[random.Random], Bits] = field(init=False)
-    exact_pmf: Callable[[Bits, Bits, Bits], Fraction] | None = None
     run_ints: Callable[[Bits, Bits, random.Random], Callable[[], int]] | None = None
 
     def __post_init__(self):
@@ -504,20 +488,11 @@ def alg_from_encryption(ses: SymmetricEncryptionScheme) -> RandomizedAlgorithm:
         coin_bits=ses.coin_bits,
         secret_gen=ses.gen,
         run=ses.enc,
-        exact_pmf=ses.exact_pmf,
         run_ints=ses.enc_ints,
     )
 
 
 def alg_from_signing(sig: SignatureScheme) -> RandomizedAlgorithm:
-    def exact_pmf(s: Bits, x: Bits, y: Bits) -> Fraction:
-        if sig.coin_bits > _ENUM_LIMIT:
-            raise ParameterError("coin space too large to enumerate")
-        hits = sum(
-            1 for rho in range(2**sig.coin_bits) if sig.sign(s, x, Bits(rho, sig.coin_bits)) == y
-        )
-        return Fraction(hits, 2**sig.coin_bits)
-
     return RandomizedAlgorithm(
         alg_id=f"sign:{sig.scheme_id}",
         secret_bits=sig.key_bits,
@@ -526,5 +501,4 @@ def alg_from_signing(sig: SignatureScheme) -> RandomizedAlgorithm:
         coin_bits=sig.coin_bits,
         secret_gen=lambda rng: sig.gen(rng)[1],
         run=sig.sign,
-        exact_pmf=exact_pmf,
     )

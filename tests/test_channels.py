@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from subvertlab import (
     Bits,
     InvalidHistoryError,
-    NoExactPmfError,
+    RandomizedAlgorithm,
     alg_from_encryption,
     alg_from_signing,
     channel_pmf,
@@ -19,6 +20,7 @@ from subvertlab import (
     channel_support,
     channel_walk,
     det_scheme,
+    make_signed_family,
     min_entropy_estimate,
     min_entropy_exact,
     rand_alg_channel,
@@ -114,7 +116,7 @@ def test_ses_channel_output_positions_cycle_through_messages():
         want = m1 if i % 2 == 0 else m2
         doc = channel_sample(ch, h, rng)
         assert ses.dec(k, doc) == want
-        assert channel_pmf(ch, h, doc) == ses.exact_pmf(k, want, doc)
+        assert channel_pmf(ch, h, doc) == Fraction(1, 2**ses.coin_bits)
         h = h + (doc,)
 
 
@@ -225,10 +227,41 @@ def test_min_entropy_exact_checks_each_history_once(monkeypatch):
     monkeypatch.setattr(channels, "check_history", counting)
     assert min_entropy_exact(ch, histories).bits == pytest.approx(5.0)
     assert checked == histories
-    # a channel without an exact pmf or support still says so
-    for missing in ("pmf_fn", "support_fn"):
-        with pytest.raises(NoExactPmfError):
-            min_entropy_exact(dataclasses.replace(ch, **{missing: None}), histories)
+
+
+def test_signed_family_law_counts_its_coin_strings():
+    # randpad r=2 signed with 2 coin bits: at an output position the law is
+    # a count of family.alg.run over all 16 coin strings
+    ses = randpad_scheme(2, 8, ml=4)
+    sig = sig_fixture("coin-injective", 8, ml=ses.cl, coin_bits=2, tag_bits=8)
+    family = make_signed_family(ses, sig, random.Random(12))
+    ch = rand_alg_channel(family.alg, 1)
+    h = channel_walk(ch, 3, random.Random(13))
+    # with ell=1 both output positions answer the one input h[1]
+    counts = Counter(family.alg.run(h[0], h[1], Bits(rho, 4)) for rho in range(16))
+    for prefix in (h[:2], h):
+        law = {d: channel_pmf(ch, prefix, d) for d in channel_support(ch, prefix)}
+        assert law == {d: Fraction(n, 16) for d, n in counts.items()}
+        assert sum(law.values()) == 1
+    assert min_entropy_exact(ch, [h[:2], h]).bits == pytest.approx(4.0)
+    # a unique signature takes no coins: the min-entropy is the host's r
+    unique = sig_fixture("unique", 8, ml=ses.cl, tag_bits=8)
+    ch = rand_alg_channel(make_signed_family(ses, unique, random.Random(12)).alg, 1)
+    h = channel_walk(ch, 3, random.Random(13))
+    assert min_entropy_exact(ch, [h[:2], h]).bits == pytest.approx(2.0)
+
+
+def test_output_law_weighs_coin_strings_that_collide():
+    # a host that reads one of its two coin bits: 2 of the 4 coin strings
+    # give each output
+    alg = RandomizedAlgorithm(
+        alg_id="one-coin-read", secret_bits=2, input_bits=2, output_bits=3, coin_bits=2,
+        secret_gen=partial(Bits.random, 2), run=lambda s, x, coins: x + coins[:1],
+    )
+    ch, h = rand_alg_channel(alg, 1), (Bits(1, 2), Bits(2, 2))
+    law = {d: channel_pmf(ch, h, d) for d in channel_support(ch, h)}
+    assert law == {Bits(4, 3): Fraction(1, 2), Bits(5, 3): Fraction(1, 2)}
+    assert min_entropy_exact(ch, [h]).bits == 1.0
 
 
 def test_min_entropy_estimate_tracks_exact():

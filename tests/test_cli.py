@@ -175,6 +175,19 @@ def test_exact_entropy_command(capsys):
     assert lines[0]["bits"] == 8.0 and lines[0]["method"] == "exact"
 
 
+def test_exact_entropy_of_the_signed_channel(capsys):
+    # randpad r=2 signed with 2 coin bits: 16 coin strings, 16 outputs
+    signed = ["channel", "entropy", "--channel", "signed", "--mode", "exact", "--depths", "5"]
+    rc, lines, out = run_cli(capsys, [*signed, "--r", "2", "--sig-coins", "2"])
+    assert rc == 0 and '"bits":4.0' in out
+    # 2^24 coin strings are past what the law enumerates
+    rc = cli.main([*signed, "--r", "12", "--sig-coins", "12"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "coin space too large to enumerate" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_merge_pools_files_and_writes_csv(capsys, tmp_path):
     paths = []
     for seed in ("1", "2"):
@@ -197,6 +210,9 @@ def test_merge_pools_files_and_writes_csv(capsys, tmp_path):
     rows = (tmp_path / "summary.csv").read_text().splitlines()
     assert rows[0].startswith("game,trials,success_count,p_hat")
     assert len(rows) == 2 and rows[1].startswith("cpa-dist,100,")
+    # the file's bytes, header and row together, as first written
+    digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
+    assert digest == "f625e4b6bae820c9675c63c7f6b3d760b1dd5b069efad6a480d54b78e6be4e42"
 
 
 def test_bad_session_files_exit_2_naming_path_and_line(capsys, tmp_path):
@@ -695,7 +711,7 @@ def test_package_exports_are_pinned():
     assert sorted(subvertlab.__all__) == [
         "Adversary", "Bits", "Channel", "GameReport",
         "InvalidHistoryError", "InvariantViolation", "LengthMismatchError", "MinEntropyReport",
-        "NoExactPmfError", "OracleQuery", "OracleTranscript", "ParameterError", "PhiReport",
+        "OracleQuery", "OracleTranscript", "ParameterError", "PhiReport",
         "Prf", "QueryCountEstimate", "RandomizedAlgorithm", "SCHEMA", "ScheduleError",
         "SchemaMismatchError", "SignatureScheme", "SignedFamily", "StegoParams", "StegoSystem",
         "SubstitutionAttack", "SubvertLabError", "SymmetricEncryptionScheme", "TrialStreams",
@@ -727,14 +743,13 @@ def test_package_exports_are_pinned():
 # "method.param"), and a dataclass's init fields with a default or default
 # factory; an option only one value of is used for is a constant instead
 LIBRARY_OPTIONS = {
-    "Channel": ("pmf_fn", "support_fn"),
     "GameReport": ("decisions",),
     "OracleTranscript": ("queries",),
-    "RandomizedAlgorithm": ("exact_pmf", "run_ints"),
+    "RandomizedAlgorithm": ("run_ints",),
     "StegoParams": ("kappa", "beta", "block_bits"),
     "StegoSystem": ("prf", "transparent_at"),
     "SubstitutionAttack": ("supports_transcript",),
-    "SymmetricEncryptionScheme": ("exact_pmf", "ciphertext_support", "enc_ints"),
+    "SymmetricEncryptionScheme": ("enc_ints",),
     "asa_enc_all": ("transcript",),
     "channel_walk": ("history",),
     "chi2_attacker": ("queries", "bins"),
@@ -802,7 +817,7 @@ def _library_options():
 def test_library_option_surface_is_pinned():
     surface = _library_options()
     assert surface == LIBRARY_OPTIONS
-    assert sum(map(len, surface.values())) == 57
+    assert sum(map(len, surface.values())) == 52
 
 
 FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]

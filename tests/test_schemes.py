@@ -12,8 +12,12 @@ from subvertlab import (
     ParameterError,
     alg_from_encryption,
     alg_from_signing,
+    channel_pmf,
+    channel_support,
     det_scheme,
+    rand_alg_channel,
     randpad_scheme,
+    ses_channel,
     sig_fixture,
 )
 from subvertlab import prf as prf_module
@@ -45,19 +49,24 @@ def test_randpad_coins_are_the_prefix():
 
 
 def test_randpad_exact_pmf_uniform_over_support():
+    # the channel law at an output position: each of the 2^r coin strings
+    # gives its own ciphertext, so each ciphertext has mass 2^-r
     ses = randpad_scheme(4, 8, ml=4)
     rng = random.Random(2)
     k, m = ses.gen(rng), Bits.random(4, rng)
-    support = list(ses.ciphertext_support(k, m))
+    ch, h = ses_channel(ses, 1), (k, m)
+    support = list(channel_support(ch, h))
+    assert support == [ses.enc(k, m, Bits(rho, 4)) for rho in range(16)]
     assert len(set(support)) == 16
     total = Fraction(0)
     for c in support:
-        p = ses.exact_pmf(k, m, c)
+        p = channel_pmf(ch, h, c)
         assert p == Fraction(1, 16)
         total += p
     assert total == 1
-    assert ses.exact_pmf(k, m, Bits.zeros(8)) in (Fraction(0), Fraction(1, 16))
-    assert ses.exact_pmf(k, m, Bits.zeros(7)) == Fraction(0)
+    zero = Bits.zeros(8)
+    assert channel_pmf(ch, h, zero) == (Fraction(1, 16) if zero in support else 0)
+    assert channel_pmf(ch, h, Bits.zeros(7)) == Fraction(0)
 
 
 def test_randpad_parameter_validation():
@@ -77,15 +86,16 @@ def test_det_scheme_is_a_keyed_permutation():
     k = ses.gen(rng)
     images = {ses.enc(k, Bits(m, 4), Bits.zeros(0)) for m in range(16)}
     assert len(images) == 16  # bijection
+    ch = ses_channel(ses, 1)
     for m in range(16):
         mb = Bits(m, 4)
         c = ses.enc(k, mb, Bits.zeros(0))
         assert ses.dec(k, c) == mb
-        assert ses.exact_pmf(k, mb, c) == Fraction(1)
+        assert channel_pmf(ch, (k, mb), c) == Fraction(1)
     # point mass: enc_sample never varies
     m = Bits(5, 4)
     assert len({ses.enc_sample(k, m, random.Random(i)) for i in range(10)}) == 1
-    assert list(ses.ciphertext_support(k, m)) == [ses.enc(k, m, Bits.zeros(0))]
+    assert list(channel_support(ch, (k, m))) == [ses.enc(k, m, Bits.zeros(0))]
 
 
 def test_det_scheme_differs_across_keys():
@@ -346,7 +356,8 @@ def test_alg_wrappers_expose_lengths_and_runs():
     s, x = alg.secret_gen(rng), alg.input_gen(rng)
     y = alg.run_sample(s, x, rng)
     assert ses.dec(s, y) == x
-    assert alg.exact_pmf(s, x, y) == Fraction(1, 16)
+    # one of the 16 coin strings gives each randpad ciphertext
+    assert channel_pmf(rand_alg_channel(alg, 1), (s, x), y) == Fraction(1, 16)
 
     sig = sig_fixture("coin-injective", 16, ml=4, coin_bits=4, tag_bits=8)
     salg = alg_from_signing(sig)
@@ -354,7 +365,8 @@ def test_alg_wrappers_expose_lengths_and_runs():
     sk = salg.secret_gen(rng)
     out = salg.run_sample(sk, Bits.zeros(4), rng)
     assert sig.vrfy(sk, Bits.zeros(4), out)
-    assert salg.exact_pmf(sk, Bits.zeros(4), out) == Fraction(1, 16)
+    # coin-injective: one of the 16 coin strings gives each signature
+    assert channel_pmf(rand_alg_channel(salg, 1), (sk, Bits.zeros(4)), out) == Fraction(1, 16)
 
 
 def _bits(draw, n):
