@@ -58,16 +58,15 @@ def constant_guess(kind: str = "watchdog") -> Adversary:
     return Adversary(
         kind=kind,
         name="constant-1",
-        description="always returns the same guess",
         strategy=lambda view, rng: 1,
     )
 
 
 def random_guess(kind: str = "watchdog") -> Adversary:
+    """Guesses by a fair coin; advantage zero in expectation."""
     return Adversary(
         kind=kind,
         name="coin-flip",
-        description="guesses by a fair coin, advantage zero in expectation",
         strategy=lambda view, rng: rng.randrange(2),
     )
 
@@ -145,7 +144,6 @@ def repeat_attacker(queries: int = 2) -> Adversary:
     return Adversary(
         kind="attacker",
         name=f"repeat-{queries}",
-        description="re-encrypts one message and looks for colliding ciphertexts",
         strategy=lambda view, rng: _collision_guess(_encryptions(view, rng, queries, False)),
     )
 
@@ -156,7 +154,6 @@ def chi2_attacker(queries: int = 16, bins: int = 4) -> Adversary:
     return Adversary(
         kind="attacker",
         name=f"chi2-{queries}x{bins}",
-        description="frequency test on leading ciphertext bits",
         strategy=lambda view, rng: _chi2_guess(
             _encryptions(view, rng, queries, True), bins, threshold
         ),
@@ -168,7 +165,6 @@ def repeat_watchdog(queries: int = 2) -> Adversary:
     return Adversary(
         kind="watchdog",
         name=f"repeat-{queries}",
-        description="repeats one (key, message) challenge and compares outputs",
         strategy=lambda view, rng: _collision_guess(_challenge_outputs(view, rng, queries, False)),
     )
 
@@ -179,7 +175,6 @@ def chi2_watchdog(queries: int = 16, bins: int = 4) -> Adversary:
     return Adversary(
         kind="watchdog",
         name=f"chi2-{queries}x{bins}",
-        description="frequency test on leading bits of challenge outputs",
         strategy=lambda view, rng: _chi2_guess(
             _challenge_outputs(view, rng, queries, True), bins, threshold
         ),
@@ -191,7 +186,6 @@ def repeat_warden(queries: int = 2) -> Adversary:
     return Adversary(
         kind="warden",
         name=f"repeat-{queries}",
-        description="repeats one history challenge and compares documents",
         strategy=lambda view, rng: _collision_guess(_documents(view, rng, queries)),
     )
 
@@ -202,7 +196,6 @@ def chi2_warden(queries: int = 16, bins: int = 4) -> Adversary:
     return Adversary(
         kind="warden",
         name=f"chi2-{queries}x{bins}",
-        description="frequency test on leading document bits at one history",
         strategy=lambda view, rng: _chi2_guess(_documents(view, rng, queries), bins, threshold),
     )
 
@@ -217,7 +210,6 @@ def replay_forger() -> Adversary:
     return Adversary(
         kind="forger",
         name="replay",
-        description="outputs a signature obtained from the signing oracle",
         strategy=strategy,
     )
 
@@ -233,7 +225,6 @@ def random_forger() -> Adversary:
     return Adversary(
         kind="forger",
         name="random-guess",
-        description="outputs a uniformly random signature on a fresh message",
         strategy=strategy,
     )
 
@@ -250,7 +241,6 @@ def search_forger(budget: int = 512) -> Adversary:
     return Adversary(
         kind="forger",
         name=f"search-{budget}",
-        description="random-search forgery using the public verifier",
         strategy=strategy,
     )
 

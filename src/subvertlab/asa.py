@@ -6,10 +6,10 @@ extractor recovers the message from the ciphertext stream alone, using the
 attacker key. The constructions here are stateless: the state argument is
 passed through untouched, so a reboot can never desynchronize them.
 
-asa_from_stego turns any stegosystem into such an attack by answering the
-encoder's channel queries with fresh encryptions of the current message.
-An encryption scheme is a randomized algorithm, so SubstitutionAttack is
-the one attack type, against encryption, signing or any other host.
+One construction turns a stegosystem into such an attack: each emission
+runs the stego encoder at the session view s || x^ell and answers every
+channel query with a fresh honest output. SubstitutionAttack is the one
+attack type, against encryption, signing or any other randomized host.
 universal_asa is the same construction against an oracle-only host: the
 attack sees nothing but published lengths and an explicit-coin encryption
 oracle, and every emitted ciphertext is one the oracle produced (the
@@ -18,12 +18,13 @@ transcript makes that checkable).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 import statistics
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .bits import Bits
@@ -109,34 +110,57 @@ class _SessionView(Sequence):
         yield from itertools.repeat(self._m, self._ell)
 
 
-def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> SubstitutionAttack:
-    """Subvert `ses` with the encoder of `steg`.
-
-    Each call embeds into the session view key || m^ell (ell = steg.outl),
-    answering every channel query of the encoder with a fresh Enc(k, m),
-    drawn through schemes.emission_draw (as ints where the scheme has
-    enc_ints, as one point draw per emission on a coin-free scheme). The
-    view is handed over unbuilt (_SessionView), since the rejection
-    encoder never reads it. A seed-coupled run of this enc and of the
-    plain stego encoder on the scheme's channel is bit-identical.
-    """
-    ell = steg.params.outl
-    alg = alg_from_encryption(ses)
-
-    def enc(ak, am, k, m, sigma, rng):
-        draw = emission_draw(alg, k, m, rng)
-        return steg.enc(ak, am, _SessionView(k, m, ell), sigma, draw=draw, rng=rng)
+def _stego_attack(steg, attack_id, host_params, host_draw, records=False):
+    """The one stego-to-attack construction: each emission runs steg's
+    encoder at the session view s || x^ell, unbuilt, over the draw
+    host_draw(s, x, rng). A recording attack's enc takes a transcript and
+    hands it on: host_draw(s, x, rng, transcript)."""
+    steg_enc, params = steg.enc, steg.params
+    ell = params.outl
+    if records:
+        def enc(ak, am, s, x, sigma, rng, transcript=None):
+            draw = host_draw(s, x, rng, transcript)
+            return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
+    else:
+        def enc(ak, am, s, x, sigma, rng):
+            draw = host_draw(s, x, rng)
+            return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
 
     return SubstitutionAttack(
-        attack_id=f"rejsam-asa:{ses.scheme_id}",
-        ml=steg.params.ml,
+        attack_id=attack_id,
+        ml=params.ml,
         outl=ell,
-        key_bits=steg.params.kappa,
-        host_params=ses.params_dict(),
+        key_bits=params.kappa,
+        host_params=host_params,
         gen=steg.gen,
         enc=enc,
         ext=steg.dec,
+        supports_transcript=records,
     )
+
+
+def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> SubstitutionAttack:
+    """Subvert `ses` with the encoder of `steg`.
+
+    Each call embeds into the session view key || m^ell, answering every
+    channel query of the encoder with a fresh Enc(k, m), drawn through
+    schemes.emission_draw (as ints where the scheme has enc_ints, as one
+    point draw per emission on a coin-free scheme). A seed-coupled run of
+    this enc and of the plain stego encoder on the scheme's channel is
+    bit-identical.
+    """
+    draw = functools.partial(emission_draw, alg_from_encryption(ses))
+    return _stego_attack(steg, f"rejsam-asa:{ses.scheme_id}", ses.params_dict(), draw)
+
+
+def _enc_all(enc, outl, what, ak, am, s, xs, rng) -> list[Bits]:
+    if len(xs) != outl:
+        raise WrongDocumentCountError(f"expected {outl} {what}, got {len(xs)}")
+    out, sigma = [], None
+    for x in xs:
+        y, sigma = enc(ak, am, s, x, sigma, rng)
+        out.append(y)
+    return out
 
 
 def asa_enc_all(
@@ -149,17 +173,14 @@ def asa_enc_all(
     transcript: "OracleTranscript | None" = None,
 ) -> list[Bits]:
     """Threaded-state driver: one subverted ciphertext per message, from
-    state None."""
-    if len(messages) != asa.outl:
-        raise WrongDocumentCountError(f"expected {asa.outl} messages, got {len(messages)}")
-    out, sigma = [], None
-    for m in messages:
-        if transcript is not None and asa.supports_transcript:
-            c, sigma = asa.enc(ak, am, k, m, sigma, rng, transcript=transcript)
-        else:
-            c, sigma = asa.enc(ak, am, k, m, sigma, rng)
-        out.append(c)
-    return out
+    state None. A transcript records every oracle call, and only an attack
+    that supports transcripts takes one."""
+    enc = asa.enc
+    if transcript is not None:
+        if not asa.supports_transcript:
+            raise ParameterError("attack does not expose oracle transcripts")
+        enc = functools.partial(enc, transcript=transcript)
+    return _enc_all(enc, asa.outl, "messages", ak, am, k, messages, rng)
 
 
 def alg_enc_all(
@@ -171,13 +192,7 @@ def alg_enc_all(
     rng: random.Random,
 ) -> list[Bits]:
     """Threaded-state driver: one subverted output per input, from state None."""
-    if len(inputs) != attack.outl:
-        raise WrongDocumentCountError(f"expected {attack.outl} inputs, got {len(inputs)}")
-    out, sigma = [], None
-    for x in inputs:
-        y, sigma = attack.enc(ak, am, s, x, sigma, rng)
-        out.append(y)
-    return out
+    return _enc_all(attack.enc, attack.outl, "inputs", ak, am, s, inputs, rng)
 
 
 # --- universal (oracle-only) attacks ---------------------------------------
@@ -231,12 +246,13 @@ class UniversalHost:
 def universal_asa(steg: StegoSystem, host: UniversalHost) -> SubstitutionAttack:
     """Rejection-sampling attack with oracle-only host access.
 
-    Every document the encoder inspects is an oracle answer on fresh uniform
-    coins; passing a transcript to enc records each invocation, including the
-    over-cutoff draw.
+    The one stego-to-attack construction, at the session view k || m^ell,
+    with every document the encoder inspects an oracle answer on fresh
+    uniform coins; passing a transcript to enc records each invocation,
+    including the over-cutoff draw.
     """
 
-    def enc(ak, am, k, m, sigma, rng, transcript: OracleTranscript | None = None):
+    def oracle_draw(k, m, rng, transcript):
         def draw() -> Bits:
             coins = Bits.random(host.coin_bits, rng)
             c = host.oracle(k, m, coins)
@@ -244,19 +260,10 @@ def universal_asa(steg: StegoSystem, host: UniversalHost) -> SubstitutionAttack:
                 transcript.record(k, m, coins, c)
             return c
 
-        return steg.enc(ak, am, (), sigma, draw=draw, rng=rng)
+        return draw
 
-    return SubstitutionAttack(
-        attack_id="universal-rejsam",
-        ml=steg.params.ml,
-        outl=steg.params.outl,
-        key_bits=steg.params.kappa,
-        host_params={"ml": host.ml, "cl": host.cl, "r": host.coin_bits},
-        gen=steg.gen,
-        enc=enc,
-        ext=steg.dec,
-        supports_transcript=True,
-    )
+    host_params = {"ml": host.ml, "cl": host.cl, "r": host.coin_bits}
+    return _stego_attack(steg, "universal-rejsam", host_params, oracle_draw, records=True)
 
 
 def generic_asa_against_alg(
@@ -266,7 +273,8 @@ def generic_asa_against_alg(
 ) -> SubstitutionAttack:
     """Subvert any randomized algorithm by rejection-sampling its outputs.
 
-    Every draw of the encoder is an honest run on fresh coins, drawn as
+    The one stego-to-attack construction, at the session view s || x^ell:
+    every draw of the encoder is an honest run on fresh coins, drawn as
     schemes.emission_draw draws it (a point draw on a coin-free algorithm,
     an int draw where the algorithm has run_ints).
 
@@ -275,40 +283,25 @@ def generic_asa_against_alg(
     output that marks correctly, trading detectability for reliability
     (exactly the trade a repeat watchdog then measures). Default off.
     """
-    params = steg.params
-
-    def force_embed(agrees: Callable[[Bits], bool], rng: random.Random) -> Bits:
-        for _ in range(65536):
-            doc = Bits.random(alg.output_bits, rng)
-            if agrees(doc):
-                return doc
-        raise ParameterError("could not fabricate a marking document")
-
-    def enc(ak, am, s, x, sigma, rng):
-        draw = emission_draw(alg, s, x, rng)
-        doc, sigma = steg.enc(ak, am, (), sigma, draw=draw, rng=rng)
-        if demo_force_embed:
-            agrees = mark_agreement(_steg_prf(steg), params, ak, am)
-            if not agrees(doc):
-                doc = force_embed(agrees, rng)
-        return doc, sigma
-
-    return SubstitutionAttack(
-        attack_id=f"rejsam-asa:{alg.alg_id}" + ("+force-embed" if demo_force_embed else ""),
-        ml=params.ml,
-        outl=params.outl,
-        key_bits=params.kappa,
-        host_params={"alg_id": alg.alg_id, "output_bits": alg.output_bits},
-        gen=steg.gen,
-        enc=enc,
-        ext=steg.dec,
-    )
-
-
-def _steg_prf(steg: StegoSystem):
+    attack_id = f"rejsam-asa:{alg.alg_id}" + ("+force-embed" if demo_force_embed else "")
+    host_params = {"alg_id": alg.alg_id, "output_bits": alg.output_bits}
+    attack = _stego_attack(steg, attack_id, host_params, functools.partial(emission_draw, alg))
+    if not demo_force_embed:
+        return attack
     if steg.prf is None:
         raise ParameterError("stego system does not publish its mark function")
-    return steg.prf
+    embed = attack.enc
+
+    def enc(ak, am, s, x, sigma, rng):
+        doc, sigma = embed(ak, am, s, x, sigma, rng)
+        agrees = mark_agreement(steg.prf, steg.params, ak, am)
+        for _ in range(65536):
+            if agrees(doc):
+                return doc, sigma
+            doc = Bits.random(alg.output_bits, rng)
+        raise ParameterError("could not fabricate a marking document")
+
+    return replace(attack, enc=enc)
 
 
 @dataclass(frozen=True)
@@ -355,7 +348,8 @@ def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
     """Reduction adapter: an attack watchdog replayed as a channel warden.
 
     The warden forwards each watchdog challenge (am, k, m, sigma) as the
-    channel challenge (am, k || m^ell, sigma); with coupled seeds the
+    channel challenge (am, k || m^ell, sigma), at the session view every
+    attack hands its encoder (_SessionView); with coupled seeds the
     watchdog sees the identical transcript in both games, so decisions
     match trial for trial. The watchdog sees the scheme as the randomized
     algorithm it is, exactly as in the encryption watchdog game.
@@ -372,7 +366,7 @@ def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
             self.sim_rng = parent.sim_rng
 
         def ch(self, am, k, m, sigma):
-            return self._parent.ch(am, (k,) + (m,) * ell, sigma)
+            return self._parent.ch(am, _SessionView(k, m, ell), sigma)
 
     def strategy(oracles, rng):
         return watchdog.strategy(_View(oracles), rng)
@@ -380,6 +374,5 @@ def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
     return Adversary(
         kind="warden",
         name=f"wrapped:{watchdog.name}",
-        description=f"attack watchdog {watchdog.name} replayed against the channel game",
         strategy=strategy,
     )

@@ -306,7 +306,7 @@ def _session_lines(header, params, ak, am, seed, docs, got):
 
 
 def _session_key(args, steg, seed):
-    if args.key:
+    if args.key is not None:
         return _hex_bits(args.key, steg.params.kappa, "--key")
     return steg.gen(substream(seed, "stego-key"))
 
@@ -361,7 +361,7 @@ def _load_session(path, key_hex=None):
 
 
 def _extract(args, kind):
-    params, ak, expected, docs = _load_session(args.file, args.key or None)
+    params, ak, expected, docs = _load_session(args.file, args.key)
     got = rejsam_system(params).dec(ak, docs)
     return [
         {
@@ -419,7 +419,7 @@ def cmd_asa_run(args):
     ak = asa.gen(rng)
     am = (
         _hex_bits(args.message, asa.ml, "--message")
-        if args.message
+        if args.message is not None
         else Bits.random(asa.ml, rng)
     )
     k = ses.gen(rng)

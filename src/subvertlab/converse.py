@@ -98,6 +98,5 @@ def wrapped_warden_to_watchdog(warden, ses: SymmetricEncryptionScheme, ell: int)
     return Adversary(
         kind="watchdog",
         name=f"wrapped:{warden.name}",
-        description=f"wrapped-system warden {warden.name} replayed against the bare attack",
         strategy=strategy,
     )

@@ -84,11 +84,7 @@ class Adversary:
 
     kind: str
     name: str
-    description: str
     strategy: Callable
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "description": self.description}
 
 
 def wilson_ci(successes: int, trials: int) -> tuple[float, float]:

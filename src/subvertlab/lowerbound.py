@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .adversaries import default_watchdogs
-from .asa import SubstitutionAttack, universal_asa
+from .asa import SubstitutionAttack, UniversalHost, universal_asa
 from .bits import Bits
 from .errors import LengthMismatchError, ParameterError, WrongDocumentCountError
 from .games import SCHEMA, _Z95, Adversary, estimate_unrel_alg, run_rasa_dist, run_sig_forge
@@ -212,37 +212,27 @@ def fabricating_asa(
     )
 
 
-class _SimSignedHost:
-    """Host view a forger hands to a universal attack: encrypt, then ask the
-    game's signing oracle for the tag."""
-
-    def __init__(self, ses: SymmetricEncryptionScheme, sigl: int, sign):
-        self.ml = ses.ml
-        self.cl = ses.cl + sigl
-        self.coin_bits = ses.coin_bits
-        self._ses, self._sign = ses, sign
-
-    def oracle(self, k: Bits, m: Bits, coins: Bits) -> Bits:
-        c = self._ses.enc(k, m, coins)
-        return c + self._sign(c)
-
-
 def forger_from_universal_asa(
     steg: StegoSystem, ses: SymmetricEncryptionScheme, sig: SignatureScheme
 ) -> Adversary:
     """Run a universal attack against the signed family inside the forgery game.
 
-    Every ciphertext the attack inspects is signed by the game's oracle, so
-    an attack that only ever emits oracle answers can never win: its output
-    message is always on the queried list. Only a fabricating attack gets
-    past this forger's own bookkeeping.
+    The attack runs on a UniversalHost over the signed encryption: every
+    ciphertext it inspects is signed by the game's oracle, so an attack
+    that only ever emits oracle answers can never win: its output message
+    is always on the queried list. Only a fabricating attack gets past this
+    forger's own bookkeeping.
     """
     if sig.ml != ses.cl:
         raise LengthMismatchError("signature scheme must sign ciphertext-length messages")
 
     def strategy(view, rng: random.Random):
-        host = _SimSignedHost(ses, sig.sigl, view.sign)
-        attack = universal_asa(steg, host)
+        def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
+            c = ses.enc(k, m, coins)
+            return c + view.sign(c)
+
+        signed = replace(ses, cl=ses.cl + sig.sigl, enc=enc, enc_ints=None)
+        attack = universal_asa(steg, UniversalHost(signed))
         ak = attack.gen(rng)
         am = Bits.random(attack.ml, rng)
         k = Bits.random(ses.key_bits, rng)
@@ -253,7 +243,6 @@ def forger_from_universal_asa(
     return Adversary(
         kind="forger",
         name="universal-attack",
-        description="first subverted output of a universal attack on the signed family",
         strategy=strategy,
     )
 
@@ -288,7 +277,6 @@ def forger_from_fabricating_asa(
     return Adversary(
         kind="forger",
         name=f"fabricating-{ml}",
-        description="forges by verifier search on a fabricated ciphertext",
         strategy=strategy,
     )
 

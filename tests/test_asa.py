@@ -34,6 +34,7 @@ from subvertlab import (
     run_rasa_dist,
     run_ss_cha_dist,
     ses_channel,
+    stego_from_asa,
     substream,
     universal_asa,
     watchdog_to_warden,
@@ -171,6 +172,67 @@ def test_query_count_guards():
     plain = asa_from_stego(steg, ses)
     with pytest.raises(ParameterError):
         query_count(plain, trials=5, seed=0, host_key_bits=ses.key_bits)
+
+
+def test_transcript_on_an_attack_that_records_none_raises():
+    # a transcript left silently empty would read as zero oracle calls
+    steg, ses = small_setup()
+    plain = asa_from_stego(steg, ses)
+    rng = substream(3, 0, "no-transcript")
+    ak, am, k = plain.gen(rng), Bits.random(plain.ml, rng), ses.gen(rng)
+    msgs = [Bits.random(ses.ml, rng) for _ in range(plain.outl)]
+    with pytest.raises(ParameterError, match="does not expose oracle transcripts"):
+        asa_enc_all(plain, ak, am, k, msgs, rng, transcript=OracleTranscript())
+
+
+# --- one construction: every attack runs its encoder at the session view -----
+
+
+def _constructors(steg, ses):
+    alg = alg_from_encryption(ses)
+    return {
+        "asa_from_stego": asa_from_stego(steg, ses),
+        "generic": generic_asa_against_alg(steg, alg),
+        "generic+force": generic_asa_against_alg(steg, alg, demo_force_embed=True),
+        "universal": universal_asa(steg, UniversalHost(ses)),
+    }
+
+
+def test_every_constructor_hands_its_encoder_the_session_view():
+    steg, ses = small_setup(outl=6)
+    seen = []
+
+    def spy_enc(ak, am, history, sigma, *, draw, rng):
+        seen.append(tuple(history))
+        return steg.enc(ak, am, history, sigma, draw=draw, rng=rng)
+
+    spy = dataclasses.replace(steg, enc=spy_enc)
+    for name, attack in _constructors(spy, ses).items():
+        rng = substream(17, 0, name)
+        ak, am = attack.gen(rng), Bits.random(attack.ml, rng)
+        k, m = ses.gen(rng), Bits.random(ses.ml, rng)
+        seen.clear()
+        attack.enc(ak, am, k, m, None, rng)
+        assert seen == [(k,) + (m,) * 6], name
+
+
+def test_a_history_reading_encoder_emits_host_outputs_under_every_constructor():
+    # the wrapped attack reads the session key and message back out of the
+    # history it is handed; at an empty history it would emit a session key
+    ses = randpad_scheme(r=8, kappa=12, ml=8)
+    inner = rejsam_system(StegoParams(ml=4, s=16, outl=4, kappa=16))
+    wrapped = stego_from_asa(asa_from_stego(inner, ses), ses)
+    for name, make in (
+        ("asa_from_stego", lambda: asa_from_stego(wrapped, ses)),
+        ("generic", lambda: generic_asa_against_alg(wrapped, alg_from_encryption(ses))),
+        ("universal", lambda: universal_asa(wrapped, UniversalHost(ses))),
+    ):
+        attack = make()
+        rng = substream(19, 0, name)
+        ak, am = attack.gen(rng), Bits.random(attack.ml, rng)
+        k, m = ses.gen(rng), Bits.random(ses.ml, rng)
+        doc, _ = attack.enc(ak, am, k, m, None, rng)
+        assert len(doc) == ses.cl == 16, name
 
 
 def test_generic_attack_on_a_randomized_algorithm():
@@ -316,7 +378,7 @@ def test_asa_enc_equals_fresh_encryption_per_draw(monkeypatch, host):
 
 @pytest.mark.parametrize("ell", range(5))
 def test_session_view_reads_as_its_tuple(ell):
-    # asa_from_stego hands its encoder key || m^ell unbuilt; every read a
+    # every attack hands its encoder key || m^ell unbuilt; every read a
     # stegosystem may make (converse.stego_from_asa: len, [0], _cycle_input)
     # must see the tuple
     key, m = Bits(5, 16), Bits(3, 8)

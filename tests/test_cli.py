@@ -344,7 +344,7 @@ def test_a_trial_failing_in_a_worker_process_exits_2(capsys, monkeypatch):
             raise ParameterError("rejected in a worker")
         return 0
 
-    boom = Adversary("attacker", "boom", "fails off the calling process", strategy)
+    boom = Adversary("attacker", "boom", strategy)  # fails off the calling process
     monkeypatch.setitem(cli._DIST_ADVERSARIES, "constant", lambda args, kind: boom)
     monkeypatch.setattr(games, "_usable_cpus", lambda: 2)
     argv = ["game", "cpa", "--adversary", "constant", "--trials", "10"]
@@ -1138,6 +1138,9 @@ def test_ownership_table_names_handlers_options_and_choices():
         ["lowerbound", "forger", *FAB_OPTS, "--fab-ml", "-1", "--trials", "2"],
         ["game", "rasa", *SIGNED_FAB, "--fab-ml", "-1", "--trials", "2"],
         ["game", "unrel", "--target", "rasa", *SIGNED_FAB, "--fab-ml", "-1", "--trials", "2"],
+        # an empty key or message is refused, not read as absent
+        ["stego", "embed", *STEGO_OPTS, "--message", "a", "--key", ""],
+        ["asa", "run", *STEGO_OPTS, "--message", ""],
     ],
     ids=" ".join,
 )
@@ -1146,6 +1149,20 @@ def test_out_of_range_values_exit_2_without_output(capsys, argv):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["stego", "asa"])
+def test_empty_extract_key_exits_2_without_output(capsys, tmp_path, command):
+    # an empty --key is refused, not replaced by the session header's key
+    session = str(tmp_path / "session.jsonl")
+    run = ["stego", "embed", "--message", "a"] if command == "stego" else ["asa", "run"]
+    assert cli.main([*run, *STEGO_OPTS, "--seed", "3", "--out", session]) == 0
+    capsys.readouterr()
+    rc = cli.main([command, "extract", "--file", session, "--key", ""])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "--key" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def _readme_commands():
