@@ -235,7 +235,7 @@ def search_forger(budget: int = 512) -> Adversary:
     def strategy(view, rng: random.Random):
         m = Bits.random(view.params["ml"], rng)
         sigl = view.params["r"] + view.params["t"]
-        sig = _signature_search(view.vrfy, view.verifier, view.pk, m, sigl, budget, rng)
+        sig = _signature_search(view.vrfy, view.search, view.pk, m, sigl, budget, rng)
         return None if sig is None else (m, sig)
 
     return Adversary(

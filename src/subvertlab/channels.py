@@ -157,6 +157,16 @@ def _checked_law(channel: Channel, history: tuple) -> tuple[dict[Bits, int], int
 
 
 def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
+    """The channel's exact probability of doc as the next document after
+    history.
+
+    Each call checks the history and rebuilds the whole law of the next
+    position (every uniform document, or a run of the host on every coin
+    string), so weighing every document of a support this way costs
+    |support|^2. A caller that weighs many documents at one position should
+    check the history once (check_history) and read channel.law_fn(history)
+    once.
+    """
     weights, total = _checked_law(channel, history)
     return Fraction(weights.get(doc, 0), total)
 

@@ -495,7 +495,7 @@ class _ForgeView:
         self.pk = pk
         self.params = sig.params_dict()
         self.vrfy = sig.vrfy
-        self.verifier = sig.verifier
+        self.search = sig.search
         self.sim_rng = sim_rng
         self.queried: set[Bits] = set()
         self._sig, self._sk, self._rng = sig, sk, oracle_rng

@@ -152,13 +152,13 @@ def _fab_pad(ak: Bits, rho: Bits, ml: int) -> Bits:
     return Bits(_keystream_int(ak.to_bytes(), b"fabricate", rho.to_bytes(), ml), ml)
 
 
-def _fabricate_and_search(ak, am, prefix, sigl, vrfy, verifier, pk, budget, rng):
+def _fabricate_and_search(ak, am, prefix, sigl, vrfy, search, pk, budget, rng):
     """The fabricated ciphertext rho || (am xor pad(ak, rho)) and a signature
-    on it found by random search against the verifier bound to (pk, c_star)
-    and confirmed by vrfy; None when the budget runs out."""
+    on it found by the scheme's random search on (pk, c_star) and confirmed
+    by vrfy; None when the budget runs out."""
     rho = Bits.random(prefix, rng)
     c_star = rho + (am ^ _fab_pad(ak, rho, len(am)))
-    sig = _signature_search(vrfy, verifier, pk, c_star, sigl, budget, rng)
+    sig = _signature_search(vrfy, search, pk, c_star, sigl, budget, rng)
     return None if sig is None else (c_star, sig)
 
 
@@ -188,7 +188,7 @@ def fabricating_asa(
         for _ in range(decoys):
             last = family.alg.run_sample(s, x, rng)
         found = _fabricate_and_search(
-            ak, am, prefix, sig.sigl, sig.vrfy, sig.verifier, family.pk, budget, rng
+            ak, am, prefix, sig.sigl, sig.vrfy, sig.search, family.pk, budget, rng
         )
         return (last if found is None else found[0] + found[1]), sigma
 
@@ -270,7 +270,7 @@ def forger_from_fabricating_asa(
             c = ses.enc_sample(k, x, rng)
             last = (c, view.sign(c))
         found = _fabricate_and_search(
-            ak, am, prefix, sig.sigl, view.vrfy, view.verifier, view.pk, budget, rng
+            ak, am, prefix, sig.sigl, view.vrfy, view.search, view.pk, budget, rng
         )
         return last if found is None else found
 

@@ -5,9 +5,14 @@ prefix of the output as a (value, slot) pair. Instantiation is HMAC with
 SHA-256: key = attacker key bytes, message = document payload bytes, and the
 pair is taken from the most significant output bits, big-endian.
 
-hmac_sha256 is the single HMAC primitive of the package: the PRF, the toy
-schemes' keystreams and signature tags, and the det codebook seed all call
-it, so every keyed digest is computed the same way.
+hmac_sha256 is the single HMAC primitive of the package, and hmac_states
+its bound form: a key's inner and outer SHA-256 states, from the same
+memo of pad states, with a fixed message prefix already absorbed. The hot
+keyed digests (the marks here, randpad's pads and the signature tags of a
+forgery search in schemes) finish each HMAC inline from bound states: copy
+the inner state, update it, copy the outer state, update it, digest. The
+rest (Prf.eval, the schemes' keystreams outside a search, the det codebook
+seed) call hmac_sha256, so every keyed digest is computed the same way.
 
 The toy keyed functions see the same (key, input) again and again: a
 rejection sampler re-marks documents the channel repeats, and a randpad key
@@ -15,14 +20,16 @@ has only 2^r coin strings. Counted at the benchmark's seed 0, eight
 session-unrel reports make 90,407 HMAC calls over 40,827 distinct inputs;
 one of them marks 6,174 times over 3,273 documents and derives 5,145 pads
 over 1,881 coin strings, and one pointmass-unrel report marks 2,048 times
-over 642 documents. So every keyed cache of the package is one of the two
-table types here, filled by __missing__ on first lookup. A KeyTable keeps
-its latest TABLE_KEYS (8) keys (64 for the HMAC pad states) and evicts the
-oldest; a Table is emptied when it reaches TABLE_ENTRIES (1024) entries. The
-pad states, the marks of split_marker, and the randpad pads and det
-codebooks of schemes live in them. A hit is one dict subscript. Argument
-checks run on every call, before the lookup, except where a caller binds a
-table once for many lookups (split_marker, the randpad int sampler).
+over 642 documents. So every keyed cache of the package is a dict filled by
+__missing__ on first lookup. A KeyTable keeps its latest TABLE_KEYS (8)
+keys (64 for the HMAC pad states) and evicts the oldest. Under it, a key's
+MarkTable here and its pad table in schemes hold that key's bound states,
+and each miss is one __missing__ that finishes one HMAC; such a table is
+emptied when it reaches TABLE_ENTRIES (1024) entries. The pad states, the
+marks of split_marker, and the randpad pads and det codebooks of schemes
+live in these tables. A hit is one dict subscript. Argument checks run on
+every call, before the lookup, except where a caller binds a table once
+for many lookups (split_marker, the randpad int sampler).
 
 A mark is the pair (int value, slot or None). The encoder binds a key's
 mark table once per session (stego.encode_step keeps the binding of the
@@ -73,22 +80,6 @@ class KeyTable(dict):
         return value
 
 
-class Table(dict):
-    """x -> fill(x); a table that holds TABLE_ENTRIES entries empties on a miss."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, x):
-        value = self.fill(x)
-        if len(self) >= TABLE_ENTRIES:
-            self.clear()
-        self[x] = value
-        return value
-
-
 def _pad_states(key: bytes) -> tuple:
     """SHA-256 after absorbing key xor ipad, and after key xor opad."""
     block = hashlib.sha256(key).digest() if len(key) > _BLOCK else key
@@ -114,6 +105,23 @@ def hmac_sha256(key: bytes, msg: bytes) -> bytes:
     outer = outer.copy()
     outer.update(inner.digest())
     return outer.digest()
+
+
+def hmac_states(key: bytes, prefix: bytes = b"") -> tuple:
+    """The bound form of HMAC-SHA256 under key, with prefix already absorbed:
+    (inner, outer), the SHA-256 states after key xor ipad || prefix and after
+    key xor opad. A hot caller finishes HMAC(key, prefix || msg) inline:
+
+        h = inner.copy(); h.update(msg); o = outer.copy(); o.update(h.digest())
+
+    and o.digest() is the tag. The states come from the pad memo (a prefix
+    is absorbed into a copy), and callers only ever copy them.
+    """
+    inner, outer = _pads[key]
+    if prefix:
+        inner = inner.copy()
+        inner.update(prefix)
+    return inner, outer
 
 
 def is_power_of_two(n: int) -> bool:
@@ -173,7 +181,7 @@ def _check_split(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> None:
         raise ParameterError(f"key must have {prf.key_bits} bits")
 
 
-def split_marker(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> Table:
+def split_marker(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> MarkTable:
     """The mark table of one (key, block_bits, n_slots): document bytes ->
     (int value, slot or None). The arguments are checked here, once, so a
     caller that marks many documents under one key (an emission, a decode)
@@ -182,21 +190,37 @@ def split_marker(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> Table:
     return _marks[key.to_bytes(), block_bits, n_slots]
 
 
-def _mark_table(split: tuple[bytes, int, int]) -> Table:
-    """An empty mark table for (key bytes, block_bits, n_slots); a miss
-    runs one HMAC, with the field shifts and mask computed here, once."""
-    kb, block_bits, n_slots = split
-    rest = _OUT_BITS - block_bits
-    idx_bits = (n_slots - 1).bit_length()
-    idx_shift, idx_mask = rest - idx_bits, (1 << idx_bits) - 1
+class MarkTable(dict):
+    """Document bytes -> mark under one (key bytes, block_bits, n_slots).
 
-    def mark(db: bytes) -> tuple[int, int | None]:
-        out = int.from_bytes(hmac_sha256(kb, db), "big")
-        j = (out >> idx_shift) & idx_mask
-        return out >> rest, j if j < n_slots else None
+    The key's bound HMAC states (hmac_states) and the field shifts and mask
+    are taken once, when the table is built; a miss finishes its HMAC
+    inline, and a table that holds TABLE_ENTRIES marks is emptied first.
+    """
 
-    return Table(mark)
+    __slots__ = ("inner", "outer", "rest", "idx_shift", "idx_mask", "n_slots")
+
+    def __init__(self, split: tuple[bytes, int, int]):
+        kb, block_bits, n_slots = split
+        self.inner, self.outer = hmac_states(kb)
+        self.rest = _OUT_BITS - block_bits
+        idx_bits = (n_slots - 1).bit_length()
+        self.idx_shift, self.idx_mask = self.rest - idx_bits, (1 << idx_bits) - 1
+        self.n_slots = n_slots
+
+    def __missing__(self, db: bytes) -> tuple[int, int | None]:
+        inner = self.inner.copy()
+        inner.update(db)
+        outer = self.outer.copy()
+        outer.update(inner.digest())
+        out = int.from_bytes(outer.digest(), "big")
+        j = (out >> self.idx_shift) & self.idx_mask
+        mark = out >> self.rest, j if j < self.n_slots else None
+        if len(self) >= TABLE_ENTRIES:
+            self.clear()
+        self[db] = mark
+        return mark
 
 
 # (key bytes, block_bits, n_slots) -> a table from document bytes to its mark
-_marks = KeyTable(_mark_table)
+_marks = KeyTable(MarkTable)

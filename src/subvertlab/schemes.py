@@ -8,9 +8,12 @@ of its runs over all coin strings (channels._run_law), as keys and inputs
 are counted over all uniform strings.
 
 Every keyed digest here (keystreams, signature tags, the det codebook seed)
-comes from prf.hmac_sha256, the package's one HMAC primitive; the hot
-fixtures (randpad, signatures) work on integers and build one bit string
-per output; randpad also samples ciphertexts as bare ints (enc_ints).
+is an HMAC-SHA256 from prf: the hot ones (randpad's pads, the tags of a
+forgery search) are finished inline from the key's bound states
+(prf.hmac_states, with the label and counter 0 absorbed), the rest go
+through prf.hmac_sha256. The hot fixtures (randpad, signatures) work on
+integers and build one bit string per output; randpad also samples
+ciphertexts as bare ints (enc_ints).
 Attacks and channels alike draw a host's fresh outputs through
 emission_draw: a PointDraw when the host (a RandomizedAlgorithm, such as
 alg_from_encryption(ses)) takes no coins, an IntDraw over its run_ints (a
@@ -18,15 +21,16 @@ scheme's enc_ints) where it has one, and a run on fresh coins otherwise.
 A channel session builds that draw once per cycle slot (key, input), and
 the emissions that answer that input reuse it (channels.ChannelSession).
 
-Each fixture instance keeps its keyed caches in prf's table types (bounds
-and eviction are set there): randpad maps a key to its table of pads by coin
-string rho, and det maps a key to its codebook. The inputs repeat: one
-session-unrel benchmark report derives 5,145 pads over only 1,881 coin
-strings, since a randpad key has 2^r of them. The signature fixture keeps no
-table: its payloads m || coins seldom repeat across calls, and a forgery
-search, which tests hundreds of candidates on one fresh payload, binds the
-verifier to that (pk, m) and keeps the tags of that search alone. Every
-argument check runs on every call, before the lookup.
+Each fixture instance keeps its keyed caches in prf's KeyTable (bounds and
+eviction are set in prf): randpad maps a key to its pad table, which holds
+the key's bound states and maps a coin string rho to its pad, and det maps
+a key to its codebook. The inputs repeat: one session-unrel benchmark
+report derives 5,145 pads over only 1,881 coin strings, since a randpad key
+has 2^r of them. The signature fixture keeps no table across calls: its
+payloads m || coins seldom repeat across calls. Its forgery search,
+search(pk, m, budget, rng), is one loop that tests hundreds of candidates
+on one fresh payload as ints, and keeps the tags of that search alone.
+Every argument check runs on every call, before the lookup.
 
 Security properties of the fixtures are measured by the games, not proven.
 In particular the signature fixtures verify by recomputing a keyed tag, so
@@ -44,7 +48,8 @@ from typing import Callable
 
 from .bits import _EMPTY, Bits
 from .errors import InvariantViolation, ParameterError
-from .prf import KeyTable, Table, hmac_sha256
+from . import prf
+from .prf import _OUT_BITS, KeyTable, hmac_sha256, hmac_states
 
 __all__ = [
     "SymmetricEncryptionScheme",
@@ -71,12 +76,42 @@ def _keystream_int(key_bytes: bytes, label: bytes, payload_bytes: bytes, nbits: 
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
-@functools.lru_cache(maxsize=64)  # each IntDraw asks for one
-def _payload_packer(nbits: int) -> Callable[[int], bytes]:
-    """int -> the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
+def _packing(nbits: int) -> tuple[int, int]:
+    """(shift, nbytes) such that (value << shift).to_bytes(nbytes, "big") is
+    the bytes Bits(value, nbits).to_bytes() gives, without the Bits."""
     nbytes = (nbits + 7) // 8
-    shift = 8 * nbytes - nbits
-    return lambda value: (value << shift).to_bytes(nbytes, "big")
+    return 8 * nbytes - nbits, nbytes
+
+
+class _PadTable(dict):
+    """rho -> pad int under one randpad key: the first ml bits of
+    HMAC-SHA256(key, "pad" || counter || rho's bytes), as _keystream_int
+    gives them. The key's bound states, with "pad" and counter 0 absorbed,
+    are taken once, and a miss finishes its HMAC inline (a pad longer than
+    one digest runs the keystream); a table that holds prf.TABLE_ENTRIES
+    pads is emptied first."""
+
+    __slots__ = ("kb", "inner", "outer", "shift", "nbytes", "ml")
+
+    def __init__(self, kb: bytes, r: int, ml: int):
+        self.kb, self.ml = kb, ml
+        self.inner, self.outer = hmac_states(kb, b"pad\x00\x00")
+        self.shift, self.nbytes = _packing(r)
+
+    def __missing__(self, rho: int) -> int:
+        payload = (rho << self.shift).to_bytes(self.nbytes, "big")
+        if self.ml > _OUT_BITS:
+            pad = _keystream_int(self.kb, b"pad", payload, self.ml)
+        else:
+            inner = self.inner.copy()
+            inner.update(payload)
+            outer = self.outer.copy()
+            outer.update(inner.digest())
+            pad = int.from_bytes(outer.digest(), "big") >> (_OUT_BITS - self.ml)
+        if len(self) >= prf.TABLE_ENTRIES:
+            self.clear()
+        self[rho] = pad
+        return pad
 
 
 @dataclass(frozen=True)
@@ -126,29 +161,21 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
         raise ParameterError("randpad needs r >= 0, kappa > 0, ml > 0")
     cl = r + ml
     body_mask = (1 << ml) - 1
-    pack_rho = _payload_packer(r)
-
-    def key_pads(kb: bytes) -> Table:  # rho -> pad int, for one key
-        return Table(lambda rho: _keystream_int(kb, b"pad", pack_rho(rho), ml))
-
-    pads = KeyTable(key_pads)
-
-    def ciphertext(rho: int, mv: int, pad: Table) -> int:
-        return (rho << ml) | (mv ^ pad[rho])
+    pads = KeyTable(functools.partial(_PadTable, r=r, ml=ml))  # key bytes -> its pads
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
         if len(m) != ml or len(coins) != r:
             raise ParameterError("randpad enc: wrong message or coin length")
-        return Bits(ciphertext(coins.uint, m.uint, pads[k.to_bytes()]), cl)
+        rho = coins.uint
+        return Bits((rho << ml) | (m.uint ^ pads[k.to_bytes()][rho]), cl)
 
     def enc_ints(k: Bits, m: Bits, rng: random.Random) -> Callable[[], int]:
         # coins as enc_sample draws them: getrandbits(0) is 0 and takes no
         # RNG state, as Bits.random(0, rng) takes none
         if len(m) != ml:
             raise ParameterError("randpad enc: wrong message length")
-        pad, mv = pads[k.to_bytes()], m.uint
-        draw = rng.getrandbits
-        return lambda: ciphertext(draw(r), mv, pad)
+        pad, mv, draw = pads[k.to_bytes()], m.uint, rng.getrandbits
+        return lambda: ((rho := draw(r)) << ml) | (mv ^ pad[rho])
 
     def dec(k: Bits, c: Bits) -> Bits | None:
         if len(c) != cl:
@@ -273,9 +300,11 @@ class SignatureScheme:
     by reading the prefix. kind "unique": sig = tag(sk, m), no coins, exactly
     one verifying signature per message by construction.
 
-    verifier(pk, m) binds vrfy to one (pk, m) for a search over many
-    candidates: the returned accepts(v) is vrfy(pk, m, Bits(v, sigl)) for
-    every 0 <= v < 2^sigl, without building the bit string.
+    search(pk, m, budget, rng) is the brute-force forgery search: it draws
+    up to `budget` candidates v = rng.getrandbits(sigl), as
+    Bits.random(sigl, rng) would draw them, and returns the first v for
+    which vrfy(pk, m, Bits(v, sigl)) holds, or None after `budget` draws,
+    testing each candidate as an int without building its bit string.
     """
 
     scheme_id: str
@@ -287,7 +316,7 @@ class SignatureScheme:
     gen: Callable[[random.Random], tuple[Bits, Bits]]
     sign: Callable[[Bits, Bits, Bits], Bits]
     vrfy: Callable[[Bits, Bits, Bits], bool]
-    verifier: Callable[[Bits, Bits], Callable[[int], bool]]
+    search: Callable[[Bits, Bits, int, random.Random], int | None]
 
     @property
     def sigl(self) -> int:
@@ -319,7 +348,10 @@ def sig_fixture(
 
     sigl = coin_bits + tag_bits
     tag_mask = (1 << tag_bits) - 1
-    pack_mc = _payload_packer(ml + coin_bits)
+    shift, nbytes = _packing(ml + coin_bits)  # packs the payload m || coins
+
+    def tag(kb: bytes, payload: int) -> int:
+        return _keystream_int(kb, b"sig", (payload << shift).to_bytes(nbytes, "big"), tag_bits)
 
     def gen(rng: random.Random) -> tuple[Bits, Bits]:
         sk = Bits.random(kappa, rng)
@@ -329,34 +361,46 @@ def sig_fixture(
         if len(m) != ml or len(coins) != coin_bits:
             raise ParameterError("sign: wrong message or coin length")
         rho = coins.uint
-        t = _keystream_int(sk.to_bytes(), b"sig", pack_mc((m.uint << coin_bits) | rho), tag_bits)
-        return Bits((rho << tag_bits) | t, sigl)
+        return Bits((rho << tag_bits) | tag(sk.to_bytes(), (m.uint << coin_bits) | rho), sigl)
 
     def vrfy(pk: Bits, m: Bits, sig: Bits) -> bool:
         if len(m) != ml or len(sig) != sigl:
             return False
         s = sig.uint
-        payload = pack_mc((m.uint << coin_bits) | (s >> tag_bits))
-        return s & tag_mask == _keystream_int(pk.to_bytes(), b"sig", payload, tag_bits)
+        return s & tag_mask == tag(pk.to_bytes(), (m.uint << coin_bits) | (s >> tag_bits))
 
-    def verifier(pk: Bits, m: Bits) -> Callable[[int], bool]:
-        if len(m) != ml:
-            return _reject
-        kb = pk.to_bytes()
-        base = m.uint << coin_bits
-        # coins -> tag for this (pk, m) only: candidates repeat coin strings
+    def search(pk: Bits, m: Bits, budget: int, rng: random.Random) -> int | None:
+        draw = rng.getrandbits
+        if len(m) != ml:  # nothing verifies, and every candidate is still drawn
+            for _ in range(budget):
+                draw(sigl)
+            return None
+        kb, base = pk.to_bytes(), m.uint << coin_bits
+        # one-block tags are finished inline from pk's bound states
+        inner, outer = hmac_states(kb, b"sig\x00\x00")
+        cut = _OUT_BITS - tag_bits
+        # coins -> tag for this search only: candidates repeat coin strings
         # (eight seed-0 lowerbound rate reports draw 570,209 candidates in
         # 2,166 searches over 281,873 distinct payloads)
         seen: dict[int, int] = {}
-
-        def accepts(v: int) -> bool:
+        get = seen.get
+        for _ in range(budget):
+            v = draw(sigl)
             coins = v >> tag_bits
-            t = seen.get(coins)
+            t = get(coins)
             if t is None:
-                t = seen[coins] = _keystream_int(kb, b"sig", pack_mc(base | coins), tag_bits)
-            return v & tag_mask == t
-
-        return accepts
+                if cut < 0:
+                    t = tag(kb, base | coins)
+                else:
+                    h = inner.copy()
+                    h.update(((base | coins) << shift).to_bytes(nbytes, "big"))
+                    o = outer.copy()
+                    o.update(h.digest())
+                    t = int.from_bytes(o.digest(), "big") >> cut
+                seen[coins] = t
+            if v & tag_mask == t:
+                return v
+        return None
 
     return SignatureScheme(
         scheme_id=f"sig-{kind}-c{coin_bits}-t{tag_bits}",
@@ -368,29 +412,22 @@ def sig_fixture(
         gen=gen,
         sign=sign,
         vrfy=vrfy,
-        verifier=verifier,
+        search=search,
     )
 
 
-def _reject(v: int) -> bool:
-    return False
-
-
-def _signature_search(vrfy, verifier, pk: Bits, m: Bits, sigl: int, budget: int, rng):
+def _signature_search(vrfy, search, pk: Bits, m: Bits, sigl: int, budget: int, rng):
     """The first of `budget` random sigl-bit candidates that verifies on m
-    under pk, or None. Candidates are tested as ints by the bound verifier(pk,
-    m) and drawn as Bits.random(sigl, rng) would draw them; only the accepted
-    one becomes a bit string, and vrfy must accept it too."""
-    accepts = verifier(pk, m)
-    draw = rng.getrandbits
-    for _ in range(budget):
-        v = draw(sigl)
-        if accepts(v):
-            sig = Bits(v, sigl)
-            if not vrfy(pk, m, sig):
-                raise InvariantViolation(f"bound verifier accepts {sig!r} on {m!r}, vrfy rejects it")
-            return sig
-    return None
+    under pk, or None: the scheme's search(pk, m, budget, rng) draws and
+    tests them as ints, only the one it returns becomes a bit string, and
+    vrfy must accept that one too."""
+    v = search(pk, m, budget, rng)
+    if v is None:
+        return None
+    sig = Bits(v, sigl)
+    if not vrfy(pk, m, sig):
+        raise InvariantViolation(f"search accepts {sig!r} on {m!r}, vrfy rejects it")
+    return sig
 
 
 @dataclass(frozen=True)
@@ -439,14 +476,15 @@ class PointDraw:
 
 class IntDraw:
     """One emission's draw in int form: ints() samples the next document's
-    value, pack(x) gives the bytes Bits(x, width).to_bytes() would, and
-    emit(x) builds the document. Called plainly, it returns the document,
-    as any draw does."""
+    value x, (x << shift).to_bytes(nbytes, "big") packs it into the bytes
+    Bits(x, width).to_bytes() would give, and emit(x) builds the document.
+    Called plainly, it returns the document, as any draw does."""
 
-    __slots__ = ("ints", "pack", "width")
+    __slots__ = ("ints", "width", "shift", "nbytes")
 
     def __init__(self, ints: Callable[[], int], width: int):
-        self.ints, self.pack, self.width = ints, _payload_packer(width), width
+        self.ints, self.width = ints, width
+        self.shift, self.nbytes = _packing(width)
 
     def emit(self, x: int) -> Bits:
         return Bits(x, self.width)

@@ -220,15 +220,20 @@ def encode_step(
     if point is not None:  # after the checks: it fails where a looping draw would
         return point
     ints = getattr(draw, "ints", None)
-    sample, pack = (draw, Bits.to_bytes) if ints is None else (ints, draw.pack)
+    if ints is None:
+        for _ in range(params.s):
+            doc = draw()
+            value, j = marks[doc.to_bytes()]
+            if j is not None and value == blocks[j]:
+                return doc
+        return draw()
+    shift, nbytes = draw.shift, draw.nbytes
     for _ in range(params.s):
-        x = sample()
-        value, j = marks[pack(x)]
+        x = ints()
+        value, j = marks[(x << shift).to_bytes(nbytes, "big")]
         if j is not None and value == blocks[j]:
-            break
-    else:
-        x = sample()
-    return x if ints is None else draw.emit(x)
+            return draw.emit(x)
+    return draw.emit(ints())
 
 
 def rejsam_decode(

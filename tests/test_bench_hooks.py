@@ -62,7 +62,8 @@ def test_traced_cli_runs_count_parsing_and_verification(capsys):
     counts = tracer.counts()
     assert counts["cli.main"] == counts["cli.build_parser"] == counts["cli.parse_args"] == 2
     assert counts["schemes.vrfy"] > 0
-    assert counts["lowerbound.searches"] > 0 and counts["lowerbound.search_vrfy"] > 0
+    # vrfy confirms the one candidate a search returns, and nothing else
+    assert 0 < counts["lowerbound.search_vrfy"] <= counts["lowerbound.searches"]
 
 
 @pytest.mark.parametrize("label, template", [(label, t) for label, _, t in INVOCATIONS])

@@ -6,6 +6,10 @@ For each `cli._COMMANDS` row and each combination of its selectors' values
 records the attributes read. An option the handler leaves unread must be
 one that `_settle` refuses when it is given: otherwise the command accepts
 it and silently ignores it.
+
+Each numeric option is also run, through `cli.main`, at its least accepted
+value, one option at a time: every such run exits 0 or 2, never with a
+traceback.
 """
 
 import argparse
@@ -128,3 +132,69 @@ def test_every_option_is_read_or_refused(row, files):
     unread, ran = _unread_options(row, files)
     assert ran > 0
     assert unread == []
+
+
+# the least value each numeric option accepts (where some invocation exits 0
+# there); --seed and --beta have none, so they are tried at a negative value
+LEAST = {
+    "seed": "-1", "beta": "-1e308", "trials": "1", "jobs": "1", "count": "1", "depth": "0",
+    "depths": "0", "samples": "2", "kappa": "1", "r": "0", "host_ml": "1", "sig_ml": "1",
+    "sig_coins": "0", "tag_bits": "1", "ml": "1", "s": "1", "outl": "1", "block_bits": "1",
+    "stego_kappa": "1", "ell": "1", "doc_bits": "1", "queries": "1", "bins": "2",
+    "fab_ml": "0", "decoys": "1", "budget": "0", "query": "1", "schedule": "1",
+}
+LEAST_BY_ROW = {
+    ("lowerbound", "phi", "ml"): "0",  # a zero-bit message has a bound too
+    ("asa", "queries", "trials"): "2",  # a query count is a mean over trials
+}
+
+
+def _flags(dest, value):
+    flag = "--" + dest.replace("_", "-")
+    return [] if value in (None, False) else [flag] if value is True else [f"{flag}={value}"]
+
+
+def _run(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
+    assert code == 0 or out == "", argv
+    return code
+
+
+@pytest.mark.parametrize("row", cli._COMMANDS, ids=lambda row: " ".join(row[:2]))
+def test_each_numeric_option_at_its_least_value_exits_0_or_2(row, files, capsys):
+    # one option at a time, with --trials and --jobs at their least too, under
+    # the first selector values that read it and whose run exits 0 without it
+    command, subcommand = row[:2]
+    base = [word.format(**files) for word in REQUIRED.get((command, subcommand), [])]
+    parsed = cli.build_parser().parse_args([command, subcommand, *base])
+    options = {flag.strip("-").replace("-", "_"): kw for flag, kw in cli._row_options(row)}
+    selectors = {
+        dest: _selector_values(kw, getattr(parsed, dest))
+        for dest, kw in options.items()
+        if kw.get("choices") is not None or dest == "reboot"
+    }
+
+    def argv(context, *dests):
+        sized = dict.fromkeys(d for d in ("trials", "jobs", *dests) if d in options or d in dests)
+        least = [LEAST_BY_ROW.get((command, subcommand, d), LEAST[d]) for d in sized]
+        return [command, subcommand, *base, *context, *itertools.chain(*map(_flags, sized, least))]
+
+    runs = {}  # selector argv -> exit code without the option
+    numeric = [d for d, kw in options.items() if kw.get("type") and not kw.get("choices")]
+    for dest in ["seed", *numeric]:
+        for values in itertools.product(*selectors.values()):
+            combination = dict(zip(selectors, values))
+            try:
+                cli._settle(argparse.Namespace(**{**vars(parsed), **combination, dest: GIVEN}))
+            except ParameterError:
+                continue  # the option does not apply here
+            context = tuple(word for d, v in combination.items() for word in _flags(d, v))
+            if context not in runs:
+                runs[context] = _run(argv(context), capsys)
+            if runs[context] == 0:
+                break
+        else:
+            pytest.fail(f"no selector values run {dest}")
+        _run(argv(context, dest), capsys)

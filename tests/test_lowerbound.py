@@ -192,7 +192,7 @@ def test_search_draws_and_finds_what_the_bit_string_loop_does(tag_bits, budget):
         ref_rng, rng = random.Random(seed), random.Random(seed)
         want = _reference_search(ak, am, 8, sig.sigl, sig.vrfy, family.pk, budget, ref_rng)
         got = lowerbound._fabricate_and_search(
-            ak, am, 8, sig.sigl, sig.vrfy, sig.verifier, family.pk, budget, rng
+            ak, am, 8, sig.sigl, sig.vrfy, sig.search, family.pk, budget, rng
         )
         assert got == want and rng.getstate() == ref_rng.getstate(), seed
         outcomes.add(got is None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from subvertlab import Bits, ParameterError, Prf, is_power_of_two, prf_split_block
 from subvertlab import prf as prf_module
-from subvertlab.prf import hmac_sha256
+from subvertlab.prf import hmac_sha256, hmac_states
 
 
 def test_matches_rfc4231_vectors():
@@ -134,6 +134,22 @@ def test_hmac_sha256_every_key_length_to_130_bytes():
         assert hmac_sha256(key, b"doc") == oracles.manual_hmac_sha256(key, b"doc"), n
 
 
+def test_bound_states_finish_the_hmac_of_prefix_and_message():
+    # keys over one 64-byte block are hashed first; a prefix is absorbed into
+    # a copy, so the memo's states still give the unprefixed digest after it
+    for n in range(131):
+        key = bytes((11 * i + n) & 0xFF for i in range(n))
+        for prefix in (b"", b"sig\x00\x00", bytes(range(70))):
+            inner, outer = hmac_states(key, prefix)
+            for msg in (b"", b"doc", bytes(range(100))):
+                h = inner.copy()
+                h.update(msg)
+                o = outer.copy()
+                o.update(h.digest())
+                assert o.digest() == oracles.manual_hmac_sha256(key, prefix + msg), (n, prefix)
+            assert hmac_sha256(key, b"doc") == oracles.manual_hmac_sha256(key, b"doc"), n
+
+
 def test_hmac_pad_memo_stays_bounded():
     cap = prf_module._PAD_MEMO
     keys = [i.to_bytes(4, "big") for i in range(3 * cap)]
@@ -156,9 +172,13 @@ def _manual_split(key, doc, block_bits, n_slots):
 def test_mark_tables_match_manual_split_on_every_call(monkeypatch):
     # one key under two (block_bits, n_slots) pairs: each pair has its own
     # table, and a repeated document costs no HMAC and returns its first mark
+    # (HMACs are counted as table misses, the one place a mark is computed)
     prf_module._marks.clear()
     macs = []
-    monkeypatch.setattr(prf_module, "hmac_sha256", lambda *a: macs.append(1) or hmac_sha256(*a))
+    miss = prf_module.MarkTable.__missing__
+    monkeypatch.setattr(
+        prf_module.MarkTable, "__missing__", lambda table, db: macs.append(1) or miss(table, db)
+    )
     prf = Prf(64)
     key = Bits.random(64, random.Random(31))
     docs = [Bits(v, 24) for v in range(0, 3000, 97)]

@@ -138,10 +138,17 @@ def test_det_codebook_memo_stays_bounded(monkeypatch):
 def test_inline_shuffle_is_random_shuffle():
     # the det codebook's inline Fisher-Yates makes random.shuffle's calls:
     # the same permutation, and the generator left in the same state (a
-    # drift at one size would also change every later permutation)
+    # drift at one size would also change every later permutation). The
+    # draw width changes where an index crosses a power of two, so the sizes
+    # are 1-64 and every 2^b - 1, 2^b and 2^b + 1 up to 2^16 + 1. Each seed
+    # runs every size up to 2^12 + 1 and one of the twelve larger ones in
+    # turn, so each larger size runs under one or two seeds
+    boundaries = [2**b + d for b in range(1, 17) for d in (-1, 0, 1)]
+    small = sorted({*range(1, 65), *(n for n in boundaries if n <= 2**12 + 1)})
+    large = [n for n in boundaries if n > 2**12 + 1]
     for seed in range(20):
         ours, theirs = random.Random(seed), random.Random(seed)
-        for size in (*range(1, 1001), 2**16):
+        for size in (*small, large[seed % len(large)]):
             x, y = list(range(size)), list(range(size))
             schemes._shuffle(x, ours.getrandbits)
             theirs.shuffle(y)
@@ -236,9 +243,15 @@ def test_sig_fixture_validation():
 
 
 def _count_macs(monkeypatch):
+    """Counts the HMACs of schemes: the tags of sign and vrfy (hmac_sha256)
+    and the pads of randpad, finished inline at a pad table's miss."""
     macs = []
     real = schemes.hmac_sha256
     monkeypatch.setattr(schemes, "hmac_sha256", lambda *a: macs.append(1) or real(*a))
+    miss = schemes._PadTable.__missing__
+    monkeypatch.setattr(
+        schemes._PadTable, "__missing__", lambda pads, rho: macs.append(1) or miss(pads, rho)
+    )
     return macs
 
 
@@ -419,41 +432,104 @@ def test_randpad_matches_bit_string_reference(r, kappa, ml, data):
     assert oracles.randpad_dec_bits(k.bin(), other.bin() + "0", r, ml) is None
 
 
+class _Script:
+    """An rng stand-in whose getrandbits(nbits) hands out scripted
+    candidates in order, counting the draws."""
+
+    def __init__(self, candidates, nbits):
+        self.candidates, self.nbits, self.drawn = list(candidates), nbits, 0
+
+    def getrandbits(self, n):
+        assert n == self.nbits
+        self.drawn += 1
+        return self.candidates[self.drawn - 1]
+
+
 @pytest.mark.parametrize(
     "kind,coin_bits,tag_bits", [("coin-injective", 3, 4), ("coin-extractable", 2, 5), ("unique", 0, 6)]
 )
 def test_bound_verifier_matches_vrfy_on_every_candidate(kind, coin_bits, tag_bits):
+    # the search bound to (pk, m) tests each scripted candidate as vrfy does
     ml = 5
     sig = sig_fixture(kind, 12, ml=ml, coin_bits=coin_bits, tag_bits=tag_bits)
-    c, t = sig.coin_bits, sig.tag_bits
+    c, t, sigl = sig.coin_bits, sig.tag_bits, sig.sigl
+    every = range(2**sigl)
     for pk, m in ((Bits(0x5A3, 12), Bits(9, ml)), (Bits(0x0F1, 12), Bits(9, ml))):
-        accepts = sig.verifier(pk, m)
-        got = [accepts(v) for v in range(2**sig.sigl)]
-        for v, ok in enumerate(got):
-            cand = Bits(v, sig.sigl)
-            assert ok == sig.vrfy(pk, m, cand) == oracles.sig_vrfy_bits(
+        got = []
+        for v in every:  # one candidate per search: found exactly when it verifies
+            rng = _Script([v], sigl)
+            found = sig.search(pk, m, 1, rng)
+            cand = Bits(v, sigl)
+            assert (found == v) == sig.vrfy(pk, m, cand) == oracles.sig_vrfy_bits(
                 pk.bin(), m.bin(), cand.bin(), ml, c, t
             ), (pk, v)
+            assert found in (None, v) and rng.drawn == 1
+            got.append(found == v)
         assert sum(got) == 2**c  # one tag per coin string
-        # asked again, in reverse order, the per-search memo answers the same
-        assert [accepts(v) for v in reversed(range(2**sig.sigl))] == got[::-1]
-    # a wrong-length message verifies nothing
+        # one search over every candidate, the rejected ones first and in
+        # reverse: its per-search memo rejects them all, and it stops at the
+        # first that verifies, after drawing it
+        order = [v for v in reversed(every) if not got[v]] + [v for v in every if got[v]]
+        rng = _Script(order, sigl)
+        assert sig.search(pk, m, len(order), rng) == order[-(2**c)]
+        assert rng.drawn == len(order) - 2**c + 1
+    # a wrong-length message verifies nothing, and every candidate is drawn
     for bad_m in (Bits(9, ml + 1), Bits(4, ml - 1)):
-        accepts = sig.verifier(pk, bad_m)
-        assert not any(accepts(v) for v in range(2**sig.sigl))
+        rng = _Script(every, sigl)
+        assert sig.search(pk, bad_m, len(every), rng) is None and rng.drawn == len(every)
 
 
 def test_bound_verifier_reads_a_two_block_tag():
     sig = sig_fixture("coin-extractable", 16, ml=7, coin_bits=2, tag_bits=300)
     sk, m = Bits(0xBEEF, 16), Bits(0x55, 7)
-    accepts = sig.verifier(sk, m)
     for rho in range(4):
         s = sig.sign(sk, m, Bits(rho, 2))
-        for cand in (s, s ^ Bits(1, 302), s ^ Bits(1 << 299, 302), s ^ Bits(1 << 300, 302)):
-            assert accepts(cand.uint) == sig.vrfy(sk, m, cand) == oracles.sig_vrfy_bits(
+        cands = (s ^ Bits(1, 302), s ^ Bits(1 << 299, 302), s ^ Bits(1 << 300, 302), s)
+        for cand in cands:
+            found = sig.search(sk, m, 1, _Script([cand.uint], 302))
+            assert (found == cand.uint) == sig.vrfy(sk, m, cand) == oracles.sig_vrfy_bits(
                 sk.bin(), m.bin(), cand.bin(), 7, 2, 300
             )
-        assert accepts(s.uint)
+        rng = _Script([cand.uint for cand in cands], 302)
+        assert sig.search(sk, m, len(cands), rng) == s.uint and rng.drawn == len(cands)
+
+
+def _vrfy_search(sig, pk, m, budget, rng):
+    """The search as a loop over bit strings: every candidate is a
+    Bits.random draw checked by vrfy."""
+    for _ in range(budget):
+        cand = Bits.random(sig.sigl, rng)
+        if sig.vrfy(pk, m, cand):
+            return cand.uint
+    return None
+
+
+@pytest.mark.parametrize(
+    "kind,ml,coin_bits,tag_bits",
+    [
+        ("coin-injective", 8, 3, 4),  # m || coins is 11 bits, off a byte boundary
+        ("coin-extractable", 16, 8, 8),
+        ("coin-extractable", 5, 6, 2),  # more coin bits than tag bits
+        ("unique", 7, 0, 5),  # no coins: one tag per search
+        ("coin-extractable", 7, 2, 300),  # two-block tags
+    ],
+)
+@pytest.mark.parametrize("budget", [0, 1, 70, 400])
+def test_search_matches_the_vrfy_loop(kind, ml, coin_bits, tag_bits, budget):
+    sig = sig_fixture(kind, 16, ml=ml, coin_bits=coin_bits, tag_bits=tag_bits)
+    found = set()
+    for seed in range(8):
+        setup = random.Random(seed)
+        pk, m = Bits.random(16, setup), Bits.random(ml, setup)
+        # a wrong-length message is searched too: nothing verifies on it
+        for msg in (m, m + Bits(seed & 1, 1), m[1:]):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            want = _vrfy_search(sig, pk, msg, budget, ref_rng)
+            assert sig.search(pk, msg, budget, rng) == want, (seed, msg)
+            assert rng.getstate() == ref_rng.getstate(), (seed, msg)
+            found.add(want is not None)
+    if budget >= 70 and tag_bits <= 8:
+        assert True in found  # the found path is compared too, not only None
 
 
 @settings(max_examples=80, deadline=None)

@@ -119,7 +119,7 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     # ml=1: one slot, the mark is one PRF bit. The mark is a function of the
     # document, so a stream stuck on rejected documents costs one mark per
     # distinct document, while every one of the s+1 draws is still taken.
-    # Marks are counted as fills of the PRF's mark table (HMAC calls after
+    # Marks are counted as fills of the PRF's mark table (its misses after
     # the tables are emptied), since a re-mark would be a table hit
     params = StegoParams(ml=1, s=7, outl=4, kappa=64)
     prf = Prf(64)
@@ -128,8 +128,10 @@ def test_encode_step_marks_each_distinct_document_once(monkeypatch):
     zero0, zero1 = [d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 0][:2]
     one = next(d for d in candidates if prf_split_block(prf, key, d, 1, 1)[0].uint == 1)
     marks = []
-    mac = subvertlab.prf.hmac_sha256
-    monkeypatch.setattr(subvertlab.prf, "hmac_sha256", lambda *a: marks.append(1) or mac(*a))
+    miss = subvertlab.prf.MarkTable.__missing__
+    monkeypatch.setattr(
+        subvertlab.prf.MarkTable, "__missing__", lambda table, db: marks.append(1) or miss(table, db)
+    )
 
     def run(am, stream, draw=None):
         subvertlab.prf._marks.clear()
@@ -349,8 +351,10 @@ def test_decode_binds_the_mark_table_once(monkeypatch):
     binds, macs = [], []
     bind = subvertlab.stego.split_marker
     monkeypatch.setattr(subvertlab.stego, "split_marker", lambda *a: binds.append(1) or bind(*a))
-    mac = subvertlab.prf.hmac_sha256
-    monkeypatch.setattr(subvertlab.prf, "hmac_sha256", lambda *a: macs.append(1) or mac(*a))
+    miss = subvertlab.prf.MarkTable.__missing__
+    monkeypatch.setattr(
+        subvertlab.prf.MarkTable, "__missing__", lambda table, db: macs.append(1) or miss(table, db)
+    )
     subvertlab.prf._marks.clear()
     got = rejsam_decode(prf, params, key, docs)
     assert (len(binds), len(macs)) == (1, len(distinct))
