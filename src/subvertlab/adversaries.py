@@ -90,16 +90,22 @@ def _chi2_guess(outputs, bins: int, threshold: float) -> int:
     return 0 if stat > threshold else 1
 
 
-def _encryptions(view, rng: random.Random, queries: int, fresh: bool) -> list:
-    """Ciphertexts of one message asked `queries` times, or of a fresh
-    message per query."""
-    m = Bits.random(view.scheme.ml, rng)
+def _asked(ask, draw, rng: random.Random, queries: int, fresh: bool) -> list:
+    """ask(x) `queries` times, at one drawn x or at a fresh x per query."""
+    x = draw(rng)
     outputs = []
     for i in range(queries):
         if fresh and i:
-            m = Bits.random(view.scheme.ml, rng)
-        outputs.append(view.enc(m))
+            x = draw(rng)
+        outputs.append(ask(x))
     return outputs
+
+
+def _encryptions(view, rng: random.Random, queries: int, fresh: bool) -> list:
+    """Ciphertexts of one message asked `queries` times, or of a fresh
+    message per query."""
+    ml = view.scheme.ml
+    return _asked(view.enc, lambda r: Bits.random(ml, r), rng, queries, fresh)
 
 
 def _challenge_outputs(view, rng: random.Random, queries: int, fresh: bool) -> list:
@@ -107,14 +113,7 @@ def _challenge_outputs(view, rng: random.Random, queries: int, fresh: bool) -> l
     asked `queries` times, or a fresh input per query."""
     am = Bits.random(view.asa_ml, rng)
     s = view.alg.secret_gen(rng)
-    x = view.alg.input_gen(rng)
-    outputs, sigma = [], None
-    for i in range(queries):
-        if fresh and i:
-            x = view.alg.input_gen(rng)
-        y, sigma = view.ch(am, s, x, sigma)
-        outputs.append(y)
-    return outputs
+    return _asked(lambda x: view.ch(am, s, x), view.alg.input_gen, rng, queries, fresh)
 
 
 def _crafted_full_history(view, rng: random.Random) -> tuple:
@@ -132,11 +131,7 @@ def _documents(view, rng: random.Random, queries: int) -> list:
     full history."""
     am = Bits.random(view.stego_ml, rng)
     h = _crafted_full_history(view, rng)
-    docs, sigma = [], None
-    for _ in range(queries):
-        d, sigma = view.ch(am, h, sigma)
-        docs.append(d)
-    return docs
+    return [view.ch(am, h) for _ in range(queries)]
 
 
 def repeat_attacker(queries: int = 2) -> Adversary:

@@ -4,7 +4,10 @@ A substitution attack replaces an encryption routine with a subverted one
 that leaks a hidden message through ordinary-looking ciphertexts; the
 extractor recovers the message from the ciphertext stream alone, using the
 attacker key. The constructions here are stateless: the state argument is
-passed through untouched, so a reboot can never desynchronize them.
+passed through untouched, so a reboot can never desynchronize them. The
+state belongs to whoever runs the encoder: the enc_all drivers thread it
+from None, and in a game the challenger's oracle keeps it (games.py), so an
+adversary only ever sees outputs.
 
 One construction turns a stegosystem into such an attack: each emission
 runs the stego encoder at the session view s || x^ell and answers every
@@ -12,8 +15,8 @@ channel query with a fresh honest output. SubstitutionAttack is the one
 attack type, against encryption, signing or any other randomized host.
 universal_asa is the same construction against an oracle-only host: the
 attack sees nothing but published lengths and an explicit-coin encryption
-oracle, and every emitted ciphertext is one the oracle produced (the
-transcript makes that checkable).
+oracle, and every emitted ciphertext is one the oracle produced. The host
+logs every oracle call in its own `queries`, which makes that checkable.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import operator
 import random
 import statistics
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .bits import Bits
@@ -40,7 +43,6 @@ from .stego import StegoSystem, mark_agreement
 __all__ = [
     "SubstitutionAttack",
     "OracleQuery",
-    "OracleTranscript",
     "UniversalHost",
     "asa_from_stego",
     "asa_enc_all",
@@ -57,10 +59,10 @@ __all__ = [
 class SubstitutionAttack:
     """Attack triple against a randomized algorithm, encryption included.
 
-    enc(ak, am, s, x, sigma, rng[, transcript]) -> (output, sigma), on the
-    host's secret and input (a key and message); ext(ak, outputs) -> hidden
-    message or None. host_params records the published lengths of the host
-    the attack was built for.
+    enc(ak, am, s, x, sigma, rng) -> (output, sigma), on the host's secret
+    and input (a key and message); ext(ak, outputs) -> hidden message or
+    None. host_params records the published lengths of the host the attack
+    was built for.
     """
 
     attack_id: str
@@ -71,7 +73,6 @@ class SubstitutionAttack:
     gen: Callable[[random.Random], Bits]
     enc: Callable[..., tuple[Bits, object]]
     ext: Callable[[Bits, Sequence[Bits]], Bits | None]
-    supports_transcript: bool = False
 
     def describe(self) -> dict:
         return {
@@ -110,21 +111,16 @@ class _SessionView(Sequence):
         yield from itertools.repeat(self._m, self._ell)
 
 
-def _stego_attack(steg, attack_id, host_params, host_draw, records=False):
+def _stego_attack(steg, attack_id, host_params, host_draw):
     """The one stego-to-attack construction: each emission runs steg's
     encoder at the session view s || x^ell, unbuilt, over the draw
-    host_draw(s, x, rng). A recording attack's enc takes a transcript and
-    hands it on: host_draw(s, x, rng, transcript)."""
+    host_draw(s, x, rng)."""
     steg_enc, params = steg.enc, steg.params
     ell = params.outl
-    if records:
-        def enc(ak, am, s, x, sigma, rng, transcript=None):
-            draw = host_draw(s, x, rng, transcript)
-            return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
-    else:
-        def enc(ak, am, s, x, sigma, rng):
-            draw = host_draw(s, x, rng)
-            return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
+
+    def enc(ak, am, s, x, sigma, rng):
+        draw = host_draw(s, x, rng)
+        return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
 
     return SubstitutionAttack(
         attack_id=attack_id,
@@ -135,7 +131,6 @@ def _stego_attack(steg, attack_id, host_params, host_draw, records=False):
         gen=steg.gen,
         enc=enc,
         ext=steg.dec,
-        supports_transcript=records,
     )
 
 
@@ -170,17 +165,9 @@ def asa_enc_all(
     k: Bits,
     messages: Sequence[Bits],
     rng: random.Random,
-    transcript: "OracleTranscript | None" = None,
 ) -> list[Bits]:
-    """Threaded-state driver: one subverted ciphertext per message, from
-    state None. A transcript records every oracle call, and only an attack
-    that supports transcripts takes one."""
-    enc = asa.enc
-    if transcript is not None:
-        if not asa.supports_transcript:
-            raise ParameterError("attack does not expose oracle transcripts")
-        enc = functools.partial(enc, transcript=transcript)
-    return _enc_all(enc, asa.outl, "messages", ak, am, k, messages, rng)
+    """Threaded-state driver: one subverted ciphertext per message, from state None."""
+    return _enc_all(asa.enc, asa.outl, "messages", ak, am, k, messages, rng)
 
 
 def alg_enc_all(
@@ -206,37 +193,29 @@ class OracleQuery:
     c: Bits
 
 
-@dataclass
-class OracleTranscript:
-    """Every oracle invocation an attack made, in order."""
-
-    queries: list[OracleQuery] = field(default_factory=list)
-
-    def record(self, k: Bits, m: Bits, coins: Bits, c: Bits) -> None:
-        self.queries.append(OracleQuery(k, m, coins, c))
-
-    @property
-    def count(self) -> int:
-        return len(self.queries)
-
-    def ciphertexts(self) -> set[Bits]:
-        return {q.c for q in self.queries}
-
-
 class UniversalHost:
     """Oracle-only view of an encryption scheme.
 
-    Exposes exactly (ml, cl, coin_bits) and the explicit-coin oracle; any
-    other attribute access raises and is counted, which is how tests assert
-    that universal attacks never peek past the interface.
+    Exposes exactly (ml, cl, coin_bits) and the explicit-coin oracle, which
+    appends every call it answers to `queries`, in order. Any other
+    attribute access raises and is counted, which is how tests assert that
+    universal attacks never peek past the interface.
     """
 
     def __init__(self, ses: SymmetricEncryptionScheme):
         self.ml = ses.ml
         self.cl = ses.cl
         self.coin_bits = ses.coin_bits
-        self.oracle = ses.enc
+        self.queries: list[OracleQuery] = []
         self.forbidden_accesses = 0
+        enc, log = ses.enc, self.queries.append
+
+        def oracle(k: Bits, m: Bits, coins: Bits) -> Bits:
+            c = enc(k, m, coins)
+            log(OracleQuery(k, m, coins, c))
+            return c
+
+        self.oracle = oracle
 
     def __getattr__(self, name):  # normal lookups never reach here
         self.__dict__["forbidden_accesses"] = self.__dict__.get("forbidden_accesses", 0) + 1
@@ -248,22 +227,15 @@ def universal_asa(steg: StegoSystem, host: UniversalHost) -> SubstitutionAttack:
 
     The one stego-to-attack construction, at the session view k || m^ell,
     with every document the encoder inspects an oracle answer on fresh
-    uniform coins; passing a transcript to enc records each invocation,
-    including the over-cutoff draw.
+    uniform coins; the host's queries log each invocation, including the
+    over-cutoff draw.
     """
 
-    def oracle_draw(k, m, rng, transcript):
-        def draw() -> Bits:
-            coins = Bits.random(host.coin_bits, rng)
-            c = host.oracle(k, m, coins)
-            if transcript is not None:
-                transcript.record(k, m, coins, c)
-            return c
-
-        return draw
+    def oracle_draw(k, m, rng):
+        return lambda: host.oracle(k, m, Bits.random(host.coin_bits, rng))
 
     host_params = {"ml": host.ml, "cl": host.cl, "r": host.coin_bits}
-    return _stego_attack(steg, "universal-rejsam", host_params, oracle_draw, records=True)
+    return _stego_attack(steg, "universal-rejsam", host_params, oracle_draw)
 
 
 def generic_asa_against_alg(
@@ -313,32 +285,31 @@ class QueryCountEstimate:
 
 
 def query_count(
-    asa: SubstitutionAttack, trials: int, seed: int, host_key_bits: int
+    steg: StegoSystem, ses: SymmetricEncryptionScheme, trials: int, seed: int
 ) -> QueryCountEstimate:
     """Measured expected oracle calls per subverted ciphertext.
 
-    Counts every oracle invocation, including the final over-cutoff draw.
-    Only transcript-supporting attacks can be measured, over at least two
-    trials (the interval uses the sample deviation). host_key_bits is the
-    experiment's key length: an oracle-only host never publishes one.
+    Runs universal_asa(steg) against its own UniversalHost of ses and counts
+    every oracle invocation the host logs, including the final over-cutoff
+    draw, over at least two trials (the interval uses the sample deviation).
     """
-    if not asa.supports_transcript:
-        raise ParameterError("attack does not expose oracle transcripts")
     if trials < 2:
         raise ParameterError("query_count needs at least 2 trials")
     from .games import _Z95
     from .rng import substream
 
+    host = UniversalHost(ses)
+    asa = universal_asa(steg, host)
     counts = []
     for i in range(trials):
         rng = substream(seed, i, "query-count")
         ak = asa.gen(rng)
         am = Bits.random(asa.ml, rng)
-        k = Bits.random(host_key_bits, rng)
-        m = Bits.random(asa.host_params["ml"], rng)
-        transcript = OracleTranscript()
-        asa.enc(ak, am, k, m, None, rng, transcript=transcript)
-        counts.append(transcript.count)
+        k = Bits.random(ses.key_bits, rng)
+        m = Bits.random(ses.ml, rng)
+        host.queries.clear()  # one trial's log at a time
+        asa.enc(ak, am, k, m, None, rng)
+        counts.append(len(host.queries))
     mean = statistics.fmean(counts)
     half = _Z95 * statistics.stdev(counts) / trials**0.5
     return QueryCountEstimate(mean=mean, ci95=(mean - half, mean + half), trials=trials, seed=seed)
@@ -347,12 +318,13 @@ def query_count(
 def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
     """Reduction adapter: an attack watchdog replayed as a channel warden.
 
-    The warden forwards each watchdog challenge (am, k, m, sigma) as the
-    channel challenge (am, k || m^ell, sigma), at the session view every
-    attack hands its encoder (_SessionView); with coupled seeds the
-    watchdog sees the identical transcript in both games, so decisions
-    match trial for trial. The watchdog sees the scheme as the randomized
-    algorithm it is, exactly as in the encryption watchdog game.
+    The warden forwards each watchdog challenge (am, k, m) as the channel
+    challenge (am, k || m^ell), at the session view every attack hands its
+    encoder (_SessionView); the warden's oracle keeps the encoder state.
+    With coupled seeds the watchdog sees the identical transcript in both
+    games, so decisions match trial for trial. The watchdog sees the scheme
+    as the randomized algorithm it is, exactly as in the encryption
+    watchdog game.
     """
     from .games import Adversary
 
@@ -365,8 +337,8 @@ def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
             self.asa_ml = parent.stego_ml
             self.sim_rng = parent.sim_rng
 
-        def ch(self, am, k, m, sigma):
-            return self._parent.ch(am, _SessionView(k, m, ell), sigma)
+        def ch(self, am, k, m):
+            return self._parent.ch(am, _SessionView(k, m, ell))
 
     def strategy(oracles, rng):
         return watchdog.strategy(_View(oracles), rng)

@@ -33,14 +33,7 @@ from .adversaries import (
     replay_forger,
     search_forger,
 )
-from .asa import (
-    UniversalHost,
-    asa_enc_all,
-    asa_from_stego,
-    generic_asa_against_alg,
-    query_count,
-    universal_asa,
-)
+from .asa import asa_enc_all, asa_from_stego, generic_asa_against_alg, query_count
 from .bits import Bits
 from .channels import (
     channel_walk,
@@ -435,10 +428,7 @@ def cmd_asa_extract(args):
 
 def cmd_asa_queries(args):
     seed = _seed(args)
-    steg = _stego(args)
-    ses = _scheme(args)
-    attack = universal_asa(steg, UniversalHost(ses))
-    est = query_count(attack, args.trials, seed, host_key_bits=ses.key_bits)
+    est = query_count(_stego(args), _scheme(args), args.trials, seed)
     return [{"kind": "query-count", **asdict(est)}]
 
 
@@ -549,9 +539,7 @@ def cmd_lb_rate(args):
         steg = _stego(args)
         attack = generic_asa_against_alg(steg, family.alg)
         if query is None:
-            ses = family.ses
-            universal = universal_asa(steg, UniversalHost(ses))
-            query = query_count(universal, 200, seed, host_key_bits=ses.key_bits).mean
+            query = query_count(steg, family.ses, 200, seed).mean
     report = rate_report(family, attack, query, forger, args.trials, seed, jobs=args.jobs)
     return [report]
 
@@ -601,16 +589,16 @@ def _int_at_least(least, what):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
         if value < least:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonneg_int = _int_at_least(0, "non-negative")  # --budget 0: no search at all
+_positive_int = _int_at_least(1, "a positive integer")
+_nonneg_int = _int_at_least(0, "a non-negative integer")  # --budget 0: no search at all
 
 
 def _int_list(item):
@@ -672,7 +660,7 @@ _GROUPS = {
     "dist": (
         _opt("--adversary", choices=_DIST_ADVERSARIES, default="repeat"),
         _opt("--queries", type=_positive_int, default=2),
-        _opt("--bins", type=int, default=4),
+        _opt("--bins", type=_int_at_least(2, "an integer of at least 2"), default=4),
     ),
     "fab": (
         _opt("--fab-ml", type=int, default=8, help="fabricated hidden message bits"),

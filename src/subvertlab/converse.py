@@ -68,7 +68,8 @@ def wrapped_warden_to_watchdog(warden, ses: SymmetricEncryptionScheme, ell: int)
     Key and message positions are answered from the shared public streams
     (they are identical in both worlds); every encryption position is
     forwarded to the watchdog's own challenge oracle with the key and
-    cycling message read from the warden's history.
+    cycling message read from the warden's history; that oracle keeps the
+    encoder state.
     """
     from .games import Adversary
 
@@ -81,13 +82,13 @@ def wrapped_warden_to_watchdog(warden, ses: SymmetricEncryptionScheme, ell: int)
             self.stego_ml = parent.asa_ml
             self.sim_rng = parent.sim_rng
 
-        def ch(self, am, history, sigma):
+        def ch(self, am, history):
             n = len(history)
             if n == 0:
-                return ses.gen(self.sim_rng("oracle-prefix")), sigma
+                return ses.gen(self.sim_rng("oracle-prefix"))
             if n <= ell:
-                return Bits.random(ses.ml, self.sim_rng("oracle-prefix")), sigma
-            return self._parent.ch(am, history[0], _cycle_input(history, ell), sigma)
+                return Bits.random(ses.ml, self.sim_rng("oracle-prefix"))
+            return self._parent.ch(am, history[0], _cycle_input(history, ell))
 
         def channel_sample(self, history):
             return _channel_sample(channel, history, self.sim_rng("channel"))

@@ -12,6 +12,11 @@ trial range is cut into contiguous chunks: the calling process runs the
 first and forked worker processes run the rest, so the CPU-bound trials
 really do run side by side, and the results are joined in trial order.
 
+The challenger keeps the encoder state, as the paper's oracles do: a
+watchdog or warden view holds sigma, from None at the start of each trial
+across that trial's challenges, and its `ch` oracle takes only the
+challenge and returns only the output. No adversary ever sees sigma.
+
 Every runner is a thin wrapper over one trial driver, _play: the
 distinguishing games share one hidden-bit trial body and differ only in
 the oracles they build. An encryption scheme is a randomized algorithm
@@ -396,13 +401,15 @@ class _WatchdogView:
         self.asa_ml = attack.ml
         self.sim_rng = sim_rng
         self._attack, self._ak, self._b, self._rng = attack, ak, b, oracle_rng
+        self._sigma = None
 
-    def ch(self, am, s, x, sigma):
+    def ch(self, am, s, x):
         if len(am) != self.asa_ml:
             raise LengthMismatchError(f"hidden message must be {self.asa_ml} bits")
         if self._b == 0:
-            return self._attack.enc(self._ak, am, s, x, sigma, self._rng)
-        return self.alg.run_sample(s, x, self._rng), sigma
+            y, self._sigma = self._attack.enc(self._ak, am, s, x, self._sigma, self._rng)
+            return y
+        return self.alg.run_sample(s, x, self._rng)
 
 
 def _watchdog_game(game, attack, alg, adversary, trials, seed, jobs):
@@ -449,8 +456,9 @@ class _SsChaView:
         self.stego_ml = steg.params.ml
         self.sim_rng = sim_rng
         self._steg, self._ak, self._b, self._rng = steg, ak, b, oracle_rng
+        self._sigma = None
 
-    def ch(self, am, history, sigma):
+    def ch(self, am, history):
         if len(am) != self.stego_ml:
             raise LengthMismatchError(f"hidden message must be {self.stego_ml} bits")
         steg = self._steg
@@ -458,8 +466,9 @@ class _SsChaView:
         rng = self.sim_rng("oracle-prefix") if transparent else self._rng
         draw = self.channel.session(history, rng).draw()
         if self._b == 0:
-            return steg.enc(self._ak, am, history, sigma, draw=draw, rng=rng)
-        return draw(), sigma
+            doc, self._sigma = steg.enc(self._ak, am, history, self._sigma, draw=draw, rng=rng)
+            return doc
+        return draw()
 
     def channel_sample(self, history):
         return channel_sample(self.channel, history, self.sim_rng("channel"))

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from subvertlab import (
     Bits,
-    OracleTranscript,
     StegoParams,
     UniversalHost,
     alg_from_encryption,
@@ -218,7 +217,8 @@ def test_criterion_08_lower_bound_apparatus():
     # (b) a universal attack only ever emits oracle answers, so it cannot forge
     ses = host_scheme()
     steg = steg_bit(8, 64)
-    uasa = universal_asa(steg, UniversalHost(ses))
+    host = UniversalHost(ses)
+    uasa = universal_asa(steg, host)
     emitted, outside = 0, 0
     for i in range(157):  # 157 * 64 = 10048 ciphertexts
         rng = substream(SEED, i, "c8-universal")
@@ -226,9 +226,9 @@ def test_criterion_08_lower_bound_apparatus():
         am = Bits.random(uasa.ml, rng)
         k = Bits.random(ses.key_bits, rng)
         msgs = [Bits.random(ses.ml, rng) for _ in range(uasa.outl)]
-        transcript = OracleTranscript()
-        docs = asa_enc_all(uasa, ak, am, k, msgs, rng, transcript=transcript)
-        answered = transcript.ciphertexts()
+        host.queries.clear()
+        docs = asa_enc_all(uasa, ak, am, k, msgs, rng)
+        answered = {q.c for q in host.queries}
         emitted += len(docs)
         outside += sum(1 for d in docs if d not in answered)
     sig16 = sig_fixture("coin-extractable", kappa=16, ml=ses.cl, coin_bits=8, tag_bits=8)

@@ -74,9 +74,9 @@ class _AlgView:
         self._outputs = iter(outputs)
         self.challenges = []
 
-    def ch(self, am, s, x, sigma):
+    def ch(self, am, s, x):
         self.challenges.append((s, x))
-        return next(self._outputs), sigma
+        return next(self._outputs)
 
 
 def test_repeat_watchdog_serves_both_host_kinds():
@@ -115,9 +115,9 @@ class _WardenView:
         self._outputs = iter(outputs)
         self.histories = []
 
-    def ch(self, am, history, sigma):
+    def ch(self, am, history):
         self.histories.append(history)
-        return next(self._outputs), sigma
+        return next(self._outputs)
 
 
 def test_warden_crafts_one_full_session_history():

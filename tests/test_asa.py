@@ -9,7 +9,6 @@ import pytest
 
 from subvertlab import (
     Bits,
-    OracleTranscript,
     ParameterError,
     StegoParams,
     UniversalHost,
@@ -62,7 +61,6 @@ def test_construction_publishes_host_parameters():
     assert asa.attack_id == f"rejsam-asa:{ses.scheme_id}"
     assert asa.ml == 4 and asa.outl == 24 and asa.key_bits == KAPPA
     assert asa.host_params == ses.params_dict()
-    assert not asa.supports_transcript
     d = asa.describe()
     assert d["attack"] == asa.attack_id and d["host"]["cl"] == ses.cl
 
@@ -114,7 +112,6 @@ def test_universal_attack_only_sees_the_oracle():
     steg, ses = small_setup()
     host = UniversalHost(ses)
     uasa = universal_asa(steg, host)
-    assert uasa.supports_transcript
     assert uasa.host_params == {"ml": ses.ml, "cl": ses.cl, "r": ses.coin_bits}
 
     rng = substream(11, 0, "universal")
@@ -122,17 +119,16 @@ def test_universal_attack_only_sees_the_oracle():
     am = Bits.random(uasa.ml, rng)
     k = Bits.random(KAPPA, rng)
     msgs = [Bits.random(ses.ml, rng) for _ in range(uasa.outl)]
-    transcript = OracleTranscript()
-    docs = asa_enc_all(uasa, ak, am, k, msgs, rng, transcript=transcript)
+    docs = asa_enc_all(uasa, ak, am, k, msgs, rng)
 
     # a full run never steps outside the oracle interface
     assert host.forbidden_accesses == 0
     assert uasa.ext(ak, docs) == am
     # every emitted document is literally one of the oracle's answers,
-    # and every recorded answer is the oracle on the recorded coins
-    assert set(docs) <= transcript.ciphertexts()
-    assert transcript.count >= uasa.outl
-    for q in transcript.queries:
+    # and every logged answer is the oracle on the logged coins
+    assert set(docs) <= {q.c for q in host.queries}
+    assert len(host.queries) >= uasa.outl
+    for q in host.queries:
         assert ses.enc(q.k, q.m, q.coins) == q.c
 
 
@@ -150,8 +146,7 @@ def test_off_interface_access_raises_and_is_counted():
 
 def test_query_count_matches_geometric_expectation():
     steg, ses = small_setup(ml=4, s=16, outl=24)
-    uasa = universal_asa(steg, UniversalHost(ses))
-    est = query_count(uasa, trials=300, seed=9, host_key_bits=KAPPA)
+    est = query_count(steg, ses, trials=300, seed=9)
     # one-bit marks on a power-of-two slot table accept half the draws
     assert abs(est.mean - oracles.expected_draws(0.5, 16)) < 0.35
     assert est.ci95[0] <= est.mean <= est.ci95[1]
@@ -161,28 +156,15 @@ def test_query_count_matches_geometric_expectation():
 def test_query_count_scales_with_block_width():
     ses = randpad_scheme(r=8, kappa=KAPPA, ml=8)
     steg = rejsam_system(StegoParams(ml=8, s=32, outl=8, kappa=KAPPA, block_bits=2))
-    uasa = universal_asa(steg, UniversalHost(ses))
-    est = query_count(uasa, trials=300, seed=9, host_key_bits=KAPPA)
+    est = query_count(steg, ses, trials=300, seed=9)
     # two-bit blocks accept a quarter of the draws
     assert abs(est.mean - oracles.expected_draws(0.25, 32)) < 0.8
 
 
 def test_query_count_guards():
     steg, ses = small_setup()
-    plain = asa_from_stego(steg, ses)
-    with pytest.raises(ParameterError):
-        query_count(plain, trials=5, seed=0, host_key_bits=ses.key_bits)
-
-
-def test_transcript_on_an_attack_that_records_none_raises():
-    # a transcript left silently empty would read as zero oracle calls
-    steg, ses = small_setup()
-    plain = asa_from_stego(steg, ses)
-    rng = substream(3, 0, "no-transcript")
-    ak, am, k = plain.gen(rng), Bits.random(plain.ml, rng), ses.gen(rng)
-    msgs = [Bits.random(ses.ml, rng) for _ in range(plain.outl)]
-    with pytest.raises(ParameterError, match="does not expose oracle transcripts"):
-        asa_enc_all(plain, ak, am, k, msgs, rng, transcript=OracleTranscript())
+    with pytest.raises(ParameterError, match="at least 2 trials"):
+        query_count(steg, ses, trials=1, seed=0)
 
 
 # --- one construction: every attack runs its encoder at the session view -----

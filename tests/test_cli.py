@@ -166,6 +166,15 @@ def test_query_count_needs_two_trials(capsys):
     assert rc == 0 and all(abs(x) < float("inf") for x in lines[0]["ci95"])
 
 
+def test_bins_below_two_is_refused_at_parse_time(capsys):
+    # one bin leaves the chi-square statistic no degree of freedom
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["game", "cpa", "--adversary", "chi2", "--bins", "1", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert "argument --bins" in captured.err and "Traceback" not in captured.err
+
+
 def test_exact_entropy_command(capsys):
     rc, lines, _ = run_cli(
         capsys,
@@ -711,7 +720,7 @@ def test_package_exports_are_pinned():
     assert sorted(subvertlab.__all__) == [
         "Adversary", "Bits", "Channel", "GameReport",
         "InvalidHistoryError", "InvariantViolation", "LengthMismatchError", "MinEntropyReport",
-        "OracleQuery", "OracleTranscript", "ParameterError", "PhiReport",
+        "OracleQuery", "ParameterError", "PhiReport",
         "Prf", "QueryCountEstimate", "RandomizedAlgorithm", "SCHEMA", "ScheduleError",
         "SchemaMismatchError", "SignatureScheme", "SignedFamily", "StegoParams", "StegoSystem",
         "SubstitutionAttack", "SubvertLabError", "SymmetricEncryptionScheme", "TrialStreams",
@@ -744,13 +753,10 @@ def test_package_exports_are_pinned():
 # factory; an option only one value of is used for is a constant instead
 LIBRARY_OPTIONS = {
     "GameReport": ("decisions",),
-    "OracleTranscript": ("queries",),
     "RandomizedAlgorithm": ("run_ints",),
     "StegoParams": ("kappa", "beta", "block_bits"),
     "StegoSystem": ("prf", "transparent_at"),
-    "SubstitutionAttack": ("supports_transcript",),
     "SymmetricEncryptionScheme": ("enc_ints",),
-    "asa_enc_all": ("transcript",),
     "channel_walk": ("history",),
     "chi2_attacker": ("queries", "bins"),
     "chi2_quantile": ("q",),
@@ -817,7 +823,7 @@ def _library_options():
 def test_library_option_surface_is_pinned():
     surface = _library_options()
     assert surface == LIBRARY_OPTIONS
-    assert sum(map(len, surface.values())) == 52
+    assert sum(map(len, surface.values())) == 49
 
 
 FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]

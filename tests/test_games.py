@@ -1,5 +1,6 @@
 """Game reports, interval arithmetic, and the Monte Carlo runners."""
 
+import dataclasses
 import os
 import pickle
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from subvertlab import (
+    Adversary,
     Bits,
     GameReport,
     ParameterError,
@@ -44,9 +46,12 @@ from subvertlab import (
     run_sig_forge,
     run_ss_cha_dist,
     search_forger,
+    ses_channel,
     sig_fixture,
     uniform_channel,
+    watchdog_to_warden,
     wilson_ci,
+    wrapped_warden_to_watchdog,
 )
 from subvertlab import games
 
@@ -188,6 +193,87 @@ def test_random_compositions_partition_the_total():
         parts = random_composition(total, rng)
         assert sum(parts) == total
         assert all(p >= 1 for p in parts)
+
+
+# --- the challenger keeps the encoder state ----------------------------------
+
+_SIGMA = object()  # the state every spied encoder hands back
+
+
+class _StateSpy:
+    """Spied encoders log the state each call is handed, one list per trial,
+    and return _SIGMA as the next state; spied strategies open each trial's
+    list and keep everything their view's ch returns."""
+
+    def __init__(self):
+        self.handed = []
+        self.returned = []
+
+    def stego(self, steg):
+        def enc(ak, am, history, sigma, *, draw, rng):
+            self.handed[-1].append(sigma)
+            return steg.enc(ak, am, history, None, draw=draw, rng=rng)[0], _SIGMA
+
+        return dataclasses.replace(steg, enc=enc)
+
+    def attack(self, attack):
+        def enc(ak, am, s, x, sigma, rng):
+            self.handed[-1].append(sigma)
+            return attack.enc(ak, am, s, x, None, rng)[0], _SIGMA
+
+        return dataclasses.replace(attack, enc=enc)
+
+    def watchdog(self):
+        def strategy(view, rng):
+            self.handed.append([])
+            am = Bits.random(view.asa_ml, rng)
+            s, x = view.alg.secret_gen(rng), view.alg.input_gen(rng)
+            self.returned += [view.ch(am, s, x) for _ in range(3)]
+            return 0
+
+        return Adversary(kind="watchdog", name="state-spy", strategy=strategy)
+
+    def warden(self):
+        def strategy(view, rng):
+            self.handed.append([])
+            am = Bits.random(view.stego_ml, rng)
+            desc = view.channel.descriptor
+            key, m = Bits.random(desc["kappa"], rng), Bits.random(desc["in_bits"], rng)
+            history = (key,) + (m,) * desc["ell"]
+            self.returned += [view.ch(am, history) for _ in range(3)]
+            return 0
+
+        return Adversary(kind="warden", name="state-spy", strategy=strategy)
+
+
+@pytest.mark.parametrize("game", ["ss-cha", "watchdog", "watchdog-as-warden", "warden-as-watchdog"])
+def test_no_oracle_hands_the_encoder_state_to_an_adversary(game):
+    steg = rejsam_system(StegoParams(ml=4, s=16, outl=24, kappa=16))
+    ses = randpad_scheme(r=8, kappa=16, ml=8)
+    ell = 2
+    channel = ses_channel(ses, ell)
+    spy = _StateSpy()
+    if game == "ss-cha":
+        run_ss_cha_dist(spy.stego(steg), channel, spy.warden(), trials=8, seed=1)
+    elif game == "watchdog":
+        alg = alg_from_encryption(ses)
+        attack = spy.attack(generic_asa_against_alg(steg, alg))
+        run_rasa_dist(attack, alg, spy.watchdog(), trials=8, seed=1)
+    elif game == "watchdog-as-warden":
+        warden = watchdog_to_warden(spy.watchdog(), ses, ell)
+        run_ss_cha_dist(spy.stego(steg), channel, warden, trials=8, seed=1)
+    else:
+        watchdog = wrapped_warden_to_watchdog(spy.warden(), ses, ell)
+        run_enc_asa_dist(spy.attack(asa_from_stego(steg, ses)), ses, watchdog, 8, seed=1)
+    # the adversary only ever gets documents back, never the state
+    assert len(spy.returned) == 3 * 8
+    assert all(type(y) is Bits for y in spy.returned)
+    # the oracle threads the state within a trial and starts each trial at
+    # None; the honest world (b = 1) never calls the encoder
+    assert len(spy.handed) == 8
+    embedded = [states for states in spy.handed if states]
+    assert embedded and len(embedded) < 8
+    assert all(states == [None, _SIGMA, _SIGMA] for states in embedded)
 
 
 # --- trials in forked chunks -------------------------------------------------
