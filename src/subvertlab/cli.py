@@ -594,6 +594,7 @@ def _int_at_least(least, what):
             raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
         return value
 
+    parse.least = least
     return parse
 
 
@@ -602,11 +603,18 @@ _nonneg_int = _int_at_least(0, "a non-negative integer")  # --budget 0: no searc
 
 
 def _int_list(item):
-    return lambda text: [item(x) for x in text.split(",")]
+    def parse(text):
+        return [item(x) for x in text.split(",")]
+
+    parse.least = item.least
+    return parse
 
 
 def _opt(flag, **kwargs):
-    """One option: its flag and its add_argument keywords."""
+    """One option: its flag and its add_argument keywords. A selector's
+    `reads` maps each of its values that reads options to their dests and
+    @groups: an option some selector of a subcommand reads is read there
+    only where _settle reaches it."""
     return flag, kwargs
 
 
@@ -627,17 +635,15 @@ _GROUPS = {
         ),
     ),
     "host": (
-        _opt("--host", choices=["randpad", "det"], default="randpad"),
+        _opt("--host", choices=["randpad", "det"], default="randpad", reads={"randpad": "r"}),
         _opt("--kappa", type=int, default=16, help="host key bits"),
         _opt("--r", type=int, default=8, help="host coin bits"),
         _opt("--host-ml", type=int, default=8, help="host message bits"),
     ),
     "sig": (
-        _opt(
-            "--sig",
-            choices=["coin-injective", "coin-extractable", "unique"],
-            default="coin-injective",
-        ),
+        _opt("--sig", choices=["coin-injective", "coin-extractable", "unique"],
+             default="coin-injective",
+             reads={"coin-injective": "sig_coins", "coin-extractable": "sig_coins"}),
         _opt("--sig-ml", type=int, default=8, help="signed message bits"),
         _opt("--sig-coins", type=int, default=8),
         _opt("--tag-bits", type=int, default=64),
@@ -651,14 +657,17 @@ _GROUPS = {
         _opt("--stego-kappa", type=int, default=128, help="attacker key bits"),
     ),
     "channel": (
-        _opt("--channel", choices=["uniform", "ses", "rand-alg", "signed"], default="ses"),
+        _opt("--channel", choices=["uniform", "ses", "rand-alg", "signed"], default="ses",
+             reads={"uniform": "doc_bits", "ses": "ell @host", "rand-alg": "ell @host",
+                    "signed": "ell @host @sig"}),
         _opt("--ell", type=int, default=4, help="messages per channel session"),
         _opt("--doc-bits", type=int, default=8, help="document bits for the uniform channel"),
     ),
     # a dict of builders is its own list of choices: argparse tests a choice
     # with `in` and lists them by iterating, and both see the keys
     "dist": (
-        _opt("--adversary", choices=_DIST_ADVERSARIES, default="repeat"),
+        _opt("--adversary", choices=_DIST_ADVERSARIES, default="repeat",
+             reads={"repeat": "queries", "chi2": "queries bins"}),
         _opt("--queries", type=_positive_int, default=2),
         _opt("--bins", type=_int_at_least(2, "an integer of at least 2"), default=4),
     ),
@@ -667,8 +676,9 @@ _GROUPS = {
         _opt("--decoys", type=_positive_int, default=4),
     ),
     "rasa": (
-        _opt("--rasa-host", choices=["enc", "signed"], default="enc"),
-        _opt("--attack", choices=["rejsam", "fabricating"], default="rejsam"),
+        _opt("--rasa-host", choices=["enc", "signed"], default="enc", reads={"signed": "@sig"}),
+        _opt("--attack", choices=["rejsam", "fabricating"], default="rejsam",
+             reads={"rejsam": "force_embed @stego", "fabricating": "@fab budget"}),
         _opt("--force-embed", action="store_true", default=False),
     ),
     "session": (
@@ -680,7 +690,8 @@ _HISTORY_MODE = _opt("--history-mode", choices=["empty", "sampled"], default="em
 _SCHEDULE = _opt(
     "--schedule", type=_int_list(_positive_int), help="reboot segment lengths, comma separated"
 )
-_LB_ATTACK = _opt("--attack", choices=["universal", "fabricating"], default="fabricating")
+_LB_ATTACK = _opt("--attack", choices=["universal", "fabricating"], default="fabricating",
+                  reads={"universal": "@stego", "fabricating": "@fab budget"})
 
 _COMMAND_HELP = {
     "channel": "document channels",
@@ -702,7 +713,8 @@ _COMMANDS = (
         _opt("--depth", type=_nonneg_int, default=0, help="history length to walk before sampling"),
     ), "cmd_channel_sample"),
     ("channel", "entropy", "min-entropy, exact or estimated", "out host sig channel", (
-        _opt("--mode", choices=["exact", "estimate"], default="exact"),
+        _opt("--mode", choices=["exact", "estimate"], default="exact",
+             reads={"exact": "depths", "estimate": "depth samples"}),
         _opt(
             "--depths",
             type=_int_list(_nonneg_int),
@@ -720,7 +732,8 @@ _COMMANDS = (
     ("stego", "extract", "extract from a saved session file", "session", (), "cmd_stego_extract"),
     ("stego", "roundtrip", "embed-extract recovery rate", "out run host sig stego channel", (
         _HISTORY_MODE,
-        _opt("--reboot", action="store_true", help="wipe state between segments"),
+        _opt("--reboot", action="store_true", help="wipe state between segments",
+             reads={False: "history_mode", True: "schedule"}),
         _SCHEDULE,
     ), "cmd_stego_roundtrip"),
     ("asa", "build", "show the attack derived from the current options", "out host stego", (),
@@ -739,11 +752,15 @@ _COMMANDS = (
     ("game", "rasa", "subverted vs genuine randomized algorithm",
      "out run host sig stego dist rasa fab", (_budget(512),), "cmd_game_rasa"),
     ("game", "forge", "existential forgery", "out run host sig stego fab", (
-        _opt("--adversary", choices=_FORGERS, default="random"),
+        _opt("--adversary", choices=_FORGERS, default="random",
+             reads={"search": "budget", "universal": "host host_ml @stego",  # _sig reads kappa
+                    "fabricating": "host host_ml @fab budget"}),
         _budget(512),
     ), "cmd_game_forge"),
     ("game", "unrel", "recovery-rate estimates", "out run host sig stego channel rasa fab", (
-        _opt("--target", choices=["enc-asa", "stego", "stego-reboot", "rasa"], default="enc-asa"),
+        _opt("--target", choices=["enc-asa", "stego", "stego-reboot", "rasa"], default="enc-asa",
+             reads={"enc-asa": "message_mode @stego @host", "stego": "history_mode @stego channel",
+                    "stego-reboot": "@stego channel", "rasa": "@host rasa_host attack"}),
         _opt("--message-mode", choices=["random", "equal"], default="random"),
         _HISTORY_MODE,
         _budget(4096),
@@ -767,86 +784,19 @@ _COMMANDS = (
 )
 
 
-# Options a subcommand reads under some values of a selector only, by
-# handler: (conditions, options) rules, each condition a selector dest and
-# the comma-separated values that read the options (true or false for a
-# flag). Such options parse to None, and _settle applies the default their
-# row declares where every condition of a rule naming them holds, or exits
-# 2 where one is given and no rule naming it holds: an option several rules
-# name is read when any of them holds. An option @group stands for every
-# option of that group in _GROUPS. Rules settle in order, so every rule
-# naming a selector comes before the rules whose conditions read it. Each
-# selector's rules are written once and composed: _under makes a set of
-# rules hold only under another condition as well. A det host takes no
-# coins, so --r is read under --host randpad alone (_COINS). Where --channel
-# builds the only host, the channel's rules (_CHANNEL_READS) settle the
-# host, signature and channel options.
-def _under(condition, rules):
-    return tuple((f"{condition} {conditions}", options) for conditions, options in rules)
-
-
-_COINS = (("host=randpad", "r"),)
-_CHANNEL_READS = (
-    ("channel=uniform", "doc_bits"),
-    ("channel=ses,rand-alg,signed", "ell host kappa host_ml"),
-    *_under("channel=ses,rand-alg,signed", _COINS),
-    ("channel=signed", "@sig"),
-)
-_DIST_READS = (("adversary=repeat,chi2", "queries"), ("adversary=chi2", "bins"))
-_RASA_READS = (
-    ("attack=rejsam", "force_embed @stego"),
-    ("attack=fabricating", "@fab budget"),
-    ("rasa_host=signed", "@sig"),
-)
-_LB_READS = (*_COINS, ("attack=fabricating", "@fab budget"), ("attack=universal", "@stego"))
-_OWNED = {
-    "cmd_channel_sample": _CHANNEL_READS,
-    "cmd_channel_entropy": (
-        ("mode=exact", "depths"),
-        ("mode=estimate", "depth samples"),
-        *_CHANNEL_READS,
-    ),
-    "cmd_stego_embed": _CHANNEL_READS,
-    "cmd_stego_roundtrip": (
-        ("reboot=false", "history_mode"),
-        ("reboot=true", "schedule"),
-        *_CHANNEL_READS,
-    ),
-    "cmd_asa_build": _COINS,
-    "cmd_asa_run": _COINS,
-    "cmd_asa_queries": _COINS,
-    "cmd_game_cpa": (*_COINS, *_DIST_READS),
-    "cmd_game_enc_asa": (*_COINS, *_DIST_READS),
-    "cmd_game_ss_cha": (*_CHANNEL_READS, *_DIST_READS),
-    "cmd_game_rasa": (*_COINS, *_RASA_READS, *_DIST_READS),
-    "cmd_game_forge": (
-        ("adversary=search,fabricating", "budget"),
-        ("adversary=fabricating", "@fab"),
-        ("adversary=universal,fabricating", "host host_ml"),  # not kappa: _sig reads it
-        *_under("adversary=universal,fabricating", _COINS),
-        ("adversary=universal", "@stego"),
-    ),
-    "cmd_game_unrel": (
-        ("target=enc-asa", "message_mode"),
-        ("target=stego", "history_mode"),
-        ("target=enc-asa,stego,stego-reboot", "@stego"),
-        ("target=enc-asa,rasa", "host kappa host_ml"),
-        ("target=stego,stego-reboot", "channel"),
-        *_under("target=stego,stego-reboot", _CHANNEL_READS),
-        *_under("target=enc-asa,rasa", _COINS),
-        ("target=rasa", "rasa_host attack"),
-        *_under("target=rasa", _RASA_READS),
-    ),
-    "cmd_lb_forger": _LB_READS,
-    "cmd_lb_rate": _LB_READS,
-}
-
-
-def _dests(options):
-    """The dests an _OWNED rule's options name, with each @group expanded."""
-    for word in options.split():
-        flags = [flag for flag, _ in _GROUPS[word[1:]]] if word[0] == "@" else [word]
-        yield from (flag.strip("-").replace("-", "_") for flag in flags)
+@functools.cache
+def _dests(words):
+    """The dests a `reads` entry names, each @group expanded to the options
+    of that group that no selector of the group reads."""
+    dests = []
+    for word in words.split():
+        if word[0] != "@":
+            dests.append(word)
+            continue
+        group = _GROUPS[word[1:]]
+        read = {d for _, kw in group for w in kw.get("reads", {}).values() for d in _dests(w)}
+        dests += [d for d in (f.strip("-").replace("-", "_") for f, _ in group) if d not in read]
+    return tuple(dests)
 
 
 def _row_options(row):
@@ -856,49 +806,66 @@ def _row_options(row):
     yield from row[4]
 
 
-def _state(selector, value):
-    """A selector's value as a message names it: --mode exact, or for a
-    flag --reboot and a run without --reboot."""
+@functools.cache
+def _subcommand(command, subcommand):
+    """A subcommand's options by dest, and its owned options (those some
+    selector of the subcommand reads), each with the selectors that read it
+    and the values at which they do."""
+    row = next(r for r in _COMMANDS if r[:2] == (command, subcommand))
+    options = {flag.strip("-").replace("-", "_"): kw for flag, kw in _row_options(row)}
+    owned = {}
+    for selector, kwargs in options.items():
+        for value, words in kwargs.get("reads", {}).items():
+            for dest in _dests(words):
+                owned.setdefault(dest, {}).setdefault(selector, []).append(value)
+    return options, owned
+
+
+def _state(selector, values):
+    """Selector values as a message names them: --mode exact, --channel ses
+    or signed, or for a flag --reboot and a run without --reboot."""
     flag = "--" + selector.replace("_", "-")
-    if value in ("true", "false"):
-        return flag if value == "true" else f"a run without {flag}"
-    return f"{flag} {value}"
+    if isinstance(values[0], bool):
+        return flag if values[0] else f"a run without {flag}"
+    return f"{flag} {' or '.join(values)}"
+
+
+def _refusal(args, dest, owned, reached):
+    """Why a given option the walk never reached exits 2: the selector
+    values in force, and each chain of values that reads the option."""
+
+    def ways(dest):  # each chain of selector values that reads dest, root first
+        for selector, values in owned[dest].items():
+            for way in ways(selector) if selector in owned else [""]:
+                yield f"{way} {_state(selector, values)}".lstrip()
+
+    def held(dest):  # the values in force of the selectors on those chains
+        for selector in owned[dest]:
+            if selector in owned:
+                yield from held(selector)
+            if selector in reached:
+                yield _state(selector, [getattr(args, selector)])
+
+    where = " ".join(dict.fromkeys(held(dest)))
+    wanted = ", or to ".join(ways(dest))
+    return f"--{dest.replace('_', '-')} does not apply to {where}; it applies to {wanted}"
 
 
 def _settle(args) -> None:
-    """Give each option _OWNED assigns to the invoked handler the default
-    its row gives it where the conditions of a rule naming it hold, and exit
-    2 on one given where no such rule holds."""
-    row = next(r for r in _COMMANDS if r[:2] == (args.command, args.subcommand))
-    defaults = {f.strip("-").replace("-", "_"): kw.get("default") for f, kw in _row_options(row)}
-    held, refused = set(), {}  # refused: dest -> [(selectors read, wanted)] per failed rule
-    for conditions, options in _OWNED.get(row[5], ()):
-        where = []
-        for selector, values in (c.split("=") for c in conditions.split()):
-            value = getattr(args, selector)
-            value = str(value).lower() if isinstance(value, bool) else value
-            where.append(_state(selector, value))
-            if value not in values.split(","):
-                break
-        else:
-            for dest in _dests(options):
-                held.add(dest)
-                if getattr(args, dest) is None:
-                    setattr(args, dest, defaults[dest])
-            continue
-        wanted = " ".join(
-            _state(selector, values.replace(",", " or "))
-            for selector, values in (c.split("=") for c in conditions.split())
-        )
-        for dest in _dests(options):
-            refused.setdefault(dest, []).append((where, wanted))
-    for dest, rules in refused.items():
-        if dest not in held and getattr(args, dest) is not None:
-            where = " ".join(dict.fromkeys(part for parts, _ in rules for part in parts))
-            wanted = ", or to ".join(w for _, w in rules)
-            raise ParameterError(
-                f"--{dest.replace('_', '-')} does not apply to {where}; it applies to {wanted}"
-            )
+    """Walk from the invoked subcommand's unowned options through each
+    selector reached, at its value: a reached option left out takes the
+    default its row declares, and a given one never reached exits 2."""
+    options, owned = _subcommand(args.command, args.subcommand)
+    reached = [dest for dest in options if dest not in owned]
+    for dest in reached:  # grows as selectors are reached
+        if getattr(args, dest) is None:
+            setattr(args, dest, options[dest].get("default"))
+        if "reads" in options[dest]:
+            reached += _dests(options[dest]["reads"].get(getattr(args, dest), ""))
+    reached = set(reached)
+    for dest in options:
+        if dest not in reached and getattr(args, dest) is not None:
+            raise ParameterError(_refusal(args, dest, owned, reached))
 
 
 class _LazyParser(argparse.ArgumentParser):
@@ -942,8 +909,8 @@ def _add_subcommands(command, parser):
 def _add_options(row, parser):
     parser.add_argument("--seed", type=int, help="base seed (env SUBVERTLAB_SEED, then 0)")
     for flag, kwargs in _row_options(row):
-        parser.add_argument(flag, **kwargs)
-    owned = [dest for _, options in _OWNED.get(row[5], ()) for dest in _dests(options)]
+        parser.add_argument(flag, **{key: v for key, v in kwargs.items() if key != "reads"})
+    _, owned = _subcommand(*row[:2])
     parser.set_defaults(func=globals()[row[5]], **dict.fromkeys(owned))
 
 

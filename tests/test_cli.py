@@ -1,5 +1,6 @@
 """Command line driver: json-lines output, determinism, files, exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -590,10 +591,12 @@ HOST = {
     _opt("--r"),
     _opt("--host-ml", 8),
 }
+# --sig-coins is read under --sig coin-injective and coin-extractable, and
+# cli._settle applies its default 8 there
 SIG = {
     _opt("--sig", "coin-injective", ("coin-injective", "coin-extractable", "unique")),
     _opt("--sig-ml", 8),
-    _opt("--sig-coins", 8),
+    _opt("--sig-coins"),
     _opt("--tag-bits", 64),
 }
 STEGO = {
@@ -1033,9 +1036,14 @@ def test_forgers_that_read_no_search_option_keep_their_bytes(capsys, argv, diges
         (["lowerbound", "forger", *THREE_TRIALS], ["--ml", "5"], "--attack fabricating"),
         (["game", "rasa", *SIGNED_FAB, *THREE_TRIALS], ["--ml", "5", "--s", "9"],
          "--attack fabricating"),
+        # a unique signature takes no coins
+        (["game", "forge", "--sig", "unique", *THREE_TRIALS], ["--sig-coins", "3"], "--sig unique"),
+        (["channel", "sample", "--channel", "signed", "--sig", "unique", "--seed", "1"],
+         ["--sig-coins", "3"], "--channel signed --sig unique"),
     ],
     ids=["game forge random", "game forge replay", "game forge search", "game forge fabricating",
-         "lowerbound rate fabricating", "lowerbound forger fabricating", "game rasa fabricating"],
+         "lowerbound rate fabricating", "lowerbound forger fabricating", "game rasa fabricating",
+         "game forge unique", "channel sample signed unique"],
 )
 def test_host_and_stego_options_exit_2_where_the_selector_ignores_them(
     capsys, argv, extra, selector
@@ -1094,26 +1102,36 @@ def test_every_subcommand_runs_at_its_defaults(capsys, tmp_path):
 
 
 def test_ownership_table_names_handlers_options_and_choices():
-    # a misspelt name would hand its handler None and end in a traceback
-    rows = {row[5]: row[:2] for row in cli._COMMANDS}
+    # a misspelt name in a selector's reads would hand its handler None and
+    # end in a traceback
     groups = cli.build_parser()._subparsers._group_actions[0].choices
-    for handler, rules in cli._OWNED.items():
-        assert handler in rows, handler
-        command, subcommand = rows[handler]
+    for command, subcommand, *_ in cli._COMMANDS:
         parser = groups[command].filled()._subparsers._group_actions[0].choices[subcommand]
         actions = {a.dest: a for a in parser.filled()._actions}
-        for i, (conditions, options) in enumerate(rules):
-            # an option several rules name is settled only once all of them
-            # have run, so no rule from this one on names a selector it reads
-            later = {dest for _, rest in rules[i:] for dest in cli._dests(rest)}
-            for condition in conditions.split():
-                selector, values = condition.split("=")
-                action = actions[selector]  # a choices option, or a flag read as true/false
-                choices = ("true", "false") if action.const is True else action.choices
-                assert choices is not None, (handler, selector)
-                assert set(values.split(",")) <= set(choices), condition
-                assert selector not in later, (handler, selector)
-            assert set(cli._dests(options)) <= actions.keys(), (handler, options)
+        options, owned = cli._subcommand(command, subcommand)
+        for selector, kwargs in options.items():
+            reads = kwargs.get("reads", {})
+            action = actions[selector]  # a choices option, or a flag read as True/False
+            choices = (True, False) if action.const is True else action.choices or ()
+            assert set(reads) <= set(choices), (command, subcommand, selector)
+            for words in reads.values():
+                assert set(cli._dests(words)) <= actions.keys(), (command, subcommand, words)
+
+        def above(dest, chain=()):  # no selector reaches itself through a chain
+            assert dest not in chain, (command, subcommand, chain)
+            for selector in owned.get(dest, ()):
+                above(selector, (*chain, dest))
+
+        def chain(dest):  # selector values, root first, under which the walk reaches dest
+            if dest not in owned:
+                return {}
+            selector, values = next(iter(owned[dest].items()))
+            return {**chain(selector), selector: values[0]}
+
+        for dest in owned:
+            above(dest)
+            given = {**dict.fromkeys(options), **chain(dest), dest: True}
+            cli._settle(argparse.Namespace(command=command, subcommand=subcommand, **given))
 
 
 @pytest.mark.parametrize(

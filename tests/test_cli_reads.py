@@ -134,14 +134,14 @@ def test_every_option_is_read_or_refused(row, files):
     assert unread == []
 
 
-# the least value each numeric option accepts (where some invocation exits 0
-# there); --seed and --beta have none, so they are tried at a negative value
+# the least value each numeric option of a plain int or float type accepts
+# (where some invocation exits 0 there); the other types declare theirs as
+# `least`. --seed and --beta have none, so they are tried at a negative value
 LEAST = {
-    "seed": "-1", "beta": "-1e308", "trials": "1", "jobs": "1", "count": "1", "depth": "0",
-    "depths": "0", "samples": "2", "kappa": "1", "r": "0", "host_ml": "1", "sig_ml": "1",
-    "sig_coins": "0", "tag_bits": "1", "ml": "1", "s": "1", "outl": "1", "block_bits": "1",
-    "stego_kappa": "1", "ell": "1", "doc_bits": "1", "queries": "1", "bins": "2",
-    "fab_ml": "0", "decoys": "1", "budget": "0", "query": "1", "schedule": "1",
+    "seed": "-1", "beta": "-1e308", "samples": "2", "kappa": "1", "r": "0", "host_ml": "1",
+    "sig_ml": "1", "sig_coins": "0", "tag_bits": "1", "ml": "1", "s": "1", "outl": "1",
+    "block_bits": "1", "stego_kappa": "1", "ell": "1", "doc_bits": "1", "fab_ml": "0",
+    "query": "1",
 }
 LEAST_BY_ROW = {
     ("lowerbound", "phi", "ml"): "0",  # a zero-bit message has a bound too
@@ -178,7 +178,10 @@ def test_each_numeric_option_at_its_least_value_exits_0_or_2(row, files, capsys)
 
     def argv(context, *dests):
         sized = dict.fromkeys(d for d in ("trials", "jobs", *dests) if d in options or d in dests)
-        least = [LEAST_BY_ROW.get((command, subcommand, d), LEAST[d]) for d in sized]
+        least = [
+            LEAST_BY_ROW.get((command, subcommand, d), LEAST.get(d)) or str(options[d]["type"].least)
+            for d in sized
+        ]
         return [command, subcommand, *base, *context, *itertools.chain(*map(_flags, sized, least))]
 
     runs = {}  # selector argv -> exit code without the option
