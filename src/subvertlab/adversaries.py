@@ -52,20 +52,18 @@ def chi2_quantile(df: int, q: float = 0.95) -> float:
     return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
 
 
-def constant_guess(kind: str = "watchdog") -> Adversary:
+def constant_guess() -> Adversary:
     """Ignores its oracles and always guesses 1; the exact-zero-advantage
     baseline."""
     return Adversary(
-        kind=kind,
         name="constant-1",
         strategy=lambda view, rng: 1,
     )
 
 
-def random_guess(kind: str = "watchdog") -> Adversary:
+def random_guess() -> Adversary:
     """Guesses by a fair coin; advantage zero in expectation."""
     return Adversary(
-        kind=kind,
         name="coin-flip",
         strategy=lambda view, rng: rng.randrange(2),
     )
@@ -137,7 +135,6 @@ def _documents(view, rng: random.Random, queries: int) -> list:
 def repeat_attacker(queries: int = 2) -> Adversary:
     """Asks for the same message twice; equal ciphertexts scream "real"."""
     return Adversary(
-        kind="attacker",
         name=f"repeat-{queries}",
         strategy=lambda view, rng: _collision_guess(_encryptions(view, rng, queries, False)),
     )
@@ -147,7 +144,6 @@ def chi2_attacker(queries: int = 16, bins: int = 4) -> Adversary:
     """Chi-square test on the leading ciphertext bits against uniform."""
     threshold = chi2_quantile(bins - 1)
     return Adversary(
-        kind="attacker",
         name=f"chi2-{queries}x{bins}",
         strategy=lambda view, rng: _chi2_guess(
             _encryptions(view, rng, queries, True), bins, threshold
@@ -158,7 +154,6 @@ def chi2_attacker(queries: int = 16, bins: int = 4) -> Adversary:
 def repeat_watchdog(queries: int = 2) -> Adversary:
     """Repeats one challenge input and compares the outputs."""
     return Adversary(
-        kind="watchdog",
         name=f"repeat-{queries}",
         strategy=lambda view, rng: _collision_guess(_challenge_outputs(view, rng, queries, False)),
     )
@@ -168,7 +163,6 @@ def chi2_watchdog(queries: int = 16, bins: int = 4) -> Adversary:
     """Bins the leading output bits over fresh challenge messages."""
     threshold = chi2_quantile(bins - 1)
     return Adversary(
-        kind="watchdog",
         name=f"chi2-{queries}x{bins}",
         strategy=lambda view, rng: _chi2_guess(
             _challenge_outputs(view, rng, queries, True), bins, threshold
@@ -179,7 +173,6 @@ def chi2_watchdog(queries: int = 16, bins: int = 4) -> Adversary:
 def repeat_warden(queries: int = 2) -> Adversary:
     """Challenges one full history repeatedly and compares the documents."""
     return Adversary(
-        kind="warden",
         name=f"repeat-{queries}",
         strategy=lambda view, rng: _collision_guess(_documents(view, rng, queries)),
     )
@@ -189,7 +182,6 @@ def chi2_warden(queries: int = 16, bins: int = 4) -> Adversary:
     """Bins leading document bits at one full history."""
     threshold = chi2_quantile(bins - 1)
     return Adversary(
-        kind="warden",
         name=f"chi2-{queries}x{bins}",
         strategy=lambda view, rng: _chi2_guess(_documents(view, rng, queries), bins, threshold),
     )
@@ -203,7 +195,6 @@ def replay_forger() -> Adversary:
         return m, view.sign(m)
 
     return Adversary(
-        kind="forger",
         name="replay",
         strategy=strategy,
     )
@@ -218,7 +209,6 @@ def random_forger() -> Adversary:
         return m, Bits.random(sigl, rng)
 
     return Adversary(
-        kind="forger",
         name="random-guess",
         strategy=strategy,
     )
@@ -234,11 +224,10 @@ def search_forger(budget: int = 512) -> Adversary:
         return None if sig is None else (m, sig)
 
     return Adversary(
-        kind="forger",
         name=f"search-{budget}",
         strategy=strategy,
     )
 
 
 def default_watchdogs() -> list[Adversary]:
-    return [constant_guess("watchdog"), repeat_watchdog(), chi2_watchdog()]
+    return [constant_guess(), repeat_watchdog(), chi2_watchdog()]

@@ -344,7 +344,6 @@ def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):
         return watchdog.strategy(_View(oracles), rng)
 
     return Adversary(
-        kind="warden",
         name=f"wrapped:{watchdog.name}",
         strategy=strategy,
     )

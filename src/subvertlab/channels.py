@@ -19,7 +19,9 @@ total): every possible next document's integer weight and their total. The
 law is a count over uniform seeds: a key, an input or a uniform-channel
 document weighs 1 of 2^bits, and an output weighs the number of the host's
 2^coin_bits coin strings that give it (_run_law, the one enumerator of a
-host's coins). channel_pmf, channel_support and min_entropy_exact read it.
+host's coins). channel_law(channel, history) is its one reader: it checks
+the history and returns the whole law, so a position's law is built once
+however many of its documents a caller weighs. min_entropy_exact reads it.
 
 As in the Hopper-Langford-von Ahn model, the encoder samples the channel at
 the current history, and the history is the channel's state. Every document
@@ -55,8 +57,7 @@ __all__ = [
     "channel_sample",
     "channel_walk",
     "check_history",
-    "channel_pmf",
-    "channel_support",
+    "channel_law",
     "uniform_channel",
     "ses_channel",
     "rand_alg_channel",
@@ -151,28 +152,11 @@ def channel_walk(
     return tuple(session.history)
 
 
-def _checked_law(channel: Channel, history: tuple) -> tuple[dict[Bits, int], int]:
+def channel_law(channel: Channel, history: tuple) -> tuple[dict[Bits, int], int]:
+    """The exact law of the next document after a history checked once:
+    (weights, total), so doc's probability is Fraction(weights.get(doc, 0), total)."""
     check_history(channel, history)
     return channel.law_fn(history)
-
-
-def channel_pmf(channel: Channel, history: tuple, doc: Bits) -> Fraction:
-    """The channel's exact probability of doc as the next document after
-    history.
-
-    Each call checks the history and rebuilds the whole law of the next
-    position (every uniform document, or a run of the host on every coin
-    string), so weighing every document of a support this way costs
-    |support|^2. A caller that weighs many documents at one position should
-    check the history once (check_history) and read channel.law_fn(history)
-    once.
-    """
-    weights, total = _checked_law(channel, history)
-    return Fraction(weights.get(doc, 0), total)
-
-
-def channel_support(channel: Channel, history: tuple) -> Iterable[Bits]:
-    return _checked_law(channel, history)[0].keys()
 
 
 def _uniform_law(nbits: int) -> tuple[dict[Bits, int], int]:
@@ -324,7 +308,7 @@ def min_entropy_exact(channel: Channel, histories: Iterable[tuple]) -> MinEntrop
     count = 0
     for h in histories:
         count += 1
-        weights, total = _checked_law(channel, h)
+        weights, total = channel_law(channel, h)
         peak = Fraction(max(weights.values()), total)
         if worst is None or peak > worst:
             worst = peak

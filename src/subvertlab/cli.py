@@ -97,7 +97,10 @@ def _scheme(args):
 
 
 def _sig(args, ml=None):
-    ml = args.sig_ml if ml is None else ml
+    """The signature fixture for ml-bit messages; by default --sig-ml's, 8 if
+    left out."""
+    if ml is None:
+        ml = 8 if args.sig_ml is None else args.sig_ml
     return sig_fixture(args.sig, args.kappa, ml, args.sig_coins, args.tag_bits)
 
 
@@ -128,10 +131,14 @@ def _channel(args, seed):
 
 
 def _sig_for_family(args):
-    """The fixture resized to sign the host's ciphertexts; --sig-ml is still
-    checked on its own."""
-    _sig(args)
-    return _sig(args, _scheme(args).cl)
+    """The fixture resized to sign the host's ciphertexts: a given --sig-ml
+    must be their length."""
+    cl = _scheme(args).cl
+    if args.sig_ml not in (None, cl):
+        raise ParameterError(
+            f"--sig-ml must be the host's ciphertext length, {cl}, got {args.sig_ml}"
+        )
+    return _sig(args, cl)
 
 
 def _family(args, seed):
@@ -143,8 +150,8 @@ def _fabricating(args, family):
 
 
 _DIST_ADVERSARIES = {
-    "constant": lambda args, kind: constant_guess(kind),
-    "flip": lambda args, kind: random_guess(kind),
+    "constant": lambda args: constant_guess(),
+    "flip": lambda args: random_guess(),
     "repeat": {
         "attacker": lambda args: repeat_attacker(args.queries),
         "watchdog": lambda args: repeat_watchdog(args.queries),
@@ -158,11 +165,11 @@ _DIST_ADVERSARIES = {
 }
 
 
-def _adversary(args, kind):
+def _adversary(args, role):
     entry = _DIST_ADVERSARIES[args.adversary]  # a key: the parser takes only the dict's keys
     if callable(entry):
-        return entry(args, kind)
-    return entry[kind](args)
+        return entry(args)
+    return entry[role](args)
 
 
 # forger builders by name; game forge's --adversary takes the keys
@@ -644,7 +651,7 @@ _GROUPS = {
         _opt("--sig", choices=["coin-injective", "coin-extractable", "unique"],
              default="coin-injective",
              reads={"coin-injective": "sig_coins", "coin-extractable": "sig_coins"}),
-        _opt("--sig-ml", type=int, default=8, help="signed message bits"),
+        _opt("--sig-ml", type=int, help="signed message bits"),
         _opt("--sig-coins", type=int, default=8),
         _opt("--tag-bits", type=int, default=64),
     ),

@@ -97,7 +97,6 @@ def wrapped_warden_to_watchdog(warden, ses: SymmetricEncryptionScheme, ell: int)
         return warden.strategy(_View(oracles), rng)
 
     return Adversary(
-        kind="watchdog",
         name=f"wrapped:{warden.name}",
         strategy=strategy,
     )

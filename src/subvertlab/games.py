@@ -80,14 +80,12 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class Adversary:
-    """A named strategy for one game role.
-
-    kind: "attacker" (plain encryption game), "watchdog" (subverted-vs-real),
-    "warden" (stego-vs-channel) or "forger". strategy(oracles, rng) returns
-    the game's answer: a bit guess, or a (message, signature) pair.
+    """A named strategy. Its role (attacker, watchdog, warden or forger) is
+    the game that runs it: strategy(oracles, rng) gets the view that game's
+    runner builds and returns its answer, a bit guess or a (message,
+    signature) pair.
     """
 
-    kind: str
     name: str
     strategy: Callable
 

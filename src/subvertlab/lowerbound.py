@@ -241,7 +241,6 @@ def forger_from_universal_asa(
         return doc[: ses.cl], doc[ses.cl :]
 
     return Adversary(
-        kind="forger",
         name="universal-attack",
         strategy=strategy,
     )
@@ -275,7 +274,6 @@ def forger_from_fabricating_asa(
         return last if found is None else found
 
     return Adversary(
-        kind="forger",
         name=f"fabricating-{ml}",
         strategy=strategy,
     )

@@ -259,7 +259,7 @@ def test_watchdog_replayed_as_warden_decides_identically():
     channel = ses_channel(ses, ell)
     for wd, trials in ((repeat_watchdog(), 120), (chi2_watchdog(queries=8), 40)):
         warden = watchdog_to_warden(wd, ses, ell)
-        assert warden.kind == "warden" and warden.name == f"wrapped:{wd.name}"
+        assert warden.name == f"wrapped:{wd.name}"
         against_attack = run_enc_asa_dist(asa, ses, wd, trials, seed=5)
         against_channel = run_ss_cha_dist(steg, channel, warden, trials, seed=5)
         assert against_attack.decisions == against_channel.decisions

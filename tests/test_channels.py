@@ -15,9 +15,8 @@ from subvertlab import (
     RandomizedAlgorithm,
     alg_from_encryption,
     alg_from_signing,
-    channel_pmf,
+    channel_law,
     channel_sample,
-    channel_support,
     channel_walk,
     det_scheme,
     make_signed_family,
@@ -63,8 +62,9 @@ def test_uniform_channel_basics():
     rng = random.Random(1)
     d = channel_sample(ch, (), rng)
     assert len(d) == 6
-    assert channel_pmf(ch, (), d) == Fraction(1, 64)
-    assert len(list(channel_support(ch, ()))) == 64
+    weights, total = channel_law(ch, ())
+    assert Fraction(weights.get(d, 0), total) == Fraction(1, 64)
+    assert len(weights) == 64
     assert ch.grammar((d, d))
     assert not ch.grammar((Bits.zeros(5),))
 
@@ -116,7 +116,8 @@ def test_ses_channel_output_positions_cycle_through_messages():
         want = m1 if i % 2 == 0 else m2
         doc = channel_sample(ch, h, rng)
         assert ses.dec(k, doc) == want
-        assert channel_pmf(ch, h, doc) == Fraction(1, 2**ses.coin_bits)
+        weights, total = channel_law(ch, h)
+        assert Fraction(weights.get(doc, 0), total) == Fraction(1, 2**ses.coin_bits)
         h = h + (doc,)
 
 
@@ -128,7 +129,8 @@ def test_ses_channel_pmf_matches_encryption_exhaustively():
     rng = random.Random(3)
     k, m = ses.gen(rng), Bits.random(4, rng)
     h = (k, m)
-    channel_mass = {d: channel_pmf(ch, h, d) for d in channel_support(ch, h)}
+    weights, total = channel_law(ch, h)
+    channel_mass = {d: Fraction(w, total) for d, w in weights.items()}
     scheme_mass = {}
     for rho in range(16):
         c = ses.enc(k, m, Bits(rho, 4))
@@ -137,15 +139,17 @@ def test_ses_channel_pmf_matches_encryption_exhaustively():
     assert sum(channel_mass.values()) == 1
     # a ciphertext outside the support has zero channel mass
     outside = next(Bits(v, 8) for v in range(256) if Bits(v, 8) not in scheme_mass)
-    assert channel_pmf(ch, h, outside) == Fraction(0)
+    assert Fraction(weights.get(outside, 0), total) == Fraction(0)
 
 
 def test_ses_channel_key_and_input_positions_are_uniform():
     ses = randpad_scheme(2, 4, ml=2)
     ch = ses_channel(ses, 1)
-    assert channel_pmf(ch, (), Bits.zeros(4)) == Fraction(1, 16)
-    assert channel_pmf(ch, (Bits.zeros(4),), Bits.zeros(2)) == Fraction(1, 4)
-    assert len(list(channel_support(ch, ()))) == 16
+    weights, total = channel_law(ch, ())
+    assert Fraction(weights.get(Bits.zeros(4), 0), total) == Fraction(1, 16)
+    assert len(weights) == 16
+    weights, total = channel_law(ch, (Bits.zeros(4),))
+    assert Fraction(weights.get(Bits.zeros(2), 0), total) == Fraction(1, 4)
 
 
 def _drawn(draw, rng):
@@ -165,8 +169,10 @@ def test_rand_alg_channel_agrees_with_ses_channel():
         h = channel_walk(ch_ses, 6, random.Random(4))
         for depth in range(len(h) + 1):
             prefix, case = h[:depth], (ses.scheme_id, depth)
-            for d in channel_support(ch_ses, prefix):
-                assert channel_pmf(ch_ses, prefix, d) == channel_pmf(ch_alg, prefix, d)
+            ses_weights, ses_total = channel_law(ch_ses, prefix)
+            alg_weights, alg_total = channel_law(ch_alg, prefix)
+            for d, w in ses_weights.items():
+                assert Fraction(w, ses_total) == Fraction(alg_weights.get(d, 0), alg_total)
             rng = random.Random(depth)
             want = _drawn(partial(reference_next, ses, 2, prefix, rng), rng)
             kind = partial if depth == 0 else IntDraw if depth <= 2 else output_kind
@@ -185,11 +191,12 @@ def test_rand_alg_channel_inputs_are_uniform_and_enumerable():
         ch = rand_alg_channel(alg, 2)
         h = channel_walk(ch, 3, random.Random(7))
         for prefix in (h[:1], h[:2]):
-            support = list(channel_support(ch, prefix))
+            weights, total = channel_law(ch, prefix)
+            support = list(weights)
             assert support == [Bits(v, alg.input_bits) for v in range(2**alg.input_bits)]
-            assert {channel_pmf(ch, prefix, d) for d in support} == {
+            assert {Fraction(weights[d], total) for d in support} == {
                 Fraction(1, 2**alg.input_bits)}
-            assert channel_pmf(ch, prefix, Bits.zeros(alg.input_bits + 1)) == 0
+            assert Fraction(weights.get(Bits.zeros(alg.input_bits + 1), 0), total) == 0
             assert len(channel_sample(ch, prefix, random.Random(8))) == alg.input_bits
 
 
@@ -240,7 +247,8 @@ def test_signed_family_law_counts_its_coin_strings():
     # with ell=1 both output positions answer the one input h[1]
     counts = Counter(family.alg.run(h[0], h[1], Bits(rho, 4)) for rho in range(16))
     for prefix in (h[:2], h):
-        law = {d: channel_pmf(ch, prefix, d) for d in channel_support(ch, prefix)}
+        weights, total = channel_law(ch, prefix)
+        law = {d: Fraction(w, total) for d, w in weights.items()}
         assert law == {d: Fraction(n, 16) for d, n in counts.items()}
         assert sum(law.values()) == 1
     assert min_entropy_exact(ch, [h[:2], h]).bits == pytest.approx(4.0)
@@ -259,7 +267,8 @@ def test_output_law_weighs_coin_strings_that_collide():
         secret_gen=partial(Bits.random, 2), run=lambda s, x, coins: x + coins[:1],
     )
     ch, h = rand_alg_channel(alg, 1), (Bits(1, 2), Bits(2, 2))
-    law = {d: channel_pmf(ch, h, d) for d in channel_support(ch, h)}
+    weights, total = channel_law(ch, h)
+    law = {d: Fraction(w, total) for d, w in weights.items()}
     assert law == {Bits(4, 3): Fraction(1, 2), Bits(5, 3): Fraction(1, 2)}
     assert min_entropy_exact(ch, [h]).bits == 1.0
 
@@ -309,8 +318,35 @@ def test_channel_pmf_sums_to_one_property(r, ml, depth):
     ch = ses_channel(ses, 2)
     rng = random.Random(depth * 100 + r * 10 + ml)
     h = walk(ch, depth, rng)
-    total = sum(channel_pmf(ch, h, d) for d in set(channel_support(ch, h)))
-    assert total == 1
+    weights, total = channel_law(ch, h)
+    assert sum(Fraction(weights[d], total) for d in set(weights)) == 1
+
+
+def _law_channels():
+    ses = randpad_scheme(2, 8, ml=4)
+    signing = alg_from_signing(sig_fixture("coin-injective", 8, ml=4, coin_bits=3, tag_bits=8))
+    sig = sig_fixture("coin-injective", 8, ml=ses.cl, coin_bits=2, tag_bits=8)
+    return {
+        "uniform": uniform_channel(6),
+        "ses-randpad": ses_channel(ses, 2),
+        "ses-det": ses_channel(det_scheme(8, ml=4), 2),
+        "rand-alg-signing": rand_alg_channel(signing, 2),
+        "signed": rand_alg_channel(make_signed_family(ses, sig, random.Random(14)).alg, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_law_channels()))
+def test_every_channel_kind_law_sums_to_its_total(name):
+    # at every position of a short walk the law's weights are positive, sum
+    # to its total, and weigh the document the walk drew there
+    ch = _law_channels()[name]
+    h = channel_walk(ch, 6, random.Random(15))
+    for depth in range(len(h) + 1):
+        weights, total = channel_law(ch, h[:depth])
+        assert min(weights.values()) > 0 and sum(weights.values()) == total, (name, depth)
+        assert depth == len(h) or h[depth] in weights, (name, depth)
+    with pytest.raises(InvalidHistoryError):
+        channel_law(ch, (Bits.zeros(ch.max_doc_len + 1),))
 
 
 def test_sampling_respects_pmf():
@@ -324,10 +360,11 @@ def test_sampling_respects_pmf():
     for _ in range(n):
         d = channel_sample(ch, h, rng)
         counts[d] = counts.get(d, 0) + 1
-    support = list(set(channel_support(ch, h)))
+    weights, total = channel_law(ch, h)
+    support = list(set(weights))
     stat = 0.0
     for d in support:
-        e = float(channel_pmf(ch, h, d)) * n
+        e = float(Fraction(weights[d], total)) * n
         stat += (counts.get(d, 0) - e) ** 2 / e
     import oracles
 

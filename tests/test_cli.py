@@ -26,6 +26,7 @@ def run_cli(capsys, argv):
 
 
 STEGO_OPTS = ["--ml", "4", "--s", "16", "--outl", "24", "--stego-kappa", "16"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_embed_writes_a_recoverable_session_file(capsys, tmp_path):
@@ -354,8 +355,8 @@ def test_a_trial_failing_in_a_worker_process_exits_2(capsys, monkeypatch):
             raise ParameterError("rejected in a worker")
         return 0
 
-    boom = Adversary("attacker", "boom", strategy)  # fails off the calling process
-    monkeypatch.setitem(cli._DIST_ADVERSARIES, "constant", lambda args, kind: boom)
+    boom = Adversary("boom", strategy)  # fails off the calling process
+    monkeypatch.setitem(cli._DIST_ADVERSARIES, "constant", lambda args: boom)
     monkeypatch.setattr(games, "_usable_cpus", lambda: 2)
     argv = ["game", "cpa", "--adversary", "constant", "--trials", "10"]
     assert cli.main(argv) == 0  # serial: every trial runs in this process
@@ -568,7 +569,8 @@ def test_options_the_channel_does_not_read_exit_2(capsys, argv, extra, digest):
         ("uniform", ["--doc-bits", "8"]),
         ("ses", ["--ell", "4", "--host", "randpad", "--kappa", "16", "--r", "8", "--host-ml", "8"]),
         ("rand-alg", ["--ell", "4", "--r", "8"]),
-        ("signed", ["--kappa", "16", "--sig", "coin-injective", "--sig-ml", "8", "--tag-bits", "64"]),
+        ("signed",
+         ["--kappa", "16", "--sig", "coin-injective", "--sig-ml", "16", "--tag-bits", "64"]),
     ],
 )
 def test_each_channel_reads_its_options_defaults_when_left_out(capsys, command, channel, defaults):
@@ -592,10 +594,11 @@ HOST = {
     _opt("--host-ml", 8),
 }
 # --sig-coins is read under --sig coin-injective and coin-extractable, and
-# cli._settle applies its default 8 there
+# cli._settle applies its default 8 there; --sig-ml left out is 8 bits for a
+# bare fixture and the host's ciphertext length for a signed family
 SIG = {
     _opt("--sig", "coin-injective", ("coin-injective", "coin-extractable", "unique")),
-    _opt("--sig-ml", 8),
+    _opt("--sig-ml"),
     _opt("--sig-coins"),
     _opt("--tag-bits", 64),
 }
@@ -729,9 +732,9 @@ def test_package_exports_are_pinned():
         "SubstitutionAttack", "SubvertLabError", "SymmetricEncryptionScheme", "TrialStreams",
         "UniversalHost", "UniversalityViolation", "WrongDocumentCountError", "__version__",
         "advantage_and_ci", "alg_enc_all", "alg_from_encryption", "alg_from_signing",
-        "asa_enc_all", "asa_from_stego", "channel_pmf", "channel_sample", "channel_support",
-        "channel_walk", "check_history", "chi2_attacker", "chi2_quantile", "chi2_warden",
-        "chi2_watchdog", "constant_guess", "default_beta", "default_watchdogs", "det_scheme",
+        "asa_enc_all", "asa_from_stego", "channel_law", "channel_sample", "channel_walk",
+        "check_history", "chi2_attacker", "chi2_quantile", "chi2_warden", "chi2_watchdog",
+        "constant_guess", "default_beta", "default_watchdogs", "det_scheme",
         "encode_all", "encode_schedule", "encode_step", "estimate_unrel", "estimate_unrel_alg",
         "estimate_unrel_reboot", "estimate_unrel_stego", "fabricating_asa",
         "forger_from_fabricating_asa", "forger_from_universal_asa", "generic_asa_against_alg",
@@ -765,7 +768,6 @@ LIBRARY_OPTIONS = {
     "chi2_quantile": ("q",),
     "chi2_warden": ("queries", "bins"),
     "chi2_watchdog": ("queries", "bins"),
-    "constant_guess": ("kind",),
     "det_scheme": ("ml",),
     "estimate_unrel": ("message_mode", "jobs"),
     "estimate_unrel_alg": ("jobs",),
@@ -775,7 +777,6 @@ LIBRARY_OPTIONS = {
     "forger_from_fabricating_asa": ("ml", "decoys", "budget"),
     "generic_asa_against_alg": ("demo_force_embed",),
     "outl_for": ("beta", "block_bits"),
-    "random_guess": ("kind",),
     "randpad_scheme": ("ml",),
     "rate_report": ("jobs",),
     "repeat_attacker": ("queries",),
@@ -826,7 +827,15 @@ def _library_options():
 def test_library_option_surface_is_pinned():
     surface = _library_options()
     assert surface == LIBRARY_OPTIONS
-    assert sum(map(len, surface.values())) == 49
+    assert sum(map(len, surface.values())) == 47
+
+
+def test_readme_counts_match_the_pinned_surface():
+    # the README states both counts in prose, where a change could leave them stale
+    text = " ".join(README.read_text().split())
+    assert re.findall(r"That is (\d+) names", text) == [str(len(subvertlab.__all__))]
+    options = sum(map(len, LIBRARY_OPTIONS.values()))
+    assert re.findall(r"default, number (\d+)\b", text) == [str(options)]
 
 
 FAB_OPTS = ["--sig", "coin-extractable", "--sig-ml", "16", "--tag-bits", "8"]
@@ -893,9 +902,9 @@ def test_game_unrel_rejects_another_targets_options(capsys, target, extra):
         ("stego", ["--channel", "uniform"], ["--doc-bits", "8"]),
         ("enc-asa", [], ["--host", "randpad", "--kappa", "16", "--r", "8", "--host-ml", "8"]),
         ("stego", ["--channel", "signed", "--tag-bits", "8"],
-         ["--sig", "coin-injective", "--sig-ml", "8", "--sig-coins", "8"]),
+         ["--sig", "coin-injective", "--sig-ml", "16", "--sig-coins", "8"]),
         ("rasa", ["--rasa-host", "signed", "--tag-bits", "8"],
-         ["--sig", "coin-injective", "--sig-ml", "8", "--sig-coins", "8"]),
+         ["--sig", "coin-injective", "--sig-ml", "16", "--sig-coins", "8"]),
     ],
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
@@ -1175,6 +1184,27 @@ def test_out_of_range_values_exit_2_without_output(capsys, argv):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "forge", "--adversary", "universal", "--trials", "3"],
+        ["lowerbound", "rate", "--attack", "universal", "--trials", "3"],
+        ["channel", "sample", "--channel", "signed"],
+    ],
+    ids=" ".join,
+)
+def test_sig_ml_under_a_signed_family_is_the_ciphertext_length(capsys, argv):
+    # the family signs the host's 16-bit ciphertexts: --sig-ml 16 is what
+    # leaving it out means, and any other length exits 2 naming both
+    argv = [*argv, "--seed", "1"]
+    left_out = run_cli(capsys, argv)
+    assert left_out[0] == 0 and left_out == run_cli(capsys, [*argv, "--sig-ml", "16"])
+    rc = cli.main([*argv, "--sig-ml", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --sig-ml must be the host's ciphertext length, 16, got 8\n"
+
+
 @pytest.mark.parametrize("command", ["stego", "asa"])
 def test_empty_extract_key_exits_2_without_output(capsys, tmp_path, command):
     # an empty --key is refused, not replaced by the session header's key
@@ -1190,8 +1220,7 @@ def test_empty_extract_key_exits_2_without_output(capsys, tmp_path, command):
 
 
 def _readme_commands():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line)
             if words[:1] == ["subvertlab"]:

@@ -128,7 +128,7 @@ def test_warden_replayed_as_watchdog_decides_identically():
     channel = ses_channel(ses, asa.outl)
     for warden, trials in ((repeat_warden(), 150), (chi2_warden(queries=8), 40)):
         wd = wrapped_warden_to_watchdog(warden, ses, asa.outl)
-        assert wd.kind == "watchdog" and wd.name == f"wrapped:{warden.name}"
+        assert wd.name == f"wrapped:{warden.name}"
         on_channel = run_ss_cha_dist(wrapped, channel, warden, trials, seed=8)
         on_attack = run_enc_asa_dist(asa, ses, wd, trials, seed=8)
         assert on_channel.decisions == on_attack.decisions

@@ -97,7 +97,7 @@ def test_merge_pools_same_configuration_only():
     ses = randpad_scheme(r=2, kappa=16, ml=8)
     a = run_cpa_dist(ses, repeat_attacker(), trials=100, seed=1)
     b = run_cpa_dist(ses, repeat_attacker(), trials=200, seed=2)
-    other = run_cpa_dist(ses, random_guess("attacker"), trials=50, seed=3)
+    other = run_cpa_dist(ses, random_guess(), trials=50, seed=3)
     merged = merge_reports([a, b, other])
     assert len(merged) == 2
     pooled = next(m for m in merged if m.config.get("merged_from_seeds") == [1, 2])
@@ -111,14 +111,14 @@ def test_runs_are_reproducible_and_job_count_free():
     ses = randpad_scheme(r=2, kappa=16, ml=8)
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=16, kappa=16))
     channel = uniform_channel(8)
-    r1 = run_ss_cha_dist(steg, channel, random_guess("warden"), trials=80, seed=4)
-    r2 = run_ss_cha_dist(steg, channel, random_guess("warden"), trials=80, seed=4)
-    r4 = run_ss_cha_dist(steg, channel, random_guess("warden"), trials=80, seed=4, jobs=4)
+    r1 = run_ss_cha_dist(steg, channel, random_guess(), trials=80, seed=4)
+    r2 = run_ss_cha_dist(steg, channel, random_guess(), trials=80, seed=4)
+    r4 = run_ss_cha_dist(steg, channel, random_guess(), trials=80, seed=4, jobs=4)
     assert r1 == r2 == r4
-    other = run_ss_cha_dist(steg, channel, random_guess("warden"), trials=80, seed=5)
+    other = run_ss_cha_dist(steg, channel, random_guess(), trials=80, seed=5)
     assert other.seed != r1.seed
     with pytest.raises(ParameterError):
-        run_cpa_dist(ses, random_guess("attacker"), trials=0, seed=0)
+        run_cpa_dist(ses, random_guess(), trials=0, seed=0)
 
 
 def test_repeat_attacker_hits_the_collision_advantage():
@@ -133,7 +133,7 @@ def test_repeat_attacker_hits_the_collision_advantage():
 
 def test_blind_baselines_are_consistent_with_guessing():
     ses = randpad_scheme(r=2, kappa=16, ml=8)
-    for adversary in (constant_guess("attacker"), random_guess("attacker")):
+    for adversary in (constant_guess(), random_guess()):
         report = run_cpa_dist(ses, adversary, trials=400, seed=11)
         assert report.advantage_ci95[0] == 0.0
 
@@ -231,7 +231,7 @@ class _StateSpy:
             self.returned += [view.ch(am, s, x) for _ in range(3)]
             return 0
 
-        return Adversary(kind="watchdog", name="state-spy", strategy=strategy)
+        return Adversary(name="state-spy", strategy=strategy)
 
     def warden(self):
         def strategy(view, rng):
@@ -243,7 +243,7 @@ class _StateSpy:
             self.returned += [view.ch(am, history) for _ in range(3)]
             return 0
 
-        return Adversary(kind="warden", name="state-spy", strategy=strategy)
+        return Adversary(name="state-spy", strategy=strategy)
 
 
 @pytest.mark.parametrize("game", ["ss-cha", "watchdog", "watchdog-as-warden", "warden-as-watchdog"])

@@ -12,8 +12,7 @@ from subvertlab import (
     ParameterError,
     alg_from_encryption,
     alg_from_signing,
-    channel_pmf,
-    channel_support,
+    channel_law,
     det_scheme,
     rand_alg_channel,
     randpad_scheme,
@@ -55,18 +54,19 @@ def test_randpad_exact_pmf_uniform_over_support():
     rng = random.Random(2)
     k, m = ses.gen(rng), Bits.random(4, rng)
     ch, h = ses_channel(ses, 1), (k, m)
-    support = list(channel_support(ch, h))
+    weights, total = channel_law(ch, h)
+    support = list(weights)
     assert support == [ses.enc(k, m, Bits(rho, 4)) for rho in range(16)]
     assert len(set(support)) == 16
-    total = Fraction(0)
+    mass = Fraction(0)
     for c in support:
-        p = channel_pmf(ch, h, c)
+        p = Fraction(weights[c], total)
         assert p == Fraction(1, 16)
-        total += p
-    assert total == 1
+        mass += p
+    assert mass == 1
     zero = Bits.zeros(8)
-    assert channel_pmf(ch, h, zero) == (Fraction(1, 16) if zero in support else 0)
-    assert channel_pmf(ch, h, Bits.zeros(7)) == Fraction(0)
+    assert Fraction(weights.get(zero, 0), total) == (Fraction(1, 16) if zero in support else 0)
+    assert Fraction(weights.get(Bits.zeros(7), 0), total) == Fraction(0)
 
 
 def test_randpad_parameter_validation():
@@ -91,11 +91,12 @@ def test_det_scheme_is_a_keyed_permutation():
         mb = Bits(m, 4)
         c = ses.enc(k, mb, Bits.zeros(0))
         assert ses.dec(k, c) == mb
-        assert channel_pmf(ch, (k, mb), c) == Fraction(1)
+        weights, total = channel_law(ch, (k, mb))
+        assert Fraction(weights.get(c, 0), total) == Fraction(1)
     # point mass: enc_sample never varies
     m = Bits(5, 4)
     assert len({ses.enc_sample(k, m, random.Random(i)) for i in range(10)}) == 1
-    assert list(channel_support(ch, (k, m))) == [ses.enc(k, m, Bits.zeros(0))]
+    assert list(channel_law(ch, (k, m))[0]) == [ses.enc(k, m, Bits.zeros(0))]
 
 
 def test_det_scheme_differs_across_keys():
@@ -370,7 +371,8 @@ def test_alg_wrappers_expose_lengths_and_runs():
     y = alg.run_sample(s, x, rng)
     assert ses.dec(s, y) == x
     # one of the 16 coin strings gives each randpad ciphertext
-    assert channel_pmf(rand_alg_channel(alg, 1), (s, x), y) == Fraction(1, 16)
+    weights, total = channel_law(rand_alg_channel(alg, 1), (s, x))
+    assert Fraction(weights.get(y, 0), total) == Fraction(1, 16)
 
     sig = sig_fixture("coin-injective", 16, ml=4, coin_bits=4, tag_bits=8)
     salg = alg_from_signing(sig)
@@ -379,7 +381,8 @@ def test_alg_wrappers_expose_lengths_and_runs():
     out = salg.run_sample(sk, Bits.zeros(4), rng)
     assert sig.vrfy(sk, Bits.zeros(4), out)
     # coin-injective: one of the 16 coin strings gives each signature
-    assert channel_pmf(rand_alg_channel(salg, 1), (sk, Bits.zeros(4)), out) == Fraction(1, 16)
+    weights, total = channel_law(rand_alg_channel(salg, 1), (sk, Bits.zeros(4)))
+    assert Fraction(weights.get(out, 0), total) == Fraction(1, 16)
 
 
 def _bits(draw, n):
