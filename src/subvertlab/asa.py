@@ -285,23 +285,26 @@ class QueryCountEstimate:
 
 
 def query_count(
-    steg: StegoSystem, ses: SymmetricEncryptionScheme, trials: int, seed: int
+    steg: StegoSystem, ses: SymmetricEncryptionScheme, trials: int, seed: int, jobs: int = 1
 ) -> QueryCountEstimate:
     """Measured expected oracle calls per subverted ciphertext.
 
     Runs universal_asa(steg) against its own UniversalHost of ses and counts
     every oracle invocation the host logs, including the final over-cutoff
     draw, over at least two trials (the interval uses the sample deviation).
+    Trial i draws from substream(seed, i, "query-count"), and the trials run
+    through the games' trial driver, on up to `jobs` worker processes, so the
+    estimate is the same at any `jobs`.
     """
     if trials < 2:
         raise ParameterError("query_count needs at least 2 trials")
-    from .games import _Z95
+    from .games import _Z95, _collect
     from .rng import substream
 
     host = UniversalHost(ses)
     asa = universal_asa(steg, host)
-    counts = []
-    for i in range(trials):
+
+    def run_one(i):
         rng = substream(seed, i, "query-count")
         ak = asa.gen(rng)
         am = Bits.random(asa.ml, rng)
@@ -309,7 +312,9 @@ def query_count(
         m = Bits.random(ses.ml, rng)
         host.queries.clear()  # one trial's log at a time
         asa.enc(ak, am, k, m, None, rng)
-        counts.append(len(host.queries))
+        return len(host.queries)
+
+    counts = _collect(trials, jobs, run_one)
     mean = statistics.fmean(counts)
     half = _Z95 * statistics.stdev(counts) / trials**0.5
     return QueryCountEstimate(mean=mean, ci95=(mean - half, mean + half), trials=trials, seed=seed)

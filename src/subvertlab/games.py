@@ -17,12 +17,18 @@ watchdog or warden view holds sigma, from None at the start of each trial
 across that trial's challenges, and its `ch` oracle takes only the
 challenge and returns only the output. No adversary ever sees sigma.
 
-Every runner is a thin wrapper over one trial driver, _play: the
-distinguishing games share one hidden-bit trial body and differ only in
-the oracles they build. An encryption scheme is a randomized algorithm
-(alg_from_encryption draws exactly as the scheme does), so the encryption
-watchdog game and reliability estimate are the algorithm ones, played on
-the scheme, and every watchdog sees one kind of view.
+Every runner is a thin wrapper over one trial driver, _play_all. A play
+is one game's trials: its name, config, trial count, seed, trial body and
+whether it is a distinguishing game. _play_all puts the trial ranges of
+several plays end to end and runs them through one _collect, so a command
+that plays several games (the rate report's five legs) forks one set of
+workers, and each play's report is built from its own slice of the
+results. The distinguishing games share one hidden-bit trial body and
+differ only in the oracles they build. An encryption scheme is a
+randomized algorithm (alg_from_encryption draws exactly as the scheme
+does), so the encryption watchdog game and reliability estimate are the
+algorithm ones, played on the scheme, and every watchdog sees one kind of
+view.
 
 Success counts come back as a GameReport: trials, successes, the success
 frequency, the normalized advantage |2p - 1| where the game is a
@@ -33,13 +39,15 @@ are never serialised: reduction tests compare them trial for trial.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .asa import SubstitutionAttack, alg_enc_all
 from .bits import Bits
@@ -216,7 +224,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _collect(trials: int, jobs: int, run_one: Callable[[int], tuple]) -> list[tuple]:
+def _collect(trials: int, jobs: int, run_one: Callable[[int], object]) -> list:
     """run_one(t) for every trial t, in trial order.
 
     With more than one worker, range(trials) is cut into contiguous chunks;
@@ -245,7 +253,8 @@ def _collect(trials: int, jobs: int, run_one: Callable[[int], tuple]) -> list[tu
             elif failure is None:
                 failure = value
     finally:
-        # left only when this process failed first: its children's work is moot
+        # left only when this process failed first or an interrupt cut a
+        # wait short: the children's work is moot
         for pid, fd, _ in pending:
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
@@ -304,8 +313,13 @@ def _receive(pid: int, fd: int, chunk: range) -> tuple[bool, object]:
     try:
         with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        # an interrupted read (an alarm, a SIGINT to this process alone)
+        # leaves the child running: a looping chunk would never be reaped
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
     if data:
         try:
             return pickle.loads(data)
@@ -318,25 +332,51 @@ def _receive(pid: int, fd: int, chunk: range) -> tuple[bool, object]:
     )
 
 
-def _play(game, config, trials, seed, jobs, run_one, distinguishing):
-    """Run every trial through _collect and report the successes.
+class _Play(NamedTuple):
+    """One game's trials: run_one(t) returns (success, decision) for t in
+    range(trials); a distinguishing game's report keeps the decisions."""
 
-    run_one(t) returns (success, decision); a distinguishing game's report
-    keeps the decisions, in trial order.
+    game: str
+    config: dict
+    trials: int
+    seed: int
+    run_one: Callable[[int], tuple]
+    distinguishing: bool
+
+
+def _play_all(plays: Sequence[_Play], jobs: int) -> list[GameReport]:
+    """Run the trials of every play, end to end, through one _collect and
+    report each play's successes, in play order.
+
+    Global trial i is trial i - offsets[k] of play k, where offsets[k] is
+    the trial count of the plays before it, so a serial run plays them one
+    after another and the earliest failing trial is raised first.
     """
-    results = _collect(trials, jobs, run_one)
+    offsets = [0, *itertools.accumulate(p.trials for p in plays)]
+
+    def run_one(i):
+        k = bisect.bisect_right(offsets, i) - 1
+        return plays[k].run_one(i - offsets[k])
+
+    results = _collect(offsets[-1], jobs, run_one)
+    return [_report(p, results[lo:hi]) for p, lo, hi in zip(plays, offsets, offsets[1:])]
+
+
+def _report(play: _Play, results: list[tuple]) -> GameReport:
+    trials = play.trials
     successes = sum(1 for ok, _ in results if ok)
+    distinguishing = play.distinguishing
     adv, adv_ci = advantage_and_ci(successes, trials) if distinguishing else (None, None)
     return GameReport(
-        game=game,
+        game=play.game,
         trials=trials,
         success_count=successes,
         p_hat=successes / trials,
         normalized_advantage=adv,
         ci95=wilson_ci(successes, trials),
         advantage_ci95=adv_ci,
-        seed=seed,
-        config=config,
+        seed=play.seed,
+        config=play.config,
         decisions=[r for _, r in results] if distinguishing else None,
     )
 
@@ -344,8 +384,8 @@ def _play(game, config, trials, seed, jobs, run_one, distinguishing):
 # --- distinguishing games ---------------------------------------------------
 
 
-def _distinguish(game, config, adversary, trials, seed, jobs, view):
-    """The hidden-bit game: view(streams, b) builds the challenger's oracles
+def _distinguish(game, config, adversary, trials, seed, view):
+    """The hidden-bit play: view(streams, b) builds the challenger's oracles
     for world b, and a trial succeeds when the adversary names b."""
 
     def run_one(t):
@@ -354,7 +394,7 @@ def _distinguish(game, config, adversary, trials, seed, jobs, view):
         guess = adversary.strategy(view(streams, b), streams.get("adv"))
         return guess == b, (b, guess)
 
-    return _play(game, config, trials, seed, jobs, run_one, True)
+    return _Play(game, config, trials, seed, run_one, True)
 
 
 class _CpaView:
@@ -387,7 +427,8 @@ def run_cpa_dist(
         return _CpaView(ses, b, streams.get("oracle"), streams.sim)
 
     config = {"scheme": ses.params_dict(), "adversary": adversary.name}
-    return _distinguish("cpa-dist", config, adversary, trials, seed, jobs, view)
+    play = _distinguish("cpa-dist", config, adversary, trials, seed, view)
+    return _play_all([play], jobs)[0]
 
 
 class _WatchdogView:
@@ -410,13 +451,17 @@ class _WatchdogView:
         return self.alg.run_sample(s, x, self._rng)
 
 
-def _watchdog_game(game, attack, alg, adversary, trials, seed, jobs):
+def _watchdog_play(game, attack, alg, adversary, trials, seed):
     def view(streams, b):
         ak = attack.gen(streams.get("ak"))
         return _WatchdogView(attack, alg, ak, b, streams.get("oracle"), streams.sim)
 
     config = {"attack": attack.describe(), "adversary": adversary.name}
-    return _distinguish(game, config, adversary, trials, seed, jobs, view)
+    return _distinguish(game, config, adversary, trials, seed, view)
+
+
+def _rasa_play(attack, alg, adversary, trials, seed):
+    return _watchdog_play("rasa-dist", attack, alg, adversary, trials, seed)
 
 
 def run_enc_asa_dist(
@@ -429,9 +474,8 @@ def run_enc_asa_dist(
 ) -> GameReport:
     """Distinguish subverted encryption from the honest scheme: the
     algorithm game, played on the scheme as a randomized algorithm."""
-    return _watchdog_game(
-        "enc-asa-dist", asa, alg_from_encryption(ses), adversary, trials, seed, jobs
-    )
+    play = _watchdog_play("enc-asa-dist", asa, alg_from_encryption(ses), adversary, trials, seed)
+    return _play_all([play], jobs)[0]
 
 
 def run_rasa_dist(
@@ -443,7 +487,7 @@ def run_rasa_dist(
     jobs: int = 1,
 ) -> GameReport:
     """Distinguish a subverted randomized algorithm from the genuine one."""
-    return _watchdog_game("rasa-dist", attack, alg, adversary, trials, seed, jobs)
+    return _play_all([_rasa_play(attack, alg, adversary, trials, seed)], jobs)[0]
 
 
 class _SsChaView:
@@ -491,7 +535,8 @@ def run_ss_cha_dist(
         "channel": channel.descriptor,
         "adversary": adversary.name,
     }
-    return _distinguish("ss-cha-dist", config, adversary, trials, seed, jobs, view)
+    play = _distinguish("ss-cha-dist", config, adversary, trials, seed, view)
+    return _play_all([play], jobs)[0]
 
 
 # --- forging ----------------------------------------------------------------
@@ -512,6 +557,21 @@ class _ForgeView:
         return self._sig.sign_sample(self._sk, m, self._rng)
 
 
+def _forge_play(sig, forger, trials, seed):
+    def run_one(t):
+        streams = TrialStreams(seed, t)
+        sk, pk = sig.gen(streams.get("k"))
+        view = _ForgeView(sig, pk, sk, streams.get("oracle"), streams.sim)
+        out = forger.strategy(view, streams.get("adv"))
+        if out is None:
+            return False, None
+        m, tag = out
+        return m not in view.queried and sig.vrfy(pk, m, tag), None
+
+    config = {"scheme": sig.params_dict(), "adversary": forger.name}
+    return _Play("sig-forge", config, trials, seed, run_one, False)
+
+
 def run_sig_forge(
     sig: SignatureScheme,
     forger: Adversary,
@@ -524,25 +584,13 @@ def run_sig_forge(
     A trial succeeds when the forger outputs (m, tag) with m never queried
     and the tag verifying under the public key.
     """
-
-    def run_one(t):
-        streams = TrialStreams(seed, t)
-        sk, pk = sig.gen(streams.get("k"))
-        view = _ForgeView(sig, pk, sk, streams.get("oracle"), streams.sim)
-        out = forger.strategy(view, streams.get("adv"))
-        if out is None:
-            return False, None
-        m, tag = out
-        return m not in view.queried and sig.vrfy(pk, m, tag), None
-
-    config = {"scheme": sig.params_dict(), "adversary": forger.name}
-    return _play("sig-forge", config, trials, seed, jobs, run_one, False)
+    return _play_all([_forge_play(sig, forger, trials, seed)], jobs)[0]
 
 
 # --- reliability estimators -------------------------------------------------
 
 
-def _unrel_sessions(game, attack, alg, trials, seed, mode_key, mode, jobs):
+def _unrel_play(game, attack, alg, trials, seed, mode_key, mode):
     """Recovery rate of the hidden message over full subverted sessions of alg.
 
     mode "random" draws a fresh input per position; "equal" repeats one
@@ -564,7 +612,11 @@ def _unrel_sessions(game, attack, alg, trials, seed, mode_key, mode, jobs):
         return attack.ext(ak, ys) == am, None
 
     config = {"attack": attack.describe(), mode_key: mode}
-    return _play(game, config, trials, seed, jobs, run_one, False)
+    return _Play(game, config, trials, seed, run_one, False)
+
+
+def _unrel_alg_play(attack, alg, trials, seed):
+    return _unrel_play("rasa-unrel", attack, alg, trials, seed, "input_mode", "random")
 
 
 def estimate_unrel(
@@ -582,9 +634,8 @@ def estimate_unrel(
     estimate.
     """
     alg = alg_from_encryption(ses)
-    return _unrel_sessions(
-        "enc-asa-unrel", asa, alg, trials, seed, "message_mode", message_mode, jobs
-    )
+    play = _unrel_play("enc-asa-unrel", asa, alg, trials, seed, "message_mode", message_mode)
+    return _play_all([play], jobs)[0]
 
 
 def estimate_unrel_alg(
@@ -596,10 +647,10 @@ def estimate_unrel_alg(
 ) -> GameReport:
     """Recovery rate for attacks on general randomized algorithms, with a
     fresh input per position (input_mode "random" in the config)."""
-    return _unrel_sessions("rasa-unrel", attack, alg, trials, seed, "input_mode", "random", jobs)
+    return _play_all([_unrel_alg_play(attack, alg, trials, seed)], jobs)[0]
 
 
-def _unrel_embed(game, steg, channel, trials, seed, config, jobs, start):
+def _embed_play(game, steg, channel, trials, seed, config, start):
     """Embed-then-decode recovery rate over the channel.
 
     start(t, rng) draws trial t's start before the key and returns
@@ -616,7 +667,7 @@ def _unrel_embed(game, steg, channel, trials, seed, config, jobs, start):
         return steg.dec(ak, docs) == am, None
 
     config = {"system": steg.describe(), "channel": channel.descriptor, **config}
-    return _play(game, config, trials, seed, jobs, run_one, False)
+    return _Play(game, config, trials, seed, run_one, False)
 
 
 def estimate_unrel_stego(
@@ -643,7 +694,8 @@ def estimate_unrel_stego(
         return encode_all, ()
 
     config = {"history_mode": history_mode}
-    return _unrel_embed("stego-unrel", steg, channel, trials, seed, config, jobs, start)
+    play = _embed_play("stego-unrel", steg, channel, trials, seed, config, start)
+    return _play_all([play], jobs)[0]
 
 
 def random_composition(total: int, rng) -> list[int]:
@@ -678,4 +730,5 @@ def estimate_unrel_reboot(
         return encode_schedule, random_composition(steg.params.outl, rng)
 
     config = {"schedules": [list(s) for s in schedules] if schedules else "random-compositions"}
-    return _unrel_embed("stego-unrel-reboot", steg, channel, trials, seed, config, jobs, start)
+    play = _embed_play("stego-unrel-reboot", steg, channel, trials, seed, config, start)
+    return _play_all([play], jobs)[0]

@@ -11,9 +11,11 @@ oracle material alone with probability at most 2^(outl*log2(outl*query) - ml).
 
 rate_report() runs all four measured legs (detectability, unreliability,
 the counting bound, forgery rate) and assembles the lower-bound inequality
-empirically. fabricating_asa() is the attack that makes it bite: one output
-carrying an ml-bit message (8 by default, which fits the 16-bit ciphertexts
-of randpad_scheme(8, 16, 8)), signed by brute verifier search.
+empirically; its five Monte Carlo plays (three watchdogs, unreliability,
+forgery) share one set of worker processes. fabricating_asa() is the
+attack that makes it bite: one output carrying an ml-bit message (8 by
+default, which fits the 16-bit ciphertexts of randpad_scheme(8, 16, 8)),
+signed by brute verifier search.
 """
 
 from __future__ import annotations
@@ -26,7 +28,15 @@ from .adversaries import default_watchdogs
 from .asa import SubstitutionAttack, UniversalHost, universal_asa
 from .bits import Bits
 from .errors import LengthMismatchError, ParameterError, WrongDocumentCountError
-from .games import SCHEMA, _Z95, Adversary, estimate_unrel_alg, run_rasa_dist, run_sig_forge
+from .games import (
+    SCHEMA,
+    _Z95,
+    Adversary,
+    _forge_play,
+    _play_all,
+    _rasa_play,
+    _unrel_alg_play,
+)
 from .schemes import (
     RandomizedAlgorithm,
     SignatureScheme,
@@ -295,25 +305,27 @@ def rate_report(
     insec_hat is the worst normalized advantage over the default watchdogs.
     """
     phi_rep = phi(attack.ml, attack.outl, query)  # checks query before the legs run
+    watchdogs = default_watchdogs()
+    plays = [_rasa_play(attack, family.alg, w, trials, seed) for w in watchdogs]
+    plays.append(_unrel_alg_play(attack, family.alg, trials, seed))
+    plays.append(_forge_play(family.sig, forger, trials, seed))
+    *watchdog_reps, unrel_rep, forge_rep = _play_all(plays, jobs)
+
     insec_hat, se_insec = 0.0, 0.0
     insec_by_watchdog = {}
-    for w in default_watchdogs():
-        rep = run_rasa_dist(attack, family.alg, w, trials, seed, jobs=jobs)
+    for w, rep in zip(watchdogs, watchdog_reps):
         insec_by_watchdog[w.name] = rep.normalized_advantage
         if rep.normalized_advantage >= insec_hat:
             insec_hat = rep.normalized_advantage
             lo, hi = rep.advantage_ci95
             se_insec = (hi - lo) / (2 * _Z95)
 
-    unrel_rep = estimate_unrel_alg(attack, family.alg, trials, seed, jobs=jobs)
     unrel_hat = unrel_rep.failure_rate
     lo, hi = unrel_rep.ci95
     se_unrel = (hi - lo) / (2 * _Z95)
 
     slack = 3.0 * math.sqrt(se_insec**2 + se_unrel**2)
     bound = max(0.0, 1.0 - insec_hat - unrel_hat - phi_rep.phi - slack)
-
-    forge_rep = run_sig_forge(family.sig, forger, trials, seed, jobs=jobs)
 
     return {
         "schema": SCHEMA,

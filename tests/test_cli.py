@@ -336,6 +336,10 @@ PARALLEL_INVOCATIONS = [
     ["lowerbound", "rate", "--attack", "fabricating", "--sig", "coin-extractable",
      "--sig-ml", "16", "--tag-bits", "8", "--fab-ml", "8", "--budget", "1024", "--trials", "8"],
     ["game", "unrel", "--target", "enc-asa", *STEGO_OPTS, "--trials", "12"],
+    ["asa", "queries", *STEGO_OPTS, "--trials", "20"],
+    # no --query: the attack's own query_count runs before the five legs
+    pytest.param(["lowerbound", "rate", "--attack", "universal", *STEGO_OPTS, "--trials", "4"],
+                 id="lowerbound rate universal"),
 ]
 
 
@@ -777,6 +781,7 @@ LIBRARY_OPTIONS = {
     "forger_from_fabricating_asa": ("ml", "decoys", "budget"),
     "generic_asa_against_alg": ("demo_force_embed",),
     "outl_for": ("beta", "block_bits"),
+    "query_count": ("jobs",),
     "randpad_scheme": ("ml",),
     "rate_report": ("jobs",),
     "repeat_attacker": ("queries",),
@@ -827,7 +832,7 @@ def _library_options():
 def test_library_option_surface_is_pinned():
     surface = _library_options()
     assert surface == LIBRARY_OPTIONS
-    assert sum(map(len, surface.values())) == 47
+    assert sum(map(len, surface.values())) == 48
 
 
 def test_readme_counts_match_the_pinned_surface():

@@ -52,7 +52,7 @@ MATRIX = {
     "asa build": (["asa", "build", *STEGO], False),
     "asa run": (["asa", "run", *STEGO, "--out", "{dir}/asa.jsonl"], False),
     "asa extract": (["asa", "extract", "--file", "{dir}/asa.jsonl"], False),
-    "asa queries": (["asa", "queries", *STEGO, "--trials", "20"], False),
+    "asa queries": (["asa", "queries", *STEGO, "--trials", "20"], True),
     "game cpa repeat": (["game", "cpa", "--r", "2", "--trials", "30", "--out", "{dir}/cpa.jsonl"], True),
     "game cpa chi2": (["game", "cpa", "--adversary", "chi2", "--trials", "20"], True),
     "game enc-asa repeat": (

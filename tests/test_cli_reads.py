@@ -28,11 +28,10 @@ NOT_READ = {
     ("asa", "build", "seed"): "building the attack draws nothing random",
     ("lowerbound", "phi", "seed"): "the counting bound draws nothing random",
     ("report", "merge", "seed"): "merging draws nothing random",
-    # the benchmark's argv (bench/workloads.py) passes --jobs to these two,
-    # so their rows keep the run group until that argv drops it
+    # the benchmark's argv (bench/workloads.py) passes --jobs to stego embed,
+    # so its row keeps the run group until that argv drops it
     ("stego", "embed", "trials"): "embedding runs one session, not trials",
     ("stego", "embed", "jobs"): "embedding runs in one process",
-    ("asa", "queries", "jobs"): "query_count runs in one process",
 }
 
 # sizes applied after _settle, to the options it left set

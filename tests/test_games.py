@@ -4,6 +4,10 @@ import dataclasses
 import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,7 @@ from subvertlab import (
     generic_asa_against_alg,
     make_signed_family,
     merge_reports,
+    query_count,
     randpad_scheme,
     random_composition,
     random_forger,
@@ -299,6 +304,16 @@ def assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _rate_fixture():
+    """A signed family, the fabricating attack on it and its forger."""
+    fam_ses = randpad_scheme(r=8, kappa=16, ml=8)
+    fam_sig = sig_fixture("coin-extractable", kappa=16, ml=fam_ses.cl, coin_bits=8, tag_bits=8)
+    family = make_signed_family(fam_ses, fam_sig, random.Random(0))
+    fab = fabricating_asa(family, ml=8, decoys=4, budget=1024)
+    fab_forger = forger_from_fabricating_asa(fam_ses, fam_sig, ml=8, decoys=4, budget=1024)
+    return family, fab, fab_forger
+
+
 def _runners():
     ses = randpad_scheme(r=2, kappa=16, ml=8)
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=16, kappa=16))
@@ -307,11 +322,7 @@ def _runners():
     attack = generic_asa_against_alg(steg, alg)
     channel = uniform_channel(8)
     sig = sig_fixture("coin-extractable", kappa=16, ml=8, coin_bits=8, tag_bits=8)
-    fam_ses = randpad_scheme(r=8, kappa=16, ml=8)
-    fam_sig = sig_fixture("coin-extractable", kappa=16, ml=fam_ses.cl, coin_bits=8, tag_bits=8)
-    family = make_signed_family(fam_ses, fam_sig, random.Random(0))
-    fab = fabricating_asa(family, ml=8, decoys=4, budget=1024)
-    fab_forger = forger_from_fabricating_asa(fam_ses, fam_sig, ml=8, decoys=4, budget=1024)
+    family, fab, fab_forger = _rate_fixture()
     return {
         "cpa": lambda t, j: run_cpa_dist(ses, repeat_attacker(), t, 3, jobs=j),
         "enc-asa": lambda t, j: run_enc_asa_dist(asa, ses, repeat_watchdog(), t, 3, jobs=j),
@@ -325,6 +336,7 @@ def _runners():
         ),
         "unrel-reboot": lambda t, j: estimate_unrel_reboot(steg, channel, t, 3, jobs=j),
         "rate": lambda t, j: rate_report(family, fab, 5.0, fab_forger, t, 3, jobs=j),
+        "query-count": lambda t, j: query_count(steg, ses, t, 3, jobs=j),
     }
 
 
@@ -339,9 +351,38 @@ def test_every_runner_is_job_count_free(name, forks):
         assert again == serial, (name, jobs)
         if isinstance(serial, GameReport):
             assert again.decisions == serial.decisions  # same trial order
-            assert len(forks) == jobs - 1
-        else:  # rate_report plays five legs of jobs - 1 forks each
-            assert len(forks) == 5 * (jobs - 1)
+        # rate_report plays its five legs on one set of workers
+        assert len(forks) == jobs - 1
+    assert_no_children_left()
+
+
+def _failing_play(name, fail_at):
+    def run_one(t):
+        if t in fail_at:
+            raise ParameterError(f"{name} trial {t} rejected")
+        return True, None
+
+    return games._Play(name, {}, 4, 0, run_one, False)
+
+
+def test_a_failing_trial_in_a_later_play_surfaces_as_the_serial_run_raises_it(forks):
+    # twelve trials end to end; at jobs 3, play b's trial 3 and play c's
+    # trial 0 run in different workers, and the earlier one is raised
+    plays = [_failing_play("a", ()), _failing_play("b", {3}), _failing_play("c", {0})]
+    for jobs in (1, 2, 3):
+        with pytest.raises(ParameterError, match="^b trial 3 rejected$"):
+            games._play_all(plays, jobs)
+    assert len(forks) == 1 + 2  # one set of workers per call at jobs 2 and 3
+    assert_no_children_left()
+
+    # the rate report's last leg, forgery, fails in a worker as it does serially
+    def strategy(view, rng):
+        raise ParameterError("forger rejected")
+
+    family, fab, _ = _rate_fixture()
+    for jobs in (1, 3):
+        with pytest.raises(ParameterError, match="^forger rejected$"):
+            rate_report(family, fab, 5.0, Adversary("boom", strategy), 7, 3, jobs=jobs)
     assert_no_children_left()
 
 
@@ -405,6 +446,64 @@ def test_earliest_failing_chunk_wins_and_the_caller_first(forks):
 class _Unpicklable(Exception):
     def __init__(self, what, code):
         super().__init__(f"{what} ({code})")
+
+
+_INTERRUPTED_WAIT = """
+import os, signal, sys, time
+from subvertlab import games
+
+games._usable_cpus = lambda: 2
+
+
+def expired(signum, frame):
+    raise TimeoutError("alarm")
+
+
+def run_one(t):
+    if t == 1:  # the worker's chunk loops, for 30 s at most
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            time.sleep(0.05)
+    return t
+
+
+signal.signal(signal.SIGALRM, expired)
+signal.alarm(1)
+start = time.monotonic()
+try:
+    games._collect(2, 2, run_one)
+except TimeoutError:
+    pass
+else:
+    sys.exit("_collect returned")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(f"no child after {time.monotonic() - start:.1f} s")
+"""
+
+
+def test_an_interrupted_wait_kills_the_worker_it_waited_on():
+    # an alarm interrupts the read of a looping worker's pipe; run in its
+    # own process group with a timeout, so a regression fails and not hangs
+    env = {**os.environ, "PYTHONPATH": str(Path(games.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED_WAIT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("_collect kept waiting on the worker whose read was interrupted")
+    assert proc.returncode == 0, err
+    assert out.startswith("no child after "), (out, err)
+    assert float(out.split()[3]) < 5.0
 
 
 def test_children_that_cannot_report_become_subvertlab_errors(forks):
