@@ -2,6 +2,14 @@
 
 A document is a bit string of explicit length; bit 0 is the most significant
 bit. Byte serialization zero-pads on the right to a byte boundary.
+
+A Bits exposes its length and value as the read-only slots `nbits` and
+`uint`, so a hot check reads `doc.nbits` without a `len()` call. Strings of
+8 bits or fewer are shared, as CPython shares small ints: one table per
+width 0..8 is built at import (511 objects), `Bits.random` draws widths
+1..8 from it and `Bits.of(value, nbits)` looks them up. `Bits(value, nbits)`
+always builds a new object. So `==` compares bit strings and `is` does not:
+two equal strings may or may not be one object.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ __all__ = ["Bits"]
 
 
 class Bits:
-    """Immutable bit string. Value is kept as an int, MSB-first."""
+    """Immutable bit string: `nbits` bits, value `uint` as an int, MSB-first."""
 
-    __slots__ = ("_n", "_v")
+    __slots__ = ("nbits", "uint")
 
     def __init__(self, value: int, nbits: int):
         nbits = int(nbits)
@@ -33,7 +41,7 @@ class Bits:
         raise AttributeError("Bits is immutable")
 
     def __reduce__(self):
-        return (Bits, (self._v, self._n))
+        return (Bits, (self.uint, self.nbits))
 
     # --- constructors -----------------------------------------------------
 
@@ -42,12 +50,30 @@ class Bits:
         return cls(0, nbits)
 
     @classmethod
+    def of(cls, value: int, nbits: int) -> "Bits":
+        """Bits(value, nbits), the shared instance where nbits is an int 1..8.
+
+        Accepts and refuses what Bits() does: the value is normalised by
+        int() before it indexes the table, and a value that does not fit, or
+        any other width, goes through Bits() and its errors.
+        """
+        if nbits.__class__ is int and 0 < nbits <= _SHARED_BITS:
+            v = int(value)
+            if not v >> nbits:  # 0 <= v < 2^nbits
+                return _SMALL[nbits][v]
+        return cls(value, nbits)
+
+    @classmethod
     def random(cls, nbits: int, rng: random.Random) -> "Bits":
         """nbits fresh bits from rng.getrandbits.
 
-        A zero-length draw consumes no RNG state and returns the shared empty
-        string, which is safe to hand out because Bits is immutable.
+        Widths 1..8 come from the shared table, indexed by the same draw. A
+        zero-length draw consumes no RNG state and returns the shared empty
+        string; any other width is built as Bits(draw, nbits). Sharing is safe
+        because Bits is immutable.
         """
+        if nbits.__class__ is int and 0 < nbits <= _SHARED_BITS:
+            return _SMALL[nbits][rng.getrandbits(nbits)]
         if nbits == 0:
             return _EMPTY
         return cls(rng.getrandbits(nbits), nbits)
@@ -87,69 +113,74 @@ class Bits:
     def join(cls, parts: Iterable["Bits"]) -> "Bits":
         v, n = 0, 0
         for p in parts:
-            v = (v << len(p)) | p._v
+            v = (v << len(p)) | p.uint
             n += len(p)
         return cls(v, n)
 
     # --- views ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def uint(self) -> int:
-        return self._v
+        return self.nbits
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            start, stop, step = idx.indices(self._n)
+            start, stop, step = idx.indices(self.nbits)
             if step != 1:
                 raise ParameterError("bit slices must be contiguous")
             width = max(0, stop - start)
-            return Bits((self._v >> (self._n - stop)) & ((1 << width) - 1) if width else 0, width)
+            v = (self.uint >> (self.nbits - stop)) & ((1 << width) - 1) if width else 0
+            return Bits(v, width)
         i = int(idx)
         if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
+            i += self.nbits
+        if not 0 <= i < self.nbits:
             raise IndexError("bit index out of range")
-        return (self._v >> (self._n - 1 - i)) & 1
+        return (self.uint >> (self.nbits - 1 - i)) & 1
 
     def __iter__(self) -> Iterator[int]:
-        return (self[i] for i in range(self._n))
+        return (self[i] for i in range(self.nbits))
 
     def to_bytes(self) -> bytes:
-        nbytes = (self._n + 7) // 8
-        return (self._v << (8 * nbytes - self._n)).to_bytes(nbytes, "big")
+        nbytes = (self.nbits + 7) // 8
+        return (self.uint << (8 * nbytes - self.nbits)).to_bytes(nbytes, "big")
 
     def hex(self) -> str:
         return self.to_bytes().hex()
 
     def bin(self) -> str:
-        return format(self._v, f"0{self._n}b") if self._n else ""
+        return format(self.uint, f"0{self.nbits}b") if self.nbits else ""
 
     # --- operations -------------------------------------------------------
 
     def __xor__(self, other: "Bits") -> "Bits":
-        if len(other) != self._n:
-            raise LengthMismatchError(f"expected {self._n} bits, got {len(other)}")
-        return Bits(self._v ^ other._v, self._n)
+        if len(other) != self.nbits:
+            raise LengthMismatchError(f"expected {self.nbits} bits, got {len(other)}")
+        return Bits(self.uint ^ other.uint, self.nbits)
 
     def __add__(self, other: "Bits") -> "Bits":
-        return Bits((self._v << len(other)) | other._v, self._n + len(other))
+        return Bits((self.uint << len(other)) | other.uint, self.nbits + len(other))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Bits) and self._n == other._n and self._v == other._v
+        return isinstance(other, Bits) and self.nbits == other.nbits and self.uint == other.uint
 
     def __hash__(self) -> int:
-        return hash((self._n, self._v))
+        return hash((self.nbits, self.uint))
 
     def __repr__(self) -> str:
-        return f"Bits({self.bin()!r})" if self._n <= 32 else f"Bits(hex={self.hex()!r}, nbits={self._n})"
+        if self.nbits <= 32:
+            return f"Bits({self.bin()!r})"
+        return f"Bits(hex={self.hex()!r}, nbits={self.nbits})"
 
 
 # The slot descriptors' setters, bound once: __init__ cannot go through the
 # guarded __setattr__, and a bound setter takes under half the time of
 # object.__setattr__(self, name, value) (0.11 vs 0.26 us per slot, timeit).
-_set_n = Bits._n.__set__
-_set_v = Bits._v.__set__
-_EMPTY = Bits(0, 0)
+_set_n = Bits.nbits.__set__
+_set_v = Bits.uint.__set__
+
+# _SMALL[n][v] is the shared Bits(v, n) for n = 0..8 (_SMALL[0] == [_EMPTY]).
+# Bits.random and Bits.of index it only after checking 1 <= n <= 8, since
+# _SMALL[-1] would be the 8-bit table.
+_SHARED_BITS = 8
+_SMALL = [[Bits(v, n) for v in range(1 << n)] for n in range(_SHARED_BITS + 1)]
+_EMPTY = _SMALL[0][0]

@@ -196,7 +196,7 @@ def uniform_channel(nbits: int) -> Channel:
             "max_doc_len": nbits,
         },
         max_doc_len=nbits,
-        accepts_at=lambda pos, d: len(d) == nbits,
+        accepts_at=lambda pos, d: d.nbits == nbits,
         drawer=lambda rng: _constant(IntDraw(functools.partial(rng.getrandbits, nbits), nbits)),
         law_fn=lambda h: _uniform_law(nbits),
     )
@@ -210,7 +210,7 @@ class _CycleShape:
 
     def accepts_at(self, pos: int, doc: Bits) -> bool:
         want = self.key_bits if pos == 0 else self.in_bits if pos <= self.ell else self.out_bits
-        return len(doc) == want
+        return doc.nbits == want
 
 
 def _cycle_input(h: tuple, ell: int) -> Bits:

@@ -163,12 +163,13 @@ def prf_split_block(
     The mark is a function of the key bytes, the document bytes, block_bits
     and n_slots alone, so it is kept in a table (module docstring) and a
     repeated document costs no HMAC. The table holds the value as an int,
-    which is all the encoder and decoder compare; this wrapper builds the
-    block_bits-bit string from it on every call. Documents whose padded
-    bytes agree mark the same, table or not.
+    which is all the encoder and decoder compare; this wrapper turns it into
+    the block_bits-bit string through Bits.of, so a block of 8 bits or fewer
+    is the shared instance and a wider one is built on every call. Documents
+    whose padded bytes agree mark the same, table or not.
     """
     value, j = split_marker(prf, key, block_bits, n_slots)[doc.to_bytes()]
-    return Bits(value, block_bits), j
+    return Bits.of(value, block_bits), j
 
 
 def _check_split(prf: Prf, key: Bits, block_bits: int, n_slots: int) -> None:

@@ -164,7 +164,7 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
     pads = KeyTable(functools.partial(_PadTable, r=r, ml=ml))  # key bytes -> its pads
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
-        if len(m) != ml or len(coins) != r:
+        if m.nbits != ml or coins.nbits != r:
             raise ParameterError("randpad enc: wrong message or coin length")
         rho = coins.uint
         return Bits((rho << ml) | (m.uint ^ pads[k.to_bytes()][rho]), cl)
@@ -172,13 +172,13 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
     def enc_ints(k: Bits, m: Bits, rng: random.Random) -> Callable[[], int]:
         # coins as enc_sample draws them: getrandbits(0) is 0 and takes no
         # RNG state, as Bits.random(0, rng) takes none
-        if len(m) != ml:
+        if m.nbits != ml:
             raise ParameterError("randpad enc: wrong message length")
         pad, mv, draw = pads[k.to_bytes()], m.uint, rng.getrandbits
         return lambda: ((rho := draw(r)) << ml) | (mv ^ pad[rho])
 
     def dec(k: Bits, c: Bits) -> Bits | None:
-        if len(c) != cl:
+        if c.nbits != cl:
             return None
         v = c.uint
         return Bits((v & body_mask) ^ pads[k.to_bytes()][v >> ml], ml)
@@ -197,12 +197,14 @@ def randpad_scheme(r: int, kappa: int, ml: int = 8) -> SymmetricEncryptionScheme
 
 
 # det_scheme keeps a KeyTable of codebooks. Each key's entry also caches its
-# ciphertexts, one Bits per message, built the first time that message is
-# encrypted (never all 2^ml up front: most keys see few messages), and the
-# inverse permutation, built on the key's first decryption (most keys are
-# only ever used to encrypt). enc binds the codebook of the last key object
-# it saw, so the encryptions of one session, all under one key object, look
-# the codebook up once per session instead of hashing the key each time.
+# ciphertexts, one Bits per message, taken through Bits.of the first time
+# that message is encrypted (the shared instance where ml <= 8; never all
+# 2^ml up front, since ml goes up to _ENUM_LIMIT and most keys see few
+# messages), and the inverse permutation, built on the key's first
+# decryption (most keys are only ever used to encrypt). enc binds the
+# codebook of the last key object it saw, so the encryptions of one session,
+# all under one key object, look the codebook up once per session instead of
+# hashing the key each time.
 
 
 def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
@@ -256,7 +258,7 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
     last = [(None, None)]  # (the last key object enc saw, its codebook)
 
     def enc(k: Bits, m: Bits, coins: Bits) -> Bits:
-        if len(m) != ml or len(coins) != 0:
+        if m.nbits != ml or coins.nbits != 0:
             raise ParameterError("det enc: wrong message or coin length")
         key, book = last[0]
         if key is not k:
@@ -266,11 +268,11 @@ def det_scheme(kappa: int, ml: int = 8) -> SymmetricEncryptionScheme:
         i = m.uint
         c = cts[i]
         if c is None:
-            c = cts[i] = Bits(perm[i], ml)
+            c = cts[i] = Bits.of(perm[i], ml)
         return c
 
     def dec(k: Bits, c: Bits) -> Bits | None:
-        if len(c) != ml:
+        if c.nbits != ml:
             return None
         book = books[k]
         inv = book[1]

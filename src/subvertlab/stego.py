@@ -245,7 +245,8 @@ def rejsam_decode(
     The document count is checked first, then the key's mark table is bound
     once (split_marker checks the key and split there), so each document
     costs one dict subscript, and an HMAC only where its bytes miss the
-    table.
+    table. A document's bytes are packed here from its slots, the bytes
+    doc.to_bytes() gives, without the method call.
     """
     if len(docs) != params.outl:
         raise WrongDocumentCountError(f"expected {params.outl} documents, got {len(docs)}")
@@ -253,7 +254,9 @@ def rejsam_decode(
     marks = split_marker(prf, ak, block_bits, n_slots)
     slots: dict[int, int] = {}  # not a list: a saved session may claim any ml
     for doc in docs:
-        value, j = marks[doc.to_bytes()]
+        n = doc.nbits
+        pad = -n & 7
+        value, j = marks[(doc.uint << pad).to_bytes((n + pad) >> 3, "big")]
         if j is not None:
             slots[j] = value  # last write wins
     if len(slots) < n_slots:

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subvertlab import Bits, LengthMismatchError, ParameterError
+from subvertlab import (
+    Bits,
+    LengthMismatchError,
+    ParameterError,
+    StegoParams,
+    asa_from_stego,
+    det_scheme,
+    estimate_unrel,
+    rejsam_system,
+)
+from subvertlab.bits import _EMPTY
 
 
 def test_construction_bounds():
@@ -78,17 +88,105 @@ def test_random_is_rng_driven():
     assert rng.getstate() == state
 
 
+def test_interned_draws_match_plain_draws():
+    # the same getrandbits call and value as Bits(getrandbits(n), n), and the
+    # same generator state after it; n = 0 takes no state at all
+    for n in range(11):
+        for seed in range(200):
+            r1, r2 = random.Random(seed), random.Random(seed)
+            b = Bits.random(n, r1)
+            if n == 0:
+                assert b is _EMPTY
+            else:
+                assert b == Bits(r2.getrandbits(n), n)
+            assert r1.getstate() == r2.getstate(), (n, seed)
+
+
+def test_draws_are_shared_exactly_for_widths_1_to_8():
+    for n in range(1, 11):
+        for seed in range(20):
+            a, b = Bits.random(n, random.Random(seed)), Bits.random(n, random.Random(seed))
+            assert a == b and (a is b) == (n <= 8), (n, seed)
+            assert (Bits.of(a.uint, n) is a) == (n <= 8)
+    assert all(Bits.of(v, n) is Bits.of(v, n) for n in range(1, 9) for v in range(1 << n))
+    assert Bits.of(0, 0) == _EMPTY and Bits(3, 2) is not Bits(3, 2)
+    # a width that is not an int keeps the plain path, as at any other width
+    assert Bits.random(True, random.Random(1)) is not Bits.random(True, random.Random(1))
+
+
+def test_random_refuses_bad_widths_as_getrandbits_does():
+    for nbits in (-1, -9, 3.0, 3.5, "3", None):
+        with pytest.raises(Exception) as plain:
+            random.Random(0).getrandbits(nbits)
+        with pytest.raises(plain.type) as ours:
+            Bits.random(nbits, random.Random(0))
+        assert str(ours.value) == str(plain.value), nbits
+
+
+def _outcome(make, value, nbits):
+    try:
+        b = make(value, nbits)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    assert type(b.uint) is int and type(b.nbits) is int
+    return (b.uint, b.nbits)
+
+
+def test_of_accepts_and_refuses_what_bits_does():
+    values = [-300, -2, -1, 0, 1, 2, 5, 7, 8, 255, 256, 511, 1 << 20]
+    values += [True, False, 3.0, 3.9, -0.5, "3", "x", None, 2**64]
+    widths = [-1, 0, 1, 2, 3, 8, 9, 10, 64, True, False, 3.0, 2.5, "4", None]
+    for value in values:
+        for nbits in widths:
+            assert _outcome(Bits.of, value, nbits) == _outcome(Bits, value, nbits), (value, nbits)
+
+
+def test_pickled_shared_instance_is_an_equal_value():
+    shared = Bits.random(6, random.Random(5))
+    assert Bits.random(6, random.Random(5)) is shared
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(shared, protocol))
+        assert again == shared and type(again) is Bits
+        assert (again.uint, again.nbits) == (shared.uint, 6)
+
+
+def test_pointmass_trial_builds_almost_no_bits(monkeypatch):
+    # An allocation pin on the point-mass path (the pointmass-unrel benchmark
+    # workload): host inputs and det ciphertexts are shared values, so four
+    # trials build 16 bit strings (1,689 when each was built fresh).
+    built = []
+    init = Bits.__init__
+
+    def counted(self, value, nbits):
+        built.append(nbits)
+        init(self, value, nbits)
+
+    steg = rejsam_system(StegoParams(ml=16, s=64, outl=256))
+    det = det_scheme(16, ml=8)
+    attack = asa_from_stego(steg, det)
+    monkeypatch.setattr(Bits, "__init__", counted)
+    estimate_unrel(attack, det, 4, 11)
+    assert len(built) == 16
+
+
 def test_immutability():
     b = Bits(1, 2)
     with pytest.raises(AttributeError):
-        b._v = 3
+        b.uint = 3
     with pytest.raises(AttributeError):
-        b._n = 5
+        b.nbits = 5
     with pytest.raises(AttributeError):
         b.extra = 1
     with pytest.raises(AttributeError):
-        Bits.random(0, random.Random(0))._n = 1
-    assert (b.uint, len(b)) == (1, 2) and len(Bits.random(0, random.Random(0))) == 0
+        Bits.random(0, random.Random(0)).nbits = 1
+    shared = Bits.random(3, random.Random(0))
+    value = shared.uint
+    with pytest.raises(AttributeError):
+        shared.uint = value ^ 1
+    with pytest.raises(AttributeError):
+        shared.nbits = 4
+    assert (b.uint, b.nbits, len(b)) == (1, 2, 2) and len(Bits.random(0, random.Random(0))) == 0
+    assert Bits.random(3, random.Random(0)) is shared and (shared.uint, shared.nbits) == (value, 3)
 
 
 @settings(max_examples=60, deadline=None)
