@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import statistics
@@ -316,8 +317,33 @@ def query_count(
 
     counts = _collect(trials, jobs, run_one)
     mean = statistics.fmean(counts)
-    half = _Z95 * statistics.stdev(counts) / trials**0.5
+    half = _Z95 * _sample_stdev(counts) / trials**0.5
     return QueryCountEstimate(mean=mean, ci95=(mean - half, mean + half), trials=trials, seed=seed)
+
+
+def _sample_stdev(xs: Sequence[int]) -> float:
+    """The sample standard deviation of two or more ints, correctly rounded.
+
+    This is statistics.stdev(xs) as Python 3.11 and later compute it, on
+    every interpreter (3.10's takes a float square root and can differ in
+    the last bit). The variance is num / den exactly; its square root is
+    taken as an integer with at least 2 * 53 + 3 bits, rounded to odd, so the
+    one rounding to a float (int / int, correctly rounded) is the only one.
+    """
+    n, total = len(xs), sum(xs)
+    num = n * sum(x * x for x in xs) - total * total
+    den = n * (n - 1)
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        return float(_isqrt_rto(num, den << 2 * q) << q)
+    return _isqrt_rto(num << -2 * q, den) / (1 << -q)
+
+
+def _isqrt_rto(num: int, den: int) -> int:
+    """The square root of num / den as an integer, rounded to odd: the
+    lowest bit is set whenever the root is inexact."""
+    root = math.isqrt(num // den)
+    return root | (root * root * den != num)
 
 
 def watchdog_to_warden(watchdog, ses: SymmetricEncryptionScheme, ell: int):

@@ -7,9 +7,9 @@ A Bits exposes its length and value as the read-only slots `nbits` and
 `uint`, so a hot check reads `doc.nbits` without a `len()` call. Strings of
 8 bits or fewer are shared, as CPython shares small ints: one table per
 width 0..8 is built at import (511 objects), `Bits.random` draws widths
-1..8 from it and `Bits.of(value, nbits)` looks them up. `Bits(value, nbits)`
-always builds a new object. So `==` compares bit strings and `is` does not:
-two equal strings may or may not be one object.
+1..8 from it, and `Bits.of(value, nbits)` and slices look them up.
+`Bits(value, nbits)` always builds a new object. So `==` compares bit
+strings and `is` does not: two equal strings may or may not be one object.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class Bits:
                 raise ParameterError("bit slices must be contiguous")
             width = max(0, stop - start)
             v = (self.uint >> (self.nbits - stop)) & ((1 << width) - 1) if width else 0
-            return Bits(v, width)
+            return Bits.of(v, width)
         i = int(idx)
         if i < 0:
             i += self.nbits

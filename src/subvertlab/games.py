@@ -7,10 +7,15 @@ coins each get a stream, and a public "sim" namespace carries service
 randomness that is identical in both worlds. Because the streams are
 addressed by name and not by draw order across components, a reduction
 adapter replaying an adversary inside a different game reproduces its view
-bit for bit, and the jobs knob cannot change any result. With jobs > 1 the
-trial range is cut into contiguous chunks: the calling process runs the
-first and forked worker processes run the rest, so the CPU-bound trials
-really do run side by side, and the results are joined in trial order.
+bit for bit, and the jobs knob cannot change any result. A stream is
+seeded at its first use, since seeding costs more than many trials draw:
+the adversary's coins at its first draw, and a view's hidden key and
+private oracle coins at its first oracle call (the attacker key only in
+the world that runs the encoder). What a stream yields does not depend on
+when it is seeded, so no draw moves. With jobs > 1 the trial range is cut
+into contiguous chunks: the calling process runs the first and forked
+worker processes run the rest, so the CPU-bound trials really do run side
+by side, and the results are joined in trial order.
 
 The challenger keeps the encoder state, as the paper's oracles do: a
 watchdog or warden view holds sigma, from None at the start of each trial
@@ -92,6 +97,9 @@ class Adversary:
     the game that runs it: strategy(oracles, rng) gets the view that game's
     runner builds and returns its answer, a bit guess or a (message,
     signature) pair.
+
+    rng is the adversary's own coins, seeded at its first draw. It has
+    random.Random's public methods but is not a random.Random instance.
     """
 
     name: str
@@ -391,24 +399,31 @@ def _distinguish(game, config, adversary, trials, seed, view):
     def run_one(t):
         streams = TrialStreams(seed, t)
         b = streams.get("b").randrange(2)
-        guess = adversary.strategy(view(streams, b), streams.get("adv"))
+        guess = adversary.strategy(view(streams, b), streams.lazy("adv"))
         return guess == b, (b, guess)
 
     return _Play(game, config, trials, seed, run_one, True)
 
 
 class _CpaView:
-    """Real-or-ideal encryption oracle under a hidden key."""
+    """Real-or-ideal encryption oracle under a hidden key.
 
-    def __init__(self, ses, b, oracle_rng, sim_rng):
+    The first enc call fetches the oracle stream and draws the key from it
+    in both worlds, so the ideal world's strings still follow a key draw.
+    """
+
+    def __init__(self, ses, b, streams):
         self.scheme = ses
-        self.sim_rng = sim_rng
-        self._ses, self._b, self._rng = ses, b, oracle_rng
-        self._k = ses.gen(oracle_rng)
+        self.sim_rng = streams.sim
+        self._ses, self._b, self._streams = ses, b, streams
+        self._rng = None
 
     def enc(self, m: Bits) -> Bits:
         if len(m) != self._ses.ml:
             raise LengthMismatchError(f"message must be {self._ses.ml} bits")
+        if self._rng is None:
+            self._rng = self._streams.get("oracle")
+            self._k = self._ses.gen(self._rng)
         if self._b == 0:
             return self._ses.enc_sample(self._k, m, self._rng)
         return Bits.random(self._ses.cl, self._rng)
@@ -424,27 +439,48 @@ def run_cpa_dist(
     """Distinguish the scheme's encryptions from uniform strings."""
 
     def view(streams, b):
-        return _CpaView(ses, b, streams.get("oracle"), streams.sim)
+        return _CpaView(ses, b, streams)
 
     config = {"scheme": ses.params_dict(), "adversary": adversary.name}
     play = _distinguish("cpa-dist", config, adversary, trials, seed, view)
     return _play_all([play], jobs)[0]
 
 
-class _WatchdogView:
+class _Challenger:
+    """A challenge oracle's hidden state in world b: the encoder state sigma,
+    and the attacker key and private coins, made at the first ch call.
+
+    The oracle stream is fetched in both worlds; the key is drawn from the
+    "ak" stream only in the world that runs the encoder (b = 0).
+    """
+
+    def __init__(self, gen, b, streams):
+        self.sim_rng = streams.sim
+        self._gen, self._b, self._streams = gen, b, streams
+        self._rng = None
+        self._sigma = None
+
+    def _open(self):
+        self._rng = self._streams.get("oracle")
+        if self._b == 0:
+            self._ak = self._gen(self._streams.get("ak"))
+
+
+class _WatchdogView(_Challenger):
     """Watchdog's oracles: the subverted or the genuine algorithm, on the
     secrets and inputs the watchdog picks."""
 
-    def __init__(self, attack, alg, ak, b, oracle_rng, sim_rng):
+    def __init__(self, attack, alg, b, streams):
+        super().__init__(attack.gen, b, streams)
         self.alg = alg
         self.asa_ml = attack.ml
-        self.sim_rng = sim_rng
-        self._attack, self._ak, self._b, self._rng = attack, ak, b, oracle_rng
-        self._sigma = None
+        self._attack = attack
 
     def ch(self, am, s, x):
         if len(am) != self.asa_ml:
             raise LengthMismatchError(f"hidden message must be {self.asa_ml} bits")
+        if self._rng is None:
+            self._open()
         if self._b == 0:
             y, self._sigma = self._attack.enc(self._ak, am, s, x, self._sigma, self._rng)
             return y
@@ -453,8 +489,7 @@ class _WatchdogView:
 
 def _watchdog_play(game, attack, alg, adversary, trials, seed):
     def view(streams, b):
-        ak = attack.gen(streams.get("ak"))
-        return _WatchdogView(attack, alg, ak, b, streams.get("oracle"), streams.sim)
+        return _WatchdogView(attack, alg, b, streams)
 
     config = {"attack": attack.describe(), "adversary": adversary.name}
     return _distinguish(game, config, adversary, trials, seed, view)
@@ -490,19 +525,20 @@ def run_rasa_dist(
     return _play_all([_rasa_play(attack, alg, adversary, trials, seed)], jobs)[0]
 
 
-class _SsChaView:
+class _SsChaView(_Challenger):
     """Warden's oracles: embed-or-sample at chosen histories, plus free sampling."""
 
-    def __init__(self, steg, channel, ak, b, oracle_rng, sim_rng):
+    def __init__(self, steg, channel, b, streams):
+        super().__init__(steg.gen, b, streams)
         self.channel = channel
         self.stego_ml = steg.params.ml
-        self.sim_rng = sim_rng
-        self._steg, self._ak, self._b, self._rng = steg, ak, b, oracle_rng
-        self._sigma = None
+        self._steg = steg
 
     def ch(self, am, history):
         if len(am) != self.stego_ml:
             raise LengthMismatchError(f"hidden message must be {self.stego_ml} bits")
+        if self._rng is None:
+            self._open()
         steg = self._steg
         transparent = steg.transparent_at is not None and steg.transparent_at(history)
         rng = self.sim_rng("oracle-prefix") if transparent else self._rng
@@ -527,8 +563,7 @@ def run_ss_cha_dist(
     """Distinguish embedded documents from the channel's own."""
 
     def view(streams, b):
-        ak = steg.gen(streams.get("ak"))
-        return _SsChaView(steg, channel, ak, b, streams.get("oracle"), streams.sim)
+        return _SsChaView(steg, channel, b, streams)
 
     config = {
         "system": steg.describe(),
@@ -562,7 +597,7 @@ def _forge_play(sig, forger, trials, seed):
         streams = TrialStreams(seed, t)
         sk, pk = sig.gen(streams.get("k"))
         view = _ForgeView(sig, pk, sk, streams.get("oracle"), streams.sim)
-        out = forger.strategy(view, streams.get("adv"))
+        out = forger.strategy(view, streams.lazy("adv"))
         if out is None:
             return False, None
         m, tag = out

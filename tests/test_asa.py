@@ -3,9 +3,13 @@
 import dataclasses
 import itertools
 import random
+import statistics
+import sys
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subvertlab import (
     Bits,
@@ -39,7 +43,7 @@ from subvertlab import (
     watchdog_to_warden,
 )
 from subvertlab import stego
-from subvertlab.asa import _SessionView
+from subvertlab.asa import _SessionView, _sample_stdev
 from subvertlab.channels import _cycle_input
 from subvertlab.schemes import IntDraw, PointDraw
 from subvertlab.stego import mark_agreement
@@ -165,6 +169,16 @@ def test_query_count_guards():
     steg, ses = small_setup()
     with pytest.raises(ParameterError, match="at least 2 trials"):
         query_count(steg, ses, trials=1, seed=0)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's stdev rounds its square root twice")
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70) | st.integers(0, 40), min_size=2, max_size=60))
+def test_sample_stdev_is_statistics_stdev(xs):
+    # the interval half-width is the same float on every interpreter: it is
+    # stdev as 3.11+ compute it, the correctly rounded root of the exact
+    # variance
+    assert _sample_stdev(xs) == statistics.stdev(xs)
 
 
 # --- one construction: every attack runs its encoder at the session view -----

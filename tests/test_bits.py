@@ -114,6 +114,19 @@ def test_draws_are_shared_exactly_for_widths_1_to_8():
     assert Bits.random(True, random.Random(1)) is not Bits.random(True, random.Random(1))
 
 
+def test_small_slices_are_the_shared_instances():
+    # a slice of 1 to 8 bits is the table's instance, with the value a slice
+    # built fresh from the bit string's digits has
+    rng = random.Random(4)
+    for n in (0, 1, 5, 8, 9, 13, 24):
+        for b in (Bits.random(n, rng), Bits.zeros(n), Bits((1 << n) - 1, n)):
+            for start in range(-n, n + 1):
+                for stop in range(-n, n + 1):
+                    piece, digits = b[start:stop], b.bin()[start:stop]
+                    assert piece == Bits.from_str(digits), (b, start, stop)
+                    assert (piece is Bits.of(piece.uint, len(digits))) == (1 <= len(digits) <= 8)
+
+
 def test_random_refuses_bad_widths_as_getrandbits_does():
     for nbits in (-1, -9, 3.0, 3.5, "3", None):
         with pytest.raises(Exception) as plain:

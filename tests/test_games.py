@@ -1,6 +1,7 @@
 """Game reports, interval arithmetic, and the Monte Carlo runners."""
 
 import dataclasses
+import json
 import os
 import pickle
 import random
@@ -58,7 +59,9 @@ from subvertlab import (
     wilson_ci,
     wrapped_warden_to_watchdog,
 )
-from subvertlab import games
+from subvertlab import cli, games, rng
+from subvertlab.channels import channel_sample
+from subvertlab.rng import TrialStreams, substream
 
 import oracles
 
@@ -530,4 +533,98 @@ def test_children_that_cannot_report_become_subvertlab_errors(forks):
 
     with pytest.raises(SubvertLabError, match=r"trials 2..3 died without a result \(exit code 3\)"):
         games._collect(4, 2, dies)
+    assert_no_children_left()
+
+
+# --- streams seeded on first use ---------------------------------------------
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """Every substream call's (seed, trial, *path), in call order."""
+    calls = []
+    real = rng.substream
+
+    def counting(*label):
+        calls.append(label)
+        return real(*label)
+
+    monkeypatch.setattr(rng, "substream", counting)
+    return calls
+
+
+def test_a_lazy_stream_is_seeded_at_its_first_draw(seeded):
+    streams = TrialStreams(4, 2)
+    coins = streams.lazy("adv")
+    assert not seeded and not isinstance(coins, random.Random)
+    draws = [coins.getrandbits(16), coins.randrange(9), coins.random(), coins.getrandbits(3)]
+    ref = substream(4, 2, "adv")
+    assert draws == [ref.getrandbits(16), ref.randrange(9), ref.random(), ref.getrandbits(3)]
+    assert seeded == [(4, 2, "adv")]
+    # the stream is memoised as get's, and later draws call its own methods
+    assert streams.get("adv") is coins.getrandbits.__self__
+    assert vars(coins)["getrandbits"] == streams.get("adv").getrandbits
+    assert seeded == [(4, 2, "adv")]
+    with pytest.raises(AttributeError):
+        coins._randbelow
+
+
+def test_a_constant_cpa_trial_seeds_only_its_hidden_bit(seeded, capsys):
+    assert cli.main(["game", "cpa", "--adversary", "constant", "--trials", "40", "--seed", "6"]) == 0
+    assert [label[1:] for label in seeded] == [(t, "b") for t in range(40)]
+
+
+def test_the_attacker_key_is_drawn_only_where_the_encoder_runs(seeded):
+    ses = randpad_scheme(r=8, kappa=16, ml=8)
+    steg = rejsam_system(StegoParams(ml=4, s=16, outl=24, kappa=16))
+    alg = alg_from_encryption(ses)
+    rasa = run_rasa_dist(generic_asa_against_alg(steg, alg), alg, repeat_watchdog(), 16, 3)
+    keyed_rasa = {t for _, t, *path in seeded if path == ["ak"]}
+    seeded.clear()
+    ss = run_ss_cha_dist(steg, ses_channel(ses, 2), repeat_warden(), 16, 3)
+    keyed_ss = {t for _, t, *path in seeded if path == ["ak"]}
+    for report, keyed in ((rasa, keyed_rasa), (ss, keyed_ss)):
+        assert keyed == {t for t, (b, _) in enumerate(report.decisions) if b == 0}
+        assert 0 < len(keyed) < 16
+
+
+def _sim_reader(channel=None):
+    """Draws from a sim stream, from the free channel oracle when it is
+    given the channel, and from its own coins; checks each against the
+    stream substream(seed, t, ...) seeds, and guesses from all of them."""
+
+    def strategy(view, coins):
+        streams = view._streams
+        x = view.sim_rng("probe").getrandbits(8)
+        assert x == substream(streams.seed, streams.trial, "sim", "probe").getrandbits(8)
+        if channel is not None:
+            doc = view.channel_sample(())
+            ref = substream(streams.seed, streams.trial, "sim", "channel")
+            assert doc == channel_sample(channel, (), ref)
+            x ^= doc.uint
+        y = coins.getrandbits(8)
+        assert y == substream(streams.seed, streams.trial, "adv").getrandbits(8)
+        assert streams.get("adv") is coins.getrandbits.__self__
+        return (x ^ y) & 1
+
+    return Adversary(name="sim-reader", strategy=strategy)
+
+
+@pytest.mark.parametrize("game", ["cpa", "ss-cha"])
+def test_sim_streams_are_the_public_substreams_in_both_worlds(game, forks):
+    ses = randpad_scheme(r=8, kappa=16, ml=8)
+    channel = ses_channel(ses, 2)
+    steg = rejsam_system(StegoParams(ml=4, s=16, outl=24, kappa=16))
+
+    def run(jobs):
+        if game == "cpa":
+            return run_cpa_dist(ses, _sim_reader(), 24, 5, jobs=jobs)
+        return run_ss_cha_dist(steg, channel, _sim_reader(channel), 24, 5, jobs=jobs)
+
+    serial = run(1)
+    forked = run(2)
+    assert len(forks) == 1  # the second half of the trials ran in a child
+    assert {b for b, _ in serial.decisions} == {0, 1}
+    assert forked.decisions == serial.decisions
+    assert json.dumps(forked.to_json_dict()) == json.dumps(serial.to_json_dict())
     assert_no_children_left()
