@@ -17,6 +17,18 @@ universal_asa is the same construction against an oracle-only host: the
 attack sees nothing but published lengths and an explicit-coin encryption
 oracle, and every emitted ciphertext is one the oracle produced. The host
 logs every oracle call in its own `queries`, which makes that checkable.
+
+One subverted session has one attacker key, hidden message and host secret
+for all outl emissions. Where the stegosystem's enc has a session form
+(stego.rejsam_system's enc.session), the attack's enc gets one too,
+enc.session(ak, am, s, xs, rng), which feeds it the draw host_draw(s, x,
+rng) of each input in order, built only after the previous emission. The
+enc_all drivers take it when it is there: the same documents from the same
+RNG calls, with one encode_step per emission but no per-emission attack
+frame or session view. The form is an attribute of the callable, so an
+attack or stegosystem whose enc is replaced (dataclasses.replace, the
+force-embed demo, a spy or a tracer's wrapper) has none, and its drivers
+call enc once per emission.
 """
 
 from __future__ import annotations
@@ -64,6 +76,12 @@ class SubstitutionAttack:
     and input (a key and message); ext(ak, outputs) -> hidden message or
     None. host_params records the published lengths of the host the attack
     was built for.
+
+    enc may carry a session form, enc.session(ak, am, s, xs, rng) -> the
+    outputs for all inputs xs, equal to state-threaded enc calls from None,
+    from the same RNG calls; asa_enc_all and alg_enc_all use it when it is
+    there. A replaced enc (replace(attack, enc=...)) has no such attribute,
+    so the drivers call it once per emission.
     """
 
     attack_id: str
@@ -123,6 +141,14 @@ def _stego_attack(steg, attack_id, host_params, host_draw):
         draw = host_draw(s, x, rng)
         return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
 
+    steg_session = getattr(steg_enc, "session", None)
+    if steg_session is not None:
+
+        def session(ak, am, s, xs, rng):
+            return steg_session(ak, am, (host_draw(s, x, rng) for x in xs))
+
+        enc.session = session
+
     return SubstitutionAttack(
         attack_id=attack_id,
         ml=params.ml,
@@ -152,6 +178,9 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
 def _enc_all(enc, outl, what, ak, am, s, xs, rng) -> list[Bits]:
     if len(xs) != outl:
         raise WrongDocumentCountError(f"expected {outl} {what}, got {len(xs)}")
+    session = getattr(enc, "session", None)
+    if session is not None:
+        return session(ak, am, s, xs, rng)
     out, sigma = [], None
     for x in xs:
         y, sigma = enc(ak, am, s, x, sigma, rng)
@@ -167,7 +196,8 @@ def asa_enc_all(
     messages: Sequence[Bits],
     rng: random.Random,
 ) -> list[Bits]:
-    """Threaded-state driver: one subverted ciphertext per message, from state None."""
+    """Threaded-state driver: one subverted ciphertext per message, from state
+    None, through asa.enc's session form where it has one."""
     return _enc_all(asa.enc, asa.outl, "messages", ak, am, k, messages, rng)
 
 
@@ -179,7 +209,8 @@ def alg_enc_all(
     inputs: Sequence[Bits],
     rng: random.Random,
 ) -> list[Bits]:
-    """Threaded-state driver: one subverted output per input, from state None."""
+    """Threaded-state driver: one subverted output per input, from state None,
+    through attack.enc's session form where it has one."""
     return _enc_all(attack.enc, attack.outl, "inputs", ak, am, s, inputs, rng)
 
 

@@ -25,6 +25,13 @@ strings in the same loop. A coin-free host's emission is a point draw
 (schemes.PointDraw), returned after the argument checks without the loop.
 A decode binds the mark table once and looks each received document up in
 it.
+
+rejsam_system's enc also has a session form, enc.session(ak, am, draws):
+a whole session's documents, one encode_step per draw, with no per-emission
+state or history. The substitution attacks' threaded drivers take it
+(asa.py). It lives on the callable, so a StegoSystem whose enc is replaced
+(dataclasses.replace(steg, enc=...)) has no session form and is run one
+emission at a time.
 """
 
 from __future__ import annotations
@@ -134,7 +141,9 @@ class StegoSystem:
     -> (document, sigma). `draw` samples the channel at the current history;
     `rng` is the encoder's private randomness (the rejection sampler needs
     only `draw`). State sigma is passed through so stateless systems stay
-    visibly stateless. dec(ak, docs) -> recovered message or None.
+    visibly stateless. dec(ak, docs) -> recovered message or None. enc may
+    carry a session form, enc.session(ak, am, draws) -> documents, equal to
+    one state-threaded call per draw from None (rejsam_system's does).
     """
 
     system_id: str
@@ -268,10 +277,20 @@ def rejsam_decode(
 
 
 def rejsam_system(params: StegoParams) -> StegoSystem:
+    """The rejection sampler as a StegoSystem. Its enc carries the session
+    form enc.session(ak, am, draws) -> documents: one encode_step per draw,
+    in order, each draw taken from the iterable only after the previous
+    document is emitted, as a state-threaded run from None would."""
     prf = Prf(params.kappa)
 
     def enc(ak, am, history, sigma, *, draw, rng=None):
         return encode_step(prf, params, ak, am, draw), sigma
+
+    def session(ak, am, draws):
+        step = encode_step  # the module global, so a patched step sees every emission
+        return [step(prf, params, ak, am, draw) for draw in draws]
+
+    enc.session = session
 
     def dec(ak, docs):
         return rejsam_decode(prf, params, ak, docs)

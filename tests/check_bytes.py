@@ -3,7 +3,10 @@
 Runs every row of the golden CLI matrix (tests/test_cli_golden.py) at both
 of its seeds, at --jobs 1 and 2 where the row takes --jobs, and the leading
 deterministic reports of every benchmark workload (bench/pins.json), and
-compares each sha256 with its pin. It imports the package from this
+compares each sha256 with its pin. One more sha256 pins the float
+arithmetic reports are built from (stats_bytes): the Wilson interval and
+the advantage interval at every count up to 200 trials, and
+statistics.fmean over fixed int lists. It imports the package from this
 checkout's src/ and needs nothing outside the standard library, so it runs
 under any interpreter the package supports:
 
@@ -14,6 +17,7 @@ It prints one line per mismatch and a summary, and exits 1 on any mismatch.
 
 import hashlib
 import json
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +29,32 @@ import subvertlab  # noqa: E402
 from subvertlab import games  # noqa: E402
 from test_cli_golden import MATRIX, PINS, SEEDS, _stdout  # noqa: E402
 from workloads import DEFAULT_SEED, all_workloads  # noqa: E402
+
+
+STATS_PIN = "248799152a467d77ef3af8f47f99d3f4c9a4e30415abf7f58cb1c74341dc0ed5"
+
+
+def _fmean_lists() -> list[list[int]]:
+    """Int lists of the kinds reports average: short and long runs of small
+    counts, counts spread over a wide range, and ints past 2**53."""
+    lists = [list(range(n)) for n in range(1, 65)]
+    lists += [[j * 104729 % m for j in range(n)] for n in (2, 3, 7, 100, 1000) for m in (2, 17, 997, 10**6)]
+    lists += [[2**e + j * 3 for j in range(n)] for e in (52, 53, 60, 70) for n in (2, 5, 33)]
+    lists += [[-(2**e) + j for j in range(n)] for e in (10, 53) for n in (3, 64)]
+    return lists
+
+
+def stats_bytes() -> bytes:
+    """repr of games.wilson_ci(k, n) and games.advantage_and_ci(k, n) for
+    0 <= k <= n <= 200, n >= 1, then of statistics.fmean over _fmean_lists(),
+    one value per line."""
+    lines = [
+        repr((games.wilson_ci(k, n), games.advantage_and_ci(k, n)))
+        for n in range(1, 201)
+        for k in range(n + 1)
+    ]
+    lines += [repr(statistics.fmean(xs)) for xs in _fmean_lists()]
+    return "\n".join(lines).encode()
 
 
 def golden_mismatches(tmp: Path) -> list[str]:
@@ -65,12 +95,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         bad = golden_mismatches(Path(tmp))
         checked, pin_bad = pin_mismatches(Path(tmp))
-    for line in bad + pin_bad:
+    stats = hashlib.sha256(stats_bytes()).hexdigest()
+    stats_bad = [] if stats == STATS_PIN else [f"statistics: {stats} != {STATS_PIN}"]
+    for line in bad + pin_bad + stats_bad:
         print(line)
     version = ".".join(map(str, sys.version_info[:3]))
-    print(f"python {version}: {len(PINS) - len(bad)} of {len(PINS)} golden rows and "
-          f"{checked - len(pin_bad)} of {checked} pinned reports match")
-    return 1 if bad or pin_bad else 0
+    print(f"python {version}: {len(PINS) - len(bad)} of {len(PINS)} golden rows, "
+          f"{checked - len(pin_bad)} of {checked} pinned reports and "
+          f"{1 - len(stats_bad)} of 1 statistics pin match")
+    return 1 if bad or pin_bad or stats_bad else 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import itertools
 import random
 import statistics
 import sys
+import types
 from functools import partial
 
 import pytest
@@ -29,6 +30,7 @@ from subvertlab import (
     estimate_unrel,
     estimate_unrel_alg,
     generic_asa_against_alg,
+    make_signed_family,
     query_count,
     randpad_scheme,
     rejsam_system,
@@ -37,11 +39,13 @@ from subvertlab import (
     run_rasa_dist,
     run_ss_cha_dist,
     ses_channel,
+    sig_fixture,
     stego_from_asa,
     substream,
     universal_asa,
     watchdog_to_warden,
 )
+from subvertlab import asa as asa_module
 from subvertlab import stego
 from subvertlab.asa import _SessionView, _sample_stdev
 from subvertlab.channels import _cycle_input
@@ -210,6 +214,12 @@ def test_every_constructor_hands_its_encoder_the_session_view():
         seen.clear()
         attack.enc(ak, am, k, m, None, rng)
         assert seen == [(k,) + (m,) * 6], name
+        # a replaced stego enc has no session form: the driver runs the
+        # spied encoder once per emission, each at its own session view
+        ms = [Bits.random(ses.ml, rng) for _ in range(6)]
+        seen.clear()
+        alg_enc_all(attack, ak, am, k, ms, rng)
+        assert seen == [(k,) + (x,) * 6 for x in ms], name
 
 
 def test_a_history_reading_encoder_emits_host_outputs_under_every_constructor():
@@ -471,3 +481,156 @@ def test_host_with_coins_encrypts_once_per_draw(monkeypatch):
                 enc(ak, am, k, m, None, random.Random(i))
             assert len(calls) == sum(draws) > len(draws) == 60
             assert len(enc_calls) + len(int_calls) == len(calls)  # no draw runs both
+
+
+# --- one session per driver call ---------------------------------------------
+#
+# A rejection-sampling attack's enc carries a session form, which the enc_all
+# drivers run in place of state-threaded enc calls. Each host below hands the
+# encoder a different kind of draw.
+
+SESSION_HOSTS = {  # host -> the draw type encode_step is handed
+    "det": PointDraw,
+    "randpad": IntDraw,
+    "universal": types.FunctionType,  # universal_asa's oracle closure
+    "signed": partial,  # a run on fresh coins, with no int form
+}
+
+
+def _session_fixture(host, steg):
+    """(attack, the host as a randomized algorithm, the oracle log or None)."""
+    ses = det_scheme(kappa=KAPPA, ml=8) if host == "det" else randpad_scheme(r=3, kappa=KAPPA, ml=8)
+    alg = alg_from_encryption(ses)
+    if host == "universal":
+        oracle = UniversalHost(ses)
+        return universal_asa(steg, oracle), alg, oracle.queries
+    if host == "signed":
+        sig = sig_fixture("coin-injective", 8, ml=ses.cl, coin_bits=2, tag_bits=8)
+        family = make_signed_family(ses, sig, random.Random(14))
+        return generic_asa_against_alg(steg, family.alg), family.alg, None
+    return asa_from_stego(steg, ses), alg, None
+
+
+def _session_inputs(attack, alg, rng, repeat=False):
+    ak, am = attack.gen(rng), Bits.random(attack.ml, rng)
+    s = alg.secret_gen(rng)
+    xs = [alg.input_gen(rng) for _ in range(1 if repeat else attack.outl)]
+    return ak, am, s, xs * attack.outl if repeat else xs
+
+
+def _threaded(attack, ak, am, s, xs, rng):
+    """The per-emission loop: one enc call per input, state threaded from None."""
+    out, sigma = [], None
+    for x in xs:
+        y, sigma = attack.enc(ak, am, s, x, sigma, rng)
+        out.append(y)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    host=st.sampled_from(sorted(SESSION_HOSTS)),
+    ml_log=st.integers(0, 3),
+    block_bits=st.integers(1, 8),
+    s=st.integers(1, 8),
+    outl=st.integers(1, 12),
+    repeat=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_session_path_equals_the_per_emission_loop(host, ml_log, block_bits, s, outl, repeat, seed):
+    params = StegoParams(ml=2**ml_log, s=s, outl=outl, kappa=KAPPA, block_bits=min(block_bits, 2**ml_log))
+    runs = []
+    for drive in (alg_enc_all, _threaded):
+        attack, alg, log = _session_fixture(host, rejsam_system(params))
+        assert callable(attack.enc.session)
+        rng = random.Random(seed)
+        ak, am, secret, xs = _session_inputs(attack, alg, rng, repeat)
+        docs = drive(attack, ak, am, secret, xs, rng)
+        runs.append((docs, rng.getstate(), log))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("host", sorted(SESSION_HOSTS))
+def test_session_path_checks_its_arguments_before_any_draw(host):
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=KAPPA))
+    attack, alg, log = _session_fixture(host, steg)
+    rng = random.Random(31)
+    ak, am, s, xs = _session_inputs(attack, alg, rng)
+    before = rng.getstate()
+    for bad_ak, bad_am in ((ak, Bits.zeros(3)), (Bits.zeros(KAPPA - 1), am)):
+        for drive in (asa_enc_all, alg_enc_all):
+            # the input count is checked first, before the key and message
+            with pytest.raises(WrongDocumentCountError):
+                drive(attack, bad_ak, bad_am, s, xs[:-1], rng)
+            with pytest.raises(ParameterError):
+                drive(attack, bad_ak, bad_am, s, xs, rng)
+            assert rng.getstate() == before
+    assert not log  # no oracle call either
+    assert len(alg_enc_all(attack, ak, am, s, xs, rng)) == 6
+
+
+@pytest.mark.parametrize("host", sorted(SESSION_HOSTS))
+def test_a_patched_encode_step_sees_every_emission_of_a_session(monkeypatch, host):
+    kinds = _spy_draw_kinds(monkeypatch)
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
+    attack, alg, _ = _session_fixture(host, steg)
+    ak, am, s, xs = _session_inputs(attack, alg, random.Random(32))
+    alg_enc_all(attack, ak, am, s, xs, random.Random(33))
+    assert kinds == [SESSION_HOSTS[host]] * 24
+
+
+def test_force_embed_runs_its_enc_once_per_emission(monkeypatch):
+    # the fabricating wrapper replaces the attack's enc, so the driver calls
+    # it per emission: one mark check and one encode_step each
+    checks = []
+    real_agreement = asa_module.mark_agreement
+
+    def counting_agreement(*args):
+        checks.append(1)
+        return real_agreement(*args)
+
+    monkeypatch.setattr(asa_module, "mark_agreement", counting_agreement)
+    steps = _count_draws(monkeypatch)
+    det = det_scheme(kappa=KAPPA, ml=16)
+    alg = alg_from_encryption(det)
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
+    forced = generic_asa_against_alg(steg, alg, demo_force_embed=True)
+    assert not hasattr(forced.enc, "session")
+    ak, am, s, xs = _session_inputs(forced, alg, random.Random(34))
+    ys = alg_enc_all(forced, ak, am, s, xs, random.Random(35))
+    assert len(checks) == len(steps) == 24
+    agrees = real_agreement(steg.prf, steg.params, ak, am)
+    assert all(agrees(y) for y in ys) and forced.ext(ak, ys) == am
+
+
+@pytest.mark.parametrize("pair", ["two-keys", "shared-message", "equal-valued-keys"])
+def test_interleaved_sessions_emit_what_each_emits_alone(pair):
+    # two sessions' emissions alternate through attack.enc, one at a time;
+    # each session gets the documents it gets alone through the driver, and
+    # leaves its rng in the same state (encode_step's binding is matched by
+    # identity, so every alternation binds afresh)
+    steg = rejsam_system(StegoParams(ml=8, s=16, outl=24, kappa=KAPPA, block_bits=2))
+    ses = randpad_scheme(r=8, kappa=KAPPA, ml=8)
+    attack, alg = asa_from_stego(steg, ses), alg_from_encryption(ses)
+    rng = random.Random(f"interleaved/{pair}")
+    first = _session_inputs(attack, alg, rng)
+    ak, am, s, xs = _session_inputs(attack, alg, rng)
+    if pair == "shared-message":
+        am = first[1]
+    elif pair == "equal-valued-keys":
+        ak = Bits(first[0].uint, len(first[0]))
+        assert ak == first[0] and ak is not first[0]
+    sessions = [first, (ak, am, s, xs)]
+
+    alone = []
+    for i, args in enumerate(sessions):
+        run_rng = random.Random(i)
+        alone.append((alg_enc_all(attack, *args, run_rng), run_rng.getstate()))
+
+    rngs = [random.Random(i) for i in range(2)]
+    docs, sigmas = [[], []], [None, None]
+    for j in range(attack.outl):
+        for i, (ak, am, s, xs) in enumerate(sessions):
+            y, sigmas[i] = attack.enc(ak, am, s, xs[j], sigmas[i], rngs[i])
+            docs[i].append(y)
+    assert alone == [(docs[i], rngs[i].getstate()) for i in range(2)]

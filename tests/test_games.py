@@ -21,7 +21,9 @@ from subvertlab import (
     StegoParams,
     SubvertLabError,
     advantage_and_ci,
+    alg_enc_all,
     alg_from_encryption,
+    asa_enc_all,
     asa_from_stego,
     chi2_watchdog,
     constant_guess,
@@ -282,6 +284,27 @@ def test_no_oracle_hands_the_encoder_state_to_an_adversary(game):
     embedded = [states for states in spy.handed if states]
     assert embedded and len(embedded) < 8
     assert all(states == [None, _SIGMA, _SIGMA] for states in embedded)
+
+
+@pytest.mark.parametrize("replaced", ["attack", "stego"])
+def test_drivers_call_a_replaced_encoder_once_per_emission(replaced):
+    # a replaced enc has no session form, so asa_enc_all and alg_enc_all
+    # thread the state through one spied call per emission, from None, and
+    # emit what the unspied session form emits
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=16))
+    ses = randpad_scheme(r=8, kappa=16, ml=8)
+    spy = _StateSpy()
+    plain = asa_from_stego(steg, ses)
+    attack = spy.attack(plain) if replaced == "attack" else asa_from_stego(spy.stego(steg), ses)
+    assert callable(plain.enc.session) and not hasattr(attack.enc, "session")
+    setup = random.Random(61)
+    ak, am, k = steg.gen(setup), Bits.random(4, setup), ses.gen(setup)
+    ms = [Bits.random(ses.ml, setup) for _ in range(6)]
+    for drive in (asa_enc_all, alg_enc_all):
+        spy.handed.append([])
+        docs = drive(attack, ak, am, k, ms, random.Random(62))
+        assert spy.handed[-1] == [None] + [_SIGMA] * 5
+        assert docs == drive(plain, ak, am, k, ms, random.Random(62))
 
 
 # --- trials in forked chunks -------------------------------------------------

@@ -1,7 +1,7 @@
 """The same report bytes under every installed interpreter the package admits.
 
-Runs tests/check_bytes.py (the golden CLI matrix and the benchmark pins, no
-pytest needed) in a subprocess under each pyenv-installed python3 whose
+Runs tests/check_bytes.py (the golden CLI matrix, the benchmark pins and the
+statistics pin, no pytest needed) in a subprocess under each pyenv-installed python3 whose
 version meets pyproject.toml's requires-python. pyenv's shims are not used:
 they run only the selected version. With no such interpreter installed, the
 test is skipped.
