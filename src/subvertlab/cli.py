@@ -331,7 +331,8 @@ _SESSION_INTS = ("ml", "s", "outl", "kappa", "block_bits")
 
 def _load_session(path, key_hex=None):
     """Stego parameters, key, expected message and documents of a saved
-    session; key_hex overrides the header's key."""
+    session; key_hex overrides the header's key. The expected message is
+    ml bits, or None where the header has no message_hex."""
     records = _read_jsonl(path)
     if not records or "params" not in records[0][1]:
         raise ParameterError(f"{path} does not look like a saved session")
@@ -351,13 +352,16 @@ def _load_session(path, key_hex=None):
         ak = _hex_bits(header["key_hex"], params.kappa, f"{path}:{n}: key_hex")
     else:
         raise ParameterError(f"{path}:{n}: session header lacks 'key_hex' (pass --key)")
+    am = header.get("message_hex")
+    if am is not None:
+        am = _hex_bits(am, params.ml, f"{path}:{n}: message_hex")
     docs = []
     for n, line in records[1:]:
         if "doc_hex" in line:
             if type(line.get("bits")) is not int:
                 raise ParameterError(f"{path}:{n}: bits must be an integer")
             docs.append(_hex_bits(line["doc_hex"], line["bits"], f"{path}:{n}: doc_hex"))
-    return params, ak, header.get("message_hex"), docs
+    return params, ak, am, docs
 
 
 def _extract(args, kind):
@@ -367,7 +371,7 @@ def _extract(args, kind):
         {
             "kind": kind,
             "extracted_hex": got.hex() if got is not None else None,
-            "ok": got is not None and got.hex() == expected if expected else got is not None,
+            "ok": got is not None if expected is None else got == expected,
         }
     ]
 

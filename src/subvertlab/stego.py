@@ -4,8 +4,11 @@ The encoder embeds a hidden message into ordinary channel documents without
 modifying them: it keeps drawing documents until the keyed marking function
 maps one to a (value, slot) pair that agrees with the hidden message, then
 emits that document (after s failed draws it emits the next draw regardless).
-The decoder re-marks each received document and fills slots, last write wins;
-it needs no history and no knowledge of where the documents came from.
+The decoder marks received documents and fills slots, last write wins;
+it needs no history and no knowledge of where the documents came from. It
+reads them from the last one back and stops once every slot is filled, so
+the documents before the shortest suffix that covers every slot are never
+marked.
 
 Coverage of all slots is a coupon-collector event, so the output length for
 an ml-bit message grows like ml ln ml; the block variant embeds several bits
@@ -23,7 +26,7 @@ encoder sees the session's one history list. Over an int draw
 bit string for the emitted document only; other draws are marked as bit
 strings in the same loop. A coin-free host's emission is a point draw
 (schemes.PointDraw), returned after the argument checks without the loop.
-A decode binds the mark table once and looks each received document up in
+A decode binds the mark table once and looks each document it reads up in
 it.
 
 rejsam_system's enc also has a session form, enc.session(ak, am, draws):
@@ -251,10 +254,16 @@ def rejsam_decode(
     """The hidden message: each document's mark fills its slot with its
     value, last write wins, and a slot left empty gives None.
 
+    The documents are read from the last one back: a slot keeps the first
+    mark seen for it, which is its last write, and the scan stops once
+    every slot holds a value, since no earlier document can change one.
+    Documents before the shortest suffix that covers every slot are never
+    read or marked; a list that leaves a slot empty is read to its start.
+
     The document count is checked first, then the key's mark table is bound
     once (split_marker checks the key and split there), so each document
-    costs one dict subscript, and an HMAC only where its bytes miss the
-    table. A document's bytes are packed here from its slots, the bytes
+    read costs one dict subscript, and an HMAC only where its bytes miss
+    the table. A document's bytes are packed here from its slots, the bytes
     doc.to_bytes() gives, without the method call.
     """
     if len(docs) != params.outl:
@@ -262,13 +271,15 @@ def rejsam_decode(
     block_bits, n_slots = params.block_bits, params.n_slots
     marks = split_marker(prf, ak, block_bits, n_slots)
     slots: dict[int, int] = {}  # not a list: a saved session may claim any ml
-    for doc in docs:
+    for doc in reversed(docs):
         n = doc.nbits
         pad = -n & 7
         value, j = marks[(doc.uint << pad).to_bytes((n + pad) >> 3, "big")]
-        if j is not None:
-            slots[j] = value  # last write wins
-    if len(slots) < n_slots:
+        if j is not None and j not in slots:  # the last write wins
+            slots[j] = value
+            if len(slots) == n_slots:
+                break
+    else:
         return None
     am_int = 0
     for j in range(n_slots):

@@ -6,7 +6,10 @@ deterministic reports of every benchmark workload (bench/pins.json), and
 compares each sha256 with its pin. One more sha256 pins the float
 arithmetic reports are built from (stats_bytes): the Wilson interval and
 the advantage interval at every count up to 200 trials, and
-statistics.fmean over fixed int lists. It imports the package from this
+statistics.fmean over fixed int lists. A decode check runs seeded document
+lists through stego.rejsam_decode, which reads them from the back, and
+compares each result with a forward last-write-wins decode written here
+on the standard library's hmac. It imports the package from this
 checkout's src/ and needs nothing outside the standard library, so it runs
 under any interpreter the package supports:
 
@@ -16,7 +19,9 @@ It prints one line per mismatch and a summary, and exits 1 on any mismatch.
 """
 
 import hashlib
+import hmac
 import json
+import random
 import statistics
 import sys
 import tempfile
@@ -26,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import subvertlab  # noqa: E402
-from subvertlab import games  # noqa: E402
+from subvertlab import Bits, Prf, StegoParams, games, rejsam_decode  # noqa: E402
 from test_cli_golden import MATRIX, PINS, SEEDS, _stdout  # noqa: E402
 from workloads import DEFAULT_SEED, all_workloads  # noqa: E402
 
@@ -55,6 +60,50 @@ def stats_bytes() -> bytes:
     ]
     lines += [repr(statistics.fmean(xs)) for xs in _fmean_lists()]
     return "\n".join(lines).encode()
+
+
+def forward_decode(key: Bits, params: StegoParams, docs) -> Bits | None:
+    """The hidden message read front to back: each document's HMAC-SHA256
+    under the key gives a value (its first block_bits bits) and a slot (the
+    next bits, None past n_slots), and the last write to a slot wins."""
+    block_bits, n_slots = params.block_bits, params.n_slots
+    idx_bits = (n_slots - 1).bit_length()
+    slots = [None] * n_slots
+    for doc in docs:
+        digest = hmac.new(key.to_bytes(), doc.to_bytes(), hashlib.sha256).digest()
+        out = int.from_bytes(digest, "big")
+        j = (out >> (256 - block_bits - idx_bits)) & ((1 << idx_bits) - 1)
+        if j < n_slots:
+            slots[j] = out >> (256 - block_bits)
+    if None in slots:
+        return None
+    am = 0
+    for value in slots:
+        am = (am << block_bits) | value
+    return Bits(am >> (params.padded_ml - params.ml), params.ml)
+
+
+def decode_mismatches(lists: int = 4000) -> tuple[int, list[str]]:
+    """Seeded document lists through rejsam_decode and forward_decode: 1 to
+    64 documents drawn from a pool of 1 to 40, repeated and as 13-bit
+    aliases of the 16-bit documents whose bytes they pad to, at ml 1 to 16
+    and any block_bits (non-dyadic slot counts included); small pools leave
+    slots empty."""
+    rng = random.Random(33)
+    prf = Prf(64)
+    keys = [Bits.random(64, rng) for _ in range(8)]
+    bad = []
+    for i in range(lists):
+        ml = 2 ** rng.randrange(5)
+        outl, pool = rng.randint(1, 64), rng.randint(1, 40)
+        params = StegoParams(ml=ml, s=1, outl=outl, kappa=64, block_bits=rng.randint(1, ml))
+        values = [rng.randrange(pool) for _ in range(outl)]
+        docs = [Bits(v, 13) if rng.getrandbits(1) else Bits(v << 3, 16) for v in values]
+        key = keys[i % len(keys)]
+        got, want = rejsam_decode(prf, params, key, docs), forward_decode(key, params, docs)
+        if got != want:
+            bad.append(f"decode list {i}: {got!r} != {want!r}")
+    return lists, bad
 
 
 def golden_mismatches(tmp: Path) -> list[str]:
@@ -97,13 +146,15 @@ def main() -> int:
         checked, pin_bad = pin_mismatches(Path(tmp))
     stats = hashlib.sha256(stats_bytes()).hexdigest()
     stats_bad = [] if stats == STATS_PIN else [f"statistics: {stats} != {STATS_PIN}"]
-    for line in bad + pin_bad + stats_bad:
+    decoded, decode_bad = decode_mismatches()
+    for line in bad + pin_bad + stats_bad + decode_bad:
         print(line)
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"python {version}: {len(PINS) - len(bad)} of {len(PINS)} golden rows, "
-          f"{checked - len(pin_bad)} of {checked} pinned reports and "
-          f"{1 - len(stats_bad)} of 1 statistics pin match")
-    return 1 if bad or pin_bad or stats_bad else 0
+          f"{checked - len(pin_bad)} of {checked} pinned reports, "
+          f"{1 - len(stats_bad)} of 1 statistics pin and "
+          f"{decoded - len(decode_bad)} of {decoded} decoded lists match")
+    return 1 if bad or pin_bad or stats_bad or decode_bad else 0
 
 
 if __name__ == "__main__":

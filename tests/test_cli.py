@@ -279,6 +279,43 @@ def test_bad_session_files_exit_2_naming_path_and_line(capsys, tmp_path):
     assert "bad.jsonl:2: expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stego", "asa"])
+def test_extract_compares_the_expected_message_as_bits(capsys, tmp_path, command):
+    # the header's message_hex is read as ml bits, the way doc_hex is: any
+    # case of hex digits, and a short, empty or non-string value exits 2
+    session = tmp_path / "session.jsonl"
+    rc, _, _ = run_cli(
+        capsys,
+        ["stego", "embed", "--channel", "uniform", "--doc-bits", "16", "--ml", "16", "--s", "16",
+         "--outl", "256", "--stego-kappa", "16", "--message", "abcd", "--seed", "3",
+         "--out", str(session)],
+    )
+    assert rc == 0
+    header, *rest = session.read_text().splitlines()
+    obj = json.loads(header)
+    assert obj["message_hex"] == "abcd"
+
+    def extract(message_hex):
+        bad = tmp_path / "bad.jsonl"
+        head = {k: v for k, v in obj.items() if k != "message_hex"}
+        if message_hex is not ...:
+            head["message_hex"] = message_hex
+        bad.write_text("\n".join([json.dumps(head), *rest]) + "\n")
+        rc = cli.main([command, "extract", "--file", str(bad)])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    for message_hex, ok in (("abcd", True), ("ABCD", True), ("aBcD", True), ("abcd0", True),
+                            ("abce", False), (None, True), (..., True)):
+        rc, out, err = extract(message_hex)
+        assert rc == 0 and json.loads(out)["ok"] is ok, (message_hex, err)
+        assert json.loads(out)["extracted_hex"] == "abcd"
+    for message_hex in ("00", 7, "", 0, "abcd1", "zzzz", ["abcd"]):
+        rc, out, err = extract(message_hex)
+        assert rc == 2 and out == "", message_hex
+        assert "bad.jsonl:1: message_hex" in err and "Traceback" not in err, (message_hex, err)
+
+
 def test_channel_commands_walk_like_chained_samples(capsys):
     # channel sample walks --depth documents, then prints --count more;
     # the printed documents continue the same stream

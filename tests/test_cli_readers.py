@@ -125,6 +125,12 @@ def test_session_with_a_huge_message_length_decodes_without_a_slot_table(workdir
     lines = [json.loads(line) for line in saved["session"].splitlines()]
     lines[0]["params"]["ml"] = ml
     path = workdir / "huge.jsonl"
+    # the saved 4-bit message_hex is too short for the claimed ml
+    path.write_text("\n".join(json.dumps(line) for line in lines))
+    rc, out, err = _run(["stego", "extract", "--file", str(path)])
+    assert rc == 2 and "huge.jsonl:1: message_hex" in err, err
+    # a header with no expected message reaches the decoder
+    del lines[0]["message_hex"]
     path.write_text("\n".join(json.dumps(line) for line in lines))
     rc, out, err = _run(["stego", "extract", "--file", str(path)])
     assert rc == 0 and json.loads(out)["extracted_hex"] is None, err

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import itertools
 import math
@@ -221,6 +222,67 @@ def test_decode_reference_covers_non_dyadic_slots():
     assert ref is not None and decoded.bin() == ref
 
 
+def _covering_suffix(prf, params, key, docs):
+    """The shortest suffix of docs whose marks fill every slot, or None."""
+    seen = set()
+    for start in range(len(docs) - 1, -1, -1):
+        _, j = prf_split_block(prf, key, docs[start], params.block_bits, params.n_slots)
+        if j is not None:
+            seen.add(j)
+        if len(seen) == params.n_slots:
+            return docs[start:]
+    return None
+
+
+class _ReadLog(collections.abc.Sequence):
+    """A document list that logs the index of every document read from it."""
+
+    def __init__(self, docs):
+        self.docs, self.read = docs, []
+
+    def __len__(self):
+        return len(self.docs)
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return self.docs[i]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.data(),
+    st.integers(1, 40),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_from_the_back_equals_the_forward_reference(log_ml, data, pool, outl, salt):
+    # documents repeat, some as 13-bit aliases of the 16-bit document whose
+    # bytes they pad to; small pools and short lists leave slots empty, and
+    # block_bits > 1 gives non-dyadic slot counts, whose out-of-range index
+    # values mark no slot
+    ml = 2**log_ml
+    block_bits = data.draw(st.integers(1, ml))
+    params = StegoParams(ml=ml, s=1, outl=outl, kappa=64, block_bits=block_bits)
+    prf = Prf(64)
+    key = Bits.random(64, random.Random(salt))
+    picks = data.draw(
+        st.lists(st.tuples(st.integers(0, pool - 1), st.booleans()), min_size=outl, max_size=outl)
+    )
+    docs = [Bits(v, 13) if short else Bits(v << 3, 16) for v, short in picks]
+    spy = _ReadLog(docs)
+    got = rejsam_decode(prf, params, key, spy)
+    ref = oracles.rejsam_decode_bits(
+        lambda d: prf.eval(key, d).bin(), ml, block_bits, params.n_slots, docs
+    )
+    assert (got.bin() if got is not None else None) == ref
+    # it reads the shortest suffix that covers every slot, each document
+    # once, or the whole list when none does
+    suffix = _covering_suffix(prf, params, key, docs)
+    start = outl - len(suffix) if suffix is not None else 0
+    assert sorted(spy.read) == list(range(start, outl))
+
+
 def test_encode_all_validates_history_and_emitted_documents():
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=64))
     ch = uniform_channel(8)
@@ -363,14 +425,18 @@ def test_decode_last_write_wins_and_none_when_uncovered():
 
 def test_decode_binds_the_mark_table_once(monkeypatch):
     # one split_marker call per decode, and one HMAC per distinct document
-    # bytes, however often and in whatever Bits form a document repeats
+    # bytes it reads, however often and in whatever Bits form a document
+    # repeats; it reads the shortest suffix that covers every slot
     params = StegoParams(ml=4, s=4, outl=40, kappa=64)
     prf, key = Prf(64), Bits.random(64, random.Random(8))  # its marks cover every slot
     distinct = [Bits(v, 16) for v in range(0, 7 * 4104, 4104)]  # low 3 bits zero
     # a 13-bit document pads to the same bytes as the 16-bit one it prefixes
     alias = Bits(distinct[3].uint >> 3, 13)
     assert alias.to_bytes() == distinct[3].to_bytes() and alias != distinct[3]
-    docs = [alias if i % 9 == 4 else distinct[(i * 5) % 7] for i in range(params.outl)]
+    docs = [alias if i % 9 == 4 else distinct[(i * 5) % 7] for i in reversed(range(params.outl))]
+    suffix = _covering_suffix(prf, params, key, docs)
+    assert alias in suffix and distinct[3] in suffix and len(suffix) < len(docs)
+    read = len({doc.to_bytes() for doc in suffix})
     binds, macs = [], []
     bind = subvertlab.stego.split_marker
     monkeypatch.setattr(subvertlab.stego, "split_marker", lambda *a: binds.append(1) or bind(*a))
@@ -380,7 +446,7 @@ def test_decode_binds_the_mark_table_once(monkeypatch):
     )
     subvertlab.prf._marks.clear()
     got = rejsam_decode(prf, params, key, docs)
-    assert (len(binds), len(macs)) == (1, len(distinct))
+    assert (len(binds), len(macs)) == (1, read)
     slots = {}
     for doc in docs:
         value, j = prf_split_block(prf, key, doc, params.block_bits, params.n_slots)
@@ -388,7 +454,7 @@ def test_decode_binds_the_mark_table_once(monkeypatch):
             slots[j] = value.uint
     assert got == Bits(sum(slots[j] << (3 - j) for j in range(4)), 4)
     assert rejsam_decode(prf, params, key, docs) == got
-    assert (len(binds), len(macs)) == (2, len(distinct))
+    assert (len(binds), len(macs)) == (2, read)
 
 
 def test_decode_checks_the_document_count_before_the_key():
