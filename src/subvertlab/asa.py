@@ -25,10 +25,16 @@ enc.session(ak, am, s, xs, rng), which feeds it the draw host_draw(s, x,
 rng) of each input in order, built only after the previous emission. The
 enc_all drivers take it when it is there: the same documents from the same
 RNG calls, with one encode_step per emission but no per-emission attack
-frame or session view. The form is an attribute of the callable, so an
-attack or stegosystem whose enc is replaced (dataclasses.replace, the
-force-embed demo, a spy or a tracer's wrapper) has none, and its drivers
-call enc once per emission.
+frame or session view. On a coin-free host (coin_bits 0, known to
+asa_from_stego and generic_asa_against_alg) the session form is the
+stegosystem's point form instead (enc.points): a deterministic host leaves
+the sampler no choice, so the subverted session is the honest one. The
+key, message and split are checked once, then each input's output
+alg.run(s, x, empty coins) is emitted in order, with no encode_step call
+or draw object. The form is an attribute of the callable, so an attack or
+stegosystem whose enc is replaced (dataclasses.replace, the force-embed
+demo, a spy or a tracer's wrapper) has none, and its drivers call enc once
+per emission.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .bits import Bits
+from .bits import _EMPTY, Bits
 from .errors import ParameterError, UniversalityViolation, WrongDocumentCountError
 from .schemes import (
     RandomizedAlgorithm,
@@ -130,10 +136,11 @@ class _SessionView(Sequence):
         yield from itertools.repeat(self._m, self._ell)
 
 
-def _stego_attack(steg, attack_id, host_params, host_draw):
+def _stego_attack(steg, attack_id, host_params, host_draw, alg=None):
     """The one stego-to-attack construction: each emission runs steg's
     encoder at the session view s || x^ell, unbuilt, over the draw
-    host_draw(s, x, rng)."""
+    host_draw(s, x, rng). alg, where given, is the host host_draw runs; if
+    it is coin-free, a session is steg's point form over its outputs."""
     steg_enc, params = steg.enc, steg.params
     ell = params.outl
 
@@ -142,7 +149,15 @@ def _stego_attack(steg, attack_id, host_params, host_draw):
         return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
 
     steg_session = getattr(steg_enc, "session", None)
-    if steg_session is not None:
+    steg_points = getattr(steg_enc, "points", None)
+    if steg_points is not None and alg is not None and alg.coin_bits == 0:
+        run = alg.run
+
+        def session(ak, am, s, xs, rng):
+            return steg_points(ak, am, map(run, itertools.repeat(s), xs, itertools.repeat(_EMPTY)))
+
+        enc.session = session
+    elif steg_session is not None:
 
         def session(ak, am, s, xs, rng):
             return steg_session(ak, am, (host_draw(s, x, rng) for x in xs))
@@ -171,8 +186,9 @@ def asa_from_stego(steg: StegoSystem, ses: SymmetricEncryptionScheme) -> Substit
     this enc and of the plain stego encoder on the scheme's channel is
     bit-identical.
     """
-    draw = functools.partial(emission_draw, alg_from_encryption(ses))
-    return _stego_attack(steg, f"rejsam-asa:{ses.scheme_id}", ses.params_dict(), draw)
+    alg = alg_from_encryption(ses)
+    draw = functools.partial(emission_draw, alg)
+    return _stego_attack(steg, f"rejsam-asa:{ses.scheme_id}", ses.params_dict(), draw, alg)
 
 
 def _enc_all(enc, outl, what, ak, am, s, xs, rng) -> list[Bits]:
@@ -289,7 +305,7 @@ def generic_asa_against_alg(
     """
     attack_id = f"rejsam-asa:{alg.alg_id}" + ("+force-embed" if demo_force_embed else "")
     host_params = {"alg_id": alg.alg_id, "output_bits": alg.output_bits}
-    attack = _stego_attack(steg, attack_id, host_params, functools.partial(emission_draw, alg))
+    attack = _stego_attack(steg, attack_id, host_params, functools.partial(emission_draw, alg), alg)
     if not demo_force_embed:
         return attack
     if steg.prf is None:

@@ -79,6 +79,18 @@ class Bits:
         return cls(rng.getrandbits(nbits), nbits)
 
     @classmethod
+    def randoms(cls, nbits: int, count: int, rng: random.Random) -> list["Bits"]:
+        """[Bits.random(nbits, rng) for _ in range(count)], from the same
+        rng.getrandbits calls: shared strings for int widths 1..8, the
+        shared empty string for width 0, and the loop itself otherwise."""
+        if nbits.__class__ is int and 0 < nbits <= _SHARED_BITS:
+            table, draw = _SMALL[nbits], rng.getrandbits
+            return [table[draw(nbits)] for _ in range(count)]
+        if nbits == 0:
+            return [_EMPTY] * count
+        return [cls.random(nbits, rng) for _ in range(count)]
+
+    @classmethod
     def from_bytes(cls, data: bytes, nbits: int | None = None) -> "Bits":
         if nbits is None:
             nbits = 8 * len(data)

@@ -232,8 +232,9 @@ def _read_jsonl(path):
             continue
         try:
             obj = json.loads(line, parse_constant=_non_json_constant)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}:{n}: not a JSON line ({exc.msg})") from None
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise ParameterError(f"{path}:{n}: not a JSON line ({msg})") from None
         except RecursionError:
             raise ParameterError(f"{path}:{n}: JSON nested too deeply") from None
         if not isinstance(obj, dict):
@@ -427,7 +428,7 @@ def cmd_asa_run(args):
         else Bits.random(asa.ml, rng)
     )
     k = ses.gen(rng)
-    messages = [Bits.random(ses.ml, rng) for _ in range(asa.outl)]
+    messages = Bits.randoms(ses.ml, asa.outl, rng)
     cts = asa_enc_all(asa, ak, am, k, messages, rng)
     header = {"kind": "asa-session", "attack": asa.describe()}
     return _session_lines(header, steg.params, ak, am, seed, cts, asa.ext(ak, cts))

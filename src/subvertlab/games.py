@@ -642,7 +642,7 @@ def _unrel_play(game, attack, alg, trials, seed, mode_key, mode):
         if mode == "equal":
             inputs = [alg.input_gen(rng)] * attack.outl
         else:
-            inputs = [alg.input_gen(rng) for _ in range(attack.outl)]
+            inputs = Bits.randoms(alg.input_bits, attack.outl, rng)  # alg.input_gen's draws
         ys = alg_enc_all(attack, ak, am, s, inputs, rng)
         return attack.ext(ak, ys) == am, None
 

@@ -32,9 +32,13 @@ it.
 rejsam_system's enc also has a session form, enc.session(ak, am, draws):
 a whole session's documents, one encode_step per draw, with no per-emission
 state or history. The substitution attacks' threaded drivers take it
-(asa.py). It lives on the callable, so a StegoSystem whose enc is replaced
-(dataclasses.replace(steg, enc=...)) has no session form and is run one
-emission at a time.
+(asa.py). A coin-free host's session has a second form,
+enc.points(ak, am, outputs): every draw of each emission is its one
+output, so the documents are the outputs themselves, returned after the
+argument checks encode_step makes, made once, and with no encode_step
+call. Both live on the callable, so a StegoSystem whose enc is replaced
+(dataclasses.replace(steg, enc=...)) has neither and is run one emission
+at a time.
 """
 
 from __future__ import annotations
@@ -146,7 +150,9 @@ class StegoSystem:
     only `draw`). State sigma is passed through so stateless systems stay
     visibly stateless. dec(ak, docs) -> recovered message or None. enc may
     carry a session form, enc.session(ak, am, draws) -> documents, equal to
-    one state-threaded call per draw from None (rejsam_system's does).
+    one state-threaded call per draw from None, and a point form,
+    enc.points(ak, am, outputs) -> documents, equal to the session form over
+    one point draw per output (rejsam_system's carries both).
     """
 
     system_id: str
@@ -173,14 +179,21 @@ def _message_blocks(params: StegoParams, am: Bits) -> list[int]:
     return [(am_int >> ((n_slots - 1 - j) * block_bits)) & mask for j in range(n_slots)]
 
 
+def _bind(prf: Prf, params: StegoParams, ak: Bits, am: Bits) -> tuple:
+    """The checked binding of a key and message: am's length is checked,
+    then the split and the key (split_marker); returns the key's mark table
+    and the message's block per slot."""
+    if len(am) != params.ml:
+        raise ParameterError(f"hidden message must have {params.ml} bits")
+    marks = split_marker(prf, ak, params.block_bits, params.n_slots)
+    return marks, _message_blocks(params, am)
+
+
 def mark_agreement(
     prf: Prf, params: StegoParams, ak: Bits, am: Bits
 ) -> Callable[[Bits], bool]:
     """Predicate: does a document's mark (value, slot) agree with am?"""
-    if len(am) != params.ml:
-        raise ParameterError(f"hidden message must have {params.ml} bits")
-    marks = split_marker(prf, ak, params.block_bits, params.n_slots)
-    blocks = _message_blocks(params, am)
+    marks, blocks = _bind(prf, params, ak, am)
 
     def agrees(doc: Bits) -> bool:
         value, j = marks[doc.to_bytes()]
@@ -223,10 +236,7 @@ def encode_step(
     global _bound
     bound_prf, bound_params, bound_ak, bound_am, marks, blocks = _bound
     if not (ak is bound_ak and am is bound_am and prf is bound_prf and params is bound_params):
-        if len(am) != params.ml:
-            raise ParameterError(f"hidden message must have {params.ml} bits")
-        marks = split_marker(prf, ak, params.block_bits, params.n_slots)  # checks split, key
-        blocks = _message_blocks(params, am)
+        marks, blocks = _bind(prf, params, ak, am)
         _bound = (prf, params, ak, am, marks, blocks)
     point = getattr(draw, "point", None)
     if point is not None:  # after the checks: it fails where a looping draw would
@@ -291,7 +301,13 @@ def rejsam_system(params: StegoParams) -> StegoSystem:
     """The rejection sampler as a StegoSystem. Its enc carries the session
     form enc.session(ak, am, draws) -> documents: one encode_step per draw,
     in order, each draw taken from the iterable only after the previous
-    document is emitted, as a state-threaded run from None would."""
+    document is emitted, as a state-threaded run from None would.
+
+    It also carries the point form enc.points(ak, am, outputs) ->
+    documents, for a coin-free host's session: the session form over one
+    point draw per output returns each output, so the arguments are checked
+    once, as encode_step checks them, before the first output is taken
+    from the iterable, and then the outputs are the documents."""
     prf = Prf(params.kappa)
 
     def enc(ak, am, history, sigma, *, draw, rng=None):
@@ -301,7 +317,12 @@ def rejsam_system(params: StegoParams) -> StegoSystem:
         step = encode_step  # the module global, so a patched step sees every emission
         return [step(prf, params, ak, am, draw) for draw in draws]
 
+    def points(ak, am, outputs):
+        _bind(prf, params, ak, am)
+        return list(outputs)
+
     enc.session = session
+    enc.points = points
 
     def dec(ak, docs):
         return rejsam_decode(prf, params, ak, docs)

@@ -9,7 +9,10 @@ the advantage interval at every count up to 200 trials, and
 statistics.fmean over fixed int lists. A decode check runs seeded document
 lists through stego.rejsam_decode, which reads them from the back, and
 compares each result with a forward last-write-wins decode written here
-on the standard library's hmac. It imports the package from this
+on the standard library's hmac. A session check runs seeded sessions of
+attacks on the two coin-free hosts (the det cipher and the unique
+signature) through the drivers' session path and through one enc call per
+emission, and compares their outputs and RNG states. It imports the package from this
 checkout's src/ and needs nothing outside the standard library, so it runs
 under any interpreter the package supports:
 
@@ -31,7 +34,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import subvertlab  # noqa: E402
-from subvertlab import Bits, Prf, StegoParams, games, rejsam_decode  # noqa: E402
+from subvertlab import (  # noqa: E402
+    Bits,
+    Prf,
+    StegoParams,
+    alg_enc_all,
+    alg_from_encryption,
+    alg_from_signing,
+    asa_from_stego,
+    det_scheme,
+    games,
+    generic_asa_against_alg,
+    rejsam_decode,
+    rejsam_system,
+    sig_fixture,
+)
 from test_cli_golden import MATRIX, PINS, SEEDS, _stdout  # noqa: E402
 from workloads import DEFAULT_SEED, all_workloads  # noqa: E402
 
@@ -106,6 +123,48 @@ def decode_mismatches(lists: int = 4000) -> tuple[int, list[str]]:
     return lists, bad
 
 
+def _coin_free_attacks(params: StegoParams) -> dict:
+    """name -> (attack, host algorithm) for the coin-free hosts."""
+    steg = rejsam_system(params)
+    det = det_scheme(kappa=16, ml=8)
+    unique = alg_from_signing(sig_fixture("unique", 16, ml=8, tag_bits=12))
+    return {
+        "det": (asa_from_stego(steg, det), alg_from_encryption(det)),
+        "unique": (generic_asa_against_alg(steg, unique), unique),
+    }
+
+
+def session_mismatches(seeds: int = 300) -> tuple[int, list[str]]:
+    """Seeded sessions on each coin-free host, at ml 1 to 16, any
+    block_bits, cutoff 1 to 64 and 1 to 80 inputs (some repeated): the
+    driver's session path (alg_enc_all) against state-threaded enc calls,
+    one per input, each from its own copy of the seed's RNG."""
+    bad = []
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        ml = 2 ** rng.randrange(5)
+        params = StegoParams(ml=ml, s=rng.randint(1, 64), outl=rng.randint(1, 80), kappa=64,
+                             block_bits=rng.randint(1, ml))
+        for name, (attack, alg) in _coin_free_attacks(params).items():
+            ak, am, s = attack.gen(rng), Bits.random(ml, rng), alg.secret_gen(rng)
+            xs = [alg.input_gen(rng) for _ in range(rng.randint(1, params.outl))]
+            xs = (xs * params.outl)[: params.outl]
+            runs = []
+            for threaded in (False, True):
+                run_rng = random.Random(f"{seed}/{name}")
+                if threaded:
+                    ys, sigma = [], None
+                    for x in xs:
+                        y, sigma = attack.enc(ak, am, s, x, sigma, run_rng)
+                        ys.append(y)
+                else:
+                    ys = alg_enc_all(attack, ak, am, s, xs, run_rng)
+                runs.append((ys, run_rng.getstate()))
+            if runs[0] != runs[1]:
+                bad.append(f"session {name} seed {seed}: the session path and the enc loop differ")
+    return 2 * seeds, bad
+
+
 def golden_mismatches(tmp: Path) -> list[str]:
     games._usable_cpus = lambda: 2  # so --jobs 2 forks on any host
     bad = []
@@ -147,14 +206,16 @@ def main() -> int:
     stats = hashlib.sha256(stats_bytes()).hexdigest()
     stats_bad = [] if stats == STATS_PIN else [f"statistics: {stats} != {STATS_PIN}"]
     decoded, decode_bad = decode_mismatches()
-    for line in bad + pin_bad + stats_bad + decode_bad:
+    sessions, session_bad = session_mismatches()
+    for line in bad + pin_bad + stats_bad + decode_bad + session_bad:
         print(line)
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"python {version}: {len(PINS) - len(bad)} of {len(PINS)} golden rows, "
           f"{checked - len(pin_bad)} of {checked} pinned reports, "
-          f"{1 - len(stats_bad)} of 1 statistics pin and "
-          f"{decoded - len(decode_bad)} of {decoded} decoded lists match")
-    return 1 if bad or pin_bad or stats_bad or decode_bad else 0
+          f"{1 - len(stats_bad)} of 1 statistics pin, "
+          f"{decoded - len(decode_bad)} of {decoded} decoded lists and "
+          f"{sessions - len(session_bad)} of {sessions} coin-free sessions match")
+    return 1 if bad or pin_bad or stats_bad or decode_bad or session_bad else 0
 
 
 if __name__ == "__main__":

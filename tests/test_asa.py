@@ -21,6 +21,7 @@ from subvertlab import (
     WrongDocumentCountError,
     alg_enc_all,
     alg_from_encryption,
+    alg_from_signing,
     asa_enc_all,
     asa_from_stego,
     chi2_watchdog,
@@ -486,19 +487,25 @@ def test_host_with_coins_encrypts_once_per_draw(monkeypatch):
 # --- one session per driver call ---------------------------------------------
 #
 # A rejection-sampling attack's enc carries a session form, which the enc_all
-# drivers run in place of state-threaded enc calls. Each host below hands the
-# encoder a different kind of draw.
+# drivers run in place of state-threaded enc calls. Each host with coins below
+# hands the encoder a different kind of draw; a coin-free host's session is
+# the stegosystem's point form, which emits the host's outputs with no draw.
 
-SESSION_HOSTS = {  # host -> the draw type encode_step is handed
-    "det": PointDraw,
+SESSION_HOSTS = {  # host -> the draw type encode_step is handed, None if no call
+    "det": None,
+    "unique": None,  # a coin-free signature
     "randpad": IntDraw,
     "universal": types.FunctionType,  # universal_asa's oracle closure
     "signed": partial,  # a run on fresh coins, with no int form
 }
+COIN_FREE_SESSIONS = sorted(h for h, kind in SESSION_HOSTS.items() if kind is None)
 
 
 def _session_fixture(host, steg):
     """(attack, the host as a randomized algorithm, the oracle log or None)."""
+    if host == "unique":
+        alg = alg_from_signing(sig_fixture("unique", KAPPA, ml=8, tag_bits=8))
+        return generic_asa_against_alg(steg, alg), alg, None
     ses = det_scheme(kappa=KAPPA, ml=8) if host == "det" else randpad_scheme(r=3, kappa=KAPPA, ml=8)
     alg = alg_from_encryption(ses)
     if host == "universal":
@@ -571,12 +578,41 @@ def test_session_path_checks_its_arguments_before_any_draw(host):
 
 @pytest.mark.parametrize("host", sorted(SESSION_HOSTS))
 def test_a_patched_encode_step_sees_every_emission_of_a_session(monkeypatch, host):
+    # a host with coins: one encode_step per emission; a coin-free host's
+    # session (the point form) emits the host's outputs with no encode_step
     kinds = _spy_draw_kinds(monkeypatch)
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=24, kappa=KAPPA))
     attack, alg, _ = _session_fixture(host, steg)
     ak, am, s, xs = _session_inputs(attack, alg, random.Random(32))
     alg_enc_all(attack, ak, am, s, xs, random.Random(33))
-    assert kinds == [SESSION_HOSTS[host]] * 24
+    kind = SESSION_HOSTS[host]
+    assert kinds == ([] if kind is None else [kind] * 24)
+
+
+@pytest.mark.parametrize("host", COIN_FREE_SESSIONS)
+def test_a_coin_free_session_checks_its_arguments_before_any_host_run(host):
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=KAPPA))
+    _, alg, _ = _session_fixture(host, steg)
+    runs = []
+
+    def spy_run(s, x, coins):
+        runs.append(x)
+        return alg.run(s, x, coins)
+
+    if host == "det":  # through asa_from_stego, with the spy as the scheme's enc
+        attack = asa_from_stego(steg, dataclasses.replace(det_scheme(kappa=KAPPA, ml=8), enc=spy_run))
+    else:
+        attack = generic_asa_against_alg(steg, dataclasses.replace(alg, run=spy_run))
+    ak, am, s, xs = _session_inputs(attack, alg, random.Random(36))
+    rng = random.Random(37)
+    before = rng.getstate()
+    for bad_ak, bad_am in ((ak, Bits.zeros(3)), (Bits.zeros(KAPPA - 1), am)):
+        with pytest.raises(ParameterError):
+            alg_enc_all(attack, bad_ak, bad_am, s, xs, rng)
+        assert runs == [] and rng.getstate() == before
+    ys = alg_enc_all(attack, ak, am, s, xs, rng)
+    assert runs == xs and rng.getstate() == before
+    assert ys == [alg.run(s, x, Bits.zeros(0)) for x in xs]
 
 
 def test_force_embed_runs_its_enc_once_per_emission(monkeypatch):

@@ -114,6 +114,24 @@ def test_draws_are_shared_exactly_for_widths_1_to_8():
     assert Bits.random(True, random.Random(1)) is not Bits.random(True, random.Random(1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    nbits=st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 70), st.just(True)),
+    count=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_randoms_is_the_random_loop(nbits, count, seed):
+    bulk_rng, loop_rng = random.Random(seed), random.Random(seed)
+    bulk = Bits.randoms(nbits, count, bulk_rng)
+    loop = [Bits.random(nbits, loop_rng) for _ in range(count)]
+    assert type(bulk) is list and bulk == loop
+    assert bulk_rng.getstate() == loop_rng.getstate()
+    # the loop's shared instances (int widths 0..8) and nothing else; True
+    # is not an int width, so it builds every string, as the loop does
+    shared = nbits.__class__ is int and nbits <= 8
+    assert all((a is b) == shared for a, b in zip(bulk, loop))
+
+
 def test_small_slices_are_the_shared_instances():
     # a slice of 1 to 8 bits is the table's instance, with the value a slice
     # built fresh from the bit string's digits has

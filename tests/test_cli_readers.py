@@ -134,3 +134,17 @@ def test_session_with_a_huge_message_length_decodes_without_a_slot_table(workdir
     path.write_text("\n".join(json.dumps(line) for line in lines))
     rc, out, err = _run(["stego", "extract", "--file", str(path)])
     assert rc == 0 and json.loads(out)["extracted_hex"] is None, err
+
+
+@pytest.mark.parametrize(
+    "argv", [["report", "merge"], ["stego", "extract", "--file"], ["asa", "extract", "--file"]]
+)
+def test_an_integer_past_the_digit_limit_is_not_a_json_line(workdir, argv):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal longer than the interpreter's int-from-str limit
+    path = workdir / "long-int.jsonl"
+    path.write_text('{}\n{"trials": ' + "7" * 5000 + "}\n")
+    rc, out, err = _run([*argv, str(path)])
+    assert rc == 2 and out == "", err
+    assert err.startswith(f"error: {path}:2: not a JSON line (Exceeds the limit"), err
+    assert "Traceback" not in err
