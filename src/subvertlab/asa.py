@@ -19,22 +19,18 @@ oracle, and every emitted ciphertext is one the oracle produced. The host
 logs every oracle call in its own `queries`, which makes that checkable.
 
 One subverted session has one attacker key, hidden message and host secret
-for all outl emissions. Where the stegosystem's enc has a session form
-(stego.rejsam_system's enc.session), the attack's enc gets one too,
-enc.session(ak, am, s, xs, rng), which feeds it the draw host_draw(s, x,
-rng) of each input in order, built only after the previous emission. The
-enc_all drivers take it when it is there: the same documents from the same
-RNG calls, with one encode_step per emission but no per-emission attack
-frame or session view. On a coin-free host (coin_bits 0, known to
-asa_from_stego and generic_asa_against_alg) the session form is the
-stegosystem's point form instead (enc.points): a deterministic host leaves
-the sampler no choice, so the subverted session is the honest one. The
-key, message and split are checked once, then each input's output
-alg.run(s, x, empty coins) is emitted in order, with no encode_step call
-or draw object. The form is an attribute of the callable, so an attack or
-stegosystem whose enc is replaced (dataclasses.replace, the force-embed
-demo, a spy or a tracer's wrapper) has none, and its drivers call enc once
-per emission.
+for all outl emissions. The enc_all drivers run it one enc call per
+emission, state threaded from None, except on a coin-free host (coin_bits
+0, known to asa_from_stego and generic_asa_against_alg). There the
+attack's enc has a session form, enc.session(ak, am, s, xs, rng), built on
+the stegosystem's point form (stego.rejsam_system's enc.points): a
+deterministic host leaves the sampler no choice, so the subverted session
+is the honest one. The key, message and split are checked once, then each
+input's output alg.run(s, x, empty coins) is emitted in order, with no
+encode_step call or draw object. The form is an attribute of the callable,
+so an attack or stegosystem whose enc is replaced (dataclasses.replace,
+the force-embed demo, a spy or a tracer's wrapper) has none, and its
+drivers call enc once per emission.
 """
 
 from __future__ import annotations
@@ -85,9 +81,10 @@ class SubstitutionAttack:
 
     enc may carry a session form, enc.session(ak, am, s, xs, rng) -> the
     outputs for all inputs xs, equal to state-threaded enc calls from None,
-    from the same RNG calls; asa_enc_all and alg_enc_all use it when it is
-    there. A replaced enc (replace(attack, enc=...)) has no such attribute,
-    so the drivers call it once per emission.
+    from the same RNG calls; the coin-free attacks of _stego_attack carry
+    one, and asa_enc_all and alg_enc_all use it when it is there. Any other
+    enc, a replaced one (replace(attack, enc=...)) included, is called once
+    per emission.
     """
 
     attack_id: str
@@ -148,19 +145,12 @@ def _stego_attack(steg, attack_id, host_params, host_draw, alg=None):
         draw = host_draw(s, x, rng)
         return steg_enc(ak, am, _SessionView(s, x, ell), sigma, draw=draw, rng=rng)
 
-    steg_session = getattr(steg_enc, "session", None)
     steg_points = getattr(steg_enc, "points", None)
     if steg_points is not None and alg is not None and alg.coin_bits == 0:
         run = alg.run
 
         def session(ak, am, s, xs, rng):
             return steg_points(ak, am, map(run, itertools.repeat(s), xs, itertools.repeat(_EMPTY)))
-
-        enc.session = session
-    elif steg_session is not None:
-
-        def session(ak, am, s, xs, rng):
-            return steg_session(ak, am, (host_draw(s, x, rng) for x in xs))
 
         enc.session = session
 

@@ -81,13 +81,12 @@ class Bits:
     @classmethod
     def randoms(cls, nbits: int, count: int, rng: random.Random) -> list["Bits"]:
         """[Bits.random(nbits, rng) for _ in range(count)], from the same
-        rng.getrandbits calls: shared strings for int widths 1..8, the
-        shared empty string for width 0, and the loop itself otherwise."""
+        rng.getrandbits calls: shared strings for int widths 1..8, and the
+        loop itself otherwise (width 0 included, which draws nothing and
+        gives the shared empty string)."""
         if nbits.__class__ is int and 0 < nbits <= _SHARED_BITS:
             table, draw = _SMALL[nbits], rng.getrandbits
             return [table[draw(nbits)] for _ in range(count)]
-        if nbits == 0:
-            return [_EMPTY] * count
         return [cls.random(nbits, rng) for _ in range(count)]
 
     @classmethod

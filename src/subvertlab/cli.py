@@ -346,7 +346,10 @@ def _load_session(path, key_hex=None):
             raise ParameterError(f"{path}:{n}: session params lack {name!r}")
     if not all(type(p[name]) is int for name in _SESSION_INTS):
         raise ParameterError(f"{path}:{n}: {', '.join(_SESSION_INTS)} must be integers")
-    params = StegoParams(beta=p["beta"], **{name: p[name] for name in _SESSION_INTS})
+    try:
+        params = StegoParams(beta=p["beta"], **{name: p[name] for name in _SESSION_INTS})
+    except ParameterError as exc:
+        raise ParameterError(f"{path}:{n}: {exc}") from None
     if key_hex is not None:
         ak = _hex_bits(key_hex, params.kappa, "--key")
     elif "key_hex" in header:
@@ -569,6 +572,8 @@ def cmd_report_merge(args):
                     reports.append(GameReport.from_json_dict(obj))
                 except (ParameterError, SchemaMismatchError) as exc:
                     raise type(exc)(f"{path}:{n}: {exc}") from None
+    if not reports:
+        raise ParameterError(f"no game report in {', '.join(args.files)}")
     merged = merge_reports(reports)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -29,16 +29,14 @@ strings in the same loop. A coin-free host's emission is a point draw
 A decode binds the mark table once and looks each document it reads up in
 it.
 
-rejsam_system's enc also has a session form, enc.session(ak, am, draws):
-a whole session's documents, one encode_step per draw, with no per-emission
-state or history. The substitution attacks' threaded drivers take it
-(asa.py). A coin-free host's session has a second form,
-enc.points(ak, am, outputs): every draw of each emission is its one
-output, so the documents are the outputs themselves, returned after the
-argument checks encode_step makes, made once, and with no encode_step
-call. Both live on the callable, so a StegoSystem whose enc is replaced
-(dataclasses.replace(steg, enc=...)) has neither and is run one emission
-at a time.
+rejsam_system's enc has one session form, for a coin-free host:
+enc.points(ak, am, outputs). Every draw of each of its emissions is the
+host's one output, so the documents are the outputs themselves, returned
+after the argument checks encode_step makes, made once, and with no
+encode_step call. A session with coins runs one enc call per emission.
+The form lives on the callable, so a StegoSystem whose enc is replaced
+(dataclasses.replace(steg, enc=...)) has none and is run one emission at
+a time.
 """
 
 from __future__ import annotations
@@ -149,10 +147,9 @@ class StegoSystem:
     `rng` is the encoder's private randomness (the rejection sampler needs
     only `draw`). State sigma is passed through so stateless systems stay
     visibly stateless. dec(ak, docs) -> recovered message or None. enc may
-    carry a session form, enc.session(ak, am, draws) -> documents, equal to
-    one state-threaded call per draw from None, and a point form,
-    enc.points(ak, am, outputs) -> documents, equal to the session form over
-    one point draw per output (rejsam_system's carries both).
+    carry a point form, enc.points(ak, am, outputs) -> documents, equal to
+    one state-threaded call from None per output over the point draw of
+    that output (rejsam_system's carries it).
     """
 
     system_id: str
@@ -298,30 +295,22 @@ def rejsam_decode(
 
 
 def rejsam_system(params: StegoParams) -> StegoSystem:
-    """The rejection sampler as a StegoSystem. Its enc carries the session
-    form enc.session(ak, am, draws) -> documents: one encode_step per draw,
-    in order, each draw taken from the iterable only after the previous
-    document is emitted, as a state-threaded run from None would.
-
-    It also carries the point form enc.points(ak, am, outputs) ->
-    documents, for a coin-free host's session: the session form over one
-    point draw per output returns each output, so the arguments are checked
-    once, as encode_step checks them, before the first output is taken
-    from the iterable, and then the outputs are the documents."""
+    """The rejection sampler as a StegoSystem. Its enc emits one document
+    per call through encode_step, and carries the point form
+    enc.points(ak, am, outputs) -> documents, for a coin-free host's
+    session: one emission over each output's point draw returns that
+    output, so the arguments are checked once, as encode_step checks them,
+    before the first output is taken from the iterable, and then the
+    outputs are the documents."""
     prf = Prf(params.kappa)
 
     def enc(ak, am, history, sigma, *, draw, rng=None):
         return encode_step(prf, params, ak, am, draw), sigma
 
-    def session(ak, am, draws):
-        step = encode_step  # the module global, so a patched step sees every emission
-        return [step(prf, params, ak, am, draw) for draw in draws]
-
     def points(ak, am, outputs):
         _bind(prf, params, ak, am)
         return list(outputs)
 
-    enc.session = session
     enc.points = points
 
     def dec(ak, docs):

@@ -486,10 +486,11 @@ def test_host_with_coins_encrypts_once_per_draw(monkeypatch):
 
 # --- one session per driver call ---------------------------------------------
 #
-# A rejection-sampling attack's enc carries a session form, which the enc_all
-# drivers run in place of state-threaded enc calls. Each host with coins below
-# hands the encoder a different kind of draw; a coin-free host's session is
-# the stegosystem's point form, which emits the host's outputs with no draw.
+# A rejection-sampling attack on a coin-free host carries a session form, the
+# stegosystem's point form, which the enc_all drivers run in place of
+# state-threaded enc calls: it emits the host's outputs with no draw. Each
+# host with coins below runs one enc call per emission and hands the encoder
+# a different kind of draw.
 
 SESSION_HOSTS = {  # host -> the draw type encode_step is handed, None if no call
     "det": None,
@@ -549,7 +550,7 @@ def test_session_path_equals_the_per_emission_loop(host, ml_log, block_bits, s, 
     runs = []
     for drive in (alg_enc_all, _threaded):
         attack, alg, log = _session_fixture(host, rejsam_system(params))
-        assert callable(attack.enc.session)
+        assert hasattr(attack.enc, "session") == (host in COIN_FREE_SESSIONS)
         rng = random.Random(seed)
         ak, am, secret, xs = _session_inputs(attack, alg, rng, repeat)
         docs = drive(attack, ak, am, secret, xs, rng)

@@ -260,6 +260,10 @@ def test_bad_session_files_exit_2_naming_path_and_line(capsys, tmp_path):
     params = {k: v for k, v in obj["params"].items() if k != "outl"}
     rc, err = extract([json.dumps({**obj, "params": params}), *rest])
     assert rc == 2 and "bad.jsonl:1" in err and "'outl'" in err
+    # header parameters StegoParams refuses
+    for name, value, what in (("beta", "x", "beta"), ("ml", 3, "ml"), ("s", 0, "cutoff s")):
+        rc, err = extract([json.dumps({**obj, "params": {**obj["params"], name: value}}), *rest])
+        assert rc == 2 and err.startswith(f"error: {tmp_path / 'bad.jsonl'}:1: {what}"), name
     no_key = {k: v for k, v in obj.items() if k != "key_hex"}
     rc, err = extract([json.dumps(no_key), *rest])
     assert rc == 2 and "bad.jsonl:1" in err and "key_hex" in err
@@ -433,6 +437,18 @@ def test_merge_names_the_line_with_a_malformed_field(capsys, tmp_path):
         assert cli.main(["report", "merge", str(path)]) == 2, key
         err = capsys.readouterr().err
         assert f"{path}:1" in err and repr(key) in err and "Traceback" not in err, key
+
+
+def test_merge_over_files_with_no_game_report_exits_2(capsys, tmp_path):
+    empty, other = tmp_path / "empty.jsonl", tmp_path / "other.jsonl"
+    empty.write_text("")
+    other.write_text('{"kind": "stego-extract", "ok": true}\n')
+    out, csv_path = tmp_path / "merged.jsonl", tmp_path / "merged.csv"
+    argv = ["report", "merge", str(empty), str(other), "--out", str(out), "--csv", str(csv_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no game report in {empty}, {other}\n"
+    assert captured.out == "" and not out.exists() and not csv_path.exists()
 
 
 def test_merge_rejects_numbers_json_cannot_hold(capsys, tmp_path):

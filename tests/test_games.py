@@ -23,10 +23,12 @@ from subvertlab import (
     advantage_and_ci,
     alg_enc_all,
     alg_from_encryption,
+    alg_from_signing,
     asa_enc_all,
     asa_from_stego,
     chi2_watchdog,
     constant_guess,
+    default_watchdogs,
     det_scheme,
     estimate_unrel,
     estimate_unrel_alg,
@@ -196,6 +198,68 @@ def test_encryption_games_are_the_algorithm_games_on_the_scheme(host):
     assert enc.config["message_mode"] == gen.config["input_mode"] == "random"
 
 
+# --- a coin-free host: advantage bound 0 -------------------------------------
+#
+# A deterministic host leaves the rejection sampler no choice, so its
+# subverted outputs are its honest ones: no watchdog can tell the attack
+# from the genuine algorithm (BPR, CRYPTO 2014; AMV, CCS 2015).
+
+
+@pytest.mark.parametrize("host", ["det", "unique"])
+def test_a_coin_free_attack_decides_as_its_honest_stand_in(host):
+    # trial for trial, each stock watchdog guesses against the attack what
+    # it guesses against the genuine algorithm, in both worlds
+    steg = rejsam_system(StegoParams(ml=4, s=8, outl=16, kappa=16))
+    if host == "det":
+        ses = det_scheme(16, 8)
+        attack, alg = asa_from_stego(steg, ses), alg_from_encryption(ses)
+
+        def run(attack, wd):
+            return run_enc_asa_dist(attack, ses, wd, trials=80, seed=11)
+    else:
+        alg = alg_from_signing(sig_fixture("unique", 16, ml=8, tag_bits=8))
+        attack = generic_asa_against_alg(steg, alg)
+
+        def run(attack, wd):
+            return run_rasa_dist(attack, alg, wd, trials=80, seed=11)
+
+    def honest_enc(ak, am, s, x, sigma, rng):  # the genuine algorithm's run
+        return alg.run_sample(s, x, rng), sigma
+
+    assert alg.coin_bits == 0
+    honest = dataclasses.replace(attack, enc=honest_enc)
+    for wd in default_watchdogs():
+        subverted = run(attack, wd)
+        assert {b for b, _ in subverted.decisions} == {0, 1}, wd.name
+        assert subverted.decisions == run(honest, wd).decisions, wd.name
+
+
+@pytest.mark.parametrize("host", ["det", "randpad"])
+def test_the_free_channel_oracle_samples_the_public_channel_stream(host):
+    # in both worlds, the ss-cha view's channel_sample(h) of trial t is
+    # channel_sample(channel, h, substream(seed, t, "sim", "channel")); on
+    # a point-mass channel the challenge oracle returns that same document
+    ses = det_scheme(16, 8) if host == "det" else randpad_scheme(r=8, kappa=16, ml=8)
+    channel = ses_channel(ses, 2)
+    steg = rejsam_system(StegoParams(ml=4, s=16, outl=24, kappa=16))
+    seen = []
+
+    def strategy(view, rng):
+        streams = view._streams
+        am = Bits.random(view.stego_ml, rng)
+        h = (ses.gen(rng),) + (Bits.random(ses.ml, rng),) * 2
+        doc = view.channel_sample(h)
+        ref = substream(streams.seed, streams.trial, "sim", "channel")
+        seen.append((doc, channel_sample(channel, h, ref), view.ch(am, h)))
+        return doc.uint & 1
+
+    report = run_ss_cha_dist(steg, channel, Adversary("channel-reader", strategy), 40, seed=12)
+    assert {b for b, _ in report.decisions} == {0, 1} and len(seen) == 40
+    assert all(doc == ref for doc, ref, _ in seen)
+    if host == "det":
+        assert all(doc == challenged for doc, _, challenged in seen)
+
+
 def test_random_compositions_partition_the_total():
     rng = random.Random(9)
     for _ in range(200):
@@ -288,11 +352,12 @@ def test_no_oracle_hands_the_encoder_state_to_an_adversary(game):
 
 @pytest.mark.parametrize("replaced", ["attack", "stego"])
 def test_drivers_call_a_replaced_encoder_once_per_emission(replaced):
-    # a replaced enc has no session form, so asa_enc_all and alg_enc_all
-    # thread the state through one spied call per emission, from None, and
-    # emit what the unspied session form emits
+    # on a coin-free host the plain attack has a session form; a replaced
+    # enc has none, so asa_enc_all and alg_enc_all thread the state through
+    # one spied call per emission, from None, and emit what the unspied
+    # session form emits
     steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=16))
-    ses = randpad_scheme(r=8, kappa=16, ml=8)
+    ses = det_scheme(kappa=16, ml=8)
     spy = _StateSpy()
     plain = asa_from_stego(steg, ses)
     attack = spy.attack(plain) if replaced == "attack" else asa_from_stego(spy.stego(steg), ses)

@@ -384,29 +384,6 @@ def test_alternating_sessions_emit_what_fresh_bindings_emit():
     assert emissions(fresh=False) == emissions(fresh=True)
 
 
-def test_session_form_takes_each_draw_after_the_previous_emission(monkeypatch):
-    # enc.session runs the module's encode_step once per draw, in order, and
-    # pulls the next draw only once the emission before it is done
-    steg = rejsam_system(StegoParams(ml=4, s=8, outl=6, kappa=64))
-    ak, am, rng = steg.gen(substream(54, "k")), Bits.from_str("0110"), substream(54)
-    events = []
-    real = subvertlab.stego.encode_step
-
-    def logged_step(prf, params, ak, am, draw):
-        events.append("step")
-        return real(prf, params, ak, am, draw)
-
-    def draws():
-        for _ in range(6):
-            events.append("draw")
-            yield lambda: Bits.random(8, rng)
-
-    monkeypatch.setattr(subvertlab.stego, "encode_step", logged_step)
-    docs = steg.enc.session(ak, am, draws())
-    assert events == ["draw", "step"] * 6
-    assert docs == encode_all(steg, ak, am, (), uniform_channel(8), substream(54))
-
-
 def test_decode_last_write_wins_and_none_when_uncovered():
     params = StegoParams(ml=2, s=4, outl=4, kappa=64)
     prf = Prf(64)
